@@ -219,10 +219,6 @@ class RootFunctional:
         return "RootFunctional(%s)" % self.name()
 
 
-def functional_value(phi, kv):
-    return phi.value(kv)
-
-
 _TERM = re.compile(r"^(?:(\d+(?:\.\d+)?)\*)?([aw])(\d+)$")
 
 

@@ -8,12 +8,12 @@ estimation restricted to [0, complete_to] see the true orbit, not an
 enumeration artifact.
 
 Two certificate routes exist. A ball extracted from a word-length
-enumeration uses the minimum value on the length frontier minus an
-empirically measured per-letter dip (for ping-pong groups the dip is
-zero and the frontier bound is sharp). For the modular group the scan
-over integer matrices with bounded entries gives a slack-free threshold:
-the top singular value dominates every entry, so a value below
-2 log(bound) forces the matrix inside the scanned box.
+enumeration, plain or doubled, uses the minimum value on the length
+frontier minus an empirically measured per-letter dip (for ping-pong
+groups the dip is zero and the frontier bound is sharp). For the modular
+group the scan over integer matrices with bounded entries gives a
+slack-free threshold: the top singular value dominates every entry, so a
+value below 2 log(bound) forces the matrix inside the scanned box.
 
 The slope estimator regresses log N(T) on T over a uniform grid; the
 bisection estimator finds where the truncated window series crosses a
@@ -26,7 +26,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import cartan_projection, functional_value, word_cartan
+from .cartan import cartan_projection, word_cartan
 from .errors import InsufficientData, InvalidInput
 from .reps import sym_power_matrix
 from .words import enumerate_elements, modular_norm_ball
@@ -190,7 +190,7 @@ def sample_from_records(records, phi, complete_to, label=""):
         if name in rec.phi_values:
             vals.append(rec.phi_values[name])
         else:
-            vals.append(functional_value(phi, rec.kappa))
+            vals.append(phi.value(rec.kappa))
     return ValueSample(vals, complete_to, label=label)
 
 
@@ -200,32 +200,42 @@ def sample_from_enumeration(group, rep, phi, max_len):
     complete_to is the smallest value on the frontier minus the largest
     observed one-letter dip; any longer word extends a frontier word by
     letters that each cost at least the negative dip, so a value below
-    the threshold would already have been enumerated.
+    the threshold would already have been enumerated. A group whose
+    enumeration rounds (custom) is labelled non-exhaustive.
+    """
+    return _frontier_sample(group, rep, phi, max_len, group.kind)
+
+
+def _frontier_sample(group, rep, phi, max_len, name):
+    """ValueSample of phi over enumerate_elements(group, max_len), with the
+    length-frontier certificate of sample_from_enumeration.
+
+    The frontier minimum and the one-letter dips run over every element,
+    since in a group with reflections an orientation preserving word
+    passes through reversing prefixes; values are kept only for the
+    orientation preserving elements. The label reads "<name> ball".
     """
     if max_len < 1:
         raise InvalidInput("need max_len >= 1 for a frontier certificate")
     value_of = {}
-    dips = [0.0]
+    dip = 0.0
     frontier_min = math.inf
-    for word, _ in enumerate_elements(group, max_len):
-        kv = word_cartan(rep, word)
-        v = functional_value(phi, kv)
-        value_of[str(word)] = v
-        if len(word) > 0:
-            parent = "".join(word.letters[:-1]) or "e"
-            if parent in value_of:
-                dips.append(max(0.0, value_of[parent] - v))
+    values = []
+    for word, mob in enumerate_elements(group, max_len):
+        v = phi.value(word_cartan(rep, word))
+        value_of[word.letters] = v
+        if word.letters:
+            dip = max(dip, value_of[word.letters[:-1]] - v)
         if len(word) == max_len:
             frontier_min = min(frontier_min, v)
+        if mob.orientation == 1:
+            values.append(v)
     if not math.isfinite(frontier_min):
         raise InsufficientData("no words on the length frontier")
-    slack = max(dips)
-    complete_to = max(0.0, frontier_min - slack)
-    return ValueSample(
-        value_of.values(),
-        complete_to,
-        label="%s ball, max_len %d" % (group.kind, max_len),
-    )
+    label = "%s ball, max_len %d" % (name, max_len)
+    if not group.exact_dedup:
+        label += ", non-exhaustive enumeration"
+    return ValueSample(values, max(0.0, frontier_min - dip), label=label)
 
 
 def sample_from_norm_ball(bound, sym_dim, phi):
@@ -242,7 +252,7 @@ def sample_from_norm_ball(bound, sym_dim, phi):
     svals = np.linalg.svd(mats, compute_uv=False)
     # functional on the sym-power Cartan vector of a unit-gap 2x2 matrix
     unit = sym_power_matrix(np.diag([math.exp(0.5), math.exp(-0.5)]), sym_dim)
-    mult = functional_value(phi, cartan_projection(unit))
+    mult = phi.value(cartan_projection(unit))
     logs = np.log(svals[:, 0])
     vals = 2.0 * mult * logs
     return ValueSample(

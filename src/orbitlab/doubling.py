@@ -7,16 +7,20 @@ On the matrix side each reflection becomes a conjugated sign
 involution, and the extended letter table keeps the two-by-two factor
 structure, so Cartan data and flags of long doubled words stay on the
 stable evaluation route.
+
+The doubled ball is words.enumerate_elements run on a GroupSpec of kind
+doubled: the base letters plus one self-inverse letter per reflection,
+whose image is the reflection's orientation reversing Mobius value.
+Orientation is the reflection parity of a word, so the orientation
+preserving elements are the words of even parity.
 """
 
 import math
 
 import numpy as np
 
-from .cartan import functional_value, word_cartan
-from .critexp import ValueSample
+from .critexp import _frontier_sample
 from .errors import (
-    InsufficientData,
     InvalidInput,
     OverlappingAxes,
     SpectrumNotLoxodromic,
@@ -32,8 +36,8 @@ from .hypdisc import (
     fixed_points,
     wrap_angle,
 )
-from .reps import Representation, ScaledMatrix, evaluate, sym_power_matrix
-from .words import Word, _round_canonical, free_schottky
+from .reps import Representation, evaluate, sym_power_matrix
+from .words import GroupSpec, Word, enumerate_elements, free_schottky
 
 # letters offered to reflections, skipping any the base alphabet uses
 REFLECTION_LETTERS = "xyzuvw"
@@ -334,33 +338,15 @@ def _group_word_image(group, word):
     return mob
 
 
-def _scaled_key(mat, tol):
-    """Rounding key at a tolerance relative to the matrix magnitude.
+def _doubled_group(group, doubled):
+    """The reflection-extended group as a GroupSpec of kind doubled.
 
-    An absolute grid splits true duplicates once entries grow large:
-    the float drift between two multiplication orders scales with the
-    entries and eventually straddles grid boundaries. Discreteness of
-    the group keeps distinct elements relatively separated, so rounding
-    mat / 2^ceil(log2 sup) keeps duplicates together while still only
-    merging elements closer than tol in relative terms.
+    The base letters keep their images; each reflection letter is its
+    own inverse, with the reflection across its boundary word's axis as
+    image. Elements are deduplicated by words._scaled_key at DEDUP_TOL, which
+    can merge distinct far-apart elements, so the enumeration is
+    non-exhaustive by construction.
     """
-    sup = float(np.abs(mat).max())
-    scaled = mat / math.ldexp(1.0, math.ceil(math.log2(sup)))
-    return _round_canonical(scaled, tol)
-
-
-def _doubled_stream(group, doubled, max_len):
-    """Breadth-first ball of the reflection-extended group.
-
-    Yields (word, Mobius, ScaledMatrix image, reflection parity).
-    Immediate cancellations (a generator followed by its inverse, a
-    reflection letter repeated) are pruned; everything else is
-    deduplicated by a rounding hash at DEDUP_TOL relative to the matrix
-    magnitude, which can merge distinct far-apart elements, so the walk
-    is a non-exhaustive enumeration by construction.
-    """
-    if max_len < 0:
-        raise InvalidInput("max_len must be nonnegative")
     if group.kind != "free_schottky" or len(group.alphabet) != 4:
         raise InvalidInput("doubling covers rank-2 Schottky groups")
     reflections = [
@@ -374,94 +360,43 @@ def _doubled_stream(group, doubled, max_len):
                     "axes of boundary elements %s and %s meet"
                     % (doubled.boundary[i], doubled.boundary[j])
                 )
-    letters = list(group.alphabet) + list(doubled.letters)
-    mob_of = {c: group.image(c) for c in group.alphabet}
+    images = dict(group.images)
+    inverse_letter = dict(group.inverse_letter)
     for c, r in zip(doubled.letters, reflections):
-        mob_of[c] = r.mob
-    mat_of = {c: doubled.rep.image(c) for c in letters}
-    inverse_of = dict(group.inverse_letter)
-    for c in doubled.letters:
-        inverse_of[c] = c
-    refl_set = frozenset(doubled.letters)
-    seen = {_scaled_key(np.eye(2), DEDUP_TOL)}
-    first = (Word(), Mobius.identity(), ScaledMatrix.identity(doubled.rep.dim), 0)
-    yield first
-    frontier = [first]
-    length = 0
-    while length < max_len and frontier:
-        nxt = []
-        for word, mob, sm, parity in frontier:
-            last = word.letters[-1] if word.letters else None
-            for letter in letters:
-                if last is not None and inverse_of[letter] == last:
-                    continue
-                new_mob = mob @ mob_of[letter]
-                key = _scaled_key(new_mob.mat, DEDUP_TOL)
-                if key in seen:
-                    continue
-                seen.add(key)
-                item = (
-                    Word(word.letters + (letter,)),
-                    new_mob,
-                    sm.times(mat_of[letter]),
-                    parity ^ (letter in refl_set),
-                )
-                nxt.append(item)
-                yield item
-        frontier = nxt
-        length += 1
+        images[c] = r.mob
+        inverse_letter[c] = c
+    return GroupSpec(
+        "doubled", list(group.alphabet) + list(doubled.letters), images,
+        inverse_letter, False, dedup_tol=DEDUP_TOL,
+    )
 
 
 def enumerate_doubled(group, doubled, max_len):
     """Stream (word, Mobius, ScaledMatrix image) over the doubled ball.
 
-    Only words of even reflection parity are emitted, so every output
-    preserves orientation; with no boundary elements the stream matches
-    the plain enumeration of the group. Deduplication rounds the Mobius
-    matrix at DEDUP_TOL, which makes the enumeration non-exhaustive.
+    The ball is enumerate_elements on the doubled GroupSpec, and only
+    its orientation preserving elements (even reflection parity) are
+    emitted, each with its image evaluate(doubled.rep, word). With no
+    boundary elements the stream matches the plain enumeration of the
+    group. Deduplication rounds the Mobius matrix at DEDUP_TOL, which
+    makes the enumeration non-exhaustive.
     """
-    for word, mob, sm, parity in _doubled_stream(group, doubled, max_len):
-        if parity == 0:
-            yield word, mob, sm
+    for word, mob in enumerate_elements(_doubled_group(group, doubled), max_len):
+        if mob.orientation == 1:
+            yield word, mob, evaluate(doubled.rep, word)
 
 
 def doubled_value_sample(group, doubled, phi, max_len):
-    """Functional values over the even-parity doubled ball, certified by
-    the length frontier.
+    """Functional values over the orientation preserving doubled ball,
+    certified by the length frontier.
 
-    complete_to mirrors the plain enumeration sampler: smallest frontier
-    value minus the largest one-letter dip, with the frontier and dips
-    taken over both parities since even words pass through odd
-    prefixes. The rounding dedup leaves the enumeration non-exhaustive,
-    and the label says so.
+    This is sample_from_enumeration's certificate on the doubled
+    GroupSpec: frontier and dips are taken over both parities, since
+    even words pass through odd prefixes. The rounding dedup leaves the
+    enumeration non-exhaustive, and the label says so.
     """
-    if max_len < 1:
-        raise InvalidInput("need max_len >= 1 for a frontier certificate")
-    value_of = {}
-    dips = [0.0]
-    frontier_min = math.inf
-    values = []
-    for word, _, _, parity in _doubled_stream(group, doubled, max_len):
-        kv = word_cartan(doubled.rep, word)
-        v = functional_value(phi, kv)
-        value_of[str(word)] = v
-        if len(word) > 0:
-            parent = "".join(word.letters[:-1]) or "e"
-            if parent in value_of:
-                dips.append(max(0.0, value_of[parent] - v))
-        if len(word) == max_len:
-            frontier_min = min(frontier_min, v)
-        if parity == 0:
-            values.append(v)
-    if not math.isfinite(frontier_min):
-        raise InsufficientData("no words on the length frontier")
-    complete_to = max(0.0, frontier_min - max(dips))
-    return ValueSample(
-        values,
-        complete_to,
-        label="doubled %s ball, max_len %d, non-exhaustive enumeration"
-        % (group.kind, max_len),
-    )
+    return _frontier_sample(_doubled_group(group, doubled), doubled.rep, phi,
+                            max_len, "doubled %s" % group.kind)
 
 
 def write_doubled_csv(rows, path):

@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import functional_value, word_cartan
+from .cartan import word_cartan
 from .errors import InsufficientScales, InvalidInput
 from .flags import GrassPoint, flag_distance, limit_curve
 from .hypdisc import TWO_PI, displacement, shadow_of_isometry
@@ -166,7 +166,7 @@ def distortion_scan(group, rep, phi, r, max_len, sample_depth=None, sample=None)
             skipped += 1
             continue
         kv = word_cartan(rep, word)
-        a = functional_value(phi, kv)
+        a = phi.value(kv)
         rows.append(DistortionRow(str(word), a, dist, dist * math.exp(a)))
     return DistortionReport(rows, skipped, r, phi.name())
 
@@ -235,7 +235,7 @@ def shadow_separation_check(records, phi, r, c0=None):
     for rec in records:
         if rec.mob is None:
             raise InvalidInput("records carry no isometries; rebuild the table")
-        value = functional_value(phi, rec.kappa)
+        value = phi.value(rec.kappa)
         n = math.floor(value)
         buckets.setdefault(n, []).append(rec)
     c0_emp = 0.0

@@ -1,18 +1,25 @@
 """Group presentations, word enumeration and limit-set sampling.
 
-A GroupSpec is one of three kinds. free_schottky takes hyperbolic Mobius
-generators and certifies at construction that they play ping-pong: for a
-generator with singular values s > 1 > 1/s the set of directions it
-contracts below norm 1 is an arc on the boundary circle around its minor
-right-singular direction, of half angle 2*asin(1/sqrt(s^2+1)); a generator
-maps the complement of its own arc onto the arc of its inverse, so 2k
-pairwise disjoint arcs force the group to be free and discrete, and word
-enumeration needs only free reduction. modular is the integer group
-generated by s = [[0,-1],[1,0]] and t = [[1,1],[0,1]]; its elements are
-deduplicated exactly as integer matrices up to overall sign. custom takes
-arbitrary generators and deduplicates by rounding, which can merge distinct
-elements of a non-discrete group, so enumeration is flagged non-exhaustive
-and a crude discreteness probe only warns.
+The constructors here build three kinds of GroupSpec. free_schottky takes
+hyperbolic Mobius generators and certifies at construction that they play
+ping-pong: for a generator with singular values s > 1 > 1/s the set of
+directions it contracts below norm 1 is an arc on the boundary circle
+around its minor right-singular direction, of half angle
+2*asin(1/sqrt(s^2+1)); a generator maps the complement of its own arc onto
+the arc of its inverse, so 2k pairwise disjoint arcs force the group to be
+free and discrete, and word enumeration needs only free reduction. modular
+is the integer group generated by s = [[0,-1],[1,0]] and t = [[1,1],[0,1]];
+its elements are deduplicated exactly as integer matrices up to overall
+sign. custom takes arbitrary generators and deduplicates by rounding, which
+can merge distinct elements of a non-discrete group, so enumeration is
+flagged non-exhaustive (exact_dedup is False, and certified samples say so
+in their label) and a crude discreteness probe only warns. A fourth kind,
+doubled, is the reflection extension that the doubling module builds; it
+also deduplicates by rounding.
+
+One breadth-first walker, enumerate_elements, serves every kind. It
+never appends the inverse of a word's last letter: that gives back the
+word's parent, already seen, whatever the relations of the group.
 
 Letters are single characters: generators a, b, c, ... with inverses
 A, B, C, ...; the modular alphabet is S (self-inverse), T and its inverse
@@ -25,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .cartan import functional_value, word_cartan
+from .cartan import word_cartan
 from .errors import InvalidInput, NonElementary
 from .hypdisc import (
     ORIGIN,
@@ -266,58 +273,67 @@ def _round_canonical(mat, tol):
     return tuple(int(round(v / tol)) for v in flat)
 
 
+def _scaled_key(mat, tol):
+    """Rounding key at a tolerance relative to the matrix magnitude.
+
+    An absolute grid splits true duplicates once entries grow large:
+    the float drift between two multiplication orders scales with the
+    entries and eventually straddles grid boundaries. Discreteness of
+    the group keeps distinct elements relatively separated, so rounding
+    mat / 2^ceil(log2 sup) keeps duplicates together while still only
+    merging elements closer than tol in relative terms.
+    """
+    sup = float(np.abs(mat).max())
+    scaled = mat / math.ldexp(1.0, math.ceil(math.log2(sup)))
+    return _round_canonical(scaled, tol)
+
+
 def enumerate_elements(group, max_len):
     """Stream (Word, Mobius) for each distinct element of word length up to
     max_len, ordered by length then lexicographically by alphabet position.
 
-    free_schottky relies on free reduction alone. modular and custom
-    deduplicate by matrix (exact integers up to sign, respectively
-    rounding); for those kinds every letter is tried at every step, since
-    skipping the letter that cancels the stored word's last letter would
-    also skip elements whose only short route runs through a relation. A
-    non-reduced candidate multiplies out to an already-seen shorter
-    element, so the words that do get yielded stay reduced.
+    Every kind skips the letter that cancels the word's last letter: the
+    candidate w l l^-1 is the element w itself, in any group and whatever
+    its relations, and w was yielded two levels earlier. So pruning loses
+    no element, and the yielded words stay freely reduced. free_schottky
+    needs nothing more. modular deduplicates exactly as integer matrices
+    up to sign, custom by rounding at its dedup_tol, and doubled (built
+    by the doubling module) by rounding relative to the matrix
+    magnitude; an element reached by two reduced words keeps the first.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be nonnegative")
-    use_int = group.kind == "modular"
-    free = group.kind == "free_schottky"
-    seen = set()
-    identity = Mobius.identity()
-    if use_int:
-        seen.add(_int_canonical(((1, 0), (0, 1))))
-        frontier = [(Word(), identity, ((1, 0), (0, 1)))]
+    ints = group.int_images
+    if group.kind == "modular":
+        key_of = lambda mob, intm: _int_canonical(intm)
     elif group.kind == "custom":
-        seen.add(_round_canonical(np.eye(2), group.dedup_tol))
-        frontier = [(Word(), identity, None)]
+        key_of = lambda mob, intm: _round_canonical(mob.mat, group.dedup_tol)
+    elif group.kind == "doubled":
+        key_of = lambda mob, intm: _scaled_key(mob.mat, group.dedup_tol)
     else:
-        frontier = [(Word(), identity, None)]
-    yield Word(), identity
+        key_of = None
+    identity = Mobius.identity()
+    first = (Word(), identity, ((1, 0), (0, 1)) if ints else None)
+    seen = {key_of(first[1], first[2])} if key_of else None
+    yield first[0], first[1]
+    frontier = [first]
     length = 0
     while length < max_len and frontier:
         nxt = []
         for word, mob, intm in frontier:
             last = word.letters[-1] if word.letters else None
             for letter in group.alphabet:
-                if free and group.reduces(last, letter):
+                if group.reduces(last, letter):
                     continue
+                new_mob = mob @ group.images[letter]
+                new_int = _int_mul(intm, ints[letter]) if ints else None
+                if key_of:
+                    key = key_of(new_mob, new_int)
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 new_word = Word(word.letters + (letter,))
-                new_mob = mob @ group.image(letter)
-                if use_int:
-                    new_int = _int_mul(intm, group.int_images[letter])
-                    key = _int_canonical(new_int)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nxt.append((new_word, new_mob, new_int))
-                elif group.kind == "custom":
-                    key = _round_canonical(new_mob.mat, group.dedup_tol)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nxt.append((new_word, new_mob, None))
-                else:
-                    nxt.append((new_word, new_mob, None))
+                nxt.append((new_word, new_mob, new_int))
                 yield new_word, new_mob
         frontier = nxt
         length += 1
@@ -445,7 +461,7 @@ def orbit_table(group, rep, max_len, b0=ORIGIN, functionals=()):
         disp = displacement(mob, b0)
         kv = word_cartan(rep, word)
         values = {
-            phi.name(): functional_value(phi, kv) for phi in functionals
+            phi.name(): phi.value(kv) for phi in functionals
         }
         records.append(OrbitRecord(word, disp, kv, values, mob=mob))
     return records

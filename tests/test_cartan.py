@@ -8,7 +8,6 @@ from orbitlab.cartan import (
     CartanVector,
     RootFunctional,
     cartan_projection,
-    functional_value,
     parse_functional,
     root_value,
     sp_long_root_min_check,
@@ -111,36 +110,36 @@ class TestFunctionals:
 
     def test_single_root(self):
         phi = parse_functional("a1")
-        assert functional_value(phi, self.KV) == pytest.approx(2.0)
+        assert phi.value(self.KV) == pytest.approx(2.0)
         assert phi.a_phi == 1.0
 
     def test_combination_and_normalization(self):
         phi = parse_functional("a1+a2")
-        assert functional_value(phi, self.KV) == pytest.approx(4.0)
+        assert phi.value(self.KV) == pytest.approx(4.0)
         assert phi.a_phi == 2.0
         assert phi.normalized_value(self.KV) == pytest.approx(2.0)
 
     def test_coefficient_syntax(self):
         phi = parse_functional("2*a1+1*a2")
-        assert functional_value(phi, self.KV) == pytest.approx(6.0)
+        assert phi.value(self.KV) == pytest.approx(6.0)
         assert phi.a_phi == 3.0
 
     def test_weight_syntax(self):
         phi = parse_functional("w1")
         kv = cartan_projection(FIB)
-        assert functional_value(phi, kv) == pytest.approx(TWO_LOG_PHI, abs=1e-12)
+        assert phi.value(kv) == pytest.approx(TWO_LOG_PHI, abs=1e-12)
         with pytest.raises(InvalidInput):
             phi.normalized_value(kv)
 
     def test_long_syntax(self):
         phi = parse_functional("long")
         kv = CartanVector([3.0, 1.0, -1.0, -3.0], lie_type="C")
-        assert functional_value(phi, kv) == pytest.approx(2.0)
+        assert phi.value(kv) == pytest.approx(2.0)
 
     def test_long_rejects_a_type(self):
         phi = parse_functional("long")
         with pytest.raises(InvalidInput):
-            functional_value(phi, self.KV)
+            phi.value(self.KV)
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "a", "b2", "w1+a1", "2*w1", "-1*a1", "a1-a2"):
@@ -151,9 +150,9 @@ class TestFunctionals:
         rng = np.random.default_rng(73)
         m = rng.normal(size=(4, 4)) + 2 * np.eye(4)
         kv = cartan_projection(m)
-        v1 = functional_value(parse_functional("a1"), kv)
-        v3 = functional_value(parse_functional("a3"), kv)
-        v = functional_value(parse_functional("2*a1+1*a3"), kv)
+        v1 = parse_functional("a1").value(kv)
+        v3 = parse_functional("a3").value(kv)
+        v = parse_functional("2*a1+1*a3").value(kv)
         assert v == pytest.approx(2 * v1 + v3, rel=1e-12)
 
 

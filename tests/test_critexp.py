@@ -26,9 +26,31 @@ from orbitlab.critexp import (
     synthetic_log_sample,
     write_report_jsonl,
 )
+from orbitlab.doubling import (
+    PANTS_BOUNDARY,
+    _doubled_group,
+    double_rep,
+    doubled_value_sample,
+    enumerate_doubled,
+    separated_schottky,
+)
 from orbitlab.errors import InsufficientData, InvalidInput
+from orbitlab.hypdisc import Mobius
 from orbitlab.reps import sym_power
-from orbitlab.words import modular_group, orbit_table, standard_schottky
+from orbitlab.words import (
+    custom_group,
+    enumerate_elements,
+    free_schottky,
+    modular_group,
+    orbit_table,
+    standard_schottky,
+)
+
+A1 = parse_functional("a1")
+
+
+def sym3(group):
+    return sym_power(3)(group.generator_matrices(), label="sym3")
 
 
 def test_empty_sample_series_is_zero():
@@ -212,6 +234,61 @@ def test_schottky_slope_estimate_is_positive_and_stable():
     # rank-2 free group with these translation lengths grows like
     # e^(delta T) with delta = log 3 / 3.27 roughly; just pin the window
     assert 0.2 < est.value < 0.45
+
+
+def _pinned_doubled():
+    group = separated_schottky(2.0)
+    dbl = double_rep(sym3(group), PANTS_BOUNDARY)
+    counts = {
+        "walked": sum(1 for _ in enumerate_elements(_doubled_group(group, dbl), 5)),
+        "enumerate_doubled": sum(1 for _ in enumerate_doubled(group, dbl, 5)),
+    }
+    return doubled_value_sample(group, dbl, A1, 5), counts
+
+
+def _pinned_plain(group, max_len):
+    return sample_from_enumeration(group, sym3(group), A1, max_len), {}
+
+
+# value count, complete_to, fsum of values and walker counts of the
+# frontier certificate on three groups; a change to the walker or the
+# certificate must keep them (counts exactly, floats to 1e-12 relative)
+@pytest.mark.parametrize("build, n_values, complete_to, total, counts", [
+    pytest.param(_pinned_doubled, 3452, 3.6618655924691237, 32310.31203242859,
+                 {"walked": 6901, "enumerate_doubled": 3452}, id="doubled-depth5"),
+    pytest.param(lambda: _pinned_plain(standard_schottky(), 6), 1457,
+                 20.382817738736566, 29046.67516541211, {}, id="schottky-L6"),
+    pytest.param(lambda: _pinned_plain(modular_group(), 8), 282,
+                 3.6368929184641337, 1036.5178467427713, {}, id="modular-L8"),
+])
+def test_frontier_samples_are_pinned(build, n_values, complete_to, total, counts):
+    vs, got_counts = build()
+    assert len(vs) == n_values
+    assert vs.complete_to == pytest.approx(complete_to, rel=1e-12)
+    assert math.fsum(vs.values) == pytest.approx(total, rel=1e-12)
+    assert got_counts == counts
+
+
+def test_rounding_enumerations_are_labelled_estimates():
+    schottky = standard_schottky()
+    custom = custom_group([schottky.image(c).mat for c in "ab"])
+    for group, rounds in ((schottky, False), (modular_group(), False), (custom, True)):
+        vs = sample_from_enumeration(group, sym3(group), A1, 3)
+        assert ("non-exhaustive" in vs.label) == rounds, vs.label
+
+
+def test_fifth_generator_letter_keeps_the_identity():
+    # the fifth letter is "e", the name the identity word prints as
+    gens = [
+        Mobius.rotation(0.2 * math.pi * k) @ Mobius.boost(6.0)
+        @ Mobius.rotation(-0.2 * math.pi * k)
+        for k in range(5)
+    ]
+    group = free_schottky(gens)
+    rep = sym_power(2)(group.generator_matrices(), label="ident")
+    vs = sample_from_enumeration(group, rep, A1, 2)
+    assert len(vs) == 1 + 10 + 10 * 9
+    assert vs.values[0] == 0.0
 
 
 def test_sample_from_records_matches_direct_route():

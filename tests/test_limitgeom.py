@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab.cartan import functional_value, parse_functional, word_cartan
+from orbitlab.cartan import parse_functional, word_cartan
 from orbitlab.errors import InsufficientScales, InvalidInput
 from orbitlab.flags import GrassPoint, flag_distance, limit_curve
 from orbitlab.hypdisc import displacement, shadow_of_isometry, wrap_angle
@@ -220,7 +220,7 @@ def test_separation_single_point_annuli():
     seen = set()
     singles = []
     for rec in recs:
-        n = math.floor(functional_value(A1, rec.kappa))
+        n = math.floor(A1.value(rec.kappa))
         if n not in seen:
             seen.add(n)
             singles.append(rec)
@@ -276,7 +276,7 @@ def test_modular_shadow_mass_band():
         if mass <= 0.0:
             continue
         kv = word_cartan(rep, word)
-        masses.append(mass * math.exp(functional_value(A1, kv)))
+        masses.append(mass * math.exp(A1.value(kv)))
     arr = np.array(masses)
     assert len(arr) > 50
     assert arr.max() / arr.min() < 1e3
@@ -298,7 +298,7 @@ def test_ball_shadow_sandwich():
         gap = np.abs(np.mod(thetas - sh.center.theta + math.pi, 2 * math.pi) - math.pi)
         center = int(np.argmin(gap))
         kv = word_cartan(rep, word)
-        inner = inner_scale * math.exp(-functional_value(A1, kv))
+        inner = inner_scale * math.exp(-A1.value(kv))
         dists = np.linalg.norm(cloud - cloud[center], axis=1)
         for idx in np.nonzero(dists < inner)[0]:
             checked += 1

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from orbitlab.cartan import parse_functional
+from orbitlab.doubling import (
+    PANTS_BOUNDARY,
+    _doubled_group,
+    double_rep,
+    separated_schottky,
+)
 from orbitlab.errors import InvalidInput, NonElementary
 from orbitlab.hypdisc import (
     ORIGIN,
@@ -139,10 +145,15 @@ class TestEnumerate:
             seen.add(key)
 
     def test_words_are_reduced(self):
-        g = modular_group()
-        for word, _ in enumerate_elements(g, 7):
-            for u, v in zip(word.letters, word.letters[1:]):
-                assert g.inverse_letter[u] != v
+        pants = separated_schottky(2.0)
+        doubled = _doubled_group(
+            pants, double_rep(sym_power(3)(pants.generator_matrices()), PANTS_BOUNDARY)
+        )
+        rotation = custom_group([Mobius.rotation(2.0 * math.pi / 5.0)])
+        for g, depth in ((modular_group(), 7), (rotation, 12), (doubled, 4)):
+            for word, _ in enumerate_elements(g, depth):
+                for u, v in zip(word.letters, word.letters[1:]):
+                    assert g.inverse_letter[u] != v
 
     def test_stream_deterministic_and_ordered(self):
         g = standard_schottky(4.0)
