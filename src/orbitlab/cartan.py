@@ -30,6 +30,22 @@ CONDITION_LIMIT = 1e14
 PAIRING_TOL = 1e-6
 
 
+def _centered(lam, lie_type):
+    """Rows of sorted log singular values centered to sum zero; C-type
+    rows are symmetrized over their reciprocal pairs, and a pairing off
+    by more than 1e-8 in any row is refused."""
+    lam = lam - lam.mean(axis=-1, keepdims=True)
+    if lie_type == "C":
+        n = lam.shape[-1] // 2
+        top, bottom = lam[..., :n], lam[..., ::-1][..., :n]
+        asym = np.abs(top + bottom).max()
+        if asym > 1e-8:
+            raise InvalidInput("C-type pairing violated by %.3g" % asym)
+        half = 0.5 * (top - bottom)
+        lam = np.concatenate([half, -half[..., ::-1]], axis=-1)
+    return lam
+
+
 class CartanVector:
     """Sorted, centered log singular values with a Lie-type tag."""
 
@@ -43,16 +59,8 @@ class CartanVector:
             raise InvalidInput("C-type vector length must be even")
         if np.any(np.diff(lam) > 1e-9):
             raise InvalidInput("Cartan vector must be sorted non-increasing")
-        lam = lam - lam.mean()
-        if lie_type == "C":
-            n = lam.size // 2
-            asym = np.abs(lam[:n] + lam[::-1][:n]).max()
-            if asym > 1e-8:
-                raise InvalidInput("C-type pairing violated by %.3g" % asym)
-            half = 0.5 * (lam[:n] - lam[::-1][:n])
-            lam = np.concatenate([half, -half[::-1]])
         self.lie_type = lie_type
-        self.lambdas = lam
+        self.lambdas = _centered(lam, lie_type)
 
     @property
     def d(self):
@@ -98,11 +106,39 @@ def cartan_projection(sm, lie_type="A"):
     return CartanVector(lam, lie_type)
 
 
-def _boost_half_length(sm):
-    """mu with singular values e^mu, e^-mu of a unimodular 2x2 product,
-    from the Frobenius norm alone; stable at any magnitude."""
-    fro2 = math.exp(2.0 * sm.log_scale) * float(np.sum(sm.mat * sm.mat))
-    return 0.5 * math.acosh(max(1.0, 0.5 * fro2))
+def _boost_half_lengths(mats, log_scales):
+    """mu with singular values e^mu, e^-mu of unimodular 2x2 products,
+    given as stacked matrices and their log scales, from the Frobenius
+    norm alone; stable at any magnitude."""
+    fro2 = np.exp(2.0 * log_scales) * (mats * mats).sum(axis=(1, 2))
+    return 0.5 * np.arccosh(np.maximum(1.0, 0.5 * fro2))
+
+
+def _factor_exponents(rep, products):
+    """Log singular values, one row per element, of elements given by
+    their factor products, in decreasing order.
+
+    products holds one (mats, log_scales) pair per entry of rep.factors:
+    the 2x2 products along each element's word in ScaledMatrix form,
+    stacked as (N, 2, 2) and (N,). A factor of block dimension d
+    contributes the exponents (d - 1 - 2j) mu, j = 0..d-1, of its boost
+    mu, so each row already sums to zero up to rounding.
+    """
+    lam = np.concatenate([
+        _boost_half_lengths(mats, log_scales)[:, np.newaxis]
+        * (d - 1 - 2 * np.arange(d))
+        for (d, _), (mats, log_scales) in zip(rep.factors, products)
+    ], axis=1)
+    lam.sort(axis=1)
+    return lam[:, ::-1]
+
+
+def factor_values(rep, phi, products):
+    """phi on the Cartan vector of every element given by its factor
+    products (see _factor_exponents): the batched form of
+    phi.value(word_cartan(rep, word)), on the same formulas."""
+    lam = _centered(_factor_exponents(rep, products), rep.lie_type)
+    return phi.values(lam, rep.lie_type)
 
 
 def word_cartan(rep, word):
@@ -114,11 +150,13 @@ def word_cartan(rep, word):
     multiples of the boost). That route needs only well-conditioned
     two-by-two products and reaches word lengths far past the
     conditioning limit of the direct projection, which remains the
-    fallback for structureless representations.
+    fallback for structureless representations. The exponents come
+    from _factor_exponents, which factor_values applies to many
+    elements at once.
     """
     if rep.factors is None:
         return cartan_projection(evaluate(rep, word), lie_type=rep.lie_type)
-    exps = []
+    products = []
     for d, images in rep.factors:
         sm = ScaledMatrix.identity(2)
         for letter in word:
@@ -127,33 +165,42 @@ def word_cartan(rep, word):
                     "letter %r has no image under %s" % (letter, rep.label)
                 )
             sm = sm.times(images[letter])
-        mu = _boost_half_length(sm)
-        exps.extend((d - 1 - 2 * j) * mu for j in range(d))
-    exps.sort(reverse=True)
-    return CartanVector(exps, rep.lie_type)
+        products.append((sm.mat[np.newaxis], np.array([sm.log_scale])))
+    return CartanVector(_factor_exponents(rep, products)[0], rep.lie_type)
+
+
+def _root_column(lam, lie_type, i):
+    """The i-th simple root on the last axis of stacked lambdas."""
+    d = lam.shape[-1]
+    if lie_type == "A":
+        if not 1 <= i <= d - 1:
+            raise InvalidInput("root index %d out of range 1..%d" % (i, d - 1))
+        return lam[..., i - 1] - lam[..., i]
+    n = d // 2
+    if not 1 <= i <= n:
+        raise InvalidInput("root index %d out of range 1..%d" % (i, n))
+    if i == n:
+        return 2.0 * lam[..., n - 1]
+    return lam[..., i - 1] - lam[..., i]
+
+
+def _weight_column(lam, lie_type, k):
+    """The k-th fundamental weight on the last axis of stacked lambdas."""
+    d = lam.shape[-1]
+    top = d - 1 if lie_type == "A" else d // 2
+    if not 1 <= k <= top:
+        raise InvalidInput("weight index %d out of range 1..%d" % (k, top))
+    return lam[..., :k].sum(axis=-1)
 
 
 def root_value(kv, i):
     """Value of the i-th simple root; for C-type, i = n is the long root."""
-    lam = kv.lambdas
-    if kv.lie_type == "A":
-        if not 1 <= i <= kv.d - 1:
-            raise InvalidInput("root index %d out of range 1..%d" % (i, kv.d - 1))
-        return float(lam[i - 1] - lam[i])
-    n = kv.d // 2
-    if not 1 <= i <= n:
-        raise InvalidInput("root index %d out of range 1..%d" % (i, n))
-    if i == n:
-        return float(2.0 * lam[n - 1])
-    return float(lam[i - 1] - lam[i])
+    return float(_root_column(kv.lambdas, kv.lie_type, i))
 
 
 def weight_value(kv, k):
     """Value of the k-th fundamental weight, the partial sum of lambdas."""
-    top = kv.d - 1 if kv.lie_type == "A" else kv.d // 2
-    if not 1 <= k <= top:
-        raise InvalidInput("weight index %d out of range 1..%d" % (k, top))
-    return float(kv.lambdas[:k].sum())
+    return float(_weight_column(kv.lambdas, kv.lie_type, k))
 
 
 class RootFunctional:
@@ -190,13 +237,18 @@ class RootFunctional:
         self.kind = kind
 
     def value(self, kv):
+        return float(self.values(kv.lambdas, kv.lie_type))
+
+    def values(self, lam, lie_type):
+        """The functional on every row of stacked Cartan vectors."""
         if self.kind == "roots":
-            return math.fsum(c * root_value(kv, i) for i, c in self.coeffs.items())
+            return sum(c * _root_column(lam, lie_type, i)
+                       for i, c in self.coeffs.items())
         if self.kind == "weight":
-            return weight_value(kv, self.index)
-        if kv.lie_type != "C":
+            return _weight_column(lam, lie_type, self.index)
+        if lie_type != "C":
             raise InvalidInput("long root needs a C-type Cartan vector")
-        return root_value(kv, kv.d // 2)
+        return _root_column(lam, lie_type, lam.shape[-1] // 2)
 
     def normalized_value(self, kv):
         """phi / a(phi); only defined when a(phi) is (root combinations)."""

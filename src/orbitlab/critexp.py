@@ -3,17 +3,24 @@
 Everything here works on a ValueSample: the sorted multiset of functional
 values phi(kappa(rho(gamma))) over enumerated group elements, together
 with a completeness certificate complete_to. Below that threshold the
-sample provably contains every group element's value, so counting and
-estimation restricted to [0, complete_to] see the true orbit, not an
-enumeration artifact.
+sample holds every group element's value, proved or estimated as the
+routes below say, so counting and estimation restricted to
+[0, complete_to] see the true orbit, not an enumeration artifact.
 
 Two certificate routes exist. A ball extracted from a word-length
 enumeration, plain or doubled, uses the minimum value on the length
-frontier minus an empirically measured per-letter dip (for ping-pong
-groups the dip is zero and the frontier bound is sharp). For the modular
-group the scan over integer matrices with bounded entries gives a
-slack-free threshold: the top singular value dominates every entry, so a
-value below 2 log(bound) forces the matrix inside the scanned box.
+frontier minus the largest one-letter dip seen in the ball. It is a
+proof only when that dip is zero, as measured for the Schottky samples;
+a positive dip, as in the doubled group, makes it an estimate, since a
+word k letters past the frontier can fall k dips. The ball is walked as
+the level arrays of words._walk_levels, and the values of
+representations with 2x2 factors come a level at a time from
+cartan.factor_values; a few of them are recomputed word by word as a
+check, and the sample's provenance records the frontier minimum, the
+dip and the words behind both. For the modular group the scan over
+integer matrices with bounded entries gives a slack-free threshold: the
+top singular value dominates every entry, so a value below 2 log(bound)
+forces the matrix inside the scanned box.
 
 The slope estimator regresses log N(T) on T over a uniform grid; the
 bisection estimator finds where the truncated window series crosses a
@@ -26,10 +33,10 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import cartan_projection, word_cartan
-from .errors import InsufficientData, InvalidInput
+from .cartan import cartan_projection, factor_values, word_cartan
+from .errors import IllConditioned, InsufficientData, InvalidInput
 from .reps import sym_power_matrix
-from .words import enumerate_elements, modular_norm_ball
+from .words import _walk_levels, _walk_rows, _word_at, modular_norm_ball
 
 CLAMP = 1e-12
 MIN_WINDOW_VALUES = 20
@@ -39,7 +46,7 @@ GRID_POINTS = 40
 class ValueSample:
     """Sorted nonnegative functional values with a completeness threshold."""
 
-    __slots__ = ("values", "complete_to", "label")
+    __slots__ = ("values", "complete_to", "label", "provenance")
 
     def __init__(self, values, complete_to, label=""):
         vals = np.sort(np.asarray(list(values), dtype=float))
@@ -55,6 +62,8 @@ class ValueSample:
         self.values = vals
         self.complete_to = float(complete_to)
         self.label = label
+        # where a frontier certificate came from; None for other samples
+        self.provenance = None
 
     def __len__(self):
         return int(self.values.size)
@@ -197,45 +206,96 @@ def sample_from_records(records, phi, complete_to, label=""):
 def sample_from_enumeration(group, rep, phi, max_len):
     """Enumerate to max_len and certify by the length frontier.
 
-    complete_to is the smallest value on the frontier minus the largest
-    observed one-letter dip; any longer word extends a frontier word by
-    letters that each cost at least the negative dip, so a value below
-    the threshold would already have been enumerated. A group whose
+    complete_to is the smallest value on the frontier minus the dip, the
+    largest drop from a word's value to a one-letter extension's seen
+    in the ball, or 0 when no extension drops. Only with dip 0 is this
+    a proof: a word k letters past the frontier can fall k dips below
+    its frontier prefix, not one, and drops past the ball are not seen.
+    With dip 0, and if extensions never drop beyond the ball either,
+    every longer word is worth at least its frontier prefix, so a value
+    below the threshold would already have been enumerated. The
+    provenance of the sample records frontier_min, dip and the words
+    behind them, so a caller can tell which case it is in. A group whose
     enumeration rounds (custom) is labelled non-exhaustive.
     """
     return _frontier_sample(group, rep, phi, max_len, group.kind)
 
 
 def _frontier_sample(group, rep, phi, max_len, name):
-    """ValueSample of phi over enumerate_elements(group, max_len), with the
-    length-frontier certificate of sample_from_enumeration.
+    """ValueSample of phi over the ball of enumerate_elements(group,
+    max_len), with the length-frontier certificate of
+    sample_from_enumeration.
 
-    The frontier minimum and the one-letter dips run over every element,
-    since in a group with reflections an orientation preserving word
-    passes through reversing prefixes; values are kept only for the
-    orientation preserving elements. The label reads "<name> ball".
+    The ball is walked as the level arrays of words._walk_levels. When
+    rep has 2x2 factors the walk carries their tables, and every value
+    comes from cartan.factor_values, a level at a time; otherwise each
+    word goes through word_cartan. Either way word_cartan recomputes the
+    identity, every one-letter word, the frontier-minimum word and the
+    worst-dip pair, and a disagreement beyond 1e-12 relative raises
+    IllConditioned. The frontier minimum and the one-letter dips run
+    over every element, since in a group with reflections an orientation
+    preserving word passes through reversing prefixes; values are kept
+    only for the orientation preserving elements. The label reads
+    "<name> ball".
     """
     if max_len < 1:
         raise InvalidInput("need max_len >= 1 for a frontier certificate")
-    value_of = {}
-    dip = 0.0
-    frontier_min = math.inf
-    values = []
-    for word, mob in enumerate_elements(group, max_len):
-        v = phi.value(word_cartan(rep, word))
-        value_of[word.letters] = v
-        if word.letters:
-            dip = max(dip, value_of[word.letters[:-1]] - v)
-        if len(word) == max_len:
-            frontier_min = min(frontier_min, v)
-        if mob.orientation == 1:
-            values.append(v)
-    if not math.isfinite(frontier_min):
+    if rep.factors is not None:
+        tables = [images for _, images in rep.factors]
+        for letter in group.alphabet:
+            if any(letter not in images for images in tables):
+                raise InvalidInput(
+                    "letter %r has no image under %s" % (letter, rep.label)
+                )
+        levels = list(_walk_levels(group, max_len, tables))
+        values = [factor_values(rep, phi, level.products) for level in levels]
+    else:
+        levels, flat = [], []
+        for word, _, level, i in _walk_rows(group, max_len):
+            if i == 0:
+                levels.append(level)
+            flat.append(phi.value(word_cartan(rep, word)))
+        values = np.split(np.array(flat), np.cumsum([len(lv) for lv in levels])[:-1])
+    if len(levels) <= max_len:
         raise InsufficientData("no words on the length frontier")
+    worst, worst_at = -math.inf, None
+    for length in range(1, len(levels)):
+        drops = values[length - 1][levels[length].parent] - values[length]
+        i = int(np.argmax(drops))
+        if drops[i] > worst:
+            worst, worst_at = float(drops[i]), (length, i)
+    frontier_at = (max_len, int(np.argmin(values[max_len])))
+    frontier_min = float(values[max_len][frontier_at[1]])
+    dip = max(0.0, worst)
+    dip_parent = (worst_at[0] - 1, int(levels[worst_at[0]].parent[worst_at[1]]))
+    checks = [(0, 0)] + [(1, j) for j in range(len(levels[1]))]
+    checks += [frontier_at, dip_parent, worst_at]
+    words = {}
+    for length, i in dict.fromkeys(checks):
+        word = _word_at(levels, group.alphabet, length, i)
+        words[length, i] = word
+        direct = phi.value(word_cartan(rep, word))
+        batched = float(values[length][i])
+        if abs(batched - direct) > 1e-12 * max(1.0, abs(direct)):
+            raise IllConditioned(
+                "batched value %.17g of %s differs from word_cartan's %.17g"
+                % (batched, word, direct)
+            )
+    kept = np.concatenate([v[level.orientation == 1]
+                           for v, level in zip(values, levels)])
     label = "%s ball, max_len %d" % (name, max_len)
     if not group.exact_dedup:
         label += ", non-exhaustive enumeration"
-    return ValueSample(values, max(0.0, frontier_min - dip), label=label)
+    vs = ValueSample(kept, max(0.0, frontier_min - dip), label=label)
+    vs.provenance = {
+        "frontier_min": frontier_min,
+        "frontier_word": words[frontier_at],
+        "dip": dip,
+        "worst_drop": worst,
+        "dip_parent": words[dip_parent],
+        "dip_child": words[worst_at],
+    }
+    return vs
 
 
 def sample_from_norm_ball(bound, sym_dim, phi):

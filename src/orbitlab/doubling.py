@@ -8,11 +8,11 @@ involution, and the extended letter table keeps the two-by-two factor
 structure, so Cartan data and flags of long doubled words stay on the
 stable evaluation route.
 
-The doubled ball is words.enumerate_elements run on a GroupSpec of kind
-doubled: the base letters plus one self-inverse letter per reflection,
-whose image is the reflection's orientation reversing Mobius value.
-Orientation is the reflection parity of a word, so the orientation
-preserving elements are the words of even parity.
+The doubled ball is the walk of words.enumerate_elements run on a
+GroupSpec of kind doubled: the base letters plus one self-inverse letter
+per reflection, whose image is the reflection's orientation reversing
+Mobius value. Orientation is the reflection parity of a word, so the
+orientation preserving elements are the words of even parity.
 """
 
 import math
@@ -36,8 +36,8 @@ from .hypdisc import (
     fixed_points,
     wrap_angle,
 )
-from .reps import Representation, evaluate, sym_power_matrix
-from .words import GroupSpec, Word, enumerate_elements, free_schottky
+from .reps import Representation, ScaledMatrix, evaluate, sym_power_matrix
+from .words import GroupSpec, Word, _walk_rows, free_schottky
 
 # letters offered to reflections, skipping any the base alphabet uses
 REFLECTION_LETTERS = "xyzuvw"
@@ -374,16 +374,20 @@ def _doubled_group(group, doubled):
 def enumerate_doubled(group, doubled, max_len):
     """Stream (word, Mobius, ScaledMatrix image) over the doubled ball.
 
-    The ball is enumerate_elements on the doubled GroupSpec, and only
-    its orientation preserving elements (even reflection parity) are
-    emitted, each with its image evaluate(doubled.rep, word). With no
-    boundary elements the stream matches the plain enumeration of the
-    group. Deduplication rounds the Mobius matrix at DEDUP_TOL, which
-    makes the enumeration non-exhaustive.
+    The ball is the walk of enumerate_elements on the doubled GroupSpec,
+    and only its orientation preserving elements (even reflection
+    parity) are emitted. The walk carries doubled.rep's table, so each
+    image is the product evaluate(doubled.rep, word) would build, taken
+    from the parent's product and one letter. With no boundary elements
+    the stream matches the plain enumeration of the group. Deduplication
+    rounds the Mobius matrix at DEDUP_TOL, which makes the enumeration
+    non-exhaustive.
     """
-    for word, mob in enumerate_elements(_doubled_group(group, doubled), max_len):
+    spec = _doubled_group(group, doubled)
+    for word, mob, level, i in _walk_rows(spec, max_len, [doubled.rep.images]):
         if mob.orientation == 1:
-            yield word, mob, evaluate(doubled.rep, word)
+            mats, log_scales = level.products[0]
+            yield word, mob, ScaledMatrix._normalized(mats[i], float(log_scales[i]))
 
 
 def doubled_value_sample(group, doubled, phi, max_len):

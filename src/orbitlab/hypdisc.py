@@ -47,15 +47,25 @@ def wrap_angle(theta):
 
 
 def _det2(m):
-    """Determinant of a 2x2 with the products taken in extended precision.
+    """Determinant of a 2x2, or of each 2x2 stacked on leading axes, with
+    the products taken in extended precision.
 
     a*d - b*c cancels catastrophically once entries pass ~1e8 while the
     true determinant stays near one, and the normalization in Mobius
     then amplifies the error on every multiplication; the 64-bit mantissa
     of longdouble moves that wall out past entries of ~1e9.
     """
-    a, b, c, d = (np.longdouble(v) for v in m.ravel())
-    return float(a * d - b * c)
+    m = np.asarray(m, dtype=np.longdouble)
+    return (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).astype(float)
+
+
+def _unit_det_rows(mats):
+    """Stacked (N, 2, 2) matrices normalized to |det| = 1 as Mobius
+    normalizes one, with their orientations as an int array."""
+    det = _det2(mats)
+    if np.any(np.abs(det) < 1e-300):
+        raise InvalidInput("singular matrix is not an isometry")
+    return mats / np.sqrt(np.abs(det))[:, None, None], np.where(det > 0, 1, -1)
 
 
 def angular_distance(a, b):
@@ -148,6 +158,15 @@ class Mobius:
     @classmethod
     def identity(cls):
         return cls(np.eye(2))
+
+    @classmethod
+    def _normalized(cls, mat, orientation):
+        """A value whose matrix is already normalized to |det| = 1, taken
+        as it is, without a second determinant."""
+        mob = cls.__new__(cls)
+        mob.mat = mat
+        mob.orientation = orientation
+        return mob
 
     @classmethod
     def rotation(cls, angle):

@@ -210,6 +210,15 @@ class ScaledMatrix:
     def identity(cls, d):
         return cls(np.eye(d))
 
+    @classmethod
+    def _normalized(cls, mat, log_scale):
+        """A product already renormalized by the rule of __init__, taken
+        as it is."""
+        sm = cls.__new__(cls)
+        sm.mat = mat
+        sm.log_scale = log_scale
+        return sm
+
     @property
     def dim(self):
         return self.mat.shape[0]
@@ -232,6 +241,18 @@ class ScaledMatrix:
 
     def __repr__(self):
         return "ScaledMatrix(dim=%d, log_scale=%.6g)" % (self.dim, self.log_scale)
+
+
+def _times_rows(mats, log_scales, raws):
+    """ScaledMatrix.times on stacked rows: mats (N, d, d) with log_scales
+    (N,) right-multiplied by raws (N, d, d), each product divided by the
+    power of two that puts its sup norm in [1, 2)."""
+    m = np.matmul(mats, raws)
+    sup = np.abs(m).max(axis=(1, 2))
+    if not np.all((sup > 0.0) & np.isfinite(sup)):
+        raise InvalidInput("ScaledMatrix needs a finite nonzero matrix")
+    k = np.floor(np.log2(sup))
+    return m / np.ldexp(1.0, k.astype(int))[:, None, None], log_scales + k * math.log(2.0)
 
 
 def evaluate(rep, word, compensated=False):

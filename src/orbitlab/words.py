@@ -17,9 +17,18 @@ in their label) and a crude discreteness probe only warns. A fourth kind,
 doubled, is the reflection extension that the doubling module builds; it
 also deduplicates by rounding.
 
-One breadth-first walker, enumerate_elements, serves every kind. It
-never appends the inverse of a word's last letter: that gives back the
-word's parent, already seen, whatever the relations of the group.
+One breadth-first walker serves every kind. _walk_levels keeps the
+word tree as arrays, one level per word length: for each row its parent
+row and last letter, its Mobius matrix normalized to |det| = 1 with its
+orientation, and, for each letter table a caller passes in, the
+ScaledMatrix product along the word. A level is built from the one
+before with stacked 2x2 products (np.matmul), which round exactly as
+one product at a time does. The walker never appends the inverse of a
+word's last letter: that gives back the word's parent, already seen,
+whatever the relations of the group. Duplicates are dropped with keys
+computed a level at a time. enumerate_elements streams the levels as
+(Word, Mobius) pairs; samplers that need only values (critexp) read
+the arrays directly.
 
 Letters are single characters: generators a, b, c, ... with inverses
 A, B, C, ...; the modular alphabet is S (self-inverse), T and its inverse
@@ -34,9 +43,11 @@ import numpy as np
 
 from .cartan import word_cartan
 from .errors import InvalidInput, NonElementary
+from .reps import _times_rows
 from .hypdisc import (
     ORIGIN,
     Mobius,
+    _unit_det_rows,
     angular_distance,
     classify,
     displacement,
@@ -115,10 +126,6 @@ class GroupSpec:
         """Letter-to-2x2-array table covering the whole alphabet, the shape
         representation builders consume."""
         return {a: self.images[a].mat.copy() for a in self.alphabet}
-
-    def reduces(self, last, nxt):
-        """True when appending nxt to a word ending in last cancels."""
-        return last is not None and self.inverse_letter[last] == nxt
 
     def __repr__(self):
         return "GroupSpec(%s, alphabet=%s)" % (self.kind, "".join(self.alphabet))
@@ -263,18 +270,26 @@ def _int_canonical(m):
     raise InvalidInput("zero matrix")
 
 
-def _round_canonical(mat, tol):
-    flat = mat.ravel()
-    for x in flat:
-        if abs(x) > 10.0 * tol:
-            if x < 0:
-                flat = -flat
-            break
-    return tuple(int(round(v / tol)) for v in flat)
+def _sign_canonical(flat, threshold):
+    """Rows (N, 4) negated where the first entry larger than threshold in
+    magnitude is negative, so M and -M share a row; rows with no such
+    entry are left alone."""
+    big = np.abs(flat) > threshold
+    lead = flat[np.arange(len(flat)), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (lead < 0)
+    return np.where(flip[:, None], -flat, flat)
 
 
-def _scaled_key(mat, tol):
-    """Rounding key at a tolerance relative to the matrix magnitude.
+def _round_canonical(flat, tol):
+    """Rounding keys of rows (N, 4): sign canonical, then each entry
+    rounded half-even to a multiple of tol. Keys are integral float64
+    values, not int64, which entries past about 1e10 at tol 1e-8 would
+    overflow; adding 0.0 folds -0.0 into 0.0."""
+    return np.rint(_sign_canonical(flat, 10.0 * tol) / tol) + 0.0
+
+
+def _scaled_key(flat, tol):
+    """Rounding keys at a tolerance relative to the matrix magnitude.
 
     An absolute grid splits true duplicates once entries grow large:
     the float drift between two multiplication orders scales with the
@@ -283,9 +298,149 @@ def _scaled_key(mat, tol):
     mat / 2^ceil(log2 sup) keeps duplicates together while still only
     merging elements closer than tol in relative terms.
     """
-    sup = float(np.abs(mat).max())
-    scaled = mat / math.ldexp(1.0, math.ceil(math.log2(sup)))
-    return _round_canonical(scaled, tol)
+    sup = np.abs(flat).max(axis=1)
+    scale = np.ldexp(1.0, np.ceil(np.log2(sup)).astype(int))
+    return _round_canonical(flat / scale[:, None], tol)
+
+
+def _first_new(keys, seen):
+    """Positions of the rows of keys equal to no row of seen and to no
+    earlier row of keys: a stable sort puts each run of equal rows in
+    position order, and only a run's first row survives."""
+    both = np.concatenate([seen, keys])
+    order = np.lexsort(both.T[::-1])
+    ranked = both[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    kept = order[first]
+    return np.sort(kept[kept >= len(seen)]) - len(seen)
+
+
+class _Level:
+    """One level of the word tree, as arrays over its rows.
+
+    Row i is the word of row parent[i] one level up, extended by
+    alphabet[letter[i]]. mats holds its Mobius matrix normalized to
+    |det| = 1 and orientation its orientation; products holds, for each
+    letter table walked, the pair (matrices, log scales) of the
+    ScaledMatrix product along the word; ints the integer matrix of a
+    modular word.
+    """
+
+    __slots__ = ("parent", "letter", "mats", "orientation", "products", "ints")
+
+    def __init__(self, parent, letter, mats, orientation, products, ints):
+        self.parent = parent
+        self.letter = letter
+        self.mats = mats
+        self.orientation = orientation
+        self.products = products
+        self.ints = ints
+
+    def __len__(self):
+        return len(self.parent)
+
+    def take(self, rows):
+        return _Level(
+            self.parent[rows], self.letter[rows], self.mats[rows],
+            self.orientation[rows], [(m[rows], s[rows]) for m, s in self.products],
+            None if self.ints is None else self.ints[rows],
+        )
+
+
+def _walk_levels(group, max_len, tables=()):
+    """The word tree of enumerate_elements, one _Level per word length.
+
+    Each level is computed from the one before with stacked products:
+    every row is extended by every letter except the inverse of its
+    last one (free reduction), so row by row and letter by letter the
+    candidates come in stream order. Duplicates are dropped by key,
+    exactly for modular (an int64 overflow raises) and by rounding for
+    custom and doubled; the first row with a key wins, and rows of
+    earlier levels come first. tables are letter-to-matrix dicts whose
+    ScaledMatrix products along each word the levels carry as well.
+    Walking stops early once a level is empty.
+    """
+    if max_len < 0:
+        raise InvalidInput("max_len must be nonnegative")
+    alphabet = group.alphabet
+    position = {a: i for i, a in enumerate(alphabet)}
+    inverse = np.array([position[group.inverse_letter[a]] for a in alphabet])
+    images = np.array([group.images[a].mat for a in alphabet])
+    stacks = [np.array([np.asarray(t[a], dtype=float) for a in alphabet])
+              for t in tables]
+    ints = key_of = None
+    if group.kind == "modular":
+        ints = np.array([group.int_images[a] for a in alphabet], dtype=np.int64)
+        key_of = lambda level: _sign_canonical(level.ints.reshape(-1, 4), 0)
+    elif group.kind == "custom":
+        key_of = lambda level: _round_canonical(level.mats.reshape(-1, 4),
+                                                group.dedup_tol)
+    elif group.kind == "doubled":
+        key_of = lambda level: _scaled_key(level.mats.reshape(-1, 4),
+                                           group.dedup_tol)
+    level = _Level(
+        np.array([-1]), np.array([-1]), np.eye(2)[np.newaxis], np.array([1]),
+        [(np.eye(len(st[0]))[np.newaxis], np.zeros(1)) for st in stacks],
+        None if ints is None else np.eye(2, dtype=np.int64)[np.newaxis],
+    )
+    seen = key_of(level) if key_of else None
+    yield level
+    for length in range(max_len):
+        allowed = np.ones((len(level), len(alphabet)), dtype=bool)
+        if length:
+            allowed[np.arange(len(level)), inverse[level.letter]] = False
+        rows, letters = np.nonzero(allowed)
+        mats, orientation = _unit_det_rows(np.matmul(level.mats[rows], images[letters]))
+        products = [
+            _times_rows(m[rows], s[rows], st[letters])
+            for (m, s), st in zip(level.products, stacks)
+        ]
+        new_ints = None
+        if ints is not None:
+            grow = 2 * int(np.abs(level.ints).max()) * int(np.abs(ints).max())
+            if grow >= 2 ** 63:
+                raise InvalidInput(
+                    "integer entries overflow 64 bits past word length %d" % length
+                )
+            new_ints = np.matmul(level.ints[rows], ints[letters])
+        level = _Level(rows, letters, mats, orientation, products, new_ints)
+        if key_of:
+            keys = key_of(level)
+            if ints is not None and not np.all(keys.any(axis=1)):
+                raise InvalidInput("zero matrix")
+            kept = _first_new(keys, seen)
+            level = level.take(kept)
+            seen = np.concatenate([seen, keys[kept]])
+        if not len(level):
+            return
+        yield level
+
+
+def _walk_rows(group, max_len, tables=()):
+    """(Word, Mobius, level, row) for every element of _walk_levels, in
+    stream order; the Mobius value reuses the level's normalized row."""
+    alphabet = group.alphabet
+    words = [()]
+    for length, level in enumerate(_walk_levels(group, max_len, tables)):
+        if length:
+            words = [words[p] + (alphabet[c],)
+                     for p, c in zip(level.parent.tolist(), level.letter.tolist())]
+        for i, orientation in enumerate(level.orientation.tolist()):
+            yield (Word(words[i]), Mobius._normalized(level.mats[i], orientation),
+                   level, i)
+
+
+def _word_at(levels, alphabet, length, row):
+    """The Word of a row of a list of _walk_levels levels, read back
+    along its parents."""
+    letters = []
+    while length:
+        level = levels[length]
+        letters.append(alphabet[level.letter[row]])
+        row = level.parent[row]
+        length -= 1
+    return Word(reversed(letters))
 
 
 def enumerate_elements(group, max_len):
@@ -300,43 +455,10 @@ def enumerate_elements(group, max_len):
     up to sign, custom by rounding at its dedup_tol, and doubled (built
     by the doubling module) by rounding relative to the matrix
     magnitude; an element reached by two reduced words keeps the first.
+    The elements come from the level arrays of _walk_levels.
     """
-    if max_len < 0:
-        raise InvalidInput("max_len must be nonnegative")
-    ints = group.int_images
-    if group.kind == "modular":
-        key_of = lambda mob, intm: _int_canonical(intm)
-    elif group.kind == "custom":
-        key_of = lambda mob, intm: _round_canonical(mob.mat, group.dedup_tol)
-    elif group.kind == "doubled":
-        key_of = lambda mob, intm: _scaled_key(mob.mat, group.dedup_tol)
-    else:
-        key_of = None
-    identity = Mobius.identity()
-    first = (Word(), identity, ((1, 0), (0, 1)) if ints else None)
-    seen = {key_of(first[1], first[2])} if key_of else None
-    yield first[0], first[1]
-    frontier = [first]
-    length = 0
-    while length < max_len and frontier:
-        nxt = []
-        for word, mob, intm in frontier:
-            last = word.letters[-1] if word.letters else None
-            for letter in group.alphabet:
-                if group.reduces(last, letter):
-                    continue
-                new_mob = mob @ group.images[letter]
-                new_int = _int_mul(intm, ints[letter]) if ints else None
-                if key_of:
-                    key = key_of(new_mob, new_int)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                new_word = Word(word.letters + (letter,))
-                nxt.append((new_word, new_mob, new_int))
-                yield new_word, new_mob
-        frontier = nxt
-        length += 1
+    for word, mob, _, _ in _walk_rows(group, max_len):
+        yield word, mob
 
 
 def modular_norm_ball(bound):

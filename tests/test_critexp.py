@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab.cartan import parse_functional
+import orbitlab.critexp as critexp
+from orbitlab.cartan import CartanVector, parse_functional, word_cartan
 from orbitlab.critexp import (
     ExponentEstimate,
     ValueSample,
@@ -34,7 +35,7 @@ from orbitlab.doubling import (
     enumerate_doubled,
     separated_schottky,
 )
-from orbitlab.errors import InsufficientData, InvalidInput
+from orbitlab.errors import IllConditioned, InsufficientData, InvalidInput
 from orbitlab.hypdisc import Mobius
 from orbitlab.reps import sym_power
 from orbitlab.words import (
@@ -267,6 +268,47 @@ def test_frontier_samples_are_pinned(build, n_values, complete_to, total, counts
     assert vs.complete_to == pytest.approx(complete_to, rel=1e-12)
     assert math.fsum(vs.values) == pytest.approx(total, rel=1e-12)
     assert got_counts == counts
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 6])
+def test_schottky_frontier_certificate_has_no_dip(max_len):
+    # no one-letter extension lowers a1 inside the ball, so the frontier
+    # minimum itself is the certificate
+    group = standard_schottky()
+    rep = sym3(group)
+    vs = sample_from_enumeration(group, rep, A1, max_len)
+    prov = vs.provenance
+    assert prov["dip"] == 0.0 and prov["worst_drop"] < 0.0
+    assert vs.complete_to == prov["frontier_min"]
+    assert len(prov["frontier_word"]) == max_len
+    assert prov["frontier_min"] == pytest.approx(
+        A1.value(word_cartan(rep, prov["frontier_word"])), rel=1e-12)
+
+
+def test_doubled_frontier_certificate_subtracts_a_dip():
+    # reflections let an extension lower a1, so this certificate is an
+    # estimate (the label says non-exhaustive)
+    group = separated_schottky(2.0)
+    dbl = double_rep(sym3(group), PANTS_BOUNDARY)
+    vs = doubled_value_sample(group, dbl, A1, 5)
+    prov = vs.provenance
+    assert prov["dip"] == prov["worst_drop"] > 0.0
+    assert prov["dip_child"].letters[:-1] == prov["dip_parent"].letters
+    drop = (A1.value(word_cartan(dbl.rep, prov["dip_parent"]))
+            - A1.value(word_cartan(dbl.rep, prov["dip_child"])))
+    assert drop == pytest.approx(prov["dip"], rel=1e-12)
+    assert vs.complete_to == max(0.0, prov["frontier_min"] - prov["dip"])
+
+
+def test_batched_values_are_cross_checked(monkeypatch):
+    def drifting(rep, word):
+        kv = word_cartan(rep, word)
+        return CartanVector(kv.lambdas * (1.0 + 1e-9), kv.lie_type)
+
+    monkeypatch.setattr(critexp, "word_cartan", drifting)
+    group = standard_schottky()
+    with pytest.raises(IllConditioned, match="word_cartan"):
+        sample_from_enumeration(group, sym3(group), A1, 3)
 
 
 def test_rounding_enumerations_are_labelled_estimates():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab.cartan import parse_functional
+from orbitlab.cartan import factor_values, parse_functional, word_cartan
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
     _doubled_group,
@@ -21,13 +21,15 @@ from orbitlab.hypdisc import (
     dist_h,
     displacement,
 )
-from orbitlab.reps import sym_power
+from orbitlab.reps import sp_product, sym_power
 from orbitlab.words import (
     MODULAR_S,
     MODULAR_T,
     Word,
     _int_canonical,
     _int_mul,
+    _walk_levels,
+    _walk_rows,
     custom_group,
     enumerate_elements,
     free_schottky,
@@ -183,6 +185,133 @@ class TestEnumerate:
         assert not g.exact_dedup
         items = list(enumerate_elements(g, 12))
         assert len(items) == 5
+
+
+def _oracle_round(mat, tol):
+    flat = mat.ravel()
+    for x in flat:
+        if abs(x) > 10.0 * tol:
+            if x < 0:
+                flat = -flat
+            break
+    return tuple(int(round(v / tol)) for v in flat)
+
+
+def _oracle_scaled(mat, tol):
+    sup = float(np.abs(mat).max())
+    scaled = mat / math.ldexp(1.0, math.ceil(math.log2(sup)))
+    return _oracle_round(scaled, tol)
+
+
+def oracle_elements(group, max_len):
+    """The per-word breadth-first walk the level arrays replaced: each
+    element multiplied out as a Mobius product of its parent and one
+    letter, deduplicated one key at a time."""
+    ints = group.int_images
+    if group.kind == "modular":
+        key_of = lambda mob, intm: _int_canonical(intm)
+    elif group.kind == "custom":
+        key_of = lambda mob, intm: _oracle_round(mob.mat, group.dedup_tol)
+    elif group.kind == "doubled":
+        key_of = lambda mob, intm: _oracle_scaled(mob.mat, group.dedup_tol)
+    else:
+        key_of = None
+    first = (Word(), Mobius.identity(), ((1, 0), (0, 1)) if ints else None)
+    seen = {key_of(first[1], first[2])} if key_of else None
+    out = [first[:2]]
+    frontier = [first]
+    for _ in range(max_len):
+        nxt = []
+        for word, mob, intm in frontier:
+            last = word.letters[-1] if word.letters else None
+            for letter in group.alphabet:
+                if last is not None and group.inverse_letter[last] == letter:
+                    continue
+                new_mob = mob @ group.images[letter]
+                new_int = _int_mul(intm, ints[letter]) if ints else None
+                if key_of:
+                    key = key_of(new_mob, new_int)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                new_word = Word(word.letters + (letter,))
+                nxt.append((new_word, new_mob, new_int))
+                out.append((new_word, new_mob))
+        frontier = nxt
+    return out
+
+
+def _doubled_spec():
+    pants = separated_schottky(2.0)
+    rep = sym_power(3)(pants.generator_matrices(), label="sym3")
+    return _doubled_group(pants, double_rep(rep, PANTS_BOUNDARY))
+
+
+class TestLevelWalker:
+    @pytest.mark.parametrize("build, max_len, count", [
+        pytest.param(modular_group, 10, 748, id="modular-L10"),
+        pytest.param(lambda: custom_group([Mobius.rotation(2.0 * math.pi / 5.0)]),
+                     12, 5, id="rotation-L12"),
+        pytest.param(standard_schottky, 6, 1457, id="schottky-L6"),
+        pytest.param(_doubled_spec, 5, 6901, id="doubled-depth5"),
+    ])
+    def test_matches_the_per_word_walk(self, build, max_len, count):
+        group = build()
+        got = list(enumerate_elements(group, max_len))
+        want = oracle_elements(group, max_len)
+        assert len(got) == len(want) == count
+        for (gw, gm), (ww, wm) in zip(got, want):
+            assert gw == ww
+            assert np.array_equal(gm.mat, wm.mat)
+            assert gm.orientation == wm.orientation
+
+    @pytest.mark.parametrize("text", ["a1", "a2", "w1", "2*a1+1*a2"])
+    def test_sym3_values_match_word_cartan(self, text):
+        group = standard_schottky()
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+        self._check_values(group, rep, parse_functional(text), 5)
+
+    def test_sp_product_long_values_match_word_cartan(self):
+        group = standard_schottky()
+        slow = standard_schottky(3.0)
+        sym2 = sym_power(2)
+        rep = sp_product([
+            sym2({c: group.image(c).mat for c in "abAB"}, label="f4"),
+            sym2({c: slow.image(c).mat for c in "abAB"}, label="f3"),
+        ])
+        self._check_values(group, rep, parse_functional("long"), 5)
+
+    def test_doubled_values_match_word_cartan(self):
+        pants = separated_schottky(2.0)
+        dbl = double_rep(sym_power(3)(pants.generator_matrices(), label="sym3"),
+                         PANTS_BOUNDARY)
+        self._check_values(_doubled_group(pants, dbl), dbl.rep,
+                           parse_functional("a1"), 4)
+
+    @staticmethod
+    def _check_values(group, rep, phi, max_len):
+        tables = [images for _, images in rep.factors]
+        checked = 0
+        for word, _, level, i in _walk_rows(group, max_len, tables):
+            batched = factor_values(rep, phi, level.products)[i]
+            direct = phi.value(word_cartan(rep, word))
+            assert abs(batched - direct) <= 1e-12 * max(1.0, abs(direct)), str(word)
+            checked += 1
+        assert checked > 100
+
+    def test_modular_key_overflow_raises(self):
+        # T T has upper-left entry 2^64 - 1, past int64; it must not wrap
+        big = ((2 ** 32, 1), (-1, 0))
+        assert _int_mul(big, big)[0][0] >= 2 ** 63
+        group = modular_group()
+        group.int_images = {"S": MODULAR_S, "T": big, "t": ((0, -1), (1, 2 ** 32))}
+        with pytest.raises(InvalidInput, match="overflow"):
+            list(enumerate_elements(group, 3))
+
+    def test_levels_stop_when_a_finite_group_is_exhausted(self):
+        group = custom_group([Mobius.rotation(2.0 * math.pi / 5.0)])
+        sizes = [len(level) for level in _walk_levels(group, 12)]
+        assert sizes == [1, 2, 2]
 
 
 class TestNormBall:
