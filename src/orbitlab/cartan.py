@@ -24,7 +24,7 @@ import re
 import numpy as np
 
 from .errors import IllConditioned, InvalidInput
-from .reps import ScaledMatrix, evaluate, sp_product
+from .reps import ScaledMatrix, _word_product, evaluate, sp_product
 
 CONDITION_LIMIT = 1e14
 PAIRING_TOL = 1e-6
@@ -61,6 +61,14 @@ class CartanVector:
             raise InvalidInput("Cartan vector must be sorted non-increasing")
         self.lie_type = lie_type
         self.lambdas = _centered(lam, lie_type)
+
+    @classmethod
+    def _of(cls, lambdas, lie_type):
+        """A row already sorted and centered, taken as it is."""
+        kv = cls.__new__(cls)
+        kv.lie_type = lie_type
+        kv.lambdas = lambdas
+        return kv
 
     @property
     def d(self):
@@ -133,12 +141,17 @@ def _factor_exponents(rep, products):
     return lam[:, ::-1]
 
 
+def _factor_rows(rep, products):
+    """Cartan vectors, one centered row each, of elements given by their
+    factor products (see _factor_exponents)."""
+    return _centered(_factor_exponents(rep, products), rep.lie_type)
+
+
 def factor_values(rep, phi, products):
     """phi on the Cartan vector of every element given by its factor
     products (see _factor_exponents): the batched form of
     phi.value(word_cartan(rep, word)), on the same formulas."""
-    lam = _centered(_factor_exponents(rep, products), rep.lie_type)
-    return phi.values(lam, rep.lie_type)
+    return phi.values(_factor_rows(rep, products), rep.lie_type)
 
 
 def word_cartan(rep, word):
@@ -150,23 +163,16 @@ def word_cartan(rep, word):
     multiples of the boost). That route needs only well-conditioned
     two-by-two products and reaches word lengths far past the
     conditioning limit of the direct projection, which remains the
-    fallback for structureless representations. The exponents come
-    from _factor_exponents, which factor_values applies to many
-    elements at once.
+    fallback for structureless representations. The ball walks of the
+    words module apply the same _factor_rows to whole levels.
     """
     if rep.factors is None:
         return cartan_projection(evaluate(rep, word), lie_type=rep.lie_type)
     products = []
-    for d, images in rep.factors:
-        sm = ScaledMatrix.identity(2)
-        for letter in word:
-            if letter not in images:
-                raise InvalidInput(
-                    "letter %r has no image under %s" % (letter, rep.label)
-                )
-            sm = sm.times(images[letter])
+    for _, images in rep.factors:
+        sm = _word_product(images, word, rep.label)
         products.append((sm.mat[np.newaxis], np.array([sm.log_scale])))
-    return CartanVector(_factor_exponents(rep, products)[0], rep.lie_type)
+    return CartanVector._of(_factor_rows(rep, products)[0], rep.lie_type)
 
 
 def _root_column(lam, lie_type, i):

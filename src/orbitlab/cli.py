@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .cartan import parse_functional, word_cartan
+from .cartan import parse_functional
 from .cones import rank_upper_sample, rank_witness_check
 from .critexp import (
     ValueSample,
@@ -33,11 +33,16 @@ from .doubling import (
 )
 from .errors import InvalidInput, OrbitLabError
 from .flags import limit_curve, polygonal_length, write_curve_csv
-from .hypdisc import displacement
 from .limitgeom import box_dimension, shadow_separation_check
 from .reps import sym_power
 from .tpos import f_gamma, factorize, standard_word
-from .words import enumerate_elements, load_group_file, orbit_table
+from .words import (
+    _orbit_csv_header,
+    _orbit_csv_row,
+    _orbit_records,
+    load_group_file,
+    orbit_table,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -288,25 +293,21 @@ def cmd_orbit(cfg):
             json.dump({"config": cfg.echo_json(), "completed_len": done_len,
                        "rows": rows}, fh, sort_keys=True)
 
-    cols = ",".join("k%d" % (i + 1) for i in range(rep.dim))
     rows = 0
     current = 0
     with open(csv_path, mode, encoding="utf-8", newline="\n") as fh:
         if mode == "w":
             fh.write("# config: %s\n" % cfg.echo_json())
-            fh.write("word,len,disp,%s\n" % cols)
-        for word, mob in enumerate_elements(group, cfg.max_len):
-            if len(word) > current:
+            fh.write(_orbit_csv_header(rep.dim))
+        for rec in _orbit_records(group, rep, cfg.max_len):
+            if rec.length > current:
                 if current >= start_len:
                     fh.flush()
                     checkpoint(current, rows)
-                current = len(word)
+                current = rec.length
             if current < start_len:
                 continue
-            kv = word_cartan(rep, word)
-            lams = ",".join("%.17g" % v for v in kv.lambdas)
-            fh.write("%s,%d,%.17g,%s\n" % (word, len(word),
-                                           displacement(mob), lams))
+            fh.write(_orbit_csv_row(rec))
             rows += 1
     checkpoint(cfg.max_len, rows)
     print("wrote %s (%d new rows, from length %d)" % (csv_path, rows, start_len))

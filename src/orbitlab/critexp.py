@@ -12,15 +12,15 @@ enumeration, plain or doubled, uses the minimum value on the length
 frontier minus the largest one-letter dip seen in the ball. It is a
 proof only when that dip is zero, as measured for the Schottky samples;
 a positive dip, as in the doubled group, makes it an estimate, since a
-word k letters past the frontier can fall k dips. The ball is walked as
-the level arrays of words._walk_levels, and the values of
-representations with 2x2 factors come a level at a time from
-cartan.factor_values; a few of them are recomputed word by word as a
-check, and the sample's provenance records the frontier minimum, the
-dip and the words behind both. For the modular group the scan over
-integer matrices with bounded entries gives a slack-free threshold: the
-top singular value dominates every entry, so a value below 2 log(bound)
-forces the matrix inside the scanned box.
+word k letters past the frontier can fall k dips. The ball comes a
+level at a time from words._rep_levels, the walk that forms every
+product along the words of a ball, and its Cartan vectors from
+words._level_cartan; a few values are recomputed word by word with
+word_cartan as a check, and the sample's provenance records the
+frontier minimum, the dip and the words behind both. For the modular
+group the scan over integer matrices with bounded entries gives a
+slack-free threshold: the top singular value dominates every entry, so
+a value below 2 log(bound) forces the matrix inside the scanned box.
 
 The slope estimator regresses log N(T) on T over a uniform grid; the
 bisection estimator finds where the truncated window series crosses a
@@ -33,10 +33,10 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import cartan_projection, factor_values, word_cartan
+from .cartan import cartan_projection, word_cartan
 from .errors import IllConditioned, InsufficientData, InvalidInput
 from .reps import sym_power_matrix
-from .words import _walk_levels, _walk_rows, _word_at, modular_norm_ball
+from .words import _level_cartan, _rep_levels, _word_at, modular_norm_ball
 
 CLAMP = 1e-12
 MIN_WINDOW_VALUES = 20
@@ -226,36 +226,22 @@ def _frontier_sample(group, rep, phi, max_len, name):
     max_len), with the length-frontier certificate of
     sample_from_enumeration.
 
-    The ball is walked as the level arrays of words._walk_levels. When
-    rep has 2x2 factors the walk carries their tables, and every value
-    comes from cartan.factor_values, a level at a time; otherwise each
-    word goes through word_cartan. Either way word_cartan recomputes the
-    identity, every one-letter word, the frontier-minimum word and the
-    worst-dip pair, and a disagreement beyond 1e-12 relative raises
-    IllConditioned. The frontier minimum and the one-letter dips run
-    over every element, since in a group with reflections an orientation
-    preserving word passes through reversing prefixes; values are kept
-    only for the orientation preserving elements. The label reads
-    "<name> ball".
+    The ball comes a level at a time from words._rep_levels, and phi is
+    applied to each level's rows from words._level_cartan at once.
+    word_cartan recomputes the identity, every one-letter word, the
+    frontier-minimum word and the worst-dip pair, and a disagreement
+    beyond 1e-12 relative raises IllConditioned. The frontier minimum
+    and the one-letter dips run over every element, since in a group
+    with reflections an orientation preserving word passes through
+    reversing prefixes; values are kept only for the orientation
+    preserving elements. The label reads "<name> ball".
     """
     if max_len < 1:
         raise InvalidInput("need max_len >= 1 for a frontier certificate")
-    if rep.factors is not None:
-        tables = [images for _, images in rep.factors]
-        for letter in group.alphabet:
-            if any(letter not in images for images in tables):
-                raise InvalidInput(
-                    "letter %r has no image under %s" % (letter, rep.label)
-                )
-        levels = list(_walk_levels(group, max_len, tables))
-        values = [factor_values(rep, phi, level.products) for level in levels]
-    else:
-        levels, flat = [], []
-        for word, _, level, i in _walk_rows(group, max_len):
-            if i == 0:
-                levels.append(level)
-            flat.append(phi.value(word_cartan(rep, word)))
-        values = np.split(np.array(flat), np.cumsum([len(lv) for lv in levels])[:-1])
+    levels, values = [], []
+    for level in _rep_levels(group, rep, max_len):
+        levels.append(level)
+        values.append(phi.values(_level_cartan(rep, level), rep.lie_type))
     if len(levels) <= max_len:
         raise InsufficientData("no words on the length frontier")
     worst, worst_at = -math.inf, None

@@ -36,7 +36,13 @@ from .hypdisc import (
     fixed_points,
     wrap_angle,
 )
-from .reps import Representation, ScaledMatrix, evaluate, sym_power_matrix
+from .reps import (
+    Representation,
+    ScaledMatrix,
+    _word_product,
+    evaluate,
+    sym_power_matrix,
+)
 from .words import GroupSpec, Word, _walk_rows, free_schottky
 
 # letters offered to reflections, skipping any the base alphabet uses
@@ -294,14 +300,8 @@ def double_rep(rep, boundary_elements):
     factor_mats = []
     for w in boundary:
         if structural:
-            _, table = rep.factors[0]
-            m2 = np.eye(2)
-            for letter in w.letters:
-                if letter not in table:
-                    raise InvalidInput(
-                        "letter %r has no image under %s" % (letter, rep.label)
-                    )
-                m2 = m2 @ table[letter]
+            # a power of two off the true product, which the frame ignores
+            m2 = _word_product(rep.factors[0][1], w, rep.label).mat
             frame = _loxodromic_frame(m2)
             basis = sym_power_matrix(frame, d)
             factor = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)

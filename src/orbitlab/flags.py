@@ -10,8 +10,9 @@ first and third flags to the standard ascending and descending
 coordinate flags, the remaining flags become unitriangular matrices via
 triangular elimination against the descending flag, and the tuple is
 positive when some sign-diagonal conjugation makes those matrices factor
-through the positive semigroup. The sign scan quotients out the
-diagonal ambiguity left by the chart normalization.
+through the positive semigroup. The conjugation quotients out the
+diagonal ambiguity left by the chart normalization, and the first
+matrix's superdiagonal signs pick the only candidate.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
 from .hypdisc import Mobius
 from .reps import ScaledMatrix, evaluate, sym_power_matrix
 from .tpos import Unitriangular, factorize
-from .words import limit_sample_words
+from .words import _factor_tables, _limit_rows, limit_sample_words
 
 TRANSVERSE_TOL = 1e-10
 LOG_GAP_MIN = 1e-6
@@ -203,29 +204,22 @@ def _eliminate_unitriangular(basis):
     return Unitriangular(u)
 
 
-def _sign_conjugations(d):
-    for bits in range(2 ** (d - 1)):
-        signs = np.ones(d)
-        for i in range(1, d):
-            if bits >> (i - 1) & 1:
-                signs[i] = -1.0
-        yield signs
-
-
 def _positive_in_some_chart(units):
-    d = units[0].dim
-    for signs in _sign_conjugations(d):
-        ok = True
-        for u in units:
-            conj = Unitriangular(u.mat * np.outer(signs, signs))
-            try:
-                factorize(conj)
-            except NotPositive:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    """Whether some sign-diagonal conjugation makes every unit factor
+    positively. A factorizable matrix has a positive superdiagonal, each
+    entry a pi_beta sum of positive parameters, so up to a global sign
+    only s_1 = 1, s_(i+1) = s_i sign(u_(i,i+1)) can pass."""
+    steps = np.sign(units[0].superdiagonal())
+    if not np.all(np.abs(steps) == 1.0):
+        return False
+    signs = np.concatenate([[1.0], np.cumprod(steps)])
+    flip = np.outer(signs, signs)
+    for u in units:
+        try:
+            factorize(Unitriangular(u.mat * flip))
+        except NotPositive:
+            return False
+    return True
 
 
 def _require_pairwise_transverse(flags):
@@ -312,23 +306,17 @@ def limit_flags(rep, group, depth):
     two-by-two eigenframe: the attracting flag of the image is the
     symmetric power of the frame, which stays accurate at word lengths
     where eigensolvers on the large graded image matrix lose the leading
-    eigenvector. Structureless representations fall back to the direct
-    eigenvector route.
+    eigenvector. The frame is read from the 2x2 product the limit-set
+    walk carries along each word. Structureless representations fall
+    back to the direct eigenvector route.
     """
-    factor = None
-    if rep.factors is not None and len(rep.factors) == 1:
-        factor = rep.factors[0]
-    out = []
-    for bp, word in limit_sample_words(group, depth):
-        if factor is None:
-            out.append((bp, attracting_flag(evaluate(rep, word))))
-            continue
-        d, images = factor
-        m = np.eye(2)
-        for letter in word:
-            m = m @ images[letter]
-        out.append((bp, Flag(sym_power_matrix(_loxodromic_frame(m), d))))
-    return out
+    if rep.factors is None or len(rep.factors) != 1:
+        return [(bp, attracting_flag(evaluate(rep, word)))
+                for bp, word in limit_sample_words(group, depth)]
+    d = rep.factors[0][0]
+    return [(bp, Flag(sym_power_matrix(_loxodromic_frame(mats[0]), d)))
+            for bp, _, mats in _limit_rows(group, depth,
+                                           _factor_tables(group, rep, depth))]
 
 
 def limit_curve(rep, group, depth, k):

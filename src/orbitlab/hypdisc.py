@@ -233,12 +233,6 @@ class Shadow:
         """Counterclockwise start of the arc."""
         return wrap_angle(self.center.theta - self.half_angle)
 
-    def overlaps(self, other):
-        if self.full or other.full:
-            return True
-        gap = angular_distance(self.center.theta, other.center.theta)
-        return gap <= self.half_angle + other.half_angle
-
     def __repr__(self):
         return "Shadow(center=%r, half_angle=%r, full=%r)" % (
             self.center.theta,
@@ -272,14 +266,7 @@ def displacement(m, b0=ORIGIN):
     matrix itself: moving b0 to the origin turns the distance into
     arccosh of half the squared Frobenius norm, which stays finite for
     displacements far beyond where Klein coordinates pin to the boundary."""
-    mat = m.mat
-    ell = math.hypot(b0.x, b0.y)
-    if ell >= 1e-16:
-        h = translation_to_origin(b0).mat
-        a, b, c, d = h.ravel()
-        det = a * d - b * c
-        hinv = np.array([[d, -b], [-c, a]]) / det
-        mat = h @ mat @ hinv
+    mat, _ = _from_origin(m, b0)
     sq = float(np.sum(mat * mat))
     return math.acosh(max(1.0, 0.5 * sq))
 
@@ -357,6 +344,17 @@ def translation_to_origin(b0):
     return Mobius.boost(-dist) @ Mobius.rotation(-phi)
 
 
+def _from_origin(m, b0):
+    """h m h^-1 and h for h = translation_to_origin(b0); m's matrix and
+    None when b0 is the origin."""
+    if math.hypot(b0.x, b0.y) < 1e-16:
+        return m.mat, None
+    h = translation_to_origin(b0)
+    a, b, c, d = h.mat.ravel()
+    hinv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    return h.mat @ m.mat @ hinv, h
+
+
 def shadow(b0, z, r):
     """The closed boundary arc of rays from b0 that meet the closed ball
     of radius r around z; the whole circle when b0 lies in the ball."""
@@ -399,15 +397,7 @@ def shadow_of_isometry(m, r, b0=ORIGIN):
     coordinates still get correct arcs."""
     if r <= 0.0:
         raise InvalidInput("shadow radius must be positive")
-    mat = m.mat
-    ell = math.hypot(b0.x, b0.y)
-    h = None
-    if ell >= 1e-16:
-        h = translation_to_origin(b0)
-        hm = h.mat
-        det = hm[0, 0] * hm[1, 1] - hm[0, 1] * hm[1, 0]
-        hinv = np.array([[hm[1, 1], -hm[0, 1]], [-hm[1, 0], hm[0, 0]]]) / det
-        mat = hm @ mat @ hinv
+    mat, h = _from_origin(m, b0)
     # image of the origin on the determinant hyperboloid is M M^T
     y_mat = mat @ mat.T
     t = 0.5 * (y_mat[0, 0] + y_mat[1, 1])

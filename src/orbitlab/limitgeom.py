@@ -6,7 +6,8 @@ with the sampled limit set, the flag images of the extreme sample points
 give an endpoint distance, and the product with e^(alpha(kappa)) is the
 distortion ratio. Bounded ratios across the orbit are the numerical
 shape of the two-sided distortion property; the constants are outputs,
-never inputs.
+never inputs. The orbit points come from the ball walk of the words
+module, and kappa only for the rows kept.
 
 shadow_separation_check buckets orbit points into annuli by functional
 value and looks for same-annulus pairs whose shadows overlap even though
@@ -24,11 +25,16 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import word_cartan
 from .errors import InsufficientScales, InvalidInput
 from .flags import GrassPoint, flag_distance, limit_curve
-from .hypdisc import TWO_PI, displacement, shadow_of_isometry
-from .words import enumerate_elements, limit_sample
+from .hypdisc import TWO_PI, Mobius, displacement, shadow_of_isometry
+from .words import (
+    Word,
+    _level_cartan,
+    _rep_levels,
+    enumerate_elements,
+    limit_sample,
+)
 
 DEFAULT_MIN_SEP = 1e-6
 MIN_POINTS = 1000
@@ -46,14 +52,6 @@ class DistortionRow:
         self.alpha_kappa = float(alpha_kappa)
         self.endpoint_distance = float(endpoint_distance)
         self.ratio = float(ratio)
-
-    def as_dict(self):
-        return {
-            "word": self.word,
-            "alpha_kappa": self.alpha_kappa,
-            "endpoint_distance": self.endpoint_distance,
-            "ratio": self.ratio,
-        }
 
 
 class DistortionReport:
@@ -154,20 +152,28 @@ def distortion_scan(group, rep, phi, r, max_len, sample_depth=None, sample=None)
     planes = [plane for _, plane in sample]
     rows = []
     skipped = 0
-    for word, mob in enumerate_elements(group, max_len):
-        if displacement(mob) <= r:
+    for level in _rep_levels(group, rep, max_len, spell=True):
+        kept = []
+        for i, orientation in enumerate(level.orientation.tolist()):
+            mob = Mobius._normalized(level.mats[i], orientation)
+            if displacement(mob) <= r:
+                continue
+            pick = _arc_extremes(thetas, shadow_of_isometry(mob, r))
+            if pick is None:
+                skipped += 1
+                continue
+            dist = flag_distance(planes[pick[0]], planes[pick[1]])
+            if dist <= 0.0:
+                skipped += 1
+                continue
+            kept.append((i, dist))
+        if not kept:
             continue
-        pick = _arc_extremes(thetas, shadow_of_isometry(mob, r))
-        if pick is None:
-            skipped += 1
-            continue
-        dist = flag_distance(planes[pick[0]], planes[pick[1]])
-        if dist <= 0.0:
-            skipped += 1
-            continue
-        kv = word_cartan(rep, word)
-        a = phi.value(kv)
-        rows.append(DistortionRow(str(word), a, dist, dist * math.exp(a)))
+        # the Cartan vectors of the kept rows only
+        lam = _level_cartan(rep, level, [i for i, _ in kept])
+        for (i, dist), a in zip(kept, phi.values(lam, rep.lie_type).tolist()):
+            rows.append(DistortionRow(str(Word(level.words[i])), a, dist,
+                                      dist * math.exp(a)))
     return DistortionReport(rows, skipped, r, phi.name())
 
 

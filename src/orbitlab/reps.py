@@ -14,6 +14,9 @@ Long products are kept in ScaledMatrix form: a matrix with sup norm in
 power of two, so singular-value ratios of the stored matrix equal those of
 the true product exactly and no root or weight computation ever sees the
 accumulated exponent.
+One word's product is formed by _word_product alone (evaluate,
+cartan.word_cartan, doubling.double_rep); the walker of the words module
+forms a whole ball's, a level at a time, by the same rule (_times_rows).
 """
 
 import math
@@ -255,21 +258,29 @@ def _times_rows(mats, log_scales, raws):
     return m / np.ldexp(1.0, k.astype(int))[:, None, None], log_scales + k * math.log(2.0)
 
 
+def _word_product(images, word, label, dim=2):
+    """ScaledMatrix product of a letter table along one word."""
+    sm = ScaledMatrix.identity(dim)
+    for letter in word:
+        if letter not in images:
+            raise InvalidInput(
+                "letter %r has no image under %s" % (letter, label)
+            )
+        sm = sm.times(images[letter])
+    return sm
+
+
 def evaluate(rep, word, compensated=False):
     """Product of generator images along a word, as a ScaledMatrix.
 
     The compensated path accumulates in extended precision before rounding
     back; meant for words past a few hundred letters.
     """
-    letters = list(word)
     if not compensated:
-        sm = ScaledMatrix.identity(rep.dim)
-        for letter in letters:
-            sm = sm.times(rep.image(letter))
-        return sm
+        return _word_product(rep.images, word, rep.label, rep.dim)
     acc = np.eye(rep.dim, dtype=np.longdouble)
     log_scale = 0.0
-    for letter in letters:
+    for letter in word:
         acc = acc @ rep.image(letter).astype(np.longdouble)
         sup = float(np.abs(acc).max())
         k = math.floor(math.log2(sup))

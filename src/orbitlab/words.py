@@ -17,9 +17,10 @@ in their label) and a crude discreteness probe only warns. A fourth kind,
 doubled, is the reflection extension that the doubling module builds; it
 also deduplicates by rounding.
 
-One breadth-first walker serves every kind. _walk_levels keeps the
-word tree as arrays, one level per word length: for each row its parent
-row and last letter, its Mobius matrix normalized to |det| = 1 with its
+One breadth-first walker serves every kind, and it alone forms the
+products along the words of a ball. _walk_levels keeps the word tree as
+arrays, one level per word length: for each row its parent row and
+last letter, its Mobius matrix normalized to |det| = 1 with its
 orientation, and, for each letter table a caller passes in, the
 ScaledMatrix product along the word. A level is built from the one
 before with stacked 2x2 products (np.matmul), which round exactly as
@@ -27,8 +28,11 @@ one product at a time does. The walker never appends the inverse of a
 word's last letter: that gives back the word's parent, already seen,
 whatever the relations of the group. Duplicates are dropped with keys
 computed a level at a time. enumerate_elements streams the levels as
-(Word, Mobius) pairs; samplers that need only values (critexp) read
-the arrays directly.
+(Word, Mobius) pairs. _rep_levels walks with a representation's 2x2
+factor tables and _level_cartan turns a level's products into Cartan
+vectors, which growth samples, orbit tables, distortion scans and the
+orbit CSV read; the limit-set sample hands each word's 2x2 product on
+to flags.limit_flags.
 
 Letters are single characters: generators a, b, c, ... with inverses
 A, B, C, ...; the modular alphabet is S (self-inverse), T and its inverse
@@ -41,7 +45,7 @@ import warnings
 
 import numpy as np
 
-from .cartan import word_cartan
+from .cartan import CartanVector, _factor_rows, word_cartan
 from .errors import InvalidInput, NonElementary
 from .reps import _times_rows
 from .hypdisc import (
@@ -109,12 +113,6 @@ class GroupSpec:
         self.exact_dedup = exact_dedup
         self.dedup_tol = dedup_tol
         self.int_images = int_images
-
-    @property
-    def n_generators(self):
-        return sum(1 for a in self.alphabet if self.inverse_letter[a] != a) // 2 + sum(
-            1 for a in self.alphabet if self.inverse_letter[a] == a
-        )
 
     def image(self, letter):
         try:
@@ -324,18 +322,22 @@ class _Level:
     |det| = 1 and orientation its orientation; products holds, for each
     letter table walked, the pair (matrices, log scales) of the
     ScaledMatrix product along the word; ints the integer matrix of a
-    modular word.
+    modular word; words, when the walk spells, the letter tuple of each
+    row.
     """
 
-    __slots__ = ("parent", "letter", "mats", "orientation", "products", "ints")
+    __slots__ = ("parent", "letter", "mats", "orientation", "products", "ints",
+                 "words")
 
-    def __init__(self, parent, letter, mats, orientation, products, ints):
+    def __init__(self, parent, letter, mats, orientation, products, ints,
+                 words=None):
         self.parent = parent
         self.letter = letter
         self.mats = mats
         self.orientation = orientation
         self.products = products
         self.ints = ints
+        self.words = words
 
     def __len__(self):
         return len(self.parent)
@@ -348,7 +350,7 @@ class _Level:
         )
 
 
-def _walk_levels(group, max_len, tables=()):
+def _walk_levels(group, max_len, tables=(), spell=False):
     """The word tree of enumerate_elements, one _Level per word length.
 
     Each level is computed from the one before with stacked products:
@@ -358,8 +360,9 @@ def _walk_levels(group, max_len, tables=()):
     exactly for modular (an int64 overflow raises) and by rounding for
     custom and doubled; the first row with a key wins, and rows of
     earlier levels come first. tables are letter-to-matrix dicts whose
-    ScaledMatrix products along each word the levels carry as well.
-    Walking stops early once a level is empty.
+    ScaledMatrix products along each word the levels carry as well, and
+    with spell set each level holds its words. Walking stops early once
+    a level is empty.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be nonnegative")
@@ -383,10 +386,12 @@ def _walk_levels(group, max_len, tables=()):
         np.array([-1]), np.array([-1]), np.eye(2)[np.newaxis], np.array([1]),
         [(np.eye(len(st[0]))[np.newaxis], np.zeros(1)) for st in stacks],
         None if ints is None else np.eye(2, dtype=np.int64)[np.newaxis],
+        [()] if spell else None,
     )
     seen = key_of(level) if key_of else None
     yield level
     for length in range(max_len):
+        above = level.words
         allowed = np.ones((len(level), len(alphabet)), dtype=bool)
         if length:
             allowed[np.arange(len(level)), inverse[level.letter]] = False
@@ -405,6 +410,9 @@ def _walk_levels(group, max_len, tables=()):
                 )
             new_ints = np.matmul(level.ints[rows], ints[letters])
         level = _Level(rows, letters, mats, orientation, products, new_ints)
+        # a consumer computes while the walk waits at the yield; the
+        # candidate arrays must not add to its peak
+        del allowed, rows, letters, mats, orientation, products, new_ints
         if key_of:
             keys = key_of(level)
             if ints is not None and not np.all(keys.any(axis=1)):
@@ -412,23 +420,54 @@ def _walk_levels(group, max_len, tables=()):
             kept = _first_new(keys, seen)
             level = level.take(kept)
             seen = np.concatenate([seen, keys[kept]])
+            del keys
         if not len(level):
             return
+        if spell:
+            level.words = [above[p] + (alphabet[c],) for p, c in
+                           zip(level.parent.tolist(), level.letter.tolist())]
         yield level
 
 
 def _walk_rows(group, max_len, tables=()):
     """(Word, Mobius, level, row) for every element of _walk_levels, in
     stream order; the Mobius value reuses the level's normalized row."""
-    alphabet = group.alphabet
-    words = [()]
-    for length, level in enumerate(_walk_levels(group, max_len, tables)):
-        if length:
-            words = [words[p] + (alphabet[c],)
-                     for p, c in zip(level.parent.tolist(), level.letter.tolist())]
+    for level in _walk_levels(group, max_len, tables, spell=True):
         for i, orientation in enumerate(level.orientation.tolist()):
-            yield (Word(words[i]), Mobius._normalized(level.mats[i], orientation),
-                   level, i)
+            yield (Word(level.words[i]),
+                   Mobius._normalized(level.mats[i], orientation), level, i)
+
+
+def _factor_tables(group, rep, max_len):
+    """The 2x2 letter tables of rep.factors, each checked to cover group's
+    alphabet; [] when rep has none or max_len keeps the walk at the
+    identity, which word_cartan then handles alone."""
+    if rep.factors is None or max_len < 1:
+        return []
+    tables = [images for _, images in rep.factors]
+    missing = [a for a in group.alphabet if any(a not in t for t in tables)]
+    if missing:
+        raise InvalidInput("letter %r has no image under %s" % (missing[0], rep.label))
+    return tables
+
+
+def _rep_levels(group, rep, max_len, spell=False):
+    """The levels of _walk_levels(group, max_len) carrying the 2x2 tables
+    of rep's factors, for _level_cartan; spelled when asked or when the
+    walk carries no tables, as _level_cartan's word_cartan route needs."""
+    tables = _factor_tables(group, rep, max_len)
+    return _walk_levels(group, max_len, tables, spell or not tables)
+
+
+def _level_cartan(rep, level, rows=slice(None)):
+    """The Cartan vectors under rep, sorted and centered, of the rows of
+    a level of _rep_levels, all or those listed: from the factor products
+    it carries, bit for bit word_cartan's, or else from word_cartan word
+    by word, so a structureless rep forms only the rows asked for."""
+    if level.products:
+        return _factor_rows(rep, [(m[rows], s[rows]) for m, s in level.products])
+    return np.array([word_cartan(rep, level.words[i]).lambdas
+                     for i in np.arange(len(level))[rows]])
 
 
 def _word_at(levels, alphabet, length, row):
@@ -576,43 +615,49 @@ class OrbitRecord:
         return "OrbitRecord(%s, disp=%.6g)" % (self.word, self.displacement)
 
 
+def _orbit_records(group, rep, max_len, b0=ORIGIN, functionals=()):
+    """The records of orbit_table, streamed, with the Cartan vectors of
+    _level_cartan."""
+    for level in _rep_levels(group, rep, max_len, spell=True):
+        lam = _level_cartan(rep, level)
+        for i, orientation in enumerate(level.orientation.tolist()):
+            mob = Mobius._normalized(level.mats[i], orientation)
+            kv = CartanVector._of(lam[i], rep.lie_type)
+            values = {phi.name(): phi.value(kv) for phi in functionals}
+            yield OrbitRecord(Word(level.words[i]), displacement(mob, b0), kv,
+                              values, mob=mob)
+
+
 def orbit_table(group, rep, max_len, b0=ORIGIN, functionals=()):
     """One OrbitRecord per distinct element up to max_len, in stream order."""
-    records = []
-    for word, mob in enumerate_elements(group, max_len):
-        disp = displacement(mob, b0)
-        kv = word_cartan(rep, word)
-        values = {
-            phi.name(): phi.value(kv) for phi in functionals
-        }
-        records.append(OrbitRecord(word, disp, kv, values, mob=mob))
-    return records
+    return list(_orbit_records(group, rep, max_len, b0, functionals))
+
+
+def _orbit_csv_header(d):
+    return "word,len,disp,%s\n" % ",".join("k%d" % (i + 1) for i in range(d))
+
+
+def _orbit_csv_row(rec):
+    """An OrbitRecord as a CSV row, floats to 17 significant digits."""
+    lams = ",".join("%.17g" % v for v in rec.kappa.lambdas)
+    return "%s,%d,%.17g,%s\n" % (rec.word, rec.length, rec.displacement, lams)
 
 
 def write_orbit_csv(records, path):
     """Header word,len,disp,k1..kd; 17 significant digits, LF endings."""
     if not records:
         raise InvalidInput("no records to write")
-    d = records[0].kappa.d
-    cols = ",".join("k%d" % (i + 1) for i in range(d))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("word,len,disp,%s\n" % cols)
+        fh.write(_orbit_csv_header(records[0].kappa.d))
         for rec in records:
-            lams = ",".join("%.17g" % v for v in rec.kappa.lambdas)
-            fh.write("%s,%d,%.17g,%s\n" % (rec.word, rec.length, rec.displacement, lams))
+            fh.write(_orbit_csv_row(rec))
 
 
-def limit_sample_words(group, depth):
-    """(attracting point, defining word) pairs for the cyclically reduced
-    hyperbolic words up to the given length, deduplicated and sorted by
-    angle; ties keep the shortest defining word.
-
-    Fewer than three distinct points means no free two-generator dynamics
-    was seen; the group is reported elementary (raise the depth first if
-    the group is merely thin at this depth).
-    """
-    pairs = []
-    for word, mob in enumerate_elements(group, depth):
+def _limit_rows(group, depth, tables=()):
+    """limit_sample_words with a third entry per pair: the word's product
+    in each table walked, up to a power of two."""
+    rows = []
+    for word, mob, level, i in _walk_rows(group, depth, tables):
         if len(word) == 0:
             continue
         first, last = word.letters[0], word.letters[-1]
@@ -620,15 +665,16 @@ def limit_sample_words(group, depth):
             continue
         if classify(mob) != "hyperbolic":
             continue
-        pairs.append((fixed_points(mob)[0], word))
-    pairs.sort(key=lambda pw: pw[0].theta)
+        rows.append((fixed_points(mob)[0], word,
+                     [m[i].copy() for m, _ in level.products]))
+    rows.sort(key=lambda row: row[0].theta)
     distinct = []
-    for p, w in pairs:
+    for row in rows:
         if (
             not distinct
-            or angular_distance(distinct[-1][0].theta, p.theta) > LIMIT_DEDUP_TOL
+            or angular_distance(distinct[-1][0].theta, row[0].theta) > LIMIT_DEDUP_TOL
         ):
-            distinct.append((p, w))
+            distinct.append(row)
     if len(distinct) >= 2 and angular_distance(
         distinct[0][0].theta, distinct[-1][0].theta
     ) <= LIMIT_DEDUP_TOL:
@@ -640,6 +686,18 @@ def limit_sample_words(group, depth):
             % (len(distinct), depth)
         )
     return distinct
+
+
+def limit_sample_words(group, depth):
+    """(attracting point, defining word) pairs for the cyclically reduced
+    hyperbolic words up to the given length, deduplicated and sorted by
+    angle; ties keep the shortest defining word.
+
+    Fewer than three distinct points means no free two-generator dynamics
+    was seen; the group is reported elementary (raise the depth first if
+    the group is merely thin at this depth).
+    """
+    return [(p, w) for p, w, _ in _limit_rows(group, depth)]
 
 
 def limit_sample(group, depth):

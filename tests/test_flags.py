@@ -12,15 +12,21 @@ import math
 import numpy as np
 import pytest
 
+from orbitlab.doubling import separated_schottky
 from orbitlab.errors import (
     DegenerateGap,
     InvalidInput,
+    NotPositive,
     NotTransverse,
     SpectrumNotLoxodromic,
 )
 from orbitlab.flags import (
     Flag,
     GrassPoint,
+    _chart,
+    _eliminate_unitriangular,
+    _inverse_unitriangular,
+    _positive_in_some_chart,
     attracting_flag,
     cartan_attractor,
     consecutive_triple_rate,
@@ -35,6 +41,7 @@ from orbitlab.flags import (
     write_curve_csv,
 )
 from orbitlab.reps import ScaledMatrix, evaluate, sym_power, sym_power_matrix
+from orbitlab.tpos import Unitriangular, f_gamma, factorize, standard_word
 from orbitlab.words import Word, modular_group, standard_schottky
 
 
@@ -333,6 +340,75 @@ def test_positivity_dimension_four_veronese():
     assert triple_positive(f[-1.0], f[0.0], f[1.0])
     assert quadruple_positive(f[-2.0], f[-1.0], f[1.0], f[2.0])
     assert not quadruple_positive(f[-2.0], f[1.0], f[-1.0], f[2.0])
+
+
+def scan_positive(units):
+    """The scan the single candidate replaced: factorize under every
+    conjugation by diag(1, +-1, ..., +-1)."""
+    d = units[0].dim
+    for bits in range(2 ** (d - 1)):
+        signs = np.array([1.0] + [-1.0 if bits >> (i - 1) & 1 else 1.0
+                                  for i in range(1, d)])
+        try:
+            for u in units:
+                factorize(Unitriangular(u.mat * np.outer(signs, signs)))
+        except NotPositive:
+            continue
+        return True
+    return False
+
+
+def chart_units(flags):
+    """The unitriangulars triple_positive and quadruple_positive test."""
+    g = np.linalg.inv(_chart(flags[0], flags[2]))
+    units = [_eliminate_unitriangular(g @ flags[1].basis)]
+    if len(flags) == 4:
+        units.append(_inverse_unitriangular(
+            _eliminate_unitriangular(g @ flags[3].basis)))
+    return units
+
+
+def test_one_sign_candidate_matches_the_scan():
+    rng = np.random.default_rng(29)
+    cases = []
+    for d in (3, 4, 5):
+        for group, depth in ((standard_schottky(), 2), (modular_group(), 5),
+                             (separated_schottky(2.0), 2)):
+            rep = sym_power(d)(group.generator_matrices())
+            flags = [f for _, f in limit_flags(rep, group, depth)]
+            for size in (3, 4):
+                for _ in range(40):
+                    idx = rng.choice(len(flags), size=size, replace=False)
+                    cases.append([flags[i] for i in sorted(idx)])
+        for _ in range(100):
+            cases.append([Flag(rng.normal(size=(d, d))) for _ in range(4)])
+    hits = 0
+    for flags in cases:
+        try:
+            units = chart_units(flags)
+        except NotTransverse:
+            continue
+        got = _positive_in_some_chart(units)
+        assert got == scan_positive(units)
+        hits += got
+    # both answers occur, so agreement is not vacuous
+    assert 0 < hits < len(cases)
+
+
+def test_one_sign_candidate_in_dimension_nine():
+    rng = np.random.default_rng(31)
+    word = standard_word(9)
+    for trial in range(3):
+        signs = np.concatenate([[1.0], rng.choice([-1.0, 1.0], size=8)])
+        flip = np.outer(signs, signs)
+        params = rng.uniform(0.2, 2.0, size=len(word))
+        u = Unitriangular(f_gamma(word, params).mat * flip)
+        other = rng.uniform(0.2, 2.0, size=len(word))
+        v = Unitriangular(f_gamma(word, other).mat * flip)
+        assert _positive_in_some_chart([u, v]) and scan_positive([u, v])
+        params[rng.integers(len(word))] = -0.5
+        w = Unitriangular(f_gamma(word, params).mat * flip)
+        assert _positive_in_some_chart([w]) == scan_positive([w])
 
 
 # ----------------------------------------------------------- limit maps

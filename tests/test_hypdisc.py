@@ -14,10 +14,13 @@ from orbitlab.hypdisc import (
     apply_boundary,
     apply_isometry,
     classify,
+    _transport_arc,
     coarse_endpoints,
     dist_h,
+    displacement,
     fixed_points,
     shadow,
+    shadow_of_isometry,
     translation_to_origin,
 )
 
@@ -260,6 +263,49 @@ class TestShadow:
         z = DiscPoint(0.8, 0.1)
         halves = [shadow(ORIGIN, z, r).half_angle for r in (0.2, 0.5, 0.9)]
         assert halves[0] < halves[1] < halves[2]
+
+
+def test_origin_conjugation_is_bit_identical():
+    # the two blocks that displacement and shadow_of_isometry each
+    # carried before they shared one helper
+    def disp_oracle(m, b0):
+        h = translation_to_origin(b0).mat
+        a, b, c, d = h.ravel()
+        det = a * d - b * c
+        hinv = np.array([[d, -b], [-c, a]]) / det
+        mat = h @ m.mat @ hinv
+        return math.acosh(max(1.0, 0.5 * float(np.sum(mat * mat))))
+
+    def shadow_oracle(m, r, b0):
+        h = translation_to_origin(b0)
+        hm = h.mat
+        det = hm[0, 0] * hm[1, 1] - hm[0, 1] * hm[1, 0]
+        hinv = np.array([[hm[1, 1], -hm[0, 1]], [-hm[1, 0], hm[0, 0]]]) / det
+        mat = hm @ m.mat @ hinv
+        y_mat = mat @ mat.T
+        t = 0.5 * (y_mat[0, 0] + y_mat[1, 1])
+        ux = 0.5 * (y_mat[0, 0] - y_mat[1, 1])
+        center = math.atan2(y_mat[0, 1], ux)
+        d = math.acosh(max(1.0, t))
+        if d <= r:
+            mid = apply_boundary(h.inverse(), BoundaryPoint(center))
+            return Shadow(mid.theta, math.pi, full=True)
+        std = Shadow(center, math.asin(math.sinh(r) / math.sinh(d)))
+        return _transport_arc(h.inverse(), std)
+
+    rng = np.random.default_rng(41)
+    fulls = 0
+    for _ in range(200):
+        m = random_isometry(rng)
+        b0 = random_point(rng)
+        assert displacement(m, b0) == disp_oracle(m, b0)
+        r = rng.uniform(0.2, 2.0)
+        got = shadow_of_isometry(m, r, b0)
+        want = shadow_oracle(m, r, b0)
+        fulls += got.full
+        assert (got.center.theta, got.half_angle, got.full) == (
+            want.center.theta, want.half_angle, want.full)
+    assert 0 < fulls < 200
 
 
 class TestCoarseEndpoints:

@@ -1,0 +1,272 @@
+"""Differential tests of the one route for products along words.
+
+Orbit tables, distortion scans, the orbit CSV, limit flags and doubled
+reflections read their 2x2 products from the level-array walker or from
+the single-word product of reps. The oracles below are the per-word
+routes those consumers used before: every product rebuilt from the
+identity, one letter at a time.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from orbitlab import cli
+from orbitlab.cartan import (
+    CartanVector,
+    _factor_exponents,
+    cartan_projection,
+    parse_functional,
+    word_cartan,
+)
+from orbitlab.critexp import sample_from_enumeration
+from orbitlab.doubling import (
+    PANTS_BOUNDARY,
+    double_rep,
+    separated_schottky,
+    x_involution,
+)
+from orbitlab.errors import IllConditioned, InvalidInput
+from orbitlab.flags import (
+    Flag,
+    _loxodromic_frame,
+    flag_distance,
+    limit_curve,
+    limit_flags,
+)
+from orbitlab.hypdisc import displacement, shadow_of_isometry
+from orbitlab.limitgeom import _arc_extremes, distortion_scan
+from orbitlab.reps import (
+    ScaledMatrix,
+    custom_rep,
+    evaluate,
+    sp_product,
+    sym_power,
+    sym_power_matrix,
+)
+from orbitlab.words import (
+    enumerate_elements,
+    limit_sample_words,
+    modular_group,
+    orbit_table,
+    standard_schottky,
+)
+
+
+def oracle_word_cartan(rep, word):
+    """Cartan vector of one word, each product rebuilt from the identity
+    with one ScaledMatrix.times per letter."""
+    if rep.factors is None:
+        sm = ScaledMatrix.identity(rep.dim)
+        for letter in word:
+            sm = sm.times(rep.images[letter])
+        return cartan_projection(sm, lie_type=rep.lie_type)
+    products = []
+    for _, images in rep.factors:
+        sm = ScaledMatrix.identity(2)
+        for letter in word:
+            sm = sm.times(images[letter])
+        products.append((sm.mat[np.newaxis], np.array([sm.log_scale])))
+    return CartanVector(_factor_exponents(rep, products)[0], rep.lie_type)
+
+
+def raw_product(images, word):
+    m = np.eye(2)
+    for letter in word:
+        m = m @ images[letter]
+    return m
+
+
+def tilted(group):
+    """The group's generator table conjugated by diag(2, 1/2): a second
+    2x2 factor over the same alphabet."""
+    h = np.diag([2.0, 0.5])
+    hinv = np.diag([0.5, 2.0])
+    return {c: h @ group.image(c).mat @ hinv for c in group.alphabet}
+
+
+def build_rep(group, kind):
+    if kind == "sp-product":
+        sym2 = sym_power(2)
+        return sp_product([sym2(group.generator_matrices(), label="f1"),
+                           sym2(tilted(group), label="f2")])
+    return sym_power(int(kind[3:]))(group.generator_matrices(), label=kind)
+
+
+GROUPS = [pytest.param(standard_schottky, 6, id="schottky-L6"),
+          pytest.param(modular_group, 8, id="modular-L8")]
+
+
+@pytest.mark.parametrize("kind", ["sym2", "sym3", "sym5", "sp-product"])
+@pytest.mark.parametrize("build, max_len", GROUPS)
+def test_orbit_table_kappas_are_bit_identical(build, max_len, kind):
+    group = build()
+    rep = build_rep(group, kind)
+    phi = parse_functional("long" if kind == "sp-product" else "a1")
+    records = orbit_table(group, rep, max_len, functionals=(phi,))
+    elements = list(enumerate_elements(group, max_len))
+    assert len(records) == len(elements) > 200
+    for rec, (word, mob) in zip(records, elements):
+        want = oracle_word_cartan(rep, word)
+        assert rec.word == word
+        assert np.array_equal(rec.mob.mat, mob.mat)
+        assert rec.kappa.lie_type == want.lie_type
+        assert np.array_equal(rec.kappa.lambdas, want.lambdas), str(word)
+        assert rec.phi_values[phi.name()] == phi.value(want)
+
+
+@pytest.mark.parametrize("build, max_len, d", [
+    # sym3 images of the L6 Schottky ball pass the conditioning limit
+    pytest.param(standard_schottky, 6, 2, id="schottky-L6-dim2"),
+    pytest.param(modular_group, 8, 3, id="modular-L8-dim3"),
+])
+def test_custom_rep_kappas_agree(build, max_len, d):
+    group = build()
+    rep = custom_rep({c: sym_power_matrix(group.image(c).mat, d)
+                      for c in group.alphabet}, d)
+    records = orbit_table(group, rep, max_len)
+    assert len(records) > 200
+    for rec in records:
+        want = oracle_word_cartan(rep, rec.word).lambdas
+        assert np.all(np.abs(rec.kappa.lambdas - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want))), str(rec.word)
+
+
+def oracle_distortion_scan(group, rep, phi, r, max_len):
+    """The scan with one per-word Cartan vector per row; (word,
+    alpha_kappa, endpoint distance, ratio) rows and the skipped count."""
+    sample = sorted(limit_curve(rep, group, max_len, 1), key=lambda pair: pair[0].theta)
+    thetas = np.array([bp.theta for bp, _ in sample])
+    planes = [plane for _, plane in sample]
+    rows, skipped = [], 0
+    for word, mob in enumerate_elements(group, max_len):
+        if displacement(mob) <= r:
+            continue
+        pick = _arc_extremes(thetas, shadow_of_isometry(mob, r))
+        if pick is None:
+            skipped += 1
+            continue
+        dist = flag_distance(planes[pick[0]], planes[pick[1]])
+        if dist <= 0.0:
+            skipped += 1
+            continue
+        a = phi.value(oracle_word_cartan(rep, word))
+        rows.append((str(word), a, dist, dist * math.exp(a)))
+    return rows, skipped
+
+
+@pytest.mark.parametrize("kind", ["sym3", "custom"])
+def test_distortion_scan_rows_agree(kind):
+    group = standard_schottky()
+    if kind == "custom":
+        rep = custom_rep(dict(build_rep(group, "sym2").images), 2)
+    else:
+        rep = build_rep(group, kind)
+    phi = parse_functional("a1")
+    report = distortion_scan(group, rep, phi, 9.0, 6)
+    rows, skipped = oracle_distortion_scan(group, rep, phi, 9.0, 6)
+    assert report.skipped == skipped
+    assert len(report.rows) == len(rows) > 100
+    for got, want in zip(report.rows, rows):
+        assert got.word == want[0]
+        for value, ref in zip((got.alpha_kappa, got.endpoint_distance, got.ratio),
+                              want[1:]):
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_distortion_scan_forms_kappa_for_kept_rows_only():
+    # a dense sym3 rep passes the conditioning limit in this ball, yet
+    # with no limit sample every row is skipped and none needs kappa
+    group = standard_schottky()
+    rep = custom_rep({c: sym_power_matrix(group.image(c).mat, 3)
+                      for c in group.alphabet}, 3)
+    with pytest.raises(IllConditioned):
+        orbit_table(group, rep, 6)
+    report = distortion_scan(group, rep, parse_functional("a1"), 9.0, 6, sample=[])
+    beyond = sum(1 for _, mob in enumerate_elements(group, 6)
+                 if displacement(mob) > 9.0)
+    assert len(report) == 0
+    assert report.skipped == beyond > 0
+
+
+def test_orbit_csv_rows_match_word_cartan(tmp_path):
+    group_file = tmp_path / "modular.grp"
+    group_file.write_text("kind=modular\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["orbit", "--group", str(group_file), "--rep", "sym3",
+                     "--max-len", "6", "--out", str(out)]) == 0
+    lines = (out / "orbit.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[1] == "word,len,disp,k1,k2,k3"
+    group = modular_group()
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    want = []
+    for word, mob in enumerate_elements(group, 6):
+        lams = ",".join("%.17g" % v for v in oracle_word_cartan(rep, word).lambdas)
+        want.append("%s,%d,%.17g,%s" % (word, len(word), displacement(mob), lams))
+    assert lines[2:] == want + [""]
+
+
+@pytest.mark.parametrize("build, depth", [
+    pytest.param(standard_schottky, 7, id="schottky-depth7"),
+    pytest.param(modular_group, 9, id="modular-depth9"),
+])
+def test_limit_flag_bases_are_bit_identical(build, depth):
+    group = build()
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    images = rep.factors[0][1]
+    got = limit_flags(rep, group, depth)
+    pairs = limit_sample_words(group, depth)
+    assert len(got) == len(pairs) > 200
+    for (bp, flag), (want_bp, word) in zip(got, pairs):
+        want = Flag(sym_power_matrix(_loxodromic_frame(raw_product(images, word)), 3))
+        assert bp.theta == want_bp.theta
+        assert np.array_equal(flag.basis, want.basis), str(word)
+
+
+def test_double_rep_reflections_are_bit_identical():
+    group = separated_schottky(2.0)
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    dbl = double_rep(rep, PANTS_BOUNDARY)
+    table = rep.factors[0][1]
+    factor_table = dbl.rep.factors[0][1]
+    for w, letter, image in zip(PANTS_BOUNDARY, dbl.letters, dbl.reflection_images):
+        frame = _loxodromic_frame(raw_product(table, w))
+        basis = sym_power_matrix(frame, 3)
+        assert np.array_equal(image, basis @ x_involution(3) @ np.linalg.inv(basis))
+        factor = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
+        assert np.array_equal(factor_table[letter], factor)
+
+
+def test_single_word_product_is_shared():
+    # evaluate and word_cartan agree with the per-letter oracle, and a
+    # letter outside the table raises the same error on both
+    group = standard_schottky()
+    rep = build_rep(group, "sym3")
+    word = "abABBaab"
+    sm = evaluate(rep, word)
+    want = ScaledMatrix.identity(3)
+    for letter in word:
+        want = want.times(rep.images[letter])
+    assert np.array_equal(sm.mat, want.mat) and sm.log_scale == want.log_scale
+    assert np.array_equal(word_cartan(rep, word).lambdas,
+                          oracle_word_cartan(rep, word).lambdas)
+    for fn in (evaluate, word_cartan):
+        with pytest.raises(InvalidInput, match="no image under sym3"):
+            fn(rep, "abz")
+
+
+def test_alphabet_check_spares_the_identity_ball():
+    # a rep built on another group's letters: the identity alone needs
+    # no letter, a longer walk raises before it starts
+    group = standard_schottky()
+    rep = build_rep(modular_group(), "sym3")
+    (rec,) = orbit_table(group, rep, 0)
+    assert np.array_equal(rec.kappa.lambdas, oracle_word_cartan(rep, ()).lambdas)
+    for call in (lambda: orbit_table(group, rep, 1),
+                 lambda: limit_flags(rep, group, 3),
+                 lambda: sample_from_enumeration(group, rep, parse_functional("a1"), 2)):
+        with pytest.raises(InvalidInput, match="letter 'a' has no image under sym3"):
+            call()
+    with pytest.raises(InvalidInput, match="max_len >= 1"):
+        sample_from_enumeration(group, rep, parse_functional("a1"), 0)
