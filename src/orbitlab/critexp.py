@@ -18,9 +18,11 @@ product along the words of a ball, and its Cartan vectors from
 words._level_cartan; a few values are recomputed word by word with
 word_cartan as a check, and the sample's provenance records the
 frontier minimum, the dip and the words behind both. For the modular
-group the scan over integer matrices with bounded entries gives a
-slack-free threshold: the top singular value dominates every entry, so
-a value below 2 log(bound) forces the matrix inside the scanned box.
+group, words.modular_norm_ball scans the integer matrices with bounded
+entries as one array, an (N, 2, 2) int64 array with no words, and the
+values come from each matrix's sum of squared entries, with no SVD. The
+threshold is slack-free: the top singular value dominates every entry,
+so a value below 2 log(bound) forces the matrix inside the scanned box.
 
 The slope estimator regresses log N(T) on T over a uniform grid; the
 bisection estimator finds where the truncated window series crosses a
@@ -33,7 +35,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import cartan_projection, word_cartan
+from .cartan import _boost_half_lengths, cartan_projection, word_cartan
 from .errors import IllConditioned, InsufficientData, InvalidInput
 from .reps import sym_power_matrix
 from .words import _level_cartan, _rep_levels, _word_at, modular_norm_ball
@@ -287,20 +289,21 @@ def _frontier_sample(group, rep, phi, max_len, name):
 def sample_from_norm_ball(bound, sym_dim, phi):
     """Modular-group sample from the exact entry-bound scan.
 
-    Certificate: an element with top singular value at most `bound` has
-    every entry inside the scanned box, and for a symmetric power all
-    root data reduce to 2 log(top singular value) of the underlying 2x2
-    matrix, scaled by the functional's value on the unit-gap direction.
-    No slack term is needed.
+    The ball is words.modular_norm_ball's (N, 2, 2) integer array; no
+    words are formed and no SVD is taken: log of the top singular value
+    is half the arccosh of half the sum of squared entries, which is
+    exact algebra for determinant 1. Certificate: an element with top
+    singular value at most `bound` has every entry inside the scanned
+    box, and for a symmetric power all root data reduce to 2 log(top
+    singular value) of the underlying 2x2 matrix, scaled by the
+    functional's value on the unit-gap direction. No slack term is
+    needed.
     """
-    ball = modular_norm_ball(bound)
-    mats = np.array([[list(m[0]), list(m[1])] for _, m in ball], dtype=float)
-    svals = np.linalg.svd(mats, compute_uv=False)
+    mats = modular_norm_ball(bound)
     # functional on the sym-power Cartan vector of a unit-gap 2x2 matrix
     unit = sym_power_matrix(np.diag([math.exp(0.5), math.exp(-0.5)]), sym_dim)
     mult = phi.value(cartan_projection(unit))
-    logs = np.log(svals[:, 0])
-    vals = 2.0 * mult * logs
+    vals = 2.0 * mult * _boost_half_lengths(mats, np.zeros(len(mats)))
     return ValueSample(
         np.maximum(vals, 0.0),
         2.0 * mult * math.log(bound),

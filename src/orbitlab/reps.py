@@ -251,11 +251,17 @@ def _times_rows(mats, log_scales, raws):
     (N,) right-multiplied by raws (N, d, d), each product divided by the
     power of two that puts its sup norm in [1, 2)."""
     m = np.matmul(mats, raws)
-    sup = np.abs(m).max(axis=(1, 2))
+    # sup norm one entry at a time: no (N, d, d) temporary; a NaN entry
+    # propagates through np.maximum to the check below
+    sup = np.zeros(len(m))
+    for i, j in np.ndindex(m.shape[1:]):
+        np.maximum(sup, np.abs(m[:, i, j]), out=sup)
     if not np.all((sup > 0.0) & np.isfinite(sup)):
         raise InvalidInput("ScaledMatrix needs a finite nonzero matrix")
     k = np.floor(np.log2(sup))
-    return m / np.ldexp(1.0, k.astype(int))[:, None, None], log_scales + k * math.log(2.0)
+    # a power of two divides exactly, so scaling in place changes no bit
+    np.divide(m, np.ldexp(1.0, k.astype(int))[:, None, None], out=m)
+    return m, log_scales + k * math.log(2.0)
 
 
 def _word_product(images, word, label, dim=2):
@@ -270,21 +276,7 @@ def _word_product(images, word, label, dim=2):
     return sm
 
 
-def evaluate(rep, word, compensated=False):
-    """Product of generator images along a word, as a ScaledMatrix.
-
-    The compensated path accumulates in extended precision before rounding
-    back; meant for words past a few hundred letters.
-    """
-    if not compensated:
-        return _word_product(rep.images, word, rep.label, rep.dim)
-    acc = np.eye(rep.dim, dtype=np.longdouble)
-    log_scale = 0.0
-    for letter in word:
-        acc = acc @ rep.image(letter).astype(np.longdouble)
-        sup = float(np.abs(acc).max())
-        k = math.floor(math.log2(sup))
-        if k != 0:
-            acc = acc / np.longdouble(math.ldexp(1.0, k))
-            log_scale += k * math.log(2.0)
-    return ScaledMatrix(acc.astype(float), log_scale)
+def evaluate(rep, word):
+    """Product of generator images along a word, as a ScaledMatrix, by
+    _word_product: the one route for a single word's product."""
+    return _word_product(rep.images, word, rep.label, rep.dim)

@@ -34,6 +34,12 @@ vectors, which growth samples, orbit tables, distortion scans and the
 orbit CSV read; the limit-set sample hands each word's 2x2 product on
 to flags.limit_flags.
 
+The modular norm ball is not walked. modular_norm_ball finds every
+modular element with entries bounded by an integer in one array scan,
+from the coprime first columns and the extended Euclidean algorithm run
+on all of them at once, and returns the sign-canonical matrices as an
+(N, 2, 2) int64 array, with no words.
+
 Letters are single characters: generators a, b, c, ... with inverses
 A, B, C, ...; the modular alphabet is S (self-inverse), T and its inverse
 written t. Enumeration streams words by length, then lexicographically in
@@ -252,20 +258,6 @@ def _discreteness_probe(group, depth=6, margin=1e-3):
                 stacklevel=3,
             )
             return
-
-
-def _int_mul(m, g):
-    (a, b), (c, d) = m
-    (p, q), (r, s) = g
-    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
-
-
-def _int_canonical(m):
-    flat = (m[0][0], m[0][1], m[1][0], m[1][1])
-    for x in flat:
-        if x != 0:
-            return flat if x > 0 else tuple(-y for y in flat)
-    raise InvalidInput("zero matrix")
 
 
 def _sign_canonical(flat, threshold):
@@ -502,97 +494,52 @@ def enumerate_elements(group, max_len):
 
 def modular_norm_ball(bound):
     """Every modular element, up to sign, with all entries bounded by the
-    given integer in absolute value; exact scan, no enumeration involved.
+    given integer in absolute value, as one exact array scan.
 
-    Returns a list of (Word, integer matrix) with words rebuilt by the
-    Euclidean algorithm. Any element outside the list has top singular
-    value exceeding bound, since the top singular value dominates every
-    entry; that gives a slack-free completeness threshold 2*log(bound)
-    for the first simple root.
+    Returns an (N, 2, 2) int64 array of sign-canonical matrices, no words:
+    the first column (a, c) is coprime with a > 0, or it is (0, -1), which
+    makes b = 1. The extended Euclidean algorithm, run on all columns at
+    once, gives one completion (b0, d0); every other one is (b0 + k a,
+    d0 + k c), and each column's k range follows from the entry bound.
+    Rows come in scan order: by a, then c, then k. Any element outside
+    the array has top singular value exceeding bound, since the top
+    singular value dominates every entry; that gives a slack-free
+    completeness threshold 2*log(bound) for the first simple root.
     """
     bound = int(bound)
     if bound < 1:
         raise InvalidInput("bound must be a positive integer")
-    out = []
-    seen = set()
-    for a in range(-bound, bound + 1):
-        for c in range(-bound, bound + 1):
-            if math.gcd(a, c) != 1:
-                continue
-            # all (b, d) with a d - b c = 1: one solution plus k*(a, c)
-            g, x, y = _extended_gcd(a, c)
-            if g < 0:
-                x, y = -x, -y
-            b0, d0 = -y, x
-            r1 = _lattice_range(a, b0, bound)
-            r2 = _lattice_range(c, d0, bound)
-            if r1 is None or r2 is None:
-                continue
-            lo, hi = max(r1[0], r2[0]), min(r1[1], r2[1])
-            if lo > hi:
-                continue
-            for k in range(lo, hi + 1):
-                m = ((a, b0 + k * a), (c, d0 + k * c))
-                key = _int_canonical(m)
-                if key in seen:
-                    continue
-                seen.add(key)
-                mm = ((key[0], key[1]), (key[2], key[3]))
-                out.append((_modular_word(mm), mm))
-    out.sort(key=lambda rec: (len(rec[0]), rec[1]))
-    return out
+    a, c = (x.ravel() for x in np.meshgrid(
+        np.arange(bound + 1), np.arange(-bound, bound + 1), indexing="ij"))
+    keep = (np.gcd(a, c) == 1) & ((a > 0) | (c == -1))
+    a, c = a[keep], c[keep]
+    # rows r, r', x, x', y, y' with r = a x + c y, until r' is 0
+    state = np.stack([a, c, np.ones_like(a), np.zeros_like(a),
+                      np.zeros_like(a), np.ones_like(a)])
+    live = np.flatnonzero(c)
+    while live.size:
+        r, r1, x, x1, y, y1 = state[:, live]
+        q = r // r1
+        state[:, live] = r1, r - q * r1, x1, x - q * x1, y1, y - q * y1
+        live = live[state[1, live] != 0]
+    g = state[0]  # the gcd, 1 or -1
+    b0, d0 = -state[4] * g, state[2] * g
 
+    def k_range(step, base):
+        # |base + k step| <= bound; step is 0 only in the columns (0, -1)
+        # and (1, 0), where base is 1 and the other row keeps |k| <= bound
+        edge, div = bound * np.sign(step), np.where(step == 0, 1, step)
+        far = 2 * bound + 1
+        return (np.where(step == 0, -far, -((edge + base) // div)),
+                np.where(step == 0, far, (edge - base) // div))
 
-def _extended_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _lattice_range(step, base, bound):
-    """Integers k with |base + k*step| <= bound, as an inclusive pair."""
-    if step == 0:
-        return (-(10**9), 10**9) if abs(base) <= bound else None
-    q1 = (-bound - base) / step
-    q2 = (bound - base) / step
-    lo = math.ceil(min(q1, q2))
-    hi = math.floor(max(q1, q2))
-    if lo > hi:
-        return None
-    return (lo, hi)
-
-
-def _modular_word(m):
-    """A word in S, T, t multiplying out to the given integer matrix up to
-    sign, found by Euclidean reduction of the first column."""
-    (a, b), (c, d) = m
-    letters = []
-    # peel T^q S from the left until the lower-left entry dies
-    while c != 0:
-        # nearest quotient keeps |a - q c| <= |c|/2, so the column shrinks
-        q = round(a / c)
-        letters.extend(["T"] * q if q >= 0 else ["t"] * (-q))
-        letters.append("S")
-        # left-multiply current target by S^{-1} T^{-q}: track remaining matrix
-        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
-    # now a d = 1 up to sign
-    if a < 0:
-        a, b, d = -a, -b, -d
-    letters.extend(["T"] * b if b >= 0 else ["t"] * (-b))
-    word = Word(tuple(letters))
-    check = ((1, 0), (0, 1))
-    ints = {"S": MODULAR_S, "T": MODULAR_T, "t": ((1, -1), (0, 1))}
-    for letter in word:
-        check = _int_mul(check, ints[letter])
-    if _int_canonical(check) != _int_canonical(m):
-        raise InvalidInput("word reconstruction failed for %r" % (m,))
-    return word
+    (lo_b, hi_b), (lo_d, hi_d) = k_range(a, b0), k_range(c, d0)
+    lo = np.maximum(lo_b, lo_d)
+    count = np.maximum(np.minimum(hi_b, hi_d) - lo + 1, 0)
+    col = np.repeat(np.arange(len(a)), count)
+    k = np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count) + lo[col]
+    a, c = a[col], c[col]
+    return np.stack([a, b0[col] + k * a, c, d0[col] + k * c], axis=1).reshape(-1, 2, 2)
 
 
 class OrbitRecord:

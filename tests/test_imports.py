@@ -1,8 +1,11 @@
-"""Every module-level import of the orbitlab package is used.
+"""Every module-level import and every private helper of the orbitlab
+package is used.
 
 No linter ships with the project, so this keeps deletions from leaving
-dead imports behind: each name a module imports at top level must be
-read somewhere in that module.
+dead code behind: each name a module imports at top level must be read
+somewhere in that module, and each private module-level function or
+class, and each private method, must be read by some module of the
+package.
 """
 
 import ast
@@ -37,3 +40,52 @@ def test_no_unused_module_imports(path):
 def test_detector_flags_an_unused_name():
     source = "import math\nfrom os import path, sep\n\nprint(path)\n"
     assert unused_imports(source) == [(1, "math"), (2, "sep")]
+
+
+def private_definitions(source):
+    """(line, name) of the private module-level functions and classes of
+    a module and the private methods of its classes; dunders are not
+    private."""
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__"))
+    found = []
+    for node in ast.parse(source).body:
+        if private(node):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, item.name) for item in node.body if private(item)]
+    return found
+
+
+def read_names(source):
+    """Names a module reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each private definition of the given
+    module sources, a name-to-text dict, that none of them reads."""
+    read = set().union(*(read_names(text) for text in sources.values()))
+    return sorted((module, line, name) for module, text in sources.items()
+                  for line, name in private_definitions(text) if name not in read)
+
+
+def test_no_unread_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_detector_flags_an_unread_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n",
+        "b.py": ("from a import _used\n\n\nclass _Box:\n"
+                 "    def _spare(self):\n        pass\n\n"
+                 "    def __len__(self):\n        return 0\n\n\n"
+                 "print(_used(), _Box)\n"),
+    }
+    assert unread_private_names(sources) == [("a.py", 5, "_dead"), ("b.py", 5, "_spare")]

@@ -262,13 +262,6 @@ class TestEvaluate:
             sup_true, rel=1e-8
         )
 
-    def test_compensated_path_agrees(self):
-        rep = self.rep()
-        word = ["a", "b", "A", "B"] * 5
-        plain = evaluate(rep, word).log_singular_values()
-        comp = evaluate(rep, word, compensated=True).log_singular_values()
-        assert np.allclose(plain, comp, atol=1e-9)
-
     def test_submultiplicativity_in_log_domain(self):
         rng = np.random.default_rng(53)
         rep = sym_power(3)(SCHOTTKY_IMAGES)

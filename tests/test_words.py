@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orbitlab.cartan import factor_values, parse_functional, word_cartan
+from orbitlab.critexp import sample_from_norm_ball
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
     _doubled_group,
@@ -26,8 +27,6 @@ from orbitlab.words import (
     MODULAR_S,
     MODULAR_T,
     Word,
-    _int_canonical,
-    _int_mul,
     _walk_levels,
     _walk_rows,
     custom_group,
@@ -47,10 +46,26 @@ TWO_LOG_PHI = 0.96242365011920694
 INT_IMAGES = {"S": MODULAR_S, "T": MODULAR_T, "t": ((1, -1), (0, 1))}
 
 
+def int_mul(m, g):
+    (a, b), (c, d) = m
+    (p, q), (r, s) = g
+    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+
+
+def int_canonical(m):
+    """Row-major entries of an integer matrix, negated if the first
+    nonzero one is negative, so M and -M share a key."""
+    flat = tuple(int(x) for row in m for x in row)
+    for x in flat:
+        if x != 0:
+            return flat if x > 0 else tuple(-y for y in flat)
+    raise ValueError("zero matrix")
+
+
 def int_matrix_of(word):
     m = ((1, 0), (0, 1))
     for letter in word:
-        m = _int_mul(m, INT_IMAGES[letter])
+        m = int_mul(m, INT_IMAGES[letter])
     return m
 
 
@@ -64,7 +79,7 @@ def brute_box(bound):
             for c in rng:
                 for d in rng:
                     if a * d - b * c == 1:
-                        out.add(_int_canonical(((a, b), (c, d))))
+                        out.add(int_canonical(((a, b), (c, d))))
     return out
 
 
@@ -126,7 +141,7 @@ class TestEnumerate:
         for word, _ in enumerate_elements(modular_group(), 6):
             m = int_matrix_of(word)
             if max(abs(x) for row in m for x in row) <= 1:
-                got.add(_int_canonical(m))
+                got.add(int_canonical(m))
         assert got == want
 
     def test_modular_box_equivalence(self):
@@ -136,13 +151,13 @@ class TestEnumerate:
         for word, _ in enumerate_elements(modular_group(), 10):
             m = int_matrix_of(word)
             if max(abs(x) for row in m for x in row) <= 2:
-                got.add(_int_canonical(m))
+                got.add(int_canonical(m))
         assert got == want
 
     def test_modular_no_duplicates(self):
         seen = set()
         for word, _ in enumerate_elements(modular_group(), 8):
-            key = _int_canonical(int_matrix_of(word))
+            key = int_canonical(int_matrix_of(word))
             assert key not in seen
             seen.add(key)
 
@@ -209,7 +224,7 @@ def oracle_elements(group, max_len):
     letter, deduplicated one key at a time."""
     ints = group.int_images
     if group.kind == "modular":
-        key_of = lambda mob, intm: _int_canonical(intm)
+        key_of = lambda mob, intm: int_canonical(intm)
     elif group.kind == "custom":
         key_of = lambda mob, intm: _oracle_round(mob.mat, group.dedup_tol)
     elif group.kind == "doubled":
@@ -228,7 +243,7 @@ def oracle_elements(group, max_len):
                 if last is not None and group.inverse_letter[last] == letter:
                     continue
                 new_mob = mob @ group.images[letter]
-                new_int = _int_mul(intm, ints[letter]) if ints else None
+                new_int = int_mul(intm, ints[letter]) if ints else None
                 if key_of:
                     key = key_of(new_mob, new_int)
                     if key in seen:
@@ -302,7 +317,7 @@ class TestLevelWalker:
     def test_modular_key_overflow_raises(self):
         # T T has upper-left entry 2^64 - 1, past int64; it must not wrap
         big = ((2 ** 32, 1), (-1, 0))
-        assert _int_mul(big, big)[0][0] >= 2 ** 63
+        assert int_mul(big, big)[0][0] >= 2 ** 63
         group = modular_group()
         group.int_images = {"S": MODULAR_S, "T": big, "t": ((0, -1), (1, 2 ** 32))}
         with pytest.raises(InvalidInput, match="overflow"):
@@ -316,22 +331,37 @@ class TestLevelWalker:
 
 class TestNormBall:
     def test_matches_brute_scan(self):
-        for bound in (1, 2, 3, 5):
-            got = {_int_canonical(m) for _, m in modular_norm_ball(bound)}
+        for bound in (1, 2, 3, 5, 8):
+            got = {int_canonical(m) for m in modular_norm_ball(bound)}
             assert got == brute_box(bound)
 
     def test_ten_unit_classes(self):
         assert len(modular_norm_ball(1)) == 10
 
-    def test_words_rebuild_matrices(self):
-        for word, m in modular_norm_ball(4):
-            assert _int_canonical(int_matrix_of(word)) == _int_canonical(m)
+    def test_rows_are_canonical_and_distinct(self):
+        ball = modular_norm_ball(80)
+        assert ball.shape == (31_450, 2, 2)
+        assert ball.dtype == np.int64
+        assert all(int_canonical(m) == tuple(m.ravel().tolist()) for m in ball)
+        assert len(np.unique(ball.reshape(-1, 4), axis=0)) == len(ball)
+        dets = ball[:, 0, 0] * ball[:, 1, 1] - ball[:, 0, 1] * ball[:, 1, 0]
+        assert np.all(dets == 1)
+        assert np.abs(ball).max() == 80
+
+    def test_values_match_svd(self):
+        phi = parse_functional("a1")
+        got = sample_from_norm_ball(450, 3, phi).values
+        ball = modular_norm_ball(450).astype(float)
+        # sym3 of a 2x2 matrix with top singular value s1 has a1 = 2 log s1
+        logs = np.log(np.linalg.svd(ball, compute_uv=False)[:, 0])
+        want = np.sort(np.maximum(2.0 * logs, 0.0))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
 
     def test_entries_bounded_by_top_singular_value(self):
-        for _, m in modular_norm_ball(3):
-            arr = np.array(m, dtype=float)
-            s1 = np.linalg.svd(arr, compute_uv=False)[0]
-            assert max(abs(x) for row in m for x in row) <= s1 + 1e-9
+        for m in modular_norm_ball(3):
+            s1 = np.linalg.svd(m.astype(float), compute_uv=False)[0]
+            assert np.abs(m).max() <= s1 + 1e-9
 
     def test_bad_bound(self):
         with pytest.raises(InvalidInput):
