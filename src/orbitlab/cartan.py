@@ -4,7 +4,11 @@ The Cartan projection of an invertible matrix is the sorted vector of logs
 of its singular values, centered to sum zero so that scalar multiples (and
 hence projective representatives) agree. For symplectic matrices the
 singular values come in reciprocal pairs; the vector is symmetrized by
-averaging the pairs and refuses inputs whose asymmetry exceeds tolerance.
+averaging the pairs, on every route by the one routine _centered, after
+a pairing check: CartanVector refuses a caller's vector off by more than
+1e-8 (InvalidInput), cartan_projection a matrix off by more than
+PAIRING_TOL (IllConditioned), and the factor rows of a product
+representation pair by construction.
 
 Functionals are simple-root combinations, fundamental weights, or the
 long root of the symplectic series:
@@ -32,16 +36,13 @@ PAIRING_TOL = 1e-6
 
 def _centered(lam, lie_type):
     """Rows of sorted log singular values centered to sum zero; C-type
-    rows are symmetrized over their reciprocal pairs, and a pairing off
-    by more than 1e-8 in any row is refused."""
+    rows are symmetrized over their reciprocal pairs. The one place the
+    pairs are averaged: callers check the pairing first, at their own
+    tolerance."""
     lam = lam - lam.mean(axis=-1, keepdims=True)
     if lie_type == "C":
         n = lam.shape[-1] // 2
-        top, bottom = lam[..., :n], lam[..., ::-1][..., :n]
-        asym = np.abs(top + bottom).max()
-        if asym > 1e-8:
-            raise InvalidInput("C-type pairing violated by %.3g" % asym)
-        half = 0.5 * (top - bottom)
+        half = 0.5 * (lam[..., :n] - lam[..., ::-1][..., :n])
         lam = np.concatenate([half, -half[..., ::-1]], axis=-1)
     return lam
 
@@ -59,6 +60,10 @@ class CartanVector:
             raise InvalidInput("C-type vector length must be even")
         if np.any(np.diff(lam) > 1e-9):
             raise InvalidInput("Cartan vector must be sorted non-increasing")
+        if lie_type == "C":
+            asym = np.abs(lam + lam[::-1] - 2.0 * lam.mean()).max()
+            if asym > 1e-8:
+                raise InvalidInput("C-type pairing violated by %.3g" % asym)
         self.lie_type = lie_type
         self.lambdas = _centered(lam, lie_type)
 
@@ -101,17 +106,13 @@ def cartan_projection(sm, lie_type="A"):
             % (svals[0] / max(svals[-1], 1e-300), CONDITION_LIMIT)
         )
     lam = np.log(svals)
-    lam = lam - lam.mean()
     if lie_type == "C":
-        n = lam.size // 2
-        asym = np.abs(lam[:n] + lam[::-1][:n]).max()
+        asym = np.abs(lam + lam[::-1] - 2.0 * lam.mean()).max()
         if asym > PAIRING_TOL:
             raise IllConditioned(
                 "symplectic singular values fail to pair, asymmetry %.3g" % asym
             )
-        half = 0.5 * (lam[:n] - lam[::-1][:n])
-        lam = np.concatenate([half, -half[::-1]])
-    return CartanVector(lam, lie_type)
+    return CartanVector._of(_centered(lam, lie_type), lie_type)
 
 
 def _boost_half_lengths(mats, log_scales):

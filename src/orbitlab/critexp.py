@@ -51,7 +51,9 @@ class ValueSample:
     __slots__ = ("values", "complete_to", "label", "provenance")
 
     def __init__(self, values, complete_to, label=""):
-        vals = np.sort(np.asarray(list(values), dtype=float))
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)
+        vals = np.sort(np.asarray(values, dtype=float))
         if vals.size and vals[0] < -1e-9:
             raise InvalidInput("functional values must be nonnegative")
         vals = np.where(vals < CLAMP, 0.0, vals)
@@ -79,9 +81,7 @@ class ValueSample:
 
 def poincare_series(vs, s):
     """Truncated sum of e^(-s v) over the sample, compensated, in
-    ascending value order."""
-    if len(vs) == 0:
-        return 0.0
+    ascending value order; 0 for an empty sample."""
     return math.fsum(math.exp(-s * v) for v in vs.values)
 
 
@@ -163,18 +163,21 @@ def estimate_exponent(vs, window=None, method="slope", threshold=1.0):
             fit.slope, fit.stderr, "slope", (t0, t1), inside.size, vs.complete_to
         )
     if method == "bisection":
+        # the window's values as a sample: poincare_series then sums the
+        # series truncated to the window
+        window_vs = ValueSample(inside, 0.0)
         lo, hi = 0.0, 1.0
-        while _window_series(inside, hi) >= threshold:
+        while poincare_series(window_vs, hi) >= threshold:
             hi *= 2.0
             if hi > 1e6:
                 raise InsufficientData("window series never drops below threshold")
-        if _window_series(inside, lo) < threshold:
+        if poincare_series(window_vs, lo) < threshold:
             return ExponentEstimate(
                 0.0, 0.0, "bisection", (t0, t1), inside.size, vs.complete_to
             )
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _window_series(inside, mid) >= threshold:
+            if poincare_series(window_vs, mid) >= threshold:
                 lo = mid
             else:
                 hi = mid
@@ -187,10 +190,6 @@ def estimate_exponent(vs, window=None, method="slope", threshold=1.0):
             vs.complete_to,
         )
     raise InvalidInput("method must be slope or bisection")
-
-
-def _window_series(values, s):
-    return math.fsum(math.exp(-s * v) for v in values)
 
 
 def sample_from_records(records, phi, complete_to, label=""):

@@ -20,12 +20,8 @@ import math
 import numpy as np
 
 from .critexp import _frontier_sample
-from .errors import (
-    InvalidInput,
-    OverlappingAxes,
-    SpectrumNotLoxodromic,
-)
-from .flags import Flag, _loxodromic_frame, flag_distance
+from .errors import InvalidInput, OverlappingAxes
+from .flags import Flag, _eigenbasis, _loxodromic_frame, flag_distance
 from .hypdisc import (
     BoundaryPoint,
     Mobius,
@@ -149,27 +145,6 @@ def x_involution(d):
     return np.diag([(-1.0) ** j for j in range(d)])
 
 
-def _eigenbasis_descending(mat, tol=1e-9):
-    """Real eigenbasis with columns ordered by decreasing eigenvalue
-    modulus; collisions and complex spectra are rejected."""
-    lam, vec = np.linalg.eig(np.asarray(mat, dtype=float))
-    top = float(np.abs(lam).max())
-    if top == 0.0:
-        raise SpectrumNotLoxodromic("zero spectrum")
-    if float(np.abs(lam.imag).max()) > tol * top:
-        raise SpectrumNotLoxodromic("complex eigenvalues block a real eigenbasis")
-    lam = lam.real
-    order = np.argsort(-np.abs(lam))
-    lam = lam[order]
-    vec = vec[:, order].real
-    for i in range(len(lam) - 1):
-        if abs(lam[i]) - abs(lam[i + 1]) <= tol * abs(lam[i]):
-            raise SpectrumNotLoxodromic(
-                "eigenvalue moduli %d and %d are not separated" % (i, i + 1)
-            )
-    return vec / np.linalg.norm(vec, axis=0, keepdims=True)
-
-
 def _check_involution(mat, label):
     d = mat.shape[0]
     err = float(np.abs(mat @ mat - np.eye(d)).max())
@@ -253,9 +228,6 @@ class DoubledRep:
         # restriction to the base alphabet must be the base table itself
         for k, v in base.images.items():
             self.rep.images[k] = v
-        for k, v in base.images.items():
-            if not np.array_equal(self.rep.images[k], v):
-                raise InvalidInput("doubled table no longer restricts to the base")
 
     @property
     def dim(self):
@@ -285,7 +257,10 @@ def double_rep(rep, boundary_elements):
     coordinate subspaces, the repelling flag on trailing ones, and R
     fixes both. Representations with a single two-by-two factor keep
     that structure: the reflection's factor is the framed diag(1, -1),
-    whose symmetric power is R itself.
+    whose symmetric power is R itself. Any other representation takes
+    g from flags._eigenbasis, the eigenbasis of attracting_flag, so it
+    is refused where attracting_flag would be: complex eigenvalues, or
+    consecutive moduli within a ratio of 1 + flags.LOG_GAP_MIN.
     """
     boundary = [_as_word(w) for w in boundary_elements]
     d = rep.dim
@@ -306,7 +281,7 @@ def double_rep(rep, boundary_elements):
             basis = sym_power_matrix(frame, d)
             factor = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
         else:
-            basis = _eigenbasis_descending(evaluate(rep, w).mat)
+            basis = _eigenbasis(evaluate(rep, w).mat)
             factor = None
         big = basis @ x @ np.linalg.inv(basis)
         _check_involution(big, str(w))
@@ -367,7 +342,7 @@ def _doubled_group(group, doubled):
         inverse_letter[c] = c
     return GroupSpec(
         "doubled", list(group.alphabet) + list(doubled.letters), images,
-        inverse_letter, False, dedup_tol=DEDUP_TOL,
+        inverse_letter, dedup_tol=DEDUP_TOL,
     )
 
 

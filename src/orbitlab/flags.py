@@ -25,7 +25,7 @@ from .errors import (
     NotTransverse,
     SpectrumNotLoxodromic,
 )
-from .hypdisc import Mobius
+from .hypdisc import Mobius, _kernel_vector
 from .reps import ScaledMatrix, evaluate, sym_power_matrix
 from .tpos import Unitriangular, factorize
 from .words import _factor_tables, _limit_rows, limit_sample_words
@@ -122,25 +122,28 @@ def attracting_flag(m):
     Requires a real spectrum with pairwise modulus gaps; complex pairs
     or near-ties have no attracting flag.
     """
-    mat = _as_square_matrix(m)
+    return Flag(_eigenbasis(_as_square_matrix(m)))
+
+
+def _eigenbasis(mat):
+    """Real unit eigenvectors of a square matrix as columns, by
+    decreasing eigenvalue modulus; SpectrumNotLoxodromic unless the
+    spectrum is real and consecutive moduli differ by a ratio above
+    1 + LOG_GAP_MIN."""
     vals, vecs = np.linalg.eig(mat)
     scale = np.max(np.abs(vals))
     if scale == 0.0:
         raise SpectrumNotLoxodromic("zero spectrum")
     if np.max(np.abs(vals.imag)) > 1e-9 * scale:
         raise SpectrumNotLoxodromic("complex eigenvalues, no modulus gaps")
-    vals = vals.real
-    vecs = vecs.real
-    order = np.argsort(-np.abs(vals))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    mods = np.abs(vals)
-    for i in range(len(vals) - 1):
+    order = np.argsort(-np.abs(vals.real))
+    mods = np.abs(vals.real[order])
+    for i in range(len(mods) - 1):
         if mods[i + 1] == 0.0 or mods[i] / mods[i + 1] <= 1.0 + LOG_GAP_MIN:
             raise SpectrumNotLoxodromic(
                 "eigenvalue moduli %d and %d are too close" % (i + 1, i + 2)
             )
-    return Flag(vecs)
+    return vecs.real[:, order]
 
 
 def cartan_attractor(sm):
@@ -275,7 +278,8 @@ def veronese_flag(t, d):
 
 def _loxodromic_frame(mat, tol=1e-9):
     """Eigenbasis [attracting | repelling] of a real 2x2 with distinct
-    real eigenvalue moduli, via the explicit kernel formula; immune to
+    real eigenvalue moduli, via the explicit kernel formula that
+    hypdisc.fixed_points also reads (hypdisc._kernel_vector); immune to
     the balancing loss that general eigensolvers suffer on strongly
     graded matrices."""
     tr = mat[0, 0] + mat[1, 1]
@@ -285,17 +289,8 @@ def _loxodromic_frame(mat, tol=1e-9):
         raise SpectrumNotLoxodromic("two-by-two factor is not loxodromic")
     root = np.sqrt(disc)
     big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
-    lams = (big, det / big)
-    cols = []
-    for lam in lams:
-        v1 = np.array([mat[0, 1], lam - mat[0, 0]])
-        v2 = np.array([lam - mat[1, 1], mat[1, 0]])
-        v = v1 if np.hypot(*v1) >= np.hypot(*v2) else v2
-        n = np.hypot(*v)
-        if n == 0.0:
-            raise SpectrumNotLoxodromic("scalar two-by-two factor")
-        cols.append(v / n)
-    return np.column_stack(cols)
+    kernels = [np.array(_kernel_vector(mat, lam)) for lam in (big, det / big)]
+    return np.column_stack([v / np.hypot(*v) for v in kernels])
 
 
 def limit_flags(rep, group, depth):

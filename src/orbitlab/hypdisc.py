@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyShadow, InvalidInput
+from .errors import InvalidInput
 
 TWO_PI = 2.0 * math.pi
 
@@ -308,30 +308,20 @@ def fixed_points(m, tol=TRACE_TOL):
     if kind not in ("hyperbolic", "parabolic"):
         raise InvalidInput("no boundary fixed points for %s values" % kind)
     mat = m.mat if (m.mat[0, 0] + m.mat[1, 1]) >= 0 else -m.mat
-    a, b, c, d = mat.ravel()
-    tr = a + d
-    if kind == "hyperbolic":
-        root = math.sqrt(tr * tr - 4.0)
-        lam_plus = 0.5 * (tr + root)
-        lam_minus = 0.5 * (tr - root)
-        return (
-            _eigen_boundary(a, b, c, d, lam_plus),
-            _eigen_boundary(a, b, c, d, lam_minus),
-        )
-    fp = _eigen_boundary(a, b, c, d, 0.5 * tr)
-    return (fp, BoundaryPoint(fp.theta))
+    tr = mat[0, 0] + mat[1, 1]
+    root = math.sqrt(tr * tr - 4.0) if kind == "hyperbolic" else 0.0
+    return tuple(BoundaryPoint(2.0 * math.atan2(w[1], w[0])) for w in
+                 (_kernel_vector(mat, 0.5 * (tr + root)),
+                  _kernel_vector(mat, 0.5 * (tr - root))))
 
 
-def _eigen_boundary(a, b, c, d, lam):
-    # kernel direction of (mat - lam I), taking the better conditioned row
-    v1 = (b, lam - a)
-    v2 = (lam - d, c)
-    w = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-    n = math.hypot(*w)
-    if n < 1e-14:
-        # scalar matrix; any direction is fixed, pick angle 0
-        return BoundaryPoint(0.0)
-    return BoundaryPoint(2.0 * math.atan2(w[1], w[0]))
+def _kernel_vector(mat, lam):
+    """A vector spanning the kernel of mat - lam I, for an eigenvalue lam
+    of a real 2x2 that is not scalar: the normal of the longer row, the
+    better conditioned of the two."""
+    v1 = (mat[0, 1], lam - mat[0, 0])
+    v2 = (lam - mat[1, 1], mat[1, 0])
+    return v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
 
 
 def translation_to_origin(b0):
@@ -415,18 +405,3 @@ def shadow_of_isometry(m, r, b0=ORIGIN):
         mid = apply_boundary(h.inverse(), std.center)
         return Shadow(mid.theta, math.pi, full=True)
     return _transport_arc(h.inverse(), std)
-
-
-def coarse_endpoints(sh, limit_pts):
-    """First and last limit point inside the arc, ordered along the arc
-    from its counterclockwise start (for the full circle: by plain angle)."""
-    if sh.full:
-        inside = list(limit_pts)
-        key = lambda p: p.theta
-    else:
-        start = sh.start()
-        inside = [p for p in limit_pts if sh.contains(p.theta)]
-        key = lambda p: wrap_angle(p.theta - start)
-    if not inside:
-        raise EmptyShadow("no limit point inside the shadow")
-    return (min(inside, key=key), max(inside, key=key))

@@ -110,8 +110,9 @@ def write_distortion_csv(report, path):
 
 def _arc_extremes(thetas, sh):
     """Indices of the first and last sorted angle inside the arc, in arc
-    order; None when fewer than two sample points fall inside. Matches
-    coarse_endpoints on the same data, by bisection instead of a scan."""
+    order; None when fewer than two sample points fall inside. Found by
+    bisection, not by a scan over the sample; tests/test_hypdisc.py keeps
+    the scan, coarse_endpoints, as the oracle it must match."""
     n = thetas.size
     if n == 0:
         return None

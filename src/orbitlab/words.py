@@ -9,13 +9,15 @@ around its minor right-singular direction, of half angle
 the arc of its inverse, so 2k pairwise disjoint arcs force the group to be
 free and discrete, and word enumeration needs only free reduction. modular
 is the integer group generated by s = [[0,-1],[1,0]] and t = [[1,1],[0,1]];
-its elements are deduplicated exactly as integer matrices up to overall
-sign. custom takes arbitrary generators and deduplicates by rounding, which
-can merge distinct elements of a non-discrete group, so enumeration is
-flagged non-exhaustive (exact_dedup is False, and certified samples say so
-in their label) and a crude discreteness probe only warns. A fourth kind,
-doubled, is the reflection extension that the doubling module builds; it
-also deduplicates by rounding.
+its elements are deduplicated exactly, on their float64 rows up to
+overall sign, which hold exact integers while every entry stays below
+2^53 (the walk raises before a product could pass it). custom takes
+arbitrary generators and deduplicates by rounding, which can merge
+distinct elements of a non-discrete group, so enumeration is flagged
+non-exhaustive (exact_dedup, which follows from the kind, is False, and
+certified samples say so in their label) and a crude discreteness probe
+only warns. A fourth kind, doubled, is the reflection extension that
+the doubling module builds; it also deduplicates by rounding.
 
 One breadth-first walker serves every kind, and it alone forms the
 products along the words of a ball. _walk_levels keeps the word tree as
@@ -103,22 +105,24 @@ class GroupSpec:
 
     Fields: kind; alphabet (ordered letters, generators first with each
     inverse right after its generator); images, letter to Mobius;
-    inverse_letter map; exact_dedup, whether enumeration is guaranteed
-    duplicate-free and exhaustive.
+    inverse_letter map; dedup_tol, the rounding tolerance of the custom
+    and doubled kinds. exact_dedup, whether enumeration is guaranteed
+    duplicate-free and exhaustive, follows from the kind: free_schottky
+    needs no dedup and modular dedups on its exact float rows.
     """
 
-    __slots__ = ("kind", "alphabet", "images", "inverse_letter", "exact_dedup",
-                 "dedup_tol", "int_images")
+    __slots__ = ("kind", "alphabet", "images", "inverse_letter", "dedup_tol")
 
-    def __init__(self, kind, alphabet, images, inverse_letter, exact_dedup,
-                 dedup_tol=None, int_images=None):
+    def __init__(self, kind, alphabet, images, inverse_letter, dedup_tol=None):
         self.kind = kind
         self.alphabet = list(alphabet)
         self.images = dict(images)
         self.inverse_letter = dict(inverse_letter)
-        self.exact_dedup = exact_dedup
         self.dedup_tol = dedup_tol
-        self.int_images = int_images
+
+    @property
+    def exact_dedup(self):
+        return self.kind in ("free_schottky", "modular")
 
     def image(self, letter):
         try:
@@ -148,6 +152,28 @@ def _contraction_arc(mob):
     return center, half
 
 
+def _free_tables(generators):
+    """Alphabet, letter-to-Mobius and inverse-letter tables of the free
+    group on the given generators: letters a, A, b, B, ..., the capital
+    the inverse."""
+    gens = [g if isinstance(g, Mobius) else Mobius(g) for g in generators]
+    if not gens:
+        raise InvalidInput("need at least one generator")
+    if len(gens) > 26:
+        raise InvalidInput("at most 26 generators")
+    alphabet = []
+    images = {}
+    inverse_letter = {}
+    for i, g in enumerate(gens):
+        lo, up = chr(ord("a") + i), chr(ord("A") + i)
+        alphabet += [lo, up]
+        images[lo] = g
+        images[up] = g.inverse()
+        inverse_letter[lo] = up
+        inverse_letter[up] = lo
+    return alphabet, images, inverse_letter
+
+
 def free_schottky(generators):
     """Schottky group on hyperbolic generators, ping-pong checked.
 
@@ -156,16 +182,8 @@ def free_schottky(generators):
     ((0.5, 1.2), (3.0, 3.8)) with lengths (0.7, 1.1) give a pants group
     (tr ab = -2.79 with positive lifts), yet the arcs of a and B overlap.
     """
-    gens = [g if isinstance(g, Mobius) else Mobius(g) for g in generators]
-    if not gens:
-        raise InvalidInput("need at least one generator")
-    alphabet = []
-    images = {}
-    inverse_letter = {}
-    arcs = []
-    for i, g in enumerate(gens):
-        if i >= 26:
-            raise InvalidInput("at most 26 generators")
+    alphabet, images, inverse_letter = _free_tables(generators)
+    for i, g in enumerate(images[a] for a in alphabet[::2]):
         if g.orientation != 1:
             raise InvalidInput("generator %d is orientation reversing" % (i + 1))
         if classify(g) != "hyperbolic":
@@ -173,14 +191,7 @@ def free_schottky(generators):
                 "generator %d is %s, Schottky generators must be hyperbolic"
                 % (i + 1, classify(g))
             )
-        lo, up = chr(ord("a") + i), chr(ord("A") + i)
-        alphabet += [lo, up]
-        images[lo] = g
-        images[up] = g.inverse()
-        inverse_letter[lo] = up
-        inverse_letter[up] = lo
-        arcs.append((lo, _contraction_arc(g)))
-        arcs.append((up, _contraction_arc(g.inverse())))
+    arcs = [(a, _contraction_arc(images[a])) for a in alphabet]
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
             (la, (ca, ha)), (lb, (cb, hb)) = arcs[i], arcs[j]
@@ -189,7 +200,7 @@ def free_schottky(generators):
                     "ping-pong arcs of %s and %s overlap; not a Schottky system"
                     % (la, lb)
                 )
-    return GroupSpec("free_schottky", alphabet, images, inverse_letter, True)
+    return GroupSpec("free_schottky", alphabet, images, inverse_letter)
 
 
 def standard_schottky(translation_length=4.0, axis_angle=0.5 * math.pi):
@@ -208,38 +219,13 @@ def modular_group():
     t = Mobius(np.array(MODULAR_T, dtype=float))
     images = {"S": s, "T": t, "t": t.inverse()}
     inverse_letter = {"S": "S", "T": "t", "t": "T"}
-    int_images = {
-        "S": MODULAR_S,
-        "T": MODULAR_T,
-        "t": ((1, -1), (0, 1)),
-    }
-    return GroupSpec(
-        "modular", ["S", "T", "t"], images, inverse_letter, True,
-        int_images=int_images,
-    )
+    return GroupSpec("modular", ["S", "T", "t"], images, inverse_letter)
 
 
 def custom_group(generators, dedup_tol=1e-8):
     """Arbitrary generators; duplicates are merged by rounding at dedup_tol
     and enumeration is therefore flagged non-exhaustive."""
-    gens = [g if isinstance(g, Mobius) else Mobius(g) for g in generators]
-    if not gens:
-        raise InvalidInput("need at least one generator")
-    alphabet = []
-    images = {}
-    inverse_letter = {}
-    for i, g in enumerate(gens):
-        if i >= 26:
-            raise InvalidInput("at most 26 generators")
-        lo, up = chr(ord("a") + i), chr(ord("A") + i)
-        alphabet += [lo, up]
-        images[lo] = g
-        images[up] = g.inverse()
-        inverse_letter[lo] = up
-        inverse_letter[up] = lo
-    group = GroupSpec(
-        "custom", alphabet, images, inverse_letter, False, dedup_tol=dedup_tol
-    )
+    group = GroupSpec("custom", *_free_tables(generators), dedup_tol=dedup_tol)
     _discreteness_probe(group)
     return group
 
@@ -313,22 +299,18 @@ class _Level:
     alphabet[letter[i]]. mats holds its Mobius matrix normalized to
     |det| = 1 and orientation its orientation; products holds, for each
     letter table walked, the pair (matrices, log scales) of the
-    ScaledMatrix product along the word; ints the integer matrix of a
-    modular word; words, when the walk spells, the letter tuple of each
-    row.
+    ScaledMatrix product along the word; words, when the walk spells,
+    the letter tuple of each row.
     """
 
-    __slots__ = ("parent", "letter", "mats", "orientation", "products", "ints",
-                 "words")
+    __slots__ = ("parent", "letter", "mats", "orientation", "products", "words")
 
-    def __init__(self, parent, letter, mats, orientation, products, ints,
-                 words=None):
+    def __init__(self, parent, letter, mats, orientation, products, words=None):
         self.parent = parent
         self.letter = letter
         self.mats = mats
         self.orientation = orientation
         self.products = products
-        self.ints = ints
         self.words = words
 
     def __len__(self):
@@ -338,7 +320,6 @@ class _Level:
         return _Level(
             self.parent[rows], self.letter[rows], self.mats[rows],
             self.orientation[rows], [(m[rows], s[rows]) for m, s in self.products],
-            None if self.ints is None else self.ints[rows],
         )
 
 
@@ -349,7 +330,8 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     every row is extended by every letter except the inverse of its
     last one (free reduction), so row by row and letter by letter the
     candidates come in stream order. Duplicates are dropped by key,
-    exactly for modular (an int64 overflow raises) and by rounding for
+    exactly for modular, whose float rows are integers (InvalidInput
+    is raised before an entry could pass 2^53), and by rounding for
     custom and doubled; the first row with a key wins, and rows of
     earlier levels come first. tables are letter-to-matrix dicts whose
     ScaledMatrix products along each word the levels carry as well, and
@@ -364,10 +346,9 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     images = np.array([group.images[a].mat for a in alphabet])
     stacks = [np.array([np.asarray(t[a], dtype=float) for a in alphabet])
               for t in tables]
-    ints = key_of = None
+    key_of = None
     if group.kind == "modular":
-        ints = np.array([group.int_images[a] for a in alphabet], dtype=np.int64)
-        key_of = lambda level: _sign_canonical(level.ints.reshape(-1, 4), 0)
+        key_of = lambda level: _sign_canonical(level.mats.reshape(-1, 4), 0) + 0.0
     elif group.kind == "custom":
         key_of = lambda level: _round_canonical(level.mats.reshape(-1, 4),
                                                 group.dedup_tol)
@@ -377,7 +358,6 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     level = _Level(
         np.array([-1]), np.array([-1]), np.eye(2)[np.newaxis], np.array([1]),
         [(np.eye(len(st[0]))[np.newaxis], np.zeros(1)) for st in stacks],
-        None if ints is None else np.eye(2, dtype=np.int64)[np.newaxis],
         [()] if spell else None,
     )
     seen = key_of(level) if key_of else None
@@ -388,27 +368,22 @@ def _walk_levels(group, max_len, tables=(), spell=False):
         if length:
             allowed[np.arange(len(level)), inverse[level.letter]] = False
         rows, letters = np.nonzero(allowed)
+        if (group.kind == "modular"
+                and 2.0 * np.abs(level.mats).max() * np.abs(images).max() >= 2.0 ** 53):
+            raise InvalidInput(
+                "integer entries could pass 2^53 past word length %d" % length
+            )
         mats, orientation = _unit_det_rows(np.matmul(level.mats[rows], images[letters]))
         products = [
             _times_rows(m[rows], s[rows], st[letters])
             for (m, s), st in zip(level.products, stacks)
         ]
-        new_ints = None
-        if ints is not None:
-            grow = 2 * int(np.abs(level.ints).max()) * int(np.abs(ints).max())
-            if grow >= 2 ** 63:
-                raise InvalidInput(
-                    "integer entries overflow 64 bits past word length %d" % length
-                )
-            new_ints = np.matmul(level.ints[rows], ints[letters])
-        level = _Level(rows, letters, mats, orientation, products, new_ints)
+        level = _Level(rows, letters, mats, orientation, products)
         # a consumer computes while the walk waits at the yield; the
         # candidate arrays must not add to its peak
-        del allowed, rows, letters, mats, orientation, products, new_ints
+        del allowed, rows, letters, mats, orientation, products
         if key_of:
             keys = key_of(level)
-            if ints is not None and not np.all(keys.any(axis=1)):
-                raise InvalidInput("zero matrix")
             kept = _first_new(keys, seen)
             level = level.take(kept)
             seen = np.concatenate([seen, keys[kept]])
@@ -482,10 +457,11 @@ def enumerate_elements(group, max_len):
     candidate w l l^-1 is the element w itself, in any group and whatever
     its relations, and w was yielded two levels earlier. So pruning loses
     no element, and the yielded words stay freely reduced. free_schottky
-    needs nothing more. modular deduplicates exactly as integer matrices
-    up to sign, custom by rounding at its dedup_tol, and doubled (built
-    by the doubling module) by rounding relative to the matrix
-    magnitude; an element reached by two reduced words keeps the first.
+    needs nothing more. modular deduplicates exactly on its float rows,
+    integer matrices up to sign, custom by rounding at its dedup_tol,
+    and doubled (built by the doubling module) by rounding relative to
+    the matrix magnitude; an element reached by two reduced words keeps
+    the first.
     The elements come from the level arrays of _walk_levels.
     """
     for word, mob, _, _ in _walk_rows(group, max_len):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from orbitlab.errors import IllConditioned, InvalidInput
 from orbitlab.cartan import (
+    PAIRING_TOL,
     CartanVector,
     RootFunctional,
     cartan_projection,
@@ -13,7 +15,7 @@ from orbitlab.cartan import (
     sp_long_root_min_check,
     weight_value,
 )
-from orbitlab.reps import ScaledMatrix, evaluate, sym_power
+from orbitlab.reps import ScaledMatrix, evaluate, standard_symplectic_form, sym_power
 
 # frozen: 2 log((1+sqrt 5)/2), the top log singular value of [[2,1],[1,1]]
 TWO_LOG_PHI = 0.96242365011920694
@@ -65,6 +67,49 @@ class TestCartanProjection:
         sm = ScaledMatrix(np.diag([math.e**2, 1.0, math.e**-2]), log_scale=300.0)
         kv = cartan_projection(sm)
         assert np.allclose(kv.lambdas, [2.0, 0.0, -2.0], atol=1e-12)
+
+
+def two_pass_projection(m, lie_type):
+    """The route cartan_projection took before it shared _centered: log
+    singular values centered and, for C-type, averaged over their pairs,
+    then centered and averaged again as a caller's vector."""
+    def center(lam):
+        lam = lam - lam.mean()
+        if lie_type == "C":
+            n = lam.size // 2
+            half = 0.5 * (lam[:n] - lam[::-1][:n])
+            lam = np.concatenate([half, -half[::-1]])
+        return lam
+    return center(center(np.log(np.linalg.svd(m, compute_uv=False))))
+
+
+def test_projection_matches_the_two_pass_route():
+    rng = np.random.default_rng(71)
+    form = standard_symplectic_form(2)
+    cases = [(rng.normal(size=(d, d)), "A") for d in (2, 3, 4) for _ in range(20)]
+    for _ in range(20):
+        s = rng.normal(size=(4, 4))
+        cases.append((expm(0.5 * form @ (s + s.T)), "C"))
+    # an Sp(4) matrix whose top singular value is 5e-7 off its pair in
+    # log: past CartanVector's 1e-8, within PAIRING_TOL, so still taken
+    u, svals, vt = np.linalg.svd(cases[-1][0])
+    off = u @ np.diag(svals * np.exp([5e-7, 0.0, 0.0, 0.0])) @ vt
+    lam = np.log(np.linalg.svd(off, compute_uv=False))
+    lam -= lam.mean()
+    assert 1e-8 < np.abs(lam + lam[::-1]).max() <= PAIRING_TOL
+    cases.append((off, "C"))
+    for m, lie_type in cases:
+        got = cartan_projection(m, lie_type).lambdas
+        assert np.abs(got - two_pass_projection(m, lie_type)).max() <= 1e-15
+
+
+def test_caller_vector_pairing_is_checked():
+    # CartanVector refuses a caller's C-type vector off its pairs by more
+    # than 1e-8 and averages one within it
+    with pytest.raises(InvalidInput):
+        CartanVector([3.0, 1.0 + 1e-7, -1.0, -3.0], lie_type="C")
+    kv = CartanVector([3.0, 1.0 + 1e-9, -1.0, -3.0], lie_type="C")
+    assert np.array_equal(kv.lambdas, -kv.lambdas[::-1])
 
 
 class TestRootsAndWeights:

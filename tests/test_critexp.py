@@ -67,6 +67,19 @@ def test_values_are_sorted_and_clamped():
     assert len(vs) == 4
 
 
+def test_array_list_and_generator_inputs_agree():
+    # arrays and lists go to numpy as they are; only an iterator is listed
+    values = np.random.default_rng(5).exponential(3.0, 1000)
+    values[::7] = 0.0
+    arrays = [ValueSample(values, 2.0).values,
+              ValueSample(values.tolist(), 2.0).values,
+              ValueSample((v for v in values), 2.0).values]
+    for got in arrays:
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.sort(values))
+    assert all(a.tobytes() == arrays[0].tobytes() for a in arrays)
+
+
 def test_negative_values_rejected():
     with pytest.raises(InvalidInput):
         ValueSample([-0.5, 1.0], 0.5)

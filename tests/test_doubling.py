@@ -237,6 +237,30 @@ def test_dense_route_matches_structural():
         assert np.abs(dbl_s.rep.image(c) - dbl_d.rep.image(c)).max() < 1e-8
 
 
+def eigenbasis_descending(mat):
+    """The dense route's eigenbasis before it shared attracting_flag's:
+    unit eigenvectors by decreasing eigenvalue modulus."""
+    lam, vec = np.linalg.eig(mat)
+    vec = vec[:, np.argsort(-np.abs(lam.real))].real
+    return vec / np.linalg.norm(vec, axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_dense_route_matches_the_descending_eigenbasis(d):
+    group, _ = pants_rep(d)
+    dense = custom_rep(
+        {c: sym_power_matrix(group.image(c).mat, d) for c in "abAB"},
+        d,
+        label="dense sym%d" % d,
+    )
+    x = x_involution(d)
+    dbl = double_rep(dense, PANTS_BOUNDARY)
+    for w, image in zip(PANTS_BOUNDARY, dbl.reflection_images):
+        basis = eigenbasis_descending(evaluate(dense, Word(tuple(w))).mat)
+        want = basis @ x @ np.linalg.inv(basis)
+        assert np.abs(image - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_double_rep_rejects_bad_boundary():
     rep = sym_power(3)(modular_group().generator_matrices(), label="sym3")
     with pytest.raises(SpectrumNotLoxodromic):

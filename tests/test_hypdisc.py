@@ -15,13 +15,13 @@ from orbitlab.hypdisc import (
     apply_isometry,
     classify,
     _transport_arc,
-    coarse_endpoints,
     dist_h,
     displacement,
     fixed_points,
     shadow,
     shadow_of_isometry,
     translation_to_origin,
+    wrap_angle,
 )
 
 HALF_LN3 = 0.54930614433405489
@@ -306,6 +306,22 @@ def test_origin_conjugation_is_bit_identical():
         assert (got.center.theta, got.half_angle, got.full) == (
             want.center.theta, want.half_angle, want.full)
     assert 0 < fulls < 200
+
+
+def coarse_endpoints(sh, limit_pts):
+    """First and last limit point inside the arc, ordered along the arc
+    from its counterclockwise start (for the full circle: by plain
+    angle); the reference scan that limitgeom._arc_extremes replaces."""
+    if sh.full:
+        inside = list(limit_pts)
+        key = lambda p: p.theta
+    else:
+        start = sh.start()
+        inside = [p for p in limit_pts if sh.contains(p.theta)]
+        key = lambda p: wrap_angle(p.theta - start)
+    if not inside:
+        raise EmptyShadow("no limit point inside the shadow")
+    return (min(inside, key=key), max(inside, key=key))
 
 
 class TestCoarseEndpoints:

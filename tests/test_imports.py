@@ -1,15 +1,16 @@
-"""Every module-level import and every private helper of the orbitlab
-package is used.
+"""Every module-level import, private helper and constant of the
+orbitlab package is used.
 
 No linter ships with the project, so this keeps deletions from leaving
 dead code behind: each name a module imports at top level must be read
 somewhere in that module, and each private module-level function or
-class, and each private method, must be read by some module of the
-package.
+class, each private method, and each module-level UPPER_CASE constant
+(a tolerance, say) must be read by some module of the package.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -58,6 +59,15 @@ def private_definitions(source):
     return found
 
 
+def constant_definitions(source):
+    """(line, name) of the module-level UPPER_CASE names a module
+    assigns."""
+    return [(node.lineno, target.id) for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name)
+            and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)]
+
+
 def read_names(source):
     """Names a module reads, bare or as an attribute."""
     tree = ast.parse(source)
@@ -67,17 +77,17 @@ def read_names(source):
                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
 
 
-def unread_private_names(sources):
-    """(module, line, name) of each private definition of the given
-    module sources, a name-to-text dict, that none of them reads."""
+def unread_names(sources, definitions):
+    """(module, line, name) of each name that definitions finds in the
+    given module sources, a name-to-text dict, and none of them reads."""
     read = set().union(*(read_names(text) for text in sources.values()))
     return sorted((module, line, name) for module, text in sources.items()
-                  for line, name in private_definitions(text) if name not in read)
+                  for line, name in definitions(text) if name not in read)
 
 
 def test_no_unread_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources, private_definitions) == []
 
 
 def test_detector_flags_an_unread_private_helper():
@@ -88,4 +98,18 @@ def test_detector_flags_an_unread_private_helper():
                  "    def __len__(self):\n        return 0\n\n\n"
                  "print(_used(), _Box)\n"),
     }
-    assert unread_private_names(sources) == [("a.py", 5, "_dead"), ("b.py", 5, "_spare")]
+    assert unread_names(sources, private_definitions) == [
+        ("a.py", 5, "_dead"), ("b.py", 5, "_spare")]
+
+
+def test_no_unread_constants():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_names(sources, constant_definitions) == []
+
+
+def test_detector_flags_an_unread_constant():
+    sources = {
+        "a.py": "LIMIT = 3\nSPARE_TOL = 1e-8\nlower = 1\n_X = 2\n",
+        "b.py": "from a import LIMIT\n\nprint(LIMIT)\n",
+    }
+    assert unread_names(sources, constant_definitions) == [("a.py", 2, "SPARE_TOL")]

@@ -158,7 +158,7 @@ def test_empty_sample_skips_every_row():
 
 
 def test_arc_extremes_against_reference_scan():
-    from orbitlab.hypdisc import coarse_endpoints
+    from test_hypdisc import coarse_endpoints
 
     group, rep = schottky_pair(2)
     sample = sorted(limit_curve(rep, group, 5, 1), key=lambda p: p[0].theta)

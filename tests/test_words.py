@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import orbitlab.words as words
 from orbitlab.cartan import factor_values, parse_functional, word_cartan
 from orbitlab.critexp import sample_from_norm_ball
 from orbitlab.doubling import (
@@ -14,6 +15,7 @@ from orbitlab.doubling import (
 from orbitlab.errors import InvalidInput, NonElementary
 from orbitlab.hypdisc import (
     ORIGIN,
+    BoundaryPoint,
     DiscPoint,
     Mobius,
     angular_distance,
@@ -33,6 +35,7 @@ from orbitlab.words import (
     enumerate_elements,
     free_schottky,
     limit_sample,
+    limit_sample_words,
     load_group_file,
     modular_group,
     modular_norm_ball,
@@ -222,7 +225,7 @@ def oracle_elements(group, max_len):
     """The per-word breadth-first walk the level arrays replaced: each
     element multiplied out as a Mobius product of its parent and one
     letter, deduplicated one key at a time."""
-    ints = group.int_images
+    ints = INT_IMAGES if group.kind == "modular" else None
     if group.kind == "modular":
         key_of = lambda mob, intm: int_canonical(intm)
     elif group.kind == "custom":
@@ -315,18 +318,31 @@ class TestLevelWalker:
         assert checked > 100
 
     def test_modular_key_overflow_raises(self):
-        # T T has upper-left entry 2^64 - 1, past int64; it must not wrap
-        big = ((2 ** 32, 1), (-1, 0))
-        assert int_mul(big, big)[0][0] >= 2 ** 63
+        # T T has upper-left entry 2^54 - 1, which a float64 row cannot
+        # hold; the walk must raise before it keys on a rounded row
+        big = ((2 ** 27, 1), (-1, 0))
+        assert int_mul(big, big)[0][0] >= 2 ** 53
         group = modular_group()
-        group.int_images = {"S": MODULAR_S, "T": big, "t": ((0, -1), (1, 2 ** 32))}
-        with pytest.raises(InvalidInput, match="overflow"):
+        group.images["T"] = Mobius(np.array(big, dtype=float))
+        group.images["t"] = Mobius(np.array(((0, -1), (1, 2 ** 27)), dtype=float))
+        with pytest.raises(InvalidInput, match=r"2\^53"):
             list(enumerate_elements(group, 3))
 
     def test_levels_stop_when_a_finite_group_is_exhausted(self):
         group = custom_group([Mobius.rotation(2.0 * math.pi / 5.0)])
         sizes = [len(level) for level in _walk_levels(group, 12)]
         assert sizes == [1, 2, 2]
+
+
+def test_modular_float_keys_match_integer_keys():
+    # the walk keys modular levels on their float rows, the oracle on
+    # exact integer products
+    got = list(enumerate_elements(modular_group(), 12))
+    want = oracle_elements(modular_group(), 12)
+    assert len(got) == len(want) == 1968
+    for (gw, gm), (ww, wm) in zip(got, want):
+        assert gw == ww
+        assert np.array_equal(gm.mat, wm.mat)
 
 
 class TestNormBall:
@@ -487,6 +503,28 @@ class TestLimitSample:
         g4, g6, g8 = max_gap(4), max_gap(6), max_gap(8)
         assert g4 >= g6 >= g8
         assert g8 < g4
+
+    @pytest.mark.parametrize("build", [modular_group, lambda: standard_schottky(4.0)],
+                             ids=["modular", "schottky"])
+    def test_kernel_formula_matches_the_per_point_route(self, build, monkeypatch):
+        # fixed_points reads the kernel vector it shares with
+        # flags._loxodromic_frame; the oracle is the formula hypdisc
+        # kept for itself before
+        def attracting_point(mob):
+            mat = mob.mat if mob.mat[0, 0] + mob.mat[1, 1] >= 0 else -mob.mat
+            a, b, c, d = mat.ravel()
+            lam = 0.5 * (a + d + math.sqrt((a + d) ** 2 - 4.0))
+            v1, v2 = (b, lam - a), (lam - d, c)
+            w = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
+            return (BoundaryPoint(2.0 * math.atan2(w[1], w[0])),)
+
+        group = build()
+        got = limit_sample_words(group, 9)
+        monkeypatch.setattr(words, "fixed_points", attracting_point)
+        want = limit_sample_words(group, 9)
+        assert [w for _, w in got] == [w for _, w in want]
+        assert max(angular_distance(p.theta, q.theta)
+                   for (p, _), (q, _) in zip(got, want)) <= 1e-15
 
     def test_single_generator_elementary(self):
         g = free_schottky([Mobius.boost(3.0)])
