@@ -45,10 +45,6 @@ class NotPositive(OrbitLabError):
         self.marginal = marginal
 
 
-class EmptyShadow(OrbitLabError):
-    """No limit point inside the shadow arc."""
-
-
 class NonElementary(OrbitLabError):
     """Operation needs a non-elementary group and got one with at most
     two limit points."""

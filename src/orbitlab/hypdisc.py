@@ -46,28 +46,6 @@ def wrap_angle(theta):
     return t
 
 
-def _det2(m):
-    """Determinant of a 2x2, or of each 2x2 stacked on leading axes, with
-    the products taken in extended precision.
-
-    a*d - b*c cancels catastrophically once entries pass ~1e8 while the
-    true determinant stays near one, and the normalization in Mobius
-    then amplifies the error on every multiplication; the 64-bit mantissa
-    of longdouble moves that wall out past entries of ~1e9.
-    """
-    m = np.asarray(m, dtype=np.longdouble)
-    return (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).astype(float)
-
-
-def _unit_det_rows(mats):
-    """Stacked (N, 2, 2) matrices normalized to |det| = 1 as Mobius
-    normalizes one, with their orientations as an int array."""
-    det = _det2(mats)
-    if np.any(np.abs(det) < 1e-300):
-        raise InvalidInput("singular matrix is not an isometry")
-    return mats / np.sqrt(np.abs(det))[:, None, None], np.where(det > 0, 1, -1)
-
-
 def angular_distance(a, b):
     """Shorter arc length between two angles, in [0, pi]."""
     d = abs(wrap_angle(a) - wrap_angle(b))
@@ -137,9 +115,13 @@ class BoundaryPoint:
 class Mobius:
     """A projective real 2x2 matrix together with its orientation.
 
-    The matrix is normalized to |det| = 1; (M, sigma) and (-M, sigma) are
-    the same element. orientation is +1 for det > 0 and -1 for det < 0
-    (reflections and glide reflections).
+    A matrix from outside is scaled to |det| = 1 once, by the
+    constructor. The product of two values is the product of their
+    matrices and of their orientations, and the inverse is orientation
+    times the adjugate, which is exact for |det| = 1; neither takes a
+    determinant. (M, sigma) and (-M, sigma) are the same element.
+    orientation is +1 for det > 0 and -1 for det < 0 (reflections and
+    glide reflections).
     """
 
     __slots__ = ("mat", "orientation")
@@ -148,7 +130,10 @@ class Mobius:
         m = np.asarray(mat, dtype=float)
         if m.shape != (2, 2):
             raise InvalidInput("Mobius needs a 2x2 matrix")
-        det = _det2(m)
+        # products in extended precision: a*d - b*c of large entries
+        # cancels in float64 while the true determinant stays near one
+        e = m.astype(np.longdouble)
+        det = float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
         if abs(det) < 1e-300:
             raise InvalidInput("singular matrix is not an isometry")
         m = m / math.sqrt(abs(det))
@@ -161,8 +146,8 @@ class Mobius:
 
     @classmethod
     def _normalized(cls, mat, orientation):
-        """A value whose matrix is already normalized to |det| = 1, taken
-        as it is, without a second determinant."""
+        """A value taken as it is: mat is a product of |det| = 1 matrices
+        and orientation the product of their orientations."""
         mob = cls.__new__(cls)
         mob.mat = mat
         mob.orientation = orientation
@@ -183,12 +168,13 @@ class Mobius:
         return cls(np.diag([math.exp(s), math.exp(-s)]))
 
     def __matmul__(self, other):
-        return Mobius(self.mat @ other.mat)
+        return Mobius._normalized(self.mat @ other.mat,
+                                  self.orientation * other.orientation)
 
     def inverse(self):
         a, b, c, d = self.mat.ravel()
-        det = _det2(self.mat)
-        return Mobius(np.array([[d, -b], [-c, a]]) / det)
+        return Mobius._normalized(self.orientation * np.array([[d, -b], [-c, a]]),
+                                  self.orientation)
 
     def trace_abs(self):
         return abs(self.mat[0, 0] + self.mat[1, 1])

@@ -21,20 +21,20 @@ the doubling module builds; it also deduplicates by rounding.
 
 One breadth-first walker serves every kind, and it alone forms the
 products along the words of a ball. _walk_levels keeps the word tree as
-arrays, one level per word length: for each row its parent row and
-last letter, its Mobius matrix normalized to |det| = 1 with its
-orientation, and, for each letter table a caller passes in, the
-ScaledMatrix product along the word. A level is built from the one
-before with stacked 2x2 products (np.matmul), which round exactly as
-one product at a time does. The walker never appends the inverse of a
-word's last letter: that gives back the word's parent, already seen,
-whatever the relations of the group. Duplicates are dropped with keys
-computed a level at a time. enumerate_elements streams the levels as
-(Word, Mobius) pairs. _rep_levels walks with a representation's 2x2
-factor tables and _level_cartan turns a level's products into Cartan
-vectors, which growth samples, orbit tables, distortion scans and the
-orbit CSV read; the limit-set sample hands each word's 2x2 product on
-to flags.limit_flags.
+arrays, one level per word length: for each row its parent row and last
+letter, its Mobius matrix and orientation, the products of the letters'
+matrices and of their orientations, and, for each letter table a caller
+passes in, the ScaledMatrix product along the word. A level is built
+from the one before with stacked 2x2 products (np.matmul), which round
+exactly as one product at a time does. The walker never appends the
+inverse of a word's last letter: that gives back the word's parent,
+already seen, whatever the relations of the group. Duplicates are
+dropped with keys computed a level at a time. enumerate_elements
+streams the levels as (Word, Mobius) pairs. _rep_levels walks with a
+representation's 2x2 factor tables and _level_cartan turns a level's
+products into Cartan vectors, which growth samples, orbit tables,
+distortion scans and the orbit CSV read; the limit-set sample hands
+each word's 2x2 product on to flags.limit_flags.
 
 The modular norm ball is not walked. modular_norm_ball finds every
 modular element with entries bounded by an integer in one array scan,
@@ -59,7 +59,6 @@ from .reps import _times_rows
 from .hypdisc import (
     ORIGIN,
     Mobius,
-    _unit_det_rows,
     angular_distance,
     classify,
     displacement,
@@ -236,8 +235,7 @@ def _discreteness_probe(group, depth=6, margin=1e-3):
     for word, mob in enumerate_elements(group, depth):
         if len(word) == 0:
             continue
-        m = mob.mat if mob.mat[0, 0] >= 0 else -mob.mat
-        if np.abs(m - np.eye(2)).max() < margin:
+        if mob.is_identity(margin):
             warnings.warn(
                 "word %s is within %.1e of the identity; the group may be "
                 "non-discrete and enumeration incomplete" % (word, margin),
@@ -296,11 +294,11 @@ class _Level:
     """One level of the word tree, as arrays over its rows.
 
     Row i is the word of row parent[i] one level up, extended by
-    alphabet[letter[i]]. mats holds its Mobius matrix normalized to
-    |det| = 1 and orientation its orientation; products holds, for each
-    letter table walked, the pair (matrices, log scales) of the
-    ScaledMatrix product along the word; words, when the walk spells,
-    the letter tuple of each row.
+    alphabet[letter[i]]. mats holds its Mobius matrix, the product of
+    the letters' matrices, and orientation the product of their
+    orientations; products holds, for each letter table walked, the
+    pair (matrices, log scales) of the ScaledMatrix product along the
+    word; words, when the walk spells, the letter tuple of each row.
     """
 
     __slots__ = ("parent", "letter", "mats", "orientation", "products", "words")
@@ -326,7 +324,8 @@ class _Level:
 def _walk_levels(group, max_len, tables=(), spell=False):
     """The word tree of enumerate_elements, one _Level per word length.
 
-    Each level is computed from the one before with stacked products:
+    Each level is computed from the one before with stacked products,
+    of the matrices and of the orientations, and no determinant:
     every row is extended by every letter except the inverse of its
     last one (free reduction), so row by row and letter by letter the
     candidates come in stream order. Duplicates are dropped by key,
@@ -344,6 +343,7 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     position = {a: i for i, a in enumerate(alphabet)}
     inverse = np.array([position[group.inverse_letter[a]] for a in alphabet])
     images = np.array([group.images[a].mat for a in alphabet])
+    signs = np.array([group.images[a].orientation for a in alphabet])
     stacks = [np.array([np.asarray(t[a], dtype=float) for a in alphabet])
               for t in tables]
     key_of = None
@@ -373,7 +373,8 @@ def _walk_levels(group, max_len, tables=(), spell=False):
             raise InvalidInput(
                 "integer entries could pass 2^53 past word length %d" % length
             )
-        mats, orientation = _unit_det_rows(np.matmul(level.mats[rows], images[letters]))
+        mats = np.matmul(level.mats[rows], images[letters])
+        orientation = level.orientation[rows] * signs[letters]
         products = [
             _times_rows(m[rows], s[rows], st[letters])
             for (m, s), st in zip(level.products, stacks)
@@ -398,7 +399,7 @@ def _walk_levels(group, max_len, tables=(), spell=False):
 
 def _walk_rows(group, max_len, tables=()):
     """(Word, Mobius, level, row) for every element of _walk_levels, in
-    stream order; the Mobius value reuses the level's normalized row."""
+    stream order; the Mobius value reuses the level's row."""
     for level in _walk_levels(group, max_len, tables, spell=True):
         for i, orientation in enumerate(level.orientation.tolist()):
             yield (Word(level.words[i]),

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from orbitlab.errors import EmptyShadow, InvalidInput
+from orbitlab.errors import InvalidInput, OrbitLabError
 from orbitlab.hypdisc import (
     ORIGIN,
     BoundaryPoint,
@@ -23,6 +24,7 @@ from orbitlab.hypdisc import (
     translation_to_origin,
     wrap_angle,
 )
+from orbitlab.words import modular_group, standard_schottky
 
 HALF_LN3 = 0.54930614433405489
 
@@ -134,6 +136,38 @@ class TestIsometries:
         r = Mobius(np.diag([1.0, -1.0]))
         assert r.orientation == -1
         assert (r @ r).is_identity()
+
+    def test_inverse_is_the_signed_adjugate(self):
+        t_inv = modular_group().image("T").inverse()
+        assert np.array_equal(t_inv.mat, [[1.0, -1.0], [0.0, 1.0]])
+        r = Mobius(np.array([[1.0, 2.0], [0.0, -1.0]]))
+        assert np.array_equal(r.inverse().mat, r.mat) and r.inverse().orientation == -1
+        back = r @ r.inverse()
+        assert back.orientation == 1 and np.array_equal(back.mat, np.eye(2))
+
+    @pytest.mark.parametrize("length", [12, 16, 30])
+    def test_long_product_displacement_against_mpmath(self, length):
+        # a chain of @ multiplies the generators' matrices as they are,
+        # so its displacement, and its inverse's, is that of their exact
+        # product
+        group = standard_schottky(4.0)
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            word = [group.alphabet[rng.integers(4)]]
+            while len(word) < length:
+                letter = group.alphabet[rng.integers(4)]
+                if letter != group.inverse_letter[word[-1]]:
+                    word.append(letter)
+            mob = Mobius.identity()
+            with mpmath.workdps(60):
+                acc = mpmath.eye(2)
+                for letter in word:
+                    mob = mob @ group.image(letter)
+                    acc = acc * mpmath.matrix(group.image(letter).mat.tolist())
+                sq = sum(x * x for x in acc) / abs(mpmath.det(acc))
+                want = float(mpmath.acosh(sq / 2))
+            assert displacement(mob) == pytest.approx(want, rel=1e-13), "".join(word)
+            assert displacement(mob.inverse()) == pytest.approx(want, rel=1e-13)
 
 
 class TestClassify:
@@ -306,6 +340,10 @@ def test_origin_conjugation_is_bit_identical():
         assert (got.center.theta, got.half_angle, got.full) == (
             want.center.theta, want.half_angle, want.full)
     assert 0 < fulls < 200
+
+
+class EmptyShadow(OrbitLabError):
+    """No limit point inside the shadow arc."""
 
 
 def coarse_endpoints(sh, limit_pts):

@@ -5,7 +5,8 @@ No linter ships with the project, so this keeps deletions from leaving
 dead code behind: each name a module imports at top level must be read
 somewhere in that module, and each private module-level function or
 class, each private method, and each module-level UPPER_CASE constant
-(a tolerance, say) must be read by some module of the package.
+(a tolerance, say) must be read by some module of the package, and
+each exception class of errors.py by some other module.
 """
 
 import ast
@@ -113,3 +114,30 @@ def test_detector_flags_an_unread_constant():
         "b.py": "from a import LIMIT\n\nprint(LIMIT)\n",
     }
     assert unread_names(sources, constant_definitions) == [("a.py", 2, "SPARE_TOL")]
+
+
+def unread_error_classes(sources):
+    """(line, name) of the classes errors.py defines that no other module
+    of sources, a name-to-text dict, reads: raises, catches or
+    subclasses."""
+    read = set().union(*(read_names(text) for module, text in sources.items()
+                         if module != "errors.py"))
+    return [(node.lineno, node.name) for node in ast.parse(sources["errors.py"]).body
+            if isinstance(node, ast.ClassDef) and node.name not in read]
+
+
+def test_no_unread_error_classes():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_error_classes(sources) == []
+
+
+def test_detector_flags_an_unread_error_class():
+    sources = {
+        "errors.py": ("class BaseError(Exception):\n    pass\n\n\n"
+                      "class Raised(BaseError):\n    pass\n\n\n"
+                      "class Spare(BaseError):\n    pass\n"),
+        "a.py": ("import errors\nfrom errors import Raised\n\n\n"
+                 "class Local(errors.BaseError):\n    pass\n\n\n"
+                 "raise Raised()\n"),
+    }
+    assert unread_error_classes(sources) == [(9, "Spare")]

@@ -5,7 +5,7 @@ import pytest
 
 import orbitlab.words as words
 from orbitlab.cartan import factor_values, parse_functional, word_cartan
-from orbitlab.critexp import sample_from_norm_ball
+from orbitlab.critexp import sample_from_enumeration, sample_from_norm_ball
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
     _doubled_group,
@@ -271,7 +271,7 @@ class TestLevelWalker:
         pytest.param(lambda: custom_group([Mobius.rotation(2.0 * math.pi / 5.0)]),
                      12, 5, id="rotation-L12"),
         pytest.param(standard_schottky, 6, 1457, id="schottky-L6"),
-        pytest.param(_doubled_spec, 5, 6901, id="doubled-depth5"),
+        pytest.param(_doubled_spec, 5, 6900, id="doubled-depth5"),
     ])
     def test_matches_the_per_word_walk(self, build, max_len, count):
         group = build()
@@ -332,6 +332,32 @@ class TestLevelWalker:
         group = custom_group([Mobius.rotation(2.0 * math.pi / 5.0)])
         sizes = [len(level) for level in _walk_levels(group, 12)]
         assert sizes == [1, 2, 2]
+
+    def test_long_schottky_rows_keep_their_orientation(self):
+        # a determinant of the length-11 products cancels; the walk takes
+        # none and multiplies the letters' orientations
+        levels = list(_walk_levels(standard_schottky(), 11))
+        assert [len(level) for level in levels] == [1] + [4 * 3 ** k for k in range(11)]
+        assert all(np.all(level.orientation == 1) for level in levels)
+
+    def test_length_ten_sample_keeps_every_element(self):
+        group = standard_schottky()
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+        vs = sample_from_enumeration(group, rep, parse_functional("a1"), 10)
+        assert len(vs) == 1 + sum(4 * 3 ** (k - 1) for k in range(1, 11)) == 118097
+
+    def test_custom_powers_are_exact_integers(self):
+        # entries of the length-36 powers reach about 2^50, far past where
+        # a determinant of the rows cancels
+        group = custom_group([[[2, 1], [1, 1]]])
+        steps = {"a": ((2, 1), (1, 1)), "A": ((1, -1), (-1, 2))}
+        rows = list(enumerate_elements(group, 36))
+        assert len(rows) == 73
+        for word, mob in rows:
+            want = ((1, 0), (0, 1))
+            for letter in word:
+                want = int_mul(want, steps[letter])
+            assert np.array_equal(mob.mat, np.array(want, dtype=float)), str(word)
 
 
 def test_modular_float_keys_match_integer_keys():
