@@ -115,11 +115,11 @@ def cartan_projection(sm, lie_type="A"):
     return CartanVector._of(_centered(lam, lie_type), lie_type)
 
 
-def _boost_half_lengths(mats, log_scales):
-    """mu with singular values e^mu, e^-mu of unimodular 2x2 products,
-    given as stacked matrices and their log scales, from the Frobenius
-    norm alone; stable at any magnitude."""
-    fro2 = np.exp(2.0 * log_scales) * (mats * mats).sum(axis=(1, 2))
+def _boost_half_lengths(mats):
+    """mu with singular values e^mu, e^-mu of stacked unimodular 2x2
+    products, from the Frobenius norm alone. Squared entries overflow
+    once mu passes about 354, and the result is then not finite."""
+    fro2 = (mats * mats).sum(axis=(1, 2))
     return 0.5 * np.arccosh(np.maximum(1.0, 0.5 * fro2))
 
 
@@ -127,16 +127,14 @@ def _factor_exponents(rep, products):
     """Log singular values, one row per element, of elements given by
     their factor products, in decreasing order.
 
-    products holds one (mats, log_scales) pair per entry of rep.factors:
-    the 2x2 products along each element's word in ScaledMatrix form,
-    stacked as (N, 2, 2) and (N,). A factor of block dimension d
-    contributes the exponents (d - 1 - 2j) mu, j = 0..d-1, of its boost
-    mu, so each row already sums to zero up to rounding.
+    products holds one (N, 2, 2) array per entry of rep.factors: the
+    plain 2x2 products along each element's word. A factor of block
+    dimension d contributes the exponents (d - 1 - 2j) mu, j = 0..d-1,
+    of its boost mu, so each row already sums to zero up to rounding.
     """
     lam = np.concatenate([
-        _boost_half_lengths(mats, log_scales)[:, np.newaxis]
-        * (d - 1 - 2 * np.arange(d))
-        for (d, _), (mats, log_scales) in zip(rep.factors, products)
+        _boost_half_lengths(mats)[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
+        for (d, _), mats in zip(rep.factors, products)
     ], axis=1)
     lam.sort(axis=1)
     return lam[:, ::-1]
@@ -148,32 +146,29 @@ def _factor_rows(rep, products):
     return _centered(_factor_exponents(rep, products), rep.lie_type)
 
 
-def factor_values(rep, phi, products):
-    """phi on the Cartan vector of every element given by its factor
-    products (see _factor_exponents): the batched form of
-    phi.value(word_cartan(rep, word)), on the same formulas."""
-    return phi.values(_factor_rows(rep, products), rep.lie_type)
-
-
 def word_cartan(rep, word):
     """Cartan vector of the word's image under the representation.
 
     Representations built from two-by-two factors expose exact log
     singular values through the factor boosts (symmetric powers carry
     rotations to orthogonal matrices, so the exponents are integer
-    multiples of the boost). That route needs only well-conditioned
-    two-by-two products and reaches word lengths far past the
-    conditioning limit of the direct projection, which remains the
-    fallback for structureless representations. The ball walks of the
-    words module apply the same _factor_rows to whole levels.
+    multiples of the boost). That route needs only the plain two-by-two
+    products along the word, from reps._word_product, and reaches word
+    lengths far past the conditioning limit of the direct projection,
+    which remains the fallback for structureless representations. A
+    factor product whose squared entries overflow (a boost past about
+    354) raises IllConditioned. The ball walks of the words module apply
+    the same _factor_rows to whole levels.
     """
     if rep.factors is None:
         return cartan_projection(evaluate(rep, word), lie_type=rep.lie_type)
-    products = []
-    for _, images in rep.factors:
-        sm = _word_product(images, word, rep.label)
-        products.append((sm.mat[np.newaxis], np.array([sm.log_scale])))
-    return CartanVector._of(_factor_rows(rep, products)[0], rep.lie_type)
+    products = [_word_product(images, word, rep.label)[np.newaxis]
+                for _, images in rep.factors]
+    row = _factor_rows(rep, products)[0]
+    if not np.all(np.isfinite(row)):
+        raise IllConditioned("factor product of length %d leaves float64 range"
+                             % len(word))
+    return CartanVector._of(row, rep.lie_type)
 
 
 def _root_column(lam, lie_type, i):

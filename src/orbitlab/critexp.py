@@ -43,6 +43,7 @@ from .words import _level_cartan, _rep_levels, _word_at, modular_norm_ball
 CLAMP = 1e-12
 MIN_WINDOW_VALUES = 20
 GRID_POINTS = 40
+TIE_TOL = 1e-12
 
 
 class ValueSample:
@@ -132,7 +133,9 @@ def default_window(vs):
 def estimate_exponent(vs, window=None, method="slope", threshold=1.0):
     """Critical-exponent estimate over a certified window.
 
-    slope: least-squares slope of log N(T) against T on a uniform grid.
+    slope: least-squares slope of log N(T) against T on a uniform grid,
+    where N(T) counts the values at most T(1 + TIE_TOL), so values tied
+    with a grid point in exact arithmetic count whichever way they round.
     bisection: smallest s where the window-truncated series drops below
     the threshold; truncation biases this upward, use as a cross-check.
     """
@@ -154,7 +157,7 @@ def estimate_exponent(vs, window=None, method="slope", threshold=1.0):
         )
     if method == "slope":
         grid = np.linspace(t0, t1, GRID_POINTS)
-        counts = np.searchsorted(vs.values, grid, side="right")
+        counts = np.searchsorted(vs.values, grid * (1.0 + TIE_TOL), side="right")
         keep = counts > 0
         if keep.sum() < 3:
             raise InsufficientData("too few grid points with nonzero counts")
@@ -302,7 +305,7 @@ def sample_from_norm_ball(bound, sym_dim, phi):
     # functional on the sym-power Cartan vector of a unit-gap 2x2 matrix
     unit = sym_power_matrix(np.diag([math.exp(0.5), math.exp(-0.5)]), sym_dim)
     mult = phi.value(cartan_projection(unit))
-    vals = 2.0 * mult * _boost_half_lengths(mats, np.zeros(len(mats)))
+    vals = 2.0 * mult * _boost_half_lengths(mats)
     return ValueSample(
         np.maximum(vals, 0.0),
         2.0 * mult * math.log(bound),

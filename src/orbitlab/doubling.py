@@ -275,9 +275,7 @@ def double_rep(rep, boundary_elements):
     factor_mats = []
     for w in boundary:
         if structural:
-            # a power of two off the true product, which the frame ignores
-            m2 = _word_product(rep.factors[0][1], w, rep.label).mat
-            frame = _loxodromic_frame(m2)
+            frame = _loxodromic_frame(_word_product(rep.factors[0][1], w, rep.label))
             basis = sym_power_matrix(frame, d)
             factor = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
         else:
@@ -306,13 +304,6 @@ def _axes_disjoint(pair_a, pair_b, tol=AXIS_TOL):
     return inside != 1
 
 
-def _group_word_image(group, word):
-    mob = Mobius.identity()
-    for letter in word:
-        mob = mob @ group.image(letter)
-    return mob
-
-
 def _doubled_group(group, doubled):
     """The reflection-extended group as a GroupSpec of kind doubled.
 
@@ -325,7 +316,8 @@ def _doubled_group(group, doubled):
     if group.kind != "free_schottky" or len(group.alphabet) != 4:
         raise InvalidInput("doubling covers rank-2 Schottky groups")
     reflections = [
-        reflection_across_axis(_group_word_image(group, w))
+        reflection_across_axis(Mobius._normalized(
+            _word_product(group.generator_matrices(), w, group.kind), 1))
         for w in doubled.boundary
     ]
     for i in range(len(reflections)):
@@ -352,17 +344,17 @@ def enumerate_doubled(group, doubled, max_len):
     The ball is the walk of enumerate_elements on the doubled GroupSpec,
     and only its orientation preserving elements (even reflection
     parity) are emitted. The walk carries doubled.rep's table, so each
-    image is the product evaluate(doubled.rep, word) would build, taken
-    from the parent's product and one letter. With no boundary elements
-    the stream matches the plain enumeration of the group. Deduplication
+    image is the plain product along the word, taken from the parent's
+    product and one letter, and the ScaledMatrix is bit for bit
+    evaluate(doubled.rep, word). With no boundary elements the stream
+    matches the plain enumeration of the group. Deduplication
     rounds the Mobius matrix at DEDUP_TOL, which makes the enumeration
     non-exhaustive.
     """
     spec = _doubled_group(group, doubled)
     for word, mob, level, i in _walk_rows(spec, max_len, [doubled.rep.images]):
         if mob.orientation == 1:
-            mats, log_scales = level.products[0]
-            yield word, mob, ScaledMatrix._normalized(mats[i], float(log_scales[i]))
+            yield word, mob, ScaledMatrix(level.products[0][i])
 
 
 def doubled_value_sample(group, doubled, phi, max_len):

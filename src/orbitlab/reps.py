@@ -9,14 +9,14 @@ sp_product interleaves n two-dimensional representations into a 2n x 2n
 symplectic matrix built from the diagonals of their entries. custom_rep
 accepts raw matrices and only normalizes determinants.
 
-Long products are kept in ScaledMatrix form: a matrix with sup norm in
-[1/2, 2] plus a separate natural-log scale. Renormalization divides by a
-power of two, so singular-value ratios of the stored matrix equal those of
-the true product exactly and no root or weight computation ever sees the
-accumulated exponent.
-One word's product is formed by _word_product alone (evaluate,
-cartan.word_cartan, doubling.double_rep); the walker of the words module
-forms a whole ball's, a level at a time, by the same rule (_times_rows).
+Every product along a word is the plain product of the letters'
+matrices, left to right. One word's is formed by _word_product alone
+(evaluate, cartan.word_cartan, doubling.double_rep, doubling's reflection
+axes); the walker of the words module forms a whole ball's, a level at a
+time, by the same rule. Only evaluate takes a log scale, once, when it
+hands the finished product on as a ScaledMatrix: a matrix with sup norm
+in [1, 2) plus a separate natural-log scale, so no root or weight
+computation sees the product's magnitude.
 """
 
 import math
@@ -94,6 +94,8 @@ class Representation:
             if abs(det) < 1e-200:
                 raise InvalidInput("image of %r is singular" % letter)
             m = m / abs(det) ** (1.0 / dim)
+            if not np.all(np.isfinite(m)):
+                raise InvalidInput("image of %r is not finite" % letter)
             if form is not None:
                 defect = np.abs(m.T @ form @ m - form).max()
                 if defect > SYMPLECTIC_TOL:
@@ -213,15 +215,6 @@ class ScaledMatrix:
     def identity(cls, d):
         return cls(np.eye(d))
 
-    @classmethod
-    def _normalized(cls, mat, log_scale):
-        """A product already renormalized by the rule of __init__, taken
-        as it is."""
-        sm = cls.__new__(cls)
-        sm.mat = mat
-        sm.log_scale = log_scale
-        return sm
-
     @property
     def dim(self):
         return self.mat.shape[0]
@@ -246,37 +239,20 @@ class ScaledMatrix:
         return "ScaledMatrix(dim=%d, log_scale=%.6g)" % (self.dim, self.log_scale)
 
 
-def _times_rows(mats, log_scales, raws):
-    """ScaledMatrix.times on stacked rows: mats (N, d, d) with log_scales
-    (N,) right-multiplied by raws (N, d, d), each product divided by the
-    power of two that puts its sup norm in [1, 2)."""
-    m = np.matmul(mats, raws)
-    # sup norm one entry at a time: no (N, d, d) temporary; a NaN entry
-    # propagates through np.maximum to the check below
-    sup = np.zeros(len(m))
-    for i, j in np.ndindex(m.shape[1:]):
-        np.maximum(sup, np.abs(m[:, i, j]), out=sup)
-    if not np.all((sup > 0.0) & np.isfinite(sup)):
-        raise InvalidInput("ScaledMatrix needs a finite nonzero matrix")
-    k = np.floor(np.log2(sup))
-    # a power of two divides exactly, so scaling in place changes no bit
-    np.divide(m, np.ldexp(1.0, k.astype(int))[:, None, None], out=m)
-    return m, log_scales + k * math.log(2.0)
-
-
 def _word_product(images, word, label, dim=2):
-    """ScaledMatrix product of a letter table along one word."""
-    sm = ScaledMatrix.identity(dim)
+    """Plain product of a letter table's matrices along one word."""
+    m = np.eye(dim)
     for letter in word:
         if letter not in images:
             raise InvalidInput(
                 "letter %r has no image under %s" % (letter, label)
             )
-        sm = sm.times(images[letter])
-    return sm
+        m = m @ images[letter]
+    return m
 
 
 def evaluate(rep, word):
-    """Product of generator images along a word, as a ScaledMatrix, by
-    _word_product: the one route for a single word's product."""
-    return _word_product(rep.images, word, rep.label, rep.dim)
+    """Product of generator images along a word, by _word_product, as a
+    ScaledMatrix: the one place a product takes a log scale. A product
+    past float64 range raises InvalidInput."""
+    return ScaledMatrix(_word_product(rep.images, word, rep.label, rep.dim))

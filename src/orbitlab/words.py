@@ -24,11 +24,11 @@ products along the words of a ball. _walk_levels keeps the word tree as
 arrays, one level per word length: for each row its parent row and last
 letter, its Mobius matrix and orientation, the products of the letters'
 matrices and of their orientations, and, for each letter table a caller
-passes in, the ScaledMatrix product along the word. A level is built
-from the one before with stacked 2x2 products (np.matmul), which round
-exactly as one product at a time does. The walker never appends the
-inverse of a word's last letter: that gives back the word's parent,
-already seen, whatever the relations of the group. Duplicates are
+passes in, the plain product of the table's matrices along the word.
+A level is built from the one before with stacked products (np.matmul),
+which round exactly as one product at a time does. The walker never
+appends the inverse of a word's last letter: that gives back the word's
+parent, already seen, whatever the relations of the group. Duplicates are
 dropped with keys computed a level at a time. enumerate_elements
 streams the levels as (Word, Mobius) pairs. _rep_levels walks with a
 representation's 2x2 factor tables and _level_cartan turns a level's
@@ -55,7 +55,6 @@ import numpy as np
 
 from .cartan import CartanVector, _factor_rows, word_cartan
 from .errors import InvalidInput, NonElementary
-from .reps import _times_rows
 from .hypdisc import (
     ORIGIN,
     Mobius,
@@ -297,8 +296,9 @@ class _Level:
     alphabet[letter[i]]. mats holds its Mobius matrix, the product of
     the letters' matrices, and orientation the product of their
     orientations; products holds, for each letter table walked, the
-    pair (matrices, log scales) of the ScaledMatrix product along the
-    word; words, when the walk spells, the letter tuple of each row.
+    (N, d, d) array of the plain products of the table's matrices along
+    the words; words, when the walk spells, the letter tuple of each
+    row.
     """
 
     __slots__ = ("parent", "letter", "mats", "orientation", "products", "words")
@@ -317,7 +317,7 @@ class _Level:
     def take(self, rows):
         return _Level(
             self.parent[rows], self.letter[rows], self.mats[rows],
-            self.orientation[rows], [(m[rows], s[rows]) for m, s in self.products],
+            self.orientation[rows], [m[rows] for m in self.products],
         )
 
 
@@ -325,17 +325,17 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     """The word tree of enumerate_elements, one _Level per word length.
 
     Each level is computed from the one before with stacked products,
-    of the matrices and of the orientations, and no determinant:
-    every row is extended by every letter except the inverse of its
-    last one (free reduction), so row by row and letter by letter the
-    candidates come in stream order. Duplicates are dropped by key,
-    exactly for modular, whose float rows are integers (InvalidInput
-    is raised before an entry could pass 2^53), and by rounding for
-    custom and doubled; the first row with a key wins, and rows of
-    earlier levels come first. tables are letter-to-matrix dicts whose
-    ScaledMatrix products along each word the levels carry as well, and
-    with spell set each level holds its words. Walking stops early once
-    a level is empty.
+    of the matrices, of the orientations and of each table's matrices,
+    with no determinant and no rescaling: every row is extended by
+    every letter except the inverse of its last one (free reduction),
+    so row by row and letter by letter the candidates come in stream
+    order. Duplicates are dropped by key, exactly for modular, whose
+    float rows are integers (InvalidInput is raised before an entry
+    could pass 2^53), and by rounding for custom and doubled; the first
+    row with a key wins, and rows of earlier levels come first. tables
+    are letter-to-matrix dicts whose plain products along each word the
+    levels carry as well, and with spell set each level holds its
+    words. Walking stops early once a level is empty.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be nonnegative")
@@ -357,7 +357,7 @@ def _walk_levels(group, max_len, tables=(), spell=False):
                                            group.dedup_tol)
     level = _Level(
         np.array([-1]), np.array([-1]), np.eye(2)[np.newaxis], np.array([1]),
-        [(np.eye(len(st[0]))[np.newaxis], np.zeros(1)) for st in stacks],
+        [np.eye(len(st[0]))[np.newaxis] for st in stacks],
         [()] if spell else None,
     )
     seen = key_of(level) if key_of else None
@@ -375,10 +375,8 @@ def _walk_levels(group, max_len, tables=(), spell=False):
             )
         mats = np.matmul(level.mats[rows], images[letters])
         orientation = level.orientation[rows] * signs[letters]
-        products = [
-            _times_rows(m[rows], s[rows], st[letters])
-            for (m, s), st in zip(level.products, stacks)
-        ]
+        products = [np.matmul(m[rows], st[letters])
+                    for m, st in zip(level.products, stacks)]
         level = _Level(rows, letters, mats, orientation, products)
         # a consumer computes while the walk waits at the yield; the
         # candidate arrays must not add to its peak
@@ -433,7 +431,7 @@ def _level_cartan(rep, level, rows=slice(None)):
     it carries, bit for bit word_cartan's, or else from word_cartan word
     by word, so a structureless rep forms only the rows asked for."""
     if level.products:
-        return _factor_rows(rep, [(m[rows], s[rows]) for m, s in level.products])
+        return _factor_rows(rep, [m[rows] for m in level.products])
     return np.array([word_cartan(rep, level.words[i]).lambdas
                      for i in np.arange(len(level))[rows]])
 
@@ -578,8 +576,8 @@ def write_orbit_csv(records, path):
 
 
 def _limit_rows(group, depth, tables=()):
-    """limit_sample_words with a third entry per pair: the word's product
-    in each table walked, up to a power of two."""
+    """limit_sample_words with a third entry per pair: the word's plain
+    product in each table walked."""
     rows = []
     for word, mob, level, i in _walk_rows(group, depth, tables):
         if len(word) == 0:
@@ -590,7 +588,7 @@ def _limit_rows(group, depth, tables=()):
         if classify(mob) != "hyperbolic":
             continue
         rows.append((fixed_points(mob)[0], word,
-                     [m[i].copy() for m, _ in level.products]))
+                     [m[i].copy() for m in level.products]))
     rows.sort(key=lambda row: row[0].theta)
     distinct = []
     for row in rows:

@@ -14,8 +14,10 @@ from orbitlab.cartan import (
     root_value,
     sp_long_root_min_check,
     weight_value,
+    word_cartan,
 )
 from orbitlab.reps import ScaledMatrix, evaluate, standard_symplectic_form, sym_power
+from orbitlab.words import standard_schottky
 
 # frozen: 2 log((1+sqrt 5)/2), the top log singular value of [[2,1],[1,1]]
 TWO_LOG_PHI = 0.96242365011920694
@@ -284,3 +286,38 @@ class TestUniformContinuity:
                 worst = max(worst, abs(root_value(kvh, 1) - base))
         assert math.isfinite(worst)
         assert worst <= hbound + 1e-9
+
+
+class TestLongWords:
+    """Words of standard_schottky(4) past a displacement of 500 under
+    sym3, on the factor route, whose 2x2 products stay plain."""
+
+    @staticmethod
+    def rep():
+        group = standard_schottky(4.0)
+        return sym_power(3)(group.generator_matrices(), label="sym3")
+
+    def test_long_word_matches_a_scaled_oracle(self):
+        rep = self.rep()
+        word = "ab" * 90
+        sm = ScaledMatrix.identity(2)
+        for letter in word:
+            sm = sm.times(rep.factors[0][1][letter])
+        # sym3's a1 is twice the top log singular value of the factor
+        want = 2.0 * sm.log_singular_values()[0]
+        got = root_value(word_cartan(rep, word), 1)
+        assert want == pytest.approx(602.1673211, abs=1e-6)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_factor_product_past_float64_range_raises(self):
+        # numpy warns of the overflow on its way
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IllConditioned, match="float64 range"):
+                word_cartan(self.rep(), "ab" * 180)
+
+    def test_dense_product_past_float64_range_raises(self):
+        rep = sym_power(2)(standard_schottky(4.0).generator_matrices())
+        assert evaluate(rep, "ab" * 180).log_scale > 600.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="finite"):
+                evaluate(rep, "ab" * 220)

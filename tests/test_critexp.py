@@ -127,6 +127,20 @@ def test_slope_recovers_synthetic_exponent():
     assert est.window == (6.0, 20.0)
 
 
+def test_slope_counts_values_tied_with_the_last_grid_point():
+    # the last grid point is complete_to; copies of it one ulp above
+    # count as the exact copies do, as values tied in exact arithmetic
+    # must whichever way they round
+    base = synthetic_log_sample(10_000).values
+    top = float(base[-1])
+    exact = ValueSample(np.concatenate([base, [top] * 3]), top)
+    nudged = ValueSample(np.concatenate([base, [np.nextafter(top, np.inf)] * 3]), top)
+    assert nudged.values[-1] > top
+    want = estimate_exponent(exact)
+    got = estimate_exponent(nudged)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
 def test_bisection_is_upper_biased_cross_check():
     vs = synthetic_log_sample(100_000)
     est = estimate_exponent(vs, window=(6.0, 20.0), method="bisection")

@@ -6,7 +6,8 @@ dead code behind: each name a module imports at top level must be read
 somewhere in that module, and each private module-level function or
 class, each private method, and each module-level UPPER_CASE constant
 (a tolerance, say) must be read by some module of the package, and
-each exception class of errors.py by some other module.
+each exception class of errors.py by some other module. Reads are
+matched by name, so each private name is defined once in the package.
 """
 
 import ast
@@ -101,6 +102,35 @@ def test_detector_flags_an_unread_private_helper():
     }
     assert unread_names(sources, private_definitions) == [
         ("a.py", 5, "_dead"), ("b.py", 5, "_spare")]
+
+
+def duplicate_private_names(sources):
+    """(name, [(module, line), ...]) of each private function, class or
+    method name that sources, a name-to-text dict, define more than once.
+    unread_names finds names by name alone, so a second definition would
+    pass for read whenever the first is."""
+    where = {}
+    for module, text in sorted(sources.items()):
+        for line, name in private_definitions(text):
+            where.setdefault(name, []).append((module, line))
+    return sorted((name, found) for name, found in where.items() if len(found) > 1)
+
+
+def test_private_names_are_defined_once():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert duplicate_private_names(sources) == []
+
+
+def test_detector_flags_a_twice_defined_private_name():
+    sources = {
+        "a.py": ("class Box:\n    def _wrap(self):\n        pass\n\n\n"
+                 "def _once():\n    pass\n"),
+        "b.py": ("class Crate:\n    def _wrap(self):\n        pass\n\n\n"
+                 "Crate()._wrap()\n"),
+    }
+    assert unread_names(sources, private_definitions) == [("a.py", 6, "_once")]
+    assert duplicate_private_names(sources) == [
+        ("_wrap", [("a.py", 2), ("b.py", 2)])]
 
 
 def test_no_unread_constants():

@@ -4,7 +4,11 @@ Orbit tables, distortion scans, the orbit CSV, limit flags and doubled
 reflections read their 2x2 products from the level-array walker or from
 the single-word product of reps. The oracles below are the per-word
 routes those consumers used before: every product rebuilt from the
-identity, one letter at a time.
+identity, one letter at a time. Every product along a word is now a
+plain matrix product; the last section keeps the rule the walker and
+word_cartan used before as an oracle, one ScaledMatrix.times per letter
+and the Frobenius norm read through exp(2 log_scale), and checks that
+values, certificates, flags and doubled images come out the same.
 """
 
 import math
@@ -20,10 +24,12 @@ from orbitlab.cartan import (
     parse_functional,
     word_cartan,
 )
-from orbitlab.critexp import sample_from_enumeration
+from orbitlab.critexp import _frontier_sample, sample_from_enumeration
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
+    _doubled_group,
     double_rep,
+    enumerate_doubled,
     separated_schottky,
     x_involution,
 )
@@ -55,19 +61,15 @@ from orbitlab.words import (
 
 
 def oracle_word_cartan(rep, word):
-    """Cartan vector of one word, each product rebuilt from the identity
-    with one ScaledMatrix.times per letter."""
+    """Cartan vector of one word, each product rebuilt from the identity:
+    with one ScaledMatrix.times per letter for a structureless rep, and
+    one plain 2x2 product per letter and factor otherwise."""
     if rep.factors is None:
         sm = ScaledMatrix.identity(rep.dim)
         for letter in word:
             sm = sm.times(rep.images[letter])
         return cartan_projection(sm, lie_type=rep.lie_type)
-    products = []
-    for _, images in rep.factors:
-        sm = ScaledMatrix.identity(2)
-        for letter in word:
-            sm = sm.times(images[letter])
-        products.append((sm.mat[np.newaxis], np.array([sm.log_scale])))
+    products = [raw_product(images, word)[np.newaxis] for _, images in rep.factors]
     return CartanVector(_factor_exponents(rep, products)[0], rep.lie_type)
 
 
@@ -270,3 +272,136 @@ def test_alphabet_check_spares_the_identity_ball():
             call()
     with pytest.raises(InvalidInput, match="max_len >= 1"):
         sample_from_enumeration(group, rep, parse_functional("a1"), 0)
+
+
+def scaled_products(tables, word):
+    """The ScaledMatrix product along word in each letter table, one
+    ScaledMatrix.times per letter."""
+    products = []
+    for images in tables:
+        sm = ScaledMatrix.identity(len(next(iter(images.values()))))
+        for letter in word:
+            sm = sm.times(images[letter])
+        products.append(sm)
+    return products
+
+
+def scaled_cartan(rep, products):
+    """Cartan vector from the factor products in ScaledMatrix form, each
+    boost read from the Frobenius norm exp(2 log_scale) * sum(mat^2)."""
+    lam = []
+    for (d, _), sm in zip(rep.factors, products):
+        fro2 = math.exp(2.0 * sm.log_scale) * float((sm.mat * sm.mat).sum())
+        mu = 0.5 * math.acosh(max(1.0, 0.5 * fro2))
+        lam += [(d - 1 - 2 * j) * mu for j in range(d)]
+    return CartanVector(sorted(lam, reverse=True), rep.lie_type)
+
+
+def scaled_frontier_sample(group, rep, phi, max_len):
+    """The orientation preserving values, sorted, and complete_to of the
+    frontier certificate, each product extended from its parent word's
+    by ScaledMatrix.times and read by scaled_cartan."""
+    tables = [images for _, images in rep.factors]
+    products = {(): [ScaledMatrix.identity(2) for _ in tables]}
+    value, kept = {}, []
+    frontier_min, worst = math.inf, -math.inf
+    for word, mob in enumerate_elements(group, max_len):
+        w = word.letters
+        if w:
+            products[w] = [sm.times(images[w[-1]])
+                           for sm, images in zip(products[w[:-1]], tables)]
+        value[w] = phi.value(scaled_cartan(rep, products[w]))
+        if w:
+            worst = max(worst, value[w[:-1]] - value[w])
+        if len(w) == max_len:
+            frontier_min = min(frontier_min, value[w])
+        if mob.orientation == 1:
+            kept.append(value[w])
+    return np.sort(kept), max(0.0, frontier_min - max(0.0, worst))
+
+
+def schottky(kind):
+    group = standard_schottky(4.0)
+    return group, build_rep(group, kind)
+
+
+def schottky_f4_f3():
+    """sp_product of the sym2 tables of standard_schottky(4) and (3)."""
+    group, slow = standard_schottky(4.0), standard_schottky(3.0)
+    sym2 = sym_power(2)
+    return group, sp_product([sym2(group.generator_matrices(), label="f4"),
+                              sym2(slow.generator_matrices(), label="f3")])
+
+
+def pants_doubled(ell):
+    group = separated_schottky(ell)
+    dbl = double_rep(build_rep(group, "sym3"), PANTS_BOUNDARY)
+    return _doubled_group(group, dbl), dbl.rep
+
+
+# complete_to agrees to the bit, except on the tilted sp-product, where
+# exp(2 log_scale) of the scaled rule rounds the frontier minimum one
+# ulp below the plain product's
+SCALED_CASES = [
+    *(pytest.param(lambda: schottky("sym3"), text, 7, 0, id="schottky-sym3-%s-L7" % text)
+      for text in ("a1", "a2", "w1", "2*a1+1*a2")),
+    pytest.param(schottky_f4_f3, "long", 7, 0, id="schottky-f4-f3-long-L7"),
+    pytest.param(lambda: schottky("sp-product"), "long", 7, 1,
+                 id="schottky-tilted-long-L7"),
+    pytest.param(lambda: (modular_group(), build_rep(modular_group(), "sym3")),
+                 "a1", 10, 0, id="modular-sym3-a1-L10"),
+    pytest.param(lambda: pants_doubled(2.0), "a1", 6, 0, id="doubled-2.0-depth6"),
+    pytest.param(lambda: pants_doubled(1.85), "a1", 6, 0, id="doubled-1.85-depth6"),
+]
+
+
+@pytest.mark.parametrize("setup, text, max_len, ulps", SCALED_CASES)
+def test_frontier_sample_matches_the_scaled_rule(setup, text, max_len, ulps):
+    group, rep = setup()
+    phi = parse_functional(text)
+    vs = _frontier_sample(group, rep, phi, max_len, group.kind)
+    values, complete_to = scaled_frontier_sample(group, rep, phi, max_len)
+    assert len(vs) == len(values) > 500
+    assert np.all(np.abs(vs.values - values) <= 1e-12 * np.abs(values))
+    assert abs(vs.complete_to - complete_to) <= ulps * np.spacing(complete_to)
+
+
+def test_distortion_ratios_match_the_scaled_rule():
+    group = standard_schottky()
+    rep = build_rep(group, "sym3")
+    phi = parse_functional("a1")
+    report = distortion_scan(group, rep, phi, 9.0, 6)
+    assert len(report.rows) > 100
+    for row in report.rows:
+        a = phi.value(scaled_cartan(rep, scaled_products([rep.factors[0][1]], row.word)))
+        assert abs(row.alpha_kappa - a) <= 1e-12 * a
+        want = row.endpoint_distance * math.exp(a)
+        assert abs(row.ratio - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("build, depth", [
+    pytest.param(standard_schottky, 7, id="schottky-depth7"),
+    pytest.param(modular_group, 9, id="modular-depth9"),
+])
+def test_limit_flag_bases_match_the_scaled_rule(build, depth):
+    # the frame ignores the power of two between the two products
+    group = build()
+    rep = build_rep(group, "sym3")
+    got = limit_flags(rep, group, depth)
+    pairs = limit_sample_words(group, depth)
+    assert len(got) == len(pairs) > 200
+    for (_, flag), (_, word) in zip(got, pairs):
+        (sm,) = scaled_products([rep.factors[0][1]], word)
+        want = Flag(sym_power_matrix(_loxodromic_frame(sm.mat), 3))
+        assert np.array_equal(flag.basis, want.basis), str(word)
+
+
+def test_doubled_images_match_the_scaled_rule():
+    group = separated_schottky(2.0)
+    dbl = double_rep(build_rep(group, "sym3"), PANTS_BOUNDARY)
+    rows = list(enumerate_doubled(group, dbl, 4))
+    assert len(rows) > 300
+    for word, _, sm in rows:
+        (want,) = scaled_products([dbl.rep.images], word)
+        assert np.array_equal(sm.mat, want.mat), str(word)
+        assert abs(sm.log_scale - want.log_scale) <= 1e-12 * max(1.0, want.log_scale)

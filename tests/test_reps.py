@@ -287,6 +287,18 @@ class TestRepresentationChecks:
         with pytest.raises(InvalidInput):
             Representation(2, "A", {"a": np.zeros((2, 2))}, "bad")
 
+    def test_non_finite_image_rejected(self):
+        # a 2x2 table whose determinant rounds to 0 normalizes to inf;
+        # walks multiply plain products, so the table must be refused here
+        b = np.full((2, 2), 3.6e86)
+        assert np.linalg.det(b) == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="not finite"):
+                sym_power(3)({"a": np.eye(2), "b": b})
+            with pytest.raises(InvalidInput, match="not finite"):
+                Representation(2, "A", {"a": np.array([[np.inf, 0.0], [0.0, 1.0]])},
+                               "bad")
+
     def test_symplectic_violation_rejected(self):
         with pytest.raises(InvalidInput):
             Representation(4, "C", {"a": np.diag([2.0, 1.0, 1.0, 0.5])}, "bad")

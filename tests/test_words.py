@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orbitlab.words as words
-from orbitlab.cartan import factor_values, parse_functional, word_cartan
+from orbitlab.cartan import parse_functional, word_cartan
 from orbitlab.critexp import sample_from_enumeration, sample_from_norm_ball
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
@@ -29,8 +29,8 @@ from orbitlab.words import (
     MODULAR_S,
     MODULAR_T,
     Word,
+    _level_cartan,
     _walk_levels,
-    _walk_rows,
     custom_group,
     enumerate_elements,
     free_schottky,
@@ -310,11 +310,12 @@ class TestLevelWalker:
     def _check_values(group, rep, phi, max_len):
         tables = [images for _, images in rep.factors]
         checked = 0
-        for word, _, level, i in _walk_rows(group, max_len, tables):
-            batched = factor_values(rep, phi, level.products)[i]
-            direct = phi.value(word_cartan(rep, word))
-            assert abs(batched - direct) <= 1e-12 * max(1.0, abs(direct)), str(word)
-            checked += 1
+        for level in _walk_levels(group, max_len, tables, spell=True):
+            values = phi.values(_level_cartan(rep, level), rep.lie_type)
+            for word, batched in zip(level.words, values):
+                direct = phi.value(word_cartan(rep, word))
+                assert abs(batched - direct) <= 1e-12 * max(1.0, abs(direct)), word
+                checked += 1
         assert checked > 100
 
     def test_modular_key_overflow_raises(self):
