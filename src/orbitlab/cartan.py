@@ -6,9 +6,15 @@ hence projective representatives) agree. For symplectic matrices the
 singular values come in reciprocal pairs; the vector is symmetrized by
 averaging the pairs, on every route by the one routine _centered, after
 a pairing check: CartanVector refuses a caller's vector off by more than
-1e-8 (InvalidInput), cartan_projection a matrix off by more than
+1e-8 (InvalidInput), the dense route a matrix off by more than
 PAIRING_TOL (IllConditioned), and the factor rows of a product
 representation pair by construction.
+
+One batched routine, _cartan_rows, turns the plain products along words
+in a representation's tables into Cartan rows, for one word
+(word_cartan) and a whole level of words._walk_levels alike: factor
+boosts when the representation has two-by-two factors, else the dense
+route _dense_rows, of which cartan_projection is a one-row call.
 
 Functionals are simple-root combinations, fundamental weights, or the
 long root of the symplectic series:
@@ -91,28 +97,34 @@ class CartanVector:
 
 
 def cartan_projection(sm, lie_type="A"):
-    """Cartan vector of a matrix or ScaledMatrix.
-
-    The scale part never matters: centering removes it. Condition numbers
-    past CONDITION_LIMIT mean the small singular values carry no digits,
-    so the projection refuses rather than return noise.
-    """
+    """Cartan vector of a matrix or ScaledMatrix, one row of _dense_rows;
+    the scale part never matters, centering removes it."""
     if not isinstance(sm, ScaledMatrix):
         sm = ScaledMatrix(np.asarray(sm, dtype=float))
-    svals = np.linalg.svd(sm.mat, compute_uv=False)
-    if svals[-1] <= 0.0 or svals[0] / svals[-1] > CONDITION_LIMIT:
-        raise IllConditioned(
-            "condition number %.3g exceeds %.3g"
-            % (svals[0] / max(svals[-1], 1e-300), CONDITION_LIMIT)
-        )
+    return CartanVector._of(_dense_rows(sm.mat[np.newaxis], lie_type)[0], lie_type)
+
+
+def _dense_rows(mats, lie_type):
+    """Sorted, centered Cartan rows of stacked square matrices from their
+    batched singular values. A matrix past float64 range, a condition
+    number past CONDITION_LIMIT (the small singular values carry no
+    digits) or C-type values off their pairs by more than PAIRING_TOL
+    raise IllConditioned rather than return noise."""
+    if not np.all(np.isfinite(mats)):
+        raise IllConditioned("matrix product leaves float64 range")
+    svals = np.linalg.svd(mats, compute_uv=False)
+    ratio = svals[:, 0] / np.maximum(svals[:, -1], 1e-300)
+    if np.any(svals[:, -1] <= 0.0) or np.any(ratio > CONDITION_LIMIT):
+        raise IllConditioned("condition number %.3g exceeds %.3g"
+                             % (ratio.max(), CONDITION_LIMIT))
     lam = np.log(svals)
     if lie_type == "C":
-        asym = np.abs(lam + lam[::-1] - 2.0 * lam.mean()).max()
+        asym = np.abs(lam + lam[:, ::-1] - 2.0 * lam.mean(axis=1, keepdims=True)).max()
         if asym > PAIRING_TOL:
             raise IllConditioned(
                 "symplectic singular values fail to pair, asymmetry %.3g" % asym
             )
-    return CartanVector._of(_centered(lam, lie_type), lie_type)
+    return _centered(lam, lie_type)
 
 
 def _boost_half_lengths(mats):
@@ -140,35 +152,36 @@ def _factor_exponents(rep, products):
     return lam[:, ::-1]
 
 
-def _factor_rows(rep, products):
-    """Cartan vectors, one centered row each, of elements given by their
-    factor products (see _factor_exponents)."""
-    return _centered(_factor_exponents(rep, products), rep.lie_type)
+def _cartan_rows(rep, products):
+    """Cartan vectors under rep, one sorted and centered row per element,
+    of elements given by their plain products in each of rep.tables:
+    from the factor boosts (_factor_exponents), which reach word lengths
+    far past the conditioning limit, or else by _dense_rows. A row that
+    is not finite raises IllConditioned on either route."""
+    if rep.factors is None:
+        return _dense_rows(products[0], rep.lie_type)
+    lam = _centered(_factor_exponents(rep, products), rep.lie_type)
+    if not np.all(np.isfinite(lam)):
+        raise IllConditioned("factor product leaves float64 range")
+    return lam
 
 
 def word_cartan(rep, word):
-    """Cartan vector of the word's image under the representation.
+    """Cartan vector of the word's image under the representation: one
+    row of _cartan_rows over the word's plain product, from
+    reps._word_product, in each of rep.tables.
 
     Representations built from two-by-two factors expose exact log
     singular values through the factor boosts (symmetric powers carry
     rotations to orthogonal matrices, so the exponents are integer
-    multiples of the boost). That route needs only the plain two-by-two
-    products along the word, from reps._word_product, and reaches word
-    lengths far past the conditioning limit of the direct projection,
-    which remains the fallback for structureless representations. A
-    factor product whose squared entries overflow (a boost past about
-    354) raises IllConditioned. The ball walks of the words module apply
-    the same _factor_rows to whole levels.
+    multiples of the boost); a boost past about 354 overflows the
+    squared entries and raises IllConditioned, as does a structureless
+    representation's dense product past CONDITION_LIMIT.
     """
-    if rep.factors is None:
-        return cartan_projection(evaluate(rep, word), lie_type=rep.lie_type)
-    products = [_word_product(images, word, rep.label)[np.newaxis]
-                for _, images in rep.factors]
-    row = _factor_rows(rep, products)[0]
-    if not np.all(np.isfinite(row)):
-        raise IllConditioned("factor product of length %d leaves float64 range"
-                             % len(word))
-    return CartanVector._of(row, rep.lie_type)
+    dim = 2 if rep.factors is not None else rep.dim
+    products = [_word_product(images, word, rep.label, dim)[np.newaxis]
+                for images in rep.tables]
+    return CartanVector._of(_cartan_rows(rep, products)[0], rep.lie_type)
 
 
 def _root_column(lam, lie_type, i):

@@ -82,7 +82,7 @@ class _ConfigError(Exception):
 def _config_phase():
     try:
         yield
-    except (InvalidInput, OSError, ValueError, KeyError) as exc:
+    except (InvalidInput, OSError, ValueError, KeyError, TypeError) as exc:
         raise _ConfigError(str(exc)) from exc
 
 
@@ -268,32 +268,34 @@ def _write_report(cfg, command, payload, started):
 
 def cmd_orbit(cfg):
     """Stream word,len,disp,k1..kd rows; a checkpoint file records the
-    last fully written length so an interrupted run appends instead of
-    restarting."""
+    last fully written length, the byte offset its rows end at and the
+    rows so far, so an interrupted run cuts off any rows of a partly
+    written length and appends instead of restarting."""
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
         csv_path = _report_path(cfg, "orbit.csv")
     ck_path = csv_path + ".checkpoint"
-    start_len = 0
+    start_len = rows = 0
     mode = "w"
-    if os.path.exists(ck_path) and os.path.exists(csv_path):
-        try:
-            with open(ck_path, "r", encoding="utf-8") as fh:
-                ck = json.load(fh)
-        except (OSError, ValueError):
-            ck = {}
-        if (ck.get("config") == cfg.echo_json()
-                and ck.get("completed_len", -1) < cfg.max_len):
-            start_len = int(ck["completed_len"]) + 1
+    try:
+        with open(ck_path, "r", encoding="utf-8") as fh:
+            ck = json.load(fh)
+        if (ck["config"] == cfg.echo_json() and ck["completed_len"] < cfg.max_len
+                and 0 < ck["offset"] <= os.path.getsize(csv_path)):
+            start_len, rows = int(ck["completed_len"]) + 1, int(ck["rows"])
             mode = "a"
+    except (OSError, ValueError, TypeError, KeyError):
+        pass  # no usable checkpoint: start over
+    if mode == "a":
+        os.truncate(csv_path, ck["offset"])
+    resumed_rows = rows
 
-    def checkpoint(done_len, rows):
+    def checkpoint(done_len, offset):
         with open(ck_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump({"config": cfg.echo_json(), "completed_len": done_len,
-                       "rows": rows}, fh, sort_keys=True)
+                       "offset": offset, "rows": rows}, fh, sort_keys=True)
 
-    rows = 0
     current = 0
     with open(csv_path, mode, encoding="utf-8", newline="\n") as fh:
         if mode == "w":
@@ -303,14 +305,15 @@ def cmd_orbit(cfg):
             if rec.length > current:
                 if current >= start_len:
                     fh.flush()
-                    checkpoint(current, rows)
+                    checkpoint(current, fh.tell())
                 current = rec.length
             if current < start_len:
                 continue
             fh.write(_orbit_csv_row(rec))
             rows += 1
-    checkpoint(cfg.max_len, rows)
-    print("wrote %s (%d new rows, from length %d)" % (csv_path, rows, start_len))
+    checkpoint(cfg.max_len, os.path.getsize(csv_path))
+    print("wrote %s (%d new rows, from length %d)"
+          % (csv_path, rows - resumed_rows, start_len))
     return EXIT_OK
 
 
@@ -323,6 +326,16 @@ def _load_values_file(path):
     complete_to = float(data.get("complete_to", max(values) if values else 0.0))
     return ValueSample(values, complete_to,
                        label=str(data.get("label", path)))
+
+
+def _with_provenance(row, vs):
+    """A report row with the source of the sample's certificate, if any."""
+    p = vs.provenance
+    if p is not None:
+        row["provenance"] = dict(
+            frontier_min=p["frontier_min"], dip=p["dip"],
+            **{k: str(p[k]) for k in ("frontier_word", "dip_parent", "dip_child")})
+    return row
 
 
 def cmd_critexp(cfg):
@@ -343,7 +356,8 @@ def cmd_critexp(cfg):
             vs = sample_from_enumeration(group, rep,
                                          parse_functional(expr), cfg.max_len)
         est = estimate_exponent(vs, window=cfg.window)
-        payload.append(est.report(expr if expr is not None else vs.label))
+        payload.append(_with_provenance(
+            est.report(expr if expr is not None else vs.label), vs))
     path = _write_report(cfg, "critexp", payload, started)
     for row in payload:
         print("%s: %.4f +- %.4f (complete_to %.3f)" % (
@@ -449,7 +463,7 @@ def cmd_double(cfg):
     payload = []
     for which, est, vs in (("base", base_est, base_vs),
                            ("doubled", dbl_est, dbl_vs)):
-        row = est.report(cfg.functionals[0])
+        row = _with_provenance(est.report(cfg.functionals[0]), vs)
         row["which"] = which
         row["label"] = vs.label
         payload.append(row)

@@ -13,9 +13,9 @@ frontier minus the largest one-letter dip seen in the ball. It is a
 proof only when that dip is zero, as measured for the Schottky samples;
 a positive dip, as in the doubled group, makes it an estimate, since a
 word k letters past the frontier can fall k dips. The ball comes a
-level at a time from words._rep_levels, the walk that forms every
+level at a time from words._walk_levels, the walk that forms every
 product along the words of a ball, and its Cartan vectors from
-words._level_cartan; a few values are recomputed word by word with
+cartan._cartan_rows; a few values are recomputed word by word with
 word_cartan as a check, and the sample's provenance records the
 frontier minimum, the dip and the words behind both. For the modular
 group, words.modular_norm_ball scans the integer matrices with bounded
@@ -35,10 +35,10 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import _boost_half_lengths, cartan_projection, word_cartan
+from .cartan import _boost_half_lengths, _cartan_rows, cartan_projection, word_cartan
 from .errors import IllConditioned, InsufficientData, InvalidInput
 from .reps import sym_power_matrix
-from .words import _level_cartan, _rep_levels, _word_at, modular_norm_ball
+from .words import _rep_tables, _walk_levels, modular_norm_ball
 
 CLAMP = 1e-12
 MIN_WINDOW_VALUES = 20
@@ -230,8 +230,8 @@ def _frontier_sample(group, rep, phi, max_len, name):
     max_len), with the length-frontier certificate of
     sample_from_enumeration.
 
-    The ball comes a level at a time from words._rep_levels, and phi is
-    applied to each level's rows from words._level_cartan at once.
+    The ball comes a level at a time from words._walk_levels, and phi is
+    applied to each level's rows from cartan._cartan_rows at once.
     word_cartan recomputes the identity, every one-letter word, the
     frontier-minimum word and the worst-dip pair, and a disagreement
     beyond 1e-12 relative raises IllConditioned. The frontier minimum
@@ -243,9 +243,9 @@ def _frontier_sample(group, rep, phi, max_len, name):
     if max_len < 1:
         raise InvalidInput("need max_len >= 1 for a frontier certificate")
     levels, values = [], []
-    for level in _rep_levels(group, rep, max_len):
+    for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
         levels.append(level)
-        values.append(phi.values(_level_cartan(rep, level), rep.lie_type))
+        values.append(phi.values(_cartan_rows(rep, level.products), rep.lie_type))
     if len(levels) <= max_len:
         raise InsufficientData("no words on the length frontier")
     worst, worst_at = -math.inf, None
@@ -260,10 +260,8 @@ def _frontier_sample(group, rep, phi, max_len, name):
     dip_parent = (worst_at[0] - 1, int(levels[worst_at[0]].parent[worst_at[1]]))
     checks = [(0, 0)] + [(1, j) for j in range(len(levels[1]))]
     checks += [frontier_at, dip_parent, worst_at]
-    words = {}
-    for length, i in dict.fromkeys(checks):
-        word = _word_at(levels, group.alphabet, length, i)
-        words[length, i] = word
+    word_of = {(length, i): levels[length].word(i) for length, i in checks}
+    for (length, i), word in word_of.items():
         direct = phi.value(word_cartan(rep, word))
         batched = float(values[length][i])
         if abs(batched - direct) > 1e-12 * max(1.0, abs(direct)):
@@ -279,11 +277,11 @@ def _frontier_sample(group, rep, phi, max_len, name):
     vs = ValueSample(kept, max(0.0, frontier_min - dip), label=label)
     vs.provenance = {
         "frontier_min": frontier_min,
-        "frontier_word": words[frontier_at],
+        "frontier_word": word_of[frontier_at],
         "dip": dip,
         "worst_drop": worst,
-        "dip_parent": words[dip_parent],
-        "dip_child": words[worst_at],
+        "dip_parent": word_of[dip_parent],
+        "dip_child": word_of[worst_at],
     }
     return vs
 

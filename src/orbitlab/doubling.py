@@ -39,7 +39,7 @@ from .reps import (
     evaluate,
     sym_power_matrix,
 )
-from .words import GroupSpec, Word, _walk_rows, free_schottky
+from .words import GroupSpec, Word, _walk_levels, free_schottky
 
 # letters offered to reflections, skipping any the base alphabet uses
 REFLECTION_LETTERS = "xyzuvw"
@@ -341,7 +341,7 @@ def _doubled_group(group, doubled):
 def enumerate_doubled(group, doubled, max_len):
     """Stream (word, Mobius, ScaledMatrix image) over the doubled ball.
 
-    The ball is the walk of enumerate_elements on the doubled GroupSpec,
+    The ball is the walk of words._walk_levels on the doubled GroupSpec,
     and only its orientation preserving elements (even reflection
     parity) are emitted. The walk carries doubled.rep's table, so each
     image is the plain product along the word, taken from the parent's
@@ -352,9 +352,10 @@ def enumerate_doubled(group, doubled, max_len):
     non-exhaustive.
     """
     spec = _doubled_group(group, doubled)
-    for word, mob, level, i in _walk_rows(spec, max_len, [doubled.rep.images]):
-        if mob.orientation == 1:
-            yield word, mob, ScaledMatrix(level.products[0][i])
+    for level in _walk_levels(spec, max_len, [doubled.rep.images]):
+        for i, mob in level.rows():
+            if mob.orientation == 1:
+                yield level.word(i), mob, ScaledMatrix(level.products[0][i])
 
 
 def doubled_value_sample(group, doubled, phi, max_len):

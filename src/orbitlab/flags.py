@@ -26,9 +26,9 @@ from .errors import (
     SpectrumNotLoxodromic,
 )
 from .hypdisc import Mobius, _kernel_vector
-from .reps import ScaledMatrix, evaluate, sym_power_matrix
+from .reps import ScaledMatrix, sym_power_matrix
 from .tpos import Unitriangular, factorize
-from .words import _factor_tables, _limit_rows, limit_sample_words
+from .words import _limit_rows, _rep_tables
 
 TRANSVERSE_TOL = 1e-10
 LOG_GAP_MIN = 1e-6
@@ -302,16 +302,16 @@ def limit_flags(rep, group, depth):
     symmetric power of the frame, which stays accurate at word lengths
     where eigensolvers on the large graded image matrix lose the leading
     eigenvector. The frame is read from the 2x2 product the limit-set
-    walk carries along each word. Structureless representations fall
-    back to the direct eigenvector route.
+    walk carries along each word. Any other representation takes the
+    direct eigenvector route on the dense image the walk carries.
     """
+    tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
-        return [(bp, attracting_flag(evaluate(rep, word)))
-                for bp, word in limit_sample_words(group, depth)]
+        return [(bp, attracting_flag(ScaledMatrix(mats[0])))
+                for bp, _, mats in _limit_rows(group, depth, [rep.images])]
     d = rep.factors[0][0]
     return [(bp, Flag(sym_power_matrix(_loxodromic_frame(mats[0]), d)))
-            for bp, _, mats in _limit_rows(group, depth,
-                                           _factor_tables(group, rep, depth))]
+            for bp, _, mats in _limit_rows(group, depth, tables)]
 
 
 def limit_curve(rep, group, depth, k):

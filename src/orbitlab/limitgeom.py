@@ -7,7 +7,8 @@ give an endpoint distance, and the product with e^(alpha(kappa)) is the
 distortion ratio. Bounded ratios across the orbit are the numerical
 shape of the two-sided distortion property; the constants are outputs,
 never inputs. The orbit points come from the ball walk of the words
-module, and kappa only for the rows kept.
+module (words._walk_levels), and kappa, from cartan._cartan_rows, only
+for the rows kept.
 
 shadow_separation_check buckets orbit points into annuli by functional
 value and looks for same-annulus pairs whose shadows overlap even though
@@ -25,16 +26,11 @@ import math
 import numpy as np
 from scipy import stats
 
+from .cartan import _cartan_rows
 from .errors import InsufficientScales, InvalidInput
 from .flags import GrassPoint, flag_distance, limit_curve
-from .hypdisc import TWO_PI, Mobius, displacement, shadow_of_isometry
-from .words import (
-    Word,
-    _level_cartan,
-    _rep_levels,
-    enumerate_elements,
-    limit_sample,
-)
+from .hypdisc import TWO_PI, displacement, shadow_of_isometry
+from .words import _rep_tables, _walk_levels, enumerate_elements, limit_sample
 
 DEFAULT_MIN_SEP = 1e-6
 MIN_POINTS = 1000
@@ -153,10 +149,9 @@ def distortion_scan(group, rep, phi, r, max_len, sample_depth=None, sample=None)
     planes = [plane for _, plane in sample]
     rows = []
     skipped = 0
-    for level in _rep_levels(group, rep, max_len, spell=True):
+    for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
         kept = []
-        for i, orientation in enumerate(level.orientation.tolist()):
-            mob = Mobius._normalized(level.mats[i], orientation)
+        for i, mob in level.rows():
             if displacement(mob) <= r:
                 continue
             pick = _arc_extremes(thetas, shadow_of_isometry(mob, r))
@@ -171,9 +166,9 @@ def distortion_scan(group, rep, phi, r, max_len, sample_depth=None, sample=None)
         if not kept:
             continue
         # the Cartan vectors of the kept rows only
-        lam = _level_cartan(rep, level, [i for i, _ in kept])
+        lam = _cartan_rows(rep, [m[[i for i, _ in kept]] for m in level.products])
         for (i, dist), a in zip(kept, phi.values(lam, rep.lie_type).tolist()):
-            rows.append(DistortionRow(str(Word(level.words[i])), a, dist,
+            rows.append(DistortionRow(str(level.word(i)), a, dist,
                                       dist * math.exp(a)))
     return DistortionReport(rows, skipped, r, phi.name())
 

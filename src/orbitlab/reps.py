@@ -12,11 +12,12 @@ accepts raw matrices and only normalizes determinants.
 Every product along a word is the plain product of the letters'
 matrices, left to right. One word's is formed by _word_product alone
 (evaluate, cartan.word_cartan, doubling.double_rep, doubling's reflection
-axes); the walker of the words module forms a whole ball's, a level at a
-time, by the same rule. Only evaluate takes a log scale, once, when it
-hands the finished product on as a ScaledMatrix: a matrix with sup norm
-in [1, 2) plus a separate natural-log scale, so no root or weight
-computation sees the product's magnitude.
+axes); words._walk_levels forms a whole ball's by the same rule, a level
+at a time, in the tables it is handed, such as Representation.tables.
+Only evaluate takes a log scale, once, when it hands the finished
+product on as a ScaledMatrix: a matrix with sup norm in [1, 2) plus a
+separate natural-log scale, so no root or weight computation sees the
+product's magnitude.
 """
 
 import math
@@ -107,6 +108,14 @@ class Representation:
         self.label = label
         self.verified = bool(verified)
         self.factors = factors
+
+    @property
+    def tables(self):
+        """The letter tables whose products along a word give its Cartan
+        data: each factor's 2x2 table, or else the images themselves."""
+        if self.factors is None:
+            return [self.images]
+        return [images for _, images in self.factors]
 
     def image(self, letter):
         try:

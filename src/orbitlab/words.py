@@ -20,21 +20,22 @@ only warns. A fourth kind, doubled, is the reflection extension that
 the doubling module builds; it also deduplicates by rounding.
 
 One breadth-first walker serves every kind, and it alone forms the
-products along the words of a ball. _walk_levels keeps the word tree as
-arrays, one level per word length: for each row its parent row and last
-letter, its Mobius matrix and orientation, the products of the letters'
-matrices and of their orientations, and, for each letter table a caller
-passes in, the plain product of the table's matrices along the word.
-A level is built from the one before with stacked products (np.matmul),
-which round exactly as one product at a time does. The walker never
-appends the inverse of a word's last letter: that gives back the word's
-parent, already seen, whatever the relations of the group. Duplicates are
-dropped with keys computed a level at a time. enumerate_elements
-streams the levels as (Word, Mobius) pairs. _rep_levels walks with a
-representation's 2x2 factor tables and _level_cartan turns a level's
-products into Cartan vectors, which growth samples, orbit tables,
-distortion scans and the orbit CSV read; the limit-set sample hands
-each word's 2x2 product on to flags.limit_flags.
+products along the words of a ball; every consumer loops over its
+levels. _walk_levels keeps the word tree as arrays, one level per word
+length: for each row its parent row and the alphabet positions of its
+letters, its Mobius matrix and orientation, the products of the
+letters' matrices and of their orientations, and, for each letter table
+a caller passes in, the plain product of the table's matrices along the
+word. A level is built from the one before with stacked products
+(np.matmul), which round exactly as one product at a time does. The
+walker never appends the inverse of a word's last letter: that gives
+back the word's parent, already seen, whatever the relations of the
+group. Duplicates are dropped with keys computed a level at a time.
+enumerate_elements streams the levels as (Word, Mobius) pairs. Walks
+for a representation carry rep.tables (_rep_tables), whose products
+cartan._cartan_rows turns into Cartan vectors for orbit tables, the
+orbit CSV, growth samples and distortion scans; the limit-set sample
+(_limit_rows) hands them on to flags.limit_flags.
 
 The modular norm ball is not walked. modular_norm_ball finds every
 modular element with entries bounded by an integer in one array scan,
@@ -53,7 +54,7 @@ import warnings
 
 import numpy as np
 
-from .cartan import CartanVector, _factor_rows, word_cartan
+from .cartan import CartanVector, _cartan_rows
 from .errors import InvalidInput, NonElementary
 from .hypdisc import (
     ORIGIN,
@@ -292,36 +293,39 @@ def _first_new(keys, seen):
 class _Level:
     """One level of the word tree, as arrays over its rows.
 
-    Row i is the word of row parent[i] one level up, extended by
-    alphabet[letter[i]]. mats holds its Mobius matrix, the product of
-    the letters' matrices, and orientation the product of their
-    orientations; products holds, for each letter table walked, the
-    (N, d, d) array of the plain products of the table's matrices along
-    the words; words, when the walk spells, the letter tuple of each
-    row.
+    Row i is the word of row parent[i] one level up, extended by one
+    letter; codes[i] holds the alphabet positions of its letters, so
+    codes[:, -1] is each row's last letter. mats holds its Mobius
+    matrix, the product of the letters' matrices, and orientation the
+    product of their orientations; products holds, for each letter table
+    walked, the (N, d, d) array of the plain products of the table's
+    matrices along the words.
     """
 
-    __slots__ = ("parent", "letter", "mats", "orientation", "products", "words")
+    __slots__ = ("alphabet", "parent", "codes", "mats", "orientation", "products")
 
-    def __init__(self, parent, letter, mats, orientation, products, words=None):
+    def __init__(self, alphabet, parent, codes, mats, orientation, products):
+        self.alphabet = alphabet
         self.parent = parent
-        self.letter = letter
+        self.codes = codes
         self.mats = mats
         self.orientation = orientation
         self.products = products
-        self.words = words
 
     def __len__(self):
         return len(self.parent)
 
-    def take(self, rows):
-        return _Level(
-            self.parent[rows], self.letter[rows], self.mats[rows],
-            self.orientation[rows], [m[rows] for m in self.products],
-        )
+    def word(self, i):
+        """The Word of row i."""
+        return Word([self.alphabet[c] for c in self.codes[i].tolist()])
+
+    def rows(self):
+        """(i, Mobius) for every row, the Mobius value reusing the row."""
+        for i, orientation in enumerate(self.orientation.tolist()):
+            yield i, Mobius._normalized(self.mats[i], orientation)
 
 
-def _walk_levels(group, max_len, tables=(), spell=False):
+def _walk_levels(group, max_len, tables=()):
     """The word tree of enumerate_elements, one _Level per word length.
 
     Each level is computed from the one before with stacked products,
@@ -334,8 +338,7 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     could pass 2^53), and by rounding for custom and doubled; the first
     row with a key wins, and rows of earlier levels come first. tables
     are letter-to-matrix dicts whose plain products along each word the
-    levels carry as well, and with spell set each level holds its
-    words. Walking stops early once a level is empty.
+    levels carry as well. Walking stops early once a level is empty.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be nonnegative")
@@ -344,108 +347,62 @@ def _walk_levels(group, max_len, tables=(), spell=False):
     inverse = np.array([position[group.inverse_letter[a]] for a in alphabet])
     images = np.array([group.images[a].mat for a in alphabet])
     signs = np.array([group.images[a].orientation for a in alphabet])
+    # the identity walk reads no letter of the tables
     stacks = [np.array([np.asarray(t[a], dtype=float) for a in alphabet])
-              for t in tables]
-    key_of = None
-    if group.kind == "modular":
-        key_of = lambda level: _sign_canonical(level.mats.reshape(-1, 4), 0) + 0.0
-    elif group.kind == "custom":
-        key_of = lambda level: _round_canonical(level.mats.reshape(-1, 4),
-                                                group.dedup_tol)
-    elif group.kind == "doubled":
-        key_of = lambda level: _scaled_key(level.mats.reshape(-1, 4),
-                                           group.dedup_tol)
+              for t in tables] if max_len else []
+    key_of = {
+        "modular": lambda flat: _sign_canonical(flat, 0) + 0.0,
+        "custom": lambda flat: _round_canonical(flat, group.dedup_tol),
+        "doubled": lambda flat: _scaled_key(flat, group.dedup_tol),
+    }.get(group.kind)
     level = _Level(
-        np.array([-1]), np.array([-1]), np.eye(2)[np.newaxis], np.array([1]),
-        [np.eye(len(st[0]))[np.newaxis] for st in stacks],
-        [()] if spell else None,
+        alphabet, np.array([-1]), np.zeros((1, 0), dtype=np.int8),
+        np.eye(2)[np.newaxis], np.array([1]),
+        [np.eye(len(next(iter(t.values()))))[np.newaxis] for t in tables],
     )
-    seen = key_of(level) if key_of else None
+    seen = key_of(level.mats.reshape(-1, 4)) if key_of else None
     yield level
     for length in range(max_len):
-        above = level.words
         allowed = np.ones((len(level), len(alphabet)), dtype=bool)
         if length:
-            allowed[np.arange(len(level)), inverse[level.letter]] = False
+            allowed[np.arange(len(level)), inverse[level.codes[:, -1]]] = False
         rows, letters = np.nonzero(allowed)
         if (group.kind == "modular"
                 and 2.0 * np.abs(level.mats).max() * np.abs(images).max() >= 2.0 ** 53):
             raise InvalidInput(
                 "integer entries could pass 2^53 past word length %d" % length
             )
+        codes = np.empty((len(rows), length + 1), dtype=np.int8)
+        codes[:, :length] = np.take(level.codes, rows, axis=0)
+        codes[:, length] = letters
         mats = np.matmul(level.mats[rows], images[letters])
         orientation = level.orientation[rows] * signs[letters]
         products = [np.matmul(m[rows], st[letters])
                     for m, st in zip(level.products, stacks)]
-        level = _Level(rows, letters, mats, orientation, products)
+        if key_of:
+            keys = key_of(mats.reshape(-1, 4))
+            kept = _first_new(keys, seen)
+            seen = np.concatenate([seen, keys[kept]])
+            rows, codes, mats, orientation = (
+                rows[kept], codes[kept], mats[kept], orientation[kept])
+            products = [m[kept] for m in products]
+            del keys, kept
+        level = _Level(alphabet, rows, codes, mats, orientation, products)
         # a consumer computes while the walk waits at the yield; the
         # candidate arrays must not add to its peak
-        del allowed, rows, letters, mats, orientation, products
-        if key_of:
-            keys = key_of(level)
-            kept = _first_new(keys, seen)
-            level = level.take(kept)
-            seen = np.concatenate([seen, keys[kept]])
-            del keys
+        del allowed, rows, letters, codes, mats, orientation, products
         if not len(level):
             return
-        if spell:
-            level.words = [above[p] + (alphabet[c],) for p, c in
-                           zip(level.parent.tolist(), level.letter.tolist())]
         yield level
 
 
-def _walk_rows(group, max_len, tables=()):
-    """(Word, Mobius, level, row) for every element of _walk_levels, in
-    stream order; the Mobius value reuses the level's row."""
-    for level in _walk_levels(group, max_len, tables, spell=True):
-        for i, orientation in enumerate(level.orientation.tolist()):
-            yield (Word(level.words[i]),
-                   Mobius._normalized(level.mats[i], orientation), level, i)
-
-
-def _factor_tables(group, rep, max_len):
-    """The 2x2 letter tables of rep.factors, each checked to cover group's
-    alphabet; [] when rep has none or max_len keeps the walk at the
-    identity, which word_cartan then handles alone."""
-    if rep.factors is None or max_len < 1:
-        return []
-    tables = [images for _, images in rep.factors]
-    missing = [a for a in group.alphabet if any(a not in t for t in tables)]
-    if missing:
+def _rep_tables(group, rep, max_len):
+    """rep.tables, each checked to cover group's alphabet unless max_len
+    keeps the walk at the identity, which reads no letter."""
+    missing = [a for a in group.alphabet if any(a not in t for t in rep.tables)]
+    if missing and max_len >= 1:
         raise InvalidInput("letter %r has no image under %s" % (missing[0], rep.label))
-    return tables
-
-
-def _rep_levels(group, rep, max_len, spell=False):
-    """The levels of _walk_levels(group, max_len) carrying the 2x2 tables
-    of rep's factors, for _level_cartan; spelled when asked or when the
-    walk carries no tables, as _level_cartan's word_cartan route needs."""
-    tables = _factor_tables(group, rep, max_len)
-    return _walk_levels(group, max_len, tables, spell or not tables)
-
-
-def _level_cartan(rep, level, rows=slice(None)):
-    """The Cartan vectors under rep, sorted and centered, of the rows of
-    a level of _rep_levels, all or those listed: from the factor products
-    it carries, bit for bit word_cartan's, or else from word_cartan word
-    by word, so a structureless rep forms only the rows asked for."""
-    if level.products:
-        return _factor_rows(rep, [m[rows] for m in level.products])
-    return np.array([word_cartan(rep, level.words[i]).lambdas
-                     for i in np.arange(len(level))[rows]])
-
-
-def _word_at(levels, alphabet, length, row):
-    """The Word of a row of a list of _walk_levels levels, read back
-    along its parents."""
-    letters = []
-    while length:
-        level = levels[length]
-        letters.append(alphabet[level.letter[row]])
-        row = level.parent[row]
-        length -= 1
-    return Word(reversed(letters))
+    return rep.tables
 
 
 def enumerate_elements(group, max_len):
@@ -463,8 +420,9 @@ def enumerate_elements(group, max_len):
     the first.
     The elements come from the level arrays of _walk_levels.
     """
-    for word, mob, _, _ in _walk_rows(group, max_len):
-        yield word, mob
+    for level in _walk_levels(group, max_len):
+        for i, mob in level.rows():
+            yield level.word(i), mob
 
 
 def modular_norm_ball(bound):
@@ -539,14 +497,13 @@ class OrbitRecord:
 
 def _orbit_records(group, rep, max_len, b0=ORIGIN, functionals=()):
     """The records of orbit_table, streamed, with the Cartan vectors of
-    _level_cartan."""
-    for level in _rep_levels(group, rep, max_len, spell=True):
-        lam = _level_cartan(rep, level)
-        for i, orientation in enumerate(level.orientation.tolist()):
-            mob = Mobius._normalized(level.mats[i], orientation)
+    cartan._cartan_rows over each level's products."""
+    for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
+        lam = _cartan_rows(rep, level.products)
+        for i, mob in level.rows():
             kv = CartanVector._of(lam[i], rep.lie_type)
             values = {phi.name(): phi.value(kv) for phi in functionals}
-            yield OrbitRecord(Word(level.words[i]), displacement(mob, b0), kv,
+            yield OrbitRecord(level.word(i), displacement(mob, b0), kv,
                               values, mob=mob)
 
 
@@ -579,16 +536,18 @@ def _limit_rows(group, depth, tables=()):
     """limit_sample_words with a third entry per pair: the word's plain
     product in each table walked."""
     rows = []
-    for word, mob, level, i in _walk_rows(group, depth, tables):
-        if len(word) == 0:
-            continue
-        first, last = word.letters[0], word.letters[-1]
-        if len(word) > 1 and group.inverse_letter[last] == first:
-            continue
-        if classify(mob) != "hyperbolic":
-            continue
-        rows.append((fixed_points(mob)[0], word,
-                     [m[i].copy() for m in level.products]))
+    for level in _walk_levels(group, depth, tables):
+        for i, mob in level.rows():
+            word = level.word(i)
+            if len(word) == 0:
+                continue
+            first, last = word.letters[0], word.letters[-1]
+            if len(word) > 1 and group.inverse_letter[last] == first:
+                continue
+            if classify(mob) != "hyperbolic":
+                continue
+            rows.append((fixed_points(mob)[0], word,
+                         [m[i].copy() for m in level.products]))
     rows.sort(key=lambda row: row[0].theta)
     distinct = []
     for row in rows:

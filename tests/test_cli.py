@@ -64,20 +64,41 @@ def test_orbit_deterministic_and_resumable(tmp_path):
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == fresh
 
-    # simulate an interrupted run: drop rows beyond length 3, rewind
-    kept = []
-    for line in fresh.decode().strip().split("\n"):
-        if line.startswith("#") or line.startswith("word,"):
-            kept.append(line)
-        elif int(line.split(",")[1]) <= 3:
-            kept.append(line)
-    csv_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
     ck_path = out / "orbit.csv.checkpoint"
-    ck = json.loads(ck_path.read_text())
-    ck["completed_len"] = 3
+    lines = fresh.decode().splitlines(keepends=True)
+    data = [line for line in lines if not line.startswith(("#", "word,"))]
+    assert json.loads(ck_path.read_text())["rows"] == len(data)
+
+    # simulate runs killed after length 3 was checkpointed: partway
+    # through length 4, whose first rows follow the offset, and cleanly
+    head = [line for line in lines
+            if line.startswith(("#", "word,")) or int(line.split(",")[1]) <= 3]
+    fours = [line for line in data if int(line.split(",")[1]) == 4]
+    prefix = "".join(head).encode()
+    for partial in (fours[:5], []):
+        csv_path.write_bytes(prefix + "".join(partial).encode())
+        ck = json.loads(ck_path.read_text())
+        ck.update(completed_len=3, offset=len(prefix), rows=len(head) - 2)
+        ck_path.write_text(json.dumps(ck, sort_keys=True), encoding="utf-8")
+        assert cli.main(args) == 0
+        assert csv_path.read_bytes() == fresh
+        assert json.loads(ck_path.read_text())["rows"] == len(data)
+
+    # a checkpoint with a field of the wrong type starts the run over
+    ck.update(completed_len=3, offset=str(len(prefix)))
     ck_path.write_text(json.dumps(ck, sort_keys=True), encoding="utf-8")
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("config", ['{"window": 5}', '{"max_len": null}',
+                                    '{"functional": 5}', '{"depth": [1]}'])
+def test_config_type_errors_exit_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config, encoding="utf-8")
+    assert cli.main(["limitcurve", "--group", write_modular_group(tmp_path),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_config_file_overrides_flags(tmp_path):
@@ -113,6 +134,7 @@ def test_critexp_synthetic_values(tmp_path):
     assert header["config"]["values"] == str(values)
     assert abs(row["value"] - 0.5) < 0.01
     assert row["complete_to"] == vs.complete_to
+    assert "provenance" not in row
 
 
 def test_critexp_group_route(tmp_path):
@@ -125,6 +147,13 @@ def test_critexp_group_route(tmp_path):
     assert rows[0]["functional"] == "a1"
     assert rows[0]["complete_to"] > 0.0
     assert rows[0]["stderr"] >= 0.0
+    # the certificate's source: complete_to is frontier_min - dip
+    prov = rows[0]["provenance"]
+    assert sorted(prov) == ["dip", "dip_child", "dip_parent", "frontier_min",
+                            "frontier_word"]
+    assert prov["frontier_min"] - prov["dip"] == rows[0]["complete_to"]
+    assert len(prov["frontier_word"]) == 6
+    assert len(prov["dip_child"]) == len(prov["dip_parent"]) + 1
 
 
 def test_conerank_report(tmp_path):
@@ -187,6 +216,10 @@ def test_double_report(tmp_path):
     assert "non-exhaustive" in by_which["doubled"]["label"]
     assert by_which["doubled"]["value"] > by_which["base"]["value"]
     assert by_which["base"]["complete_to"] > 0.0
+    # the doubled group's words carry reflection letters
+    assert by_which["doubled"]["provenance"]["dip"] > 0.0
+    assert set(by_which["doubled"]["provenance"]["dip_child"]) & set("xyz")
+    assert by_which["base"]["provenance"]["frontier_word"]
 
 
 def test_double_insufficient_depth(tmp_path):

@@ -171,3 +171,45 @@ def test_detector_flags_an_unread_error_class():
                  "raise Raised()\n"),
     }
     assert unread_error_classes(sources) == [(9, "Spare")]
+
+
+def top_level_names(source):
+    """Names a module binds at its top level: functions, classes,
+    assigned names and imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+def stale_references(sources):
+    """(module, line, reference) of each module.name that the text of
+    sources, a name-to-text dict, mentions, in code, a docstring or a
+    comment, where module is one of sources and binds no such name at
+    its top level: a reference a rename or a deletion left behind."""
+    bound = {module[:-3]: top_level_names(text) for module, text in sources.items()}
+    mention = re.compile(r"(?<![\w.])(%s)\.(\w+)" % "|".join(sorted(bound)))
+    return [(module, line, "%s.%s" % (target, name))
+            for module, text in sorted(sources.items())
+            for line, row in enumerate(text.splitlines(), 1)
+            for target, name in mention.findall(row)
+            if name not in bound[target]]
+
+
+def test_no_stale_module_references():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert stale_references(sources) == []
+
+
+def test_detector_flags_a_stale_reference():
+    sources = {
+        "a.py": "import math\n\nLIMIT = 3\n\n\ndef walk():\n    pass\n",
+        "b.py": ('"""Reads a.walk and a.LIMIT, once a._gone too."""\n\n'
+                 "import a\n\nprint(a.math.pi, a.walk())  # a.spare, not b.a.walk\n"),
+    }
+    assert stale_references(sources) == [("b.py", 1, "a._gone"), ("b.py", 5, "a.spare")]

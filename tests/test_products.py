@@ -11,6 +11,7 @@ and the Frobenius norm read through exp(2 log_scale), and checks that
 values, certificates, flags and doubled images come out the same.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from orbitlab.errors import IllConditioned, InvalidInput
 from orbitlab.flags import (
     Flag,
     _loxodromic_frame,
+    attracting_flag,
     flag_distance,
     limit_curve,
     limit_flags,
@@ -405,3 +407,54 @@ def test_doubled_images_match_the_scaled_rule():
         (want,) = scaled_products([dbl.rep.images], word)
         assert np.array_equal(sm.mat, want.mat), str(word)
         assert abs(sm.log_scale - want.log_scale) <= 1e-12 * max(1.0, want.log_scale)
+
+
+# The structureless route: limit flags and Cartan vectors of a rep with
+# no 2x2 factors (or more than one) come from the dense product that the
+# walk or reps._word_product forms, against the per-word evaluate route.
+
+def custom_sym3(group):
+    return custom_rep({c: sym_power_matrix(group.image(c).mat, 3)
+                       for c in group.alphabet}, 3)
+
+
+def two_speed_product(group):
+    # a second factor with other translation lengths keeps the moduli apart
+    slow = standard_schottky(3.0)
+    sym2 = sym_power(2)
+    return sp_product([sym2(group.generator_matrices(), label="f4"),
+                       sym2(slow.generator_matrices(), label="f3")])
+
+
+@pytest.mark.parametrize("build, rep_of, depth", [
+    pytest.param(standard_schottky, custom_sym3, 5, id="custom-sym3-schottky-depth5"),
+    pytest.param(modular_group, custom_sym3, 7, id="custom-sym3-modular-depth7"),
+    pytest.param(standard_schottky, two_speed_product, 4, id="sp-product-depth4"),
+])
+def test_structureless_limit_flags_match_evaluate(build, rep_of, depth):
+    group = build()
+    rep = rep_of(group)
+    got = limit_flags(rep, group, depth)
+    pairs = limit_sample_words(group, depth)
+    assert len(got) == len(pairs) > 50
+    for (bp, flag), (want_bp, word) in zip(got, pairs):
+        want = attracting_flag(evaluate(rep, word)).basis
+        assert bp.theta == want_bp.theta
+        assert np.all(np.abs(flag.basis - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), \
+            str(word)
+
+
+@pytest.mark.parametrize("build, d", [
+    pytest.param(standard_schottky, 2, id="schottky-dim2"),
+    pytest.param(modular_group, 3, id="modular-dim3"),
+])
+def test_dense_word_cartan_matches_the_projection(build, d):
+    group = build()
+    rep = custom_rep({c: sym_power_matrix(group.image(c).mat, d)
+                      for c in group.alphabet}, d)
+    for length in range(7):
+        for word in itertools.product(group.alphabet, repeat=length):
+            got = word_cartan(rep, word).lambdas
+            want = cartan_projection(evaluate(rep, word)).lambdas
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), \
+                "".join(word)

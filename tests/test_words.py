@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orbitlab.words as words
-from orbitlab.cartan import parse_functional, word_cartan
+from orbitlab.cartan import _cartan_rows, parse_functional, word_cartan
 from orbitlab.critexp import sample_from_enumeration, sample_from_norm_ball
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
@@ -29,7 +29,6 @@ from orbitlab.words import (
     MODULAR_S,
     MODULAR_T,
     Word,
-    _level_cartan,
     _walk_levels,
     custom_group,
     enumerate_elements,
@@ -308,11 +307,11 @@ class TestLevelWalker:
 
     @staticmethod
     def _check_values(group, rep, phi, max_len):
-        tables = [images for _, images in rep.factors]
         checked = 0
-        for level in _walk_levels(group, max_len, tables, spell=True):
-            values = phi.values(_level_cartan(rep, level), rep.lie_type)
-            for word, batched in zip(level.words, values):
+        for level in _walk_levels(group, max_len, rep.tables):
+            values = phi.values(_cartan_rows(rep, level.products), rep.lie_type)
+            for i, batched in enumerate(values):
+                word = level.word(i)
                 direct = phi.value(word_cartan(rep, word))
                 assert abs(batched - direct) <= 1e-12 * max(1.0, abs(direct)), word
                 checked += 1
