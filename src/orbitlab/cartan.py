@@ -213,11 +213,6 @@ def root_value(kv, i):
     return float(_root_column(kv.lambdas, kv.lie_type, i))
 
 
-def weight_value(kv, k):
-    """Value of the k-th fundamental weight, the partial sum of lambdas."""
-    return float(_weight_column(kv.lambdas, kv.lie_type, k))
-
-
 class RootFunctional:
     """A nonnegative combination of simple roots, a fundamental weight,
     or the C-type long root."""

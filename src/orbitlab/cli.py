@@ -270,7 +270,8 @@ def cmd_orbit(cfg):
     """Stream word,len,disp,k1..kd rows; a checkpoint file records the
     last fully written length, the byte offset its rows end at and the
     rows so far, so an interrupted run cuts off any rows of a partly
-    written length and appends instead of restarting."""
+    written length and appends instead of restarting; the lengths
+    already written are walked but get no records."""
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
@@ -296,19 +297,16 @@ def cmd_orbit(cfg):
             json.dump({"config": cfg.echo_json(), "completed_len": done_len,
                        "offset": offset, "rows": rows}, fh, sort_keys=True)
 
-    current = 0
+    current = start_len
     with open(csv_path, mode, encoding="utf-8", newline="\n") as fh:
         if mode == "w":
             fh.write("# config: %s\n" % cfg.echo_json())
             fh.write(_orbit_csv_header(rep.dim))
-        for rec in _orbit_records(group, rep, cfg.max_len):
+        for rec in _orbit_records(group, rep, cfg.max_len, start_len):
             if rec.length > current:
-                if current >= start_len:
-                    fh.flush()
-                    checkpoint(current, fh.tell())
+                fh.flush()
+                checkpoint(current, fh.tell())
                 current = rec.length
-            if current < start_len:
-                continue
             fh.write(_orbit_csv_row(rec))
             rows += 1
     checkpoint(cfg.max_len, os.path.getsize(csv_path))

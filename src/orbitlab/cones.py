@@ -3,8 +3,7 @@
 The open cone of positive definite n x n matrices has removal rank n:
 the diagonal unit family shows n summands can be jointly necessary,
 while among any n+1 semidefinite summands with definite sum one is
-always removable. Both halves run here as eigenvalue checks, together
-with a two-sided comparability bound for sums inside the cone.
+always removable. Both halves run here as eigenvalue checks.
 """
 
 import math
@@ -187,29 +186,3 @@ def rank_upper_sample(n, trials, seed=0):
             violations += 1
     return violations
 
-
-def acute_comparability(mats):
-    """Frobenius comparability of a semidefinite sum with its parts.
-
-    Returns (ratio, reciprocal) where ratio = ||sum||_F / sum of
-    ||V_i||_F. The triangle inequality pins ratio <= 1, and the trace
-    functional pins ratio >= 1/sqrt(n): every nonzero semidefinite v
-    has ||v||_F <= tr v <= sqrt(n) ||v||_F, so the parts cannot cancel.
-    Both bounds are asserted before returning.
-    """
-    mats = [_as_psd(m) for m in mats]
-    n = _common_dim(mats)
-    for i, m in enumerate(mats):
-        if m.is_zero():
-            raise InvalidInput("matrix %d is zero, not a cone ray" % i)
-    total = np.zeros((n, n))
-    norms = 0.0
-    for m in mats:
-        total += m.mat
-        norms += m.norm()
-    ratio = float(np.linalg.norm(total)) / norms
-    if not (1.0 / math.sqrt(n) - 1e-9 <= ratio <= 1.0 + 1e-9):
-        raise InvalidInput(
-            "comparability ratio %.17g escaped [n^-1/2, 1]" % ratio
-        )
-    return ratio, 1.0 / ratio

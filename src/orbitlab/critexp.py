@@ -24,9 +24,11 @@ values come from each matrix's sum of squared entries, with no SVD. The
 threshold is slack-free: the top singular value dominates every entry,
 so a value below 2 log(bound) forces the matrix inside the scanned box.
 
-The slope estimator regresses log N(T) on T over a uniform grid; the
-bisection estimator finds where the truncated window series crosses a
-threshold and is kept only as an upper-biased cross-check.
+The critical exponent is the growth rate of N(T), the number of orbit
+elements with value at most T, and estimate_exponent reads it as the
+slope of log N(T) against T over a uniform grid inside the certified
+window. poincare_series is the series that defines the exponent as its
+abscissa of convergence.
 """
 
 import json
@@ -93,14 +95,13 @@ def counting_function(vs, t):
 
 
 class ExponentEstimate:
-    __slots__ = ("value", "stderr", "method", "window", "n_values", "complete_to")
+    __slots__ = ("value", "stderr", "window", "n_values", "complete_to")
 
-    def __init__(self, value, stderr, method, window, n_values, complete_to):
+    def __init__(self, value, stderr, window, n_values, complete_to):
         if stderr < 0:
             raise InvalidInput("stderr must be nonnegative")
         self.value = float(value)
         self.stderr = float(stderr)
-        self.method = method
         self.window = (float(window[0]), float(window[1]))
         self.n_values = int(n_values)
         self.complete_to = float(complete_to)
@@ -108,7 +109,7 @@ class ExponentEstimate:
     def report(self, functional_name):
         return {
             "functional": functional_name,
-            "method": self.method,
+            "method": "slope",
             "window": list(self.window),
             "value": self.value,
             "stderr": self.stderr,
@@ -117,10 +118,9 @@ class ExponentEstimate:
         }
 
     def __repr__(self):
-        return "ExponentEstimate(%.4f +- %.4f, %s, window=(%.3g, %.3g))" % (
+        return "ExponentEstimate(%.4f +- %.4f, window=(%.3g, %.3g))" % (
             self.value,
             self.stderr,
-            self.method,
             self.window[0],
             self.window[1],
         )
@@ -130,14 +130,11 @@ def default_window(vs):
     return (0.5 * vs.complete_to, vs.complete_to)
 
 
-def estimate_exponent(vs, window=None, method="slope", threshold=1.0):
-    """Critical-exponent estimate over a certified window.
-
-    slope: least-squares slope of log N(T) against T on a uniform grid,
-    where N(T) counts the values at most T(1 + TIE_TOL), so values tied
-    with a grid point in exact arithmetic count whichever way they round.
-    bisection: smallest s where the window-truncated series drops below
-    the threshold; truncation biases this upward, use as a cross-check.
+def estimate_exponent(vs, window=None):
+    """Critical-exponent estimate over a certified window: the
+    least-squares slope of log N(T) against T on a uniform grid, where
+    N(T) counts the values at most T(1 + TIE_TOL), so values tied with a
+    grid point in exact arithmetic count whichever way they round.
     """
     if window is None:
         window = default_window(vs)
@@ -155,56 +152,14 @@ def estimate_exponent(vs, window=None, method="slope", threshold=1.0):
             "window holds %d distinct values, need %d"
             % (distinct.size, MIN_WINDOW_VALUES)
         )
-    if method == "slope":
-        grid = np.linspace(t0, t1, GRID_POINTS)
-        counts = np.searchsorted(vs.values, grid * (1.0 + TIE_TOL), side="right")
-        keep = counts > 0
-        if keep.sum() < 3:
-            raise InsufficientData("too few grid points with nonzero counts")
-        fit = stats.linregress(grid[keep], np.log(counts[keep].astype(float)))
-        return ExponentEstimate(
-            fit.slope, fit.stderr, "slope", (t0, t1), inside.size, vs.complete_to
-        )
-    if method == "bisection":
-        # the window's values as a sample: poincare_series then sums the
-        # series truncated to the window
-        window_vs = ValueSample(inside, 0.0)
-        lo, hi = 0.0, 1.0
-        while poincare_series(window_vs, hi) >= threshold:
-            hi *= 2.0
-            if hi > 1e6:
-                raise InsufficientData("window series never drops below threshold")
-        if poincare_series(window_vs, lo) < threshold:
-            return ExponentEstimate(
-                0.0, 0.0, "bisection", (t0, t1), inside.size, vs.complete_to
-            )
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if poincare_series(window_vs, mid) >= threshold:
-                lo = mid
-            else:
-                hi = mid
-        return ExponentEstimate(
-            0.5 * (lo + hi),
-            0.5 * (hi - lo),
-            "bisection",
-            (t0, t1),
-            inside.size,
-            vs.complete_to,
-        )
-    raise InvalidInput("method must be slope or bisection")
-
-
-def sample_from_records(records, phi, complete_to, label=""):
-    """ValueSample of a functional over an orbit table."""
-    name = phi.name()
-    vals = []
-    for rec in records:
-        if name in rec.phi_values:
-            vals.append(rec.phi_values[name])
-        else:
-            vals.append(phi.value(rec.kappa))
-    return ValueSample(vals, complete_to, label=label)
+    grid = np.linspace(t0, t1, GRID_POINTS)
+    counts = np.searchsorted(vs.values, grid * (1.0 + TIE_TOL), side="right")
+    keep = counts > 0
+    if keep.sum() < 3:
+        raise InsufficientData("too few grid points with nonzero counts")
+    fit = stats.linregress(grid[keep], np.log(counts[keep].astype(float)))
+    return ExponentEstimate(fit.slope, fit.stderr, (t0, t1), inside.size,
+                            vs.complete_to)
 
 
 def sample_from_enumeration(group, rep, phi, max_len):

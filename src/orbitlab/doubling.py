@@ -28,7 +28,6 @@ from .hypdisc import (
     angular_distance,
     apply_boundary,
     classify,
-    displacement,
     fixed_points,
     wrap_angle,
 )
@@ -289,14 +288,14 @@ def double_rep(rep, boundary_elements):
     return DoubledRep(rep, boundary, letters, images, factor_mats)
 
 
-def _axes_disjoint(pair_a, pair_b, tol=AXIS_TOL):
+def _axes_disjoint(pair_a, pair_b):
     """Whether two boundary endpoint pairs bound disjoint geodesics:
-    no shared endpoint and no interleaving around the circle."""
+    no endpoints within AXIS_TOL and no interleaving around the circle."""
     angles_a = [wrap_angle(p.theta) for p in pair_a]
     angles_b = [wrap_angle(p.theta) for p in pair_b]
     for ta in angles_a:
         for tb in angles_b:
-            if angular_distance(ta, tb) <= tol:
+            if angular_distance(ta, tb) <= AXIS_TOL:
                 return False
     start = angles_a[0]
     span = (angles_a[1] - start) % (2.0 * math.pi)
@@ -370,15 +369,3 @@ def doubled_value_sample(group, doubled, phi, max_len):
     return _frontier_sample(_doubled_group(group, doubled), doubled.rep, phi,
                             max_len, "doubled %s" % group.kind)
 
-
-def write_doubled_csv(rows, path):
-    """CSV of doubled enumeration rows: word, displacement, refl_parity.
-
-    Emitted elements preserve orientation, so refl_parity is always 0;
-    the column is kept to make the parity filter visible in the output.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("word,displacement,refl_parity\n")
-        for word, mob, _ in rows:
-            parity = 0 if mob.orientation == 1 else 1
-            fh.write("%s,%.17g,%d\n" % (word, displacement(mob), parity))

@@ -23,10 +23,6 @@ class SpectrumNotLoxodromic(OrbitLabError):
     """Eigenvalue moduli not real or not separated enough for a flag."""
 
 
-class DegenerateGap(OrbitLabError):
-    """Consecutive singular values too close to define a full flag."""
-
-
 class NotTransverse(OrbitLabError):
     """Flag tuple fails a required transversality minor."""
 

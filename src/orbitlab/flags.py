@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import (
-    DegenerateGap,
     InvalidInput,
     NotPositive,
     NotTransverse,
@@ -146,19 +145,6 @@ def _eigenbasis(mat):
     return vecs.real[:, order]
 
 
-def cartan_attractor(sm):
-    """Flag of left singular vectors, largest singular value first."""
-    mat = sm.mat if isinstance(sm, ScaledMatrix) else np.array(sm, dtype=float)
-    u, s, _ = np.linalg.svd(mat)
-    logs = np.log(s)
-    gaps = logs[:-1] - logs[1:]
-    if np.min(gaps) <= LOG_GAP_MIN:
-        raise DegenerateGap(
-            "smallest log singular gap %.3g is below %.0e" % (np.min(gaps), LOG_GAP_MIN)
-        )
-    return Flag(u)
-
-
 def transverse(f, g):
     """All complementary pairs of pieces intersect trivially."""
     if f.d != g.d:
@@ -276,7 +262,7 @@ def veronese_flag(t, d):
     return Flag(sym_power_matrix(np.array([[1.0, 0.0], [float(t), 1.0]]), d))
 
 
-def _loxodromic_frame(mat, tol=1e-9):
+def _loxodromic_frame(mat):
     """Eigenbasis [attracting | repelling] of a real 2x2 with distinct
     real eigenvalue moduli, via the explicit kernel formula that
     hypdisc.fixed_points also reads (hypdisc._kernel_vector); immune to
@@ -285,7 +271,7 @@ def _loxodromic_frame(mat, tol=1e-9):
     tr = mat[0, 0] + mat[1, 1]
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     disc = tr * tr - 4.0 * det
-    if disc <= tol * max(1.0, tr * tr):
+    if disc <= 1e-9 * max(1.0, tr * tr):
         raise SpectrumNotLoxodromic("two-by-two factor is not loxodromic")
     root = np.sqrt(disc)
     big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
@@ -328,23 +314,6 @@ def polygonal_length(points):
         total += flag_distance(a, b)
     total += flag_distance(points[-1], points[0])
     return total
-
-
-def consecutive_triple_rate(flags):
-    """Fraction of cyclically consecutive flag triples that test
-    positive; non-transverse triples count as failures."""
-    n = len(flags)
-    if n < 3:
-        raise InvalidInput("need at least three flags")
-    hits = 0
-    for i in range(n):
-        trio = (flags[i], flags[(i + 1) % n], flags[(i + 2) % n])
-        try:
-            if triple_positive(*trio):
-                hits += 1
-        except NotTransverse:
-            pass
-    return hits / n
 
 
 def write_curve_csv(path, curve):

@@ -14,10 +14,18 @@ Under this identification a matrix with negative determinant acts as an
 orientation reversing isometry, so reflections are ordinary Mobius values
 with orientation -1 and no special casing in the action.
 
-Geodesics are straight chords, which makes shadows exact circular arcs: the
-shadow of the ball B(z, r) seen from the origin is the arc of half angle
-asin(sinh r / sinh d(0, z)) around the direction of z (a right triangle
-relation between the tangent ray, the center distance and the radius).
+Orbit quantities are read from the origin o and from the matrix alone,
+never from interior coordinates, which pin to the boundary long before
+the displacements of long words stop being representable. displacement
+is d(o, m o), from the squared Frobenius norm of m. Geodesics are
+straight chords, which makes shadows exact circular arcs: the shadow of
+the ball B(m o, r) seen from o is the arc of half angle
+asin(sinh r / sinh d(o, m o)) around the direction of m o (a right
+triangle relation between the tangent ray, the center distance and the
+radius), and shadow_of_isometry reads both from m m^T. DiscPoint,
+dist_h and apply_isometry compute the same quantities from Klein
+coordinates, an independent route the tests check the matrix one
+against where coordinates still resolve.
 """
 
 import math
@@ -28,7 +36,7 @@ from .errors import InvalidInput
 
 TWO_PI = 2.0 * math.pi
 
-# |trace| window around 2 that counts as parabolic; configurable per call.
+# |trace| window around 2 that counts as parabolic
 TRACE_TOL = 1e-9
 
 # points must stay this far inside the closed disc
@@ -80,8 +88,6 @@ class DiscPoint:
     def __hash__(self):
         return hash((round(self.x, 12), round(self.y, 12)))
 
-
-ORIGIN = DiscPoint(0.0, 0.0)
 
 
 class BoundaryPoint:
@@ -183,20 +189,13 @@ class Mobius:
         m = self.mat if self.mat[0, 0] >= 0 else -self.mat
         return self.orientation == 1 and bool(np.all(np.abs(m - np.eye(2)) <= tol))
 
-    def almost_equal(self, other, tol=1e-10):
-        a, b = self.mat, other.mat
-        return (
-            self.orientation == other.orientation
-            and (np.abs(a - b).max() <= tol or np.abs(a + b).max() <= tol)
-        )
-
     def __repr__(self):
         sign = "+" if self.orientation == 1 else "-"
         return "Mobius(%s, %s)" % (np.array2string(self.mat, precision=6), sign)
 
 
 class Shadow:
-    """A closed boundary arc: all directions from a base point whose ray
+    """A closed boundary arc: all directions from the origin whose ray
     meets a closed metric ball."""
 
     __slots__ = ("center", "half_angle", "full")
@@ -247,13 +246,12 @@ def dist_h(p, q):
     return 0.5 * math.log(num / den)
 
 
-def displacement(m, b0=ORIGIN):
-    """Hyperbolic distance from b0 to its image under m, computed from the
-    matrix itself: moving b0 to the origin turns the distance into
-    arccosh of half the squared Frobenius norm, which stays finite for
-    displacements far beyond where Klein coordinates pin to the boundary."""
-    mat, _ = _from_origin(m, b0)
-    sq = float(np.sum(mat * mat))
+def displacement(m):
+    """Hyperbolic distance from the origin to its image under m, computed
+    from the matrix itself: arccosh of half the squared Frobenius norm,
+    which stays finite for displacements far beyond where Klein
+    coordinates pin to the boundary."""
+    sq = float(np.sum(m.mat * m.mat))
     return math.acosh(max(1.0, 0.5 * sq))
 
 
@@ -272,25 +270,25 @@ def apply_boundary(m, bp):
     return BoundaryPoint(2.0 * math.atan2(w[1], w[0]))
 
 
-def classify(m, tol=TRACE_TOL):
+def classify(m):
     """Sort an orientation preserving Mobius value into identity, elliptic,
-    parabolic or hyperbolic by |trace| against 2."""
+    parabolic or hyperbolic by |trace| against 2, within TRACE_TOL."""
     if m.orientation != 1:
         raise InvalidInput("orientation reversing values are not classified here")
-    if m.is_identity(tol):
+    if m.is_identity():
         return "identity"
     tr = m.trace_abs()
-    if tr > 2.0 + tol:
+    if tr > 2.0 + TRACE_TOL:
         return "hyperbolic"
-    if tr >= 2.0 - tol:
+    if tr >= 2.0 - TRACE_TOL:
         return "parabolic"
     return "elliptic"
 
 
-def fixed_points(m, tol=TRACE_TOL):
+def fixed_points(m):
     """Attracting and repelling boundary fixed points of a hyperbolic value;
     for a parabolic value the unique fixed point is returned twice."""
-    kind = classify(m, tol)
+    kind = classify(m)
     if kind not in ("hyperbolic", "parabolic"):
         raise InvalidInput("no boundary fixed points for %s values" % kind)
     mat = m.mat if (m.mat[0, 0] + m.mat[1, 1]) >= 0 else -m.mat
@@ -310,84 +308,20 @@ def _kernel_vector(mat, lam):
     return v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
 
 
-def translation_to_origin(b0):
-    """An orientation preserving Mobius value carrying b0 to the origin."""
-    ell = math.hypot(b0.x, b0.y)
-    if ell < 1e-16:
-        return Mobius.identity()
-    phi = math.atan2(b0.y, b0.x)
-    dist = dist_h(ORIGIN, b0)
-    return Mobius.boost(-dist) @ Mobius.rotation(-phi)
-
-
-def _from_origin(m, b0):
-    """h m h^-1 and h for h = translation_to_origin(b0); m's matrix and
-    None when b0 is the origin."""
-    if math.hypot(b0.x, b0.y) < 1e-16:
-        return m.mat, None
-    h = translation_to_origin(b0)
-    a, b, c, d = h.mat.ravel()
-    hinv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-    return h.mat @ m.mat @ hinv, h
-
-
-def shadow(b0, z, r):
-    """The closed boundary arc of rays from b0 that meet the closed ball
-    of radius r around z; the whole circle when b0 lies in the ball."""
+def shadow_of_isometry(m, r):
+    """Shadow of the orbit point m(o) seen from the origin o, computed
+    from the matrix alone so that points far past the reach of interior
+    coordinates still get correct arcs: the whole circle when o lies in
+    the ball."""
     if r <= 0.0:
         raise InvalidInput("shadow radius must be positive")
-    d = dist_h(b0, z)
-    if d <= r:
-        center = 0.0
-        if d > 0.0:
-            center = math.atan2(z.y - b0.y, z.x - b0.x)
-        return Shadow(center, math.pi, full=True)
-    if math.hypot(b0.x, b0.y) < 1e-15:
-        center = math.atan2(z.y, z.x)
-        half = math.asin(math.sinh(r) / math.sinh(d))
-        return Shadow(center, half)
-    # move b0 to the origin, build the arc there, carry the arc back
-    g = translation_to_origin(b0)
-    z0 = apply_isometry(g, z)
-    std = shadow(ORIGIN, z0, r)
-    return _transport_arc(g.inverse(), std)
-
-
-def _transport_arc(ginv, std):
-    """Carry an arc seen from the origin through an isometry, keeping
-    track of which of the two boundary arcs is the image."""
-    lo = apply_boundary(ginv, BoundaryPoint(std.center.theta - std.half_angle))
-    hi = apply_boundary(ginv, BoundaryPoint(std.center.theta + std.half_angle))
-    mid = apply_boundary(ginv, std.center)
-    width = wrap_angle(hi.theta - lo.theta)
-    offset = wrap_angle(mid.theta - lo.theta)
-    if offset <= width:
-        return Shadow(lo.theta + 0.5 * width, 0.5 * width)
-    width = TWO_PI - width
-    return Shadow(hi.theta + 0.5 * width, 0.5 * width)
-
-
-def shadow_of_isometry(m, r, b0=ORIGIN):
-    """Shadow of the orbit point m(b0) seen from b0, computed from the
-    matrix alone so that points far past the reach of interior
-    coordinates still get correct arcs."""
-    if r <= 0.0:
-        raise InvalidInput("shadow radius must be positive")
-    mat, h = _from_origin(m, b0)
     # image of the origin on the determinant hyperboloid is M M^T
-    y_mat = mat @ mat.T
+    y_mat = m.mat @ m.mat.T
     t = 0.5 * (y_mat[0, 0] + y_mat[1, 1])
     ux = 0.5 * (y_mat[0, 0] - y_mat[1, 1])
     uy = y_mat[0, 1]
     d = math.acosh(max(1.0, t))
     center = math.atan2(uy, ux) if math.hypot(ux, uy) > 0.0 else 0.0
     if d <= r:
-        std = Shadow(center, math.pi, full=True)
-    else:
-        std = Shadow(center, math.asin(math.sinh(r) / math.sinh(d)))
-    if h is None:
-        return std
-    if std.full:
-        mid = apply_boundary(h.inverse(), std.center)
-        return Shadow(mid.theta, math.pi, full=True)
-    return _transport_arc(h.inverse(), std)
+        return Shadow(center, math.pi, full=True)
+    return Shadow(center, math.asin(math.sinh(r) / math.sinh(d)))

@@ -30,9 +30,8 @@ from .cartan import _cartan_rows
 from .errors import InsufficientScales, InvalidInput
 from .flags import GrassPoint, flag_distance, limit_curve
 from .hypdisc import TWO_PI, displacement, shadow_of_isometry
-from .words import _rep_tables, _walk_levels, enumerate_elements, limit_sample
+from .words import _rep_tables, _walk_levels
 
-DEFAULT_MIN_SEP = 1e-6
 MIN_POINTS = 1000
 MIN_SCALES = 5
 MIN_SCALE_SPAN = 100.0
@@ -92,16 +91,6 @@ def _single_root_index(phi):
             "shadow diagnostics need a single simple-root functional"
         )
     return next(iter(phi.coeffs))
-
-
-def write_distortion_csv(report, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("word,alpha_kappa,endpoint_distance,ratio\n")
-        for row in report.rows:
-            fh.write(
-                "%s,%.17g,%.17g,%.17g\n"
-                % (row.word, row.alpha_kappa, row.endpoint_distance, row.ratio)
-            )
 
 
 def _arc_extremes(thetas, sh):
@@ -171,39 +160,6 @@ def distortion_scan(group, rep, phi, r, max_len, sample_depth=None, sample=None)
             rows.append(DistortionRow(str(level.word(i)), a, dist,
                                       dist * math.exp(a)))
     return DistortionReport(rows, skipped, r, phi.name())
-
-
-def sufficient_radius(
-    group,
-    max_len,
-    depth=None,
-    grid=None,
-    min_sep=DEFAULT_MIN_SEP,
-):
-    """Smallest grid radius whose shadows all hold two separated limit
-    points; realizes the existence claim by direct search."""
-    sample = limit_sample(group, depth or max_len)
-    thetas = [p.theta for p in sample]
-    if grid is None:
-        grid = [0.5 * k for k in range(1, 41)]
-    orbit = [
-        mob
-        for word, mob in enumerate_elements(group, max_len)
-        if len(word) > 0
-    ]
-    for r in grid:
-        ok = True
-        for mob in orbit:
-            if displacement(mob) <= r:
-                continue
-            sh = shadow_of_isometry(mob, r)
-            inside = [t for t in thetas if sh.contains(t)]
-            if len(inside) < 2 or max(inside) - min(inside) < min_sep:
-                ok = False
-                break
-        if ok:
-            return float(r)
-    raise InvalidInput("no radius on the grid captures two limit points per shadow")
 
 
 class SeparationReport:

@@ -133,15 +133,6 @@ class Unitriangular:
         return "Unitriangular(%r)" % (self.mat,)
 
 
-def elementary(d, i, t):
-    """I + t E_{i,i+1}."""
-    if not 1 <= i <= d - 1:
-        raise InvalidInput("index must lie in 1..d-1")
-    mat = np.eye(d)
-    mat[i - 1, i] = float(t)
-    return Unitriangular(mat)
-
-
 def f_gamma(word, params):
     """Ordered product of elementaries along the word."""
     if isinstance(params, ConeCoords):
@@ -225,24 +216,3 @@ def pi_beta(word, params, i):
         raise InvalidInput("index must lie in 1..d-1")
     return math.fsum(t for ltr, t in zip(word.letters, params) if ltr == i)
 
-
-def grade_one_part(word, params):
-    """Matrix with pi_beta values on the superdiagonal, zero elsewhere."""
-    d = word.d
-    out = np.zeros((d, d))
-    for i in range(1, d):
-        out[i - 1, i] = pi_beta(word, params, i)
-    return out
-
-
-def log_unitriangular(u):
-    """Nilpotent logarithm; the alternating series is exact after d-1
-    terms."""
-    d = u.dim
-    n = u.mat - np.eye(d)
-    out = np.zeros((d, d))
-    term = n.copy()
-    for k in range(1, d):
-        out += ((-1.0) ** (k + 1)) * term / k
-        term = term @ n
-    return out

@@ -57,7 +57,6 @@ import numpy as np
 from .cartan import CartanVector, _cartan_rows
 from .errors import InvalidInput, NonElementary
 from .hypdisc import (
-    ORIGIN,
     Mobius,
     angular_distance,
     classify,
@@ -263,18 +262,21 @@ def _round_canonical(flat, tol):
 
 
 def _scaled_key(flat, tol):
-    """Rounding keys at a tolerance relative to the matrix magnitude.
+    """Rounding keys at a tolerance relative to the matrix magnitude:
+    each row (N, 4) divided by its signed entry of largest magnitude,
+    then rounded half-even to a multiple of tol.
 
     An absolute grid splits true duplicates once entries grow large:
     the float drift between two multiplication orders scales with the
     entries and eventually straddles grid boundaries. Discreteness of
     the group keeps distinct elements relatively separated, so rounding
-    mat / 2^ceil(log2 sup) keeps duplicates together while still only
-    merging elements closer than tol in relative terms.
+    the scaled row keeps duplicates together while still only merging
+    elements closer than tol in relative terms. The leading entry
+    becomes exactly 1, so M and -M share a key, and no scale depends on
+    which side of a power of two a drifted entry falls.
     """
-    sup = np.abs(flat).max(axis=1)
-    scale = np.ldexp(1.0, np.ceil(np.log2(sup)).astype(int))
-    return _round_canonical(flat / scale[:, None], tol)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    return np.rint(flat / lead[:, None] / tol) + 0.0
 
 
 def _first_new(keys, seen):
@@ -495,21 +497,26 @@ class OrbitRecord:
         return "OrbitRecord(%s, disp=%.6g)" % (self.word, self.displacement)
 
 
-def _orbit_records(group, rep, max_len, b0=ORIGIN, functionals=()):
-    """The records of orbit_table, streamed, with the Cartan vectors of
-    cartan._cartan_rows over each level's products."""
-    for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
+def _orbit_records(group, rep, max_len, start_len, functionals=()):
+    """The records of orbit_table for the word lengths start_len to
+    max_len, streamed, with the Cartan vectors of cartan._cartan_rows
+    over each level's products. The walk builds the shorter levels, but
+    no Cartan row, displacement or record is formed for them."""
+    levels = _walk_levels(group, max_len, _rep_tables(group, rep, max_len))
+    for length, level in enumerate(levels):
+        if length < start_len:
+            continue
         lam = _cartan_rows(rep, level.products)
         for i, mob in level.rows():
             kv = CartanVector._of(lam[i], rep.lie_type)
             values = {phi.name(): phi.value(kv) for phi in functionals}
-            yield OrbitRecord(level.word(i), displacement(mob, b0), kv,
+            yield OrbitRecord(level.word(i), displacement(mob), kv,
                               values, mob=mob)
 
 
-def orbit_table(group, rep, max_len, b0=ORIGIN, functionals=()):
+def orbit_table(group, rep, max_len, functionals=()):
     """One OrbitRecord per distinct element up to max_len, in stream order."""
-    return list(_orbit_records(group, rep, max_len, b0, functionals))
+    return list(_orbit_records(group, rep, max_len, 0, functionals))
 
 
 def _orbit_csv_header(d):
@@ -520,16 +527,6 @@ def _orbit_csv_row(rec):
     """An OrbitRecord as a CSV row, floats to 17 significant digits."""
     lams = ",".join("%.17g" % v for v in rec.kappa.lambdas)
     return "%s,%d,%.17g,%s\n" % (rec.word, rec.length, rec.displacement, lams)
-
-
-def write_orbit_csv(records, path):
-    """Header word,len,disp,k1..kd; 17 significant digits, LF endings."""
-    if not records:
-        raise InvalidInput("no records to write")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_orbit_csv_header(records[0].kappa.d))
-        for rec in records:
-            fh.write(_orbit_csv_row(rec))
 
 
 def _limit_rows(group, depth, tables=()):
@@ -579,11 +576,6 @@ def limit_sample_words(group, depth):
     the group is merely thin at this depth).
     """
     return [(p, w) for p, w, _ in _limit_rows(group, depth)]
-
-
-def limit_sample(group, depth):
-    """Attracting fixed points only; see limit_sample_words."""
-    return [p for p, _ in limit_sample_words(group, depth)]
 
 
 def load_group_file(path):

@@ -13,7 +13,6 @@ from orbitlab.cartan import (
     parse_functional,
     root_value,
     sp_long_root_min_check,
-    weight_value,
     word_cartan,
 )
 from orbitlab.reps import ScaledMatrix, evaluate, standard_symplectic_form, sym_power
@@ -122,12 +121,14 @@ class TestRootsAndWeights:
         assert root_value(self.KV, 2) == pytest.approx(2.0, abs=1e-14)
 
     def test_weights(self):
-        assert weight_value(self.KV, 1) == pytest.approx(2.0, abs=1e-14)
-        assert weight_value(self.KV, 2) == pytest.approx(2.0, abs=1e-14)
+        for k in (1, 2):
+            w = RootFunctional("weight", index=k)
+            assert w.value(self.KV) == pytest.approx(2.0, abs=1e-14)
 
     def test_weight_of_fibonacci(self):
         kv = cartan_projection(FIB)
-        assert weight_value(kv, 1) == pytest.approx(TWO_LOG_PHI, abs=1e-12)
+        w1 = RootFunctional("weight", index=1)
+        assert w1.value(kv) == pytest.approx(TWO_LOG_PHI, abs=1e-12)
 
     def test_long_root(self):
         kv = CartanVector([3.0, 1.0, -1.0, -3.0], lie_type="C")
@@ -141,7 +142,7 @@ class TestRootsAndWeights:
         with pytest.raises(InvalidInput):
             root_value(self.KV, 3)
         with pytest.raises(InvalidInput):
-            weight_value(self.KV, 0)
+            RootFunctional("weight", index=3).value(self.KV)
 
     def test_dominance_of_produced_vectors(self):
         rng = np.random.default_rng(71)

@@ -8,7 +8,6 @@ import pytest
 
 from orbitlab.cones import (
     PSDMatrix,
-    acute_comparability,
     rank_upper_sample,
     rank_witness_check,
     removable_index,
@@ -116,29 +115,3 @@ def test_iterated_removal_caratheodory():
             rest = sum(mats)
             assert np.linalg.eigvalsh(rest)[0] > 0.0
         assert len(mats) == bound
-
-
-def test_acute_comparability_examples():
-    ratio, recip = acute_comparability([np.eye(3) * 2.0])
-    assert abs(ratio - 1.0) < 1e-12
-    assert abs(recip - 1.0) < 1e-12
-    ratio, recip = acute_comparability([unit_diag(2, 0), unit_diag(2, 1)])
-    assert abs(ratio - math.sqrt(2.0) / 2.0) < 1e-12
-    assert abs(recip - math.sqrt(2.0)) < 1e-12
-
-
-def test_acute_comparability_bounds():
-    rng = np.random.default_rng(17)
-    floor = 1.0 / math.sqrt(3.0)
-    for _ in range(100):
-        pair = []
-        for _ in range(2):
-            g = rng.standard_normal((3, 3))
-            pair.append(g.T @ g)
-        ratio, recip = acute_comparability(pair)
-        assert floor - 1e-12 <= ratio <= 1.0 + 1e-12
-        assert recip >= 1.0 - 1e-12
-    with pytest.raises(InvalidInput):
-        acute_comparability([np.eye(2), np.zeros((2, 2))])
-    with pytest.raises(InvalidInput):
-        acute_comparability([])

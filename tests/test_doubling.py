@@ -7,6 +7,7 @@ import pytest
 
 from orbitlab.cartan import parse_functional
 from orbitlab.doubling import (
+    DEDUP_TOL,
     PANTS_BOUNDARY,
     DoubledRep,
     Reflection,
@@ -17,7 +18,6 @@ from orbitlab.doubling import (
     hyperbolic_with_axis,
     reflection_across_axis,
     separated_schottky,
-    write_doubled_csv,
     x_involution,
 )
 from orbitlab.errors import (
@@ -361,6 +361,46 @@ def test_stream_images_match_evaluate():
         assert sm.log_scale == direct.log_scale, str(word)
 
 
+def near_duplicate_pairs(mats, tol):
+    """Index pairs of 2x2 matrices equal up to sign within tol relative to
+    the larger sup norm. Candidates come from a sweep over a random
+    projection of the sup-normalized rows and of their negatives, wide
+    enough to hold every such pair; each is then compared exactly."""
+    flat = np.array([m.ravel() for m in mats])
+    unit = flat / np.abs(flat).max(axis=1)[:, None]
+    rows = np.concatenate([unit, -unit])
+    owner = np.concatenate([np.arange(len(flat))] * 2)
+    probe = np.random.default_rng(0).uniform(-1.0, 1.0, size=4)
+    proj = rows @ probe
+    order = np.argsort(proj)
+    ends = np.searchsorted(proj[order], proj[order] + 4.0 * tol * np.abs(probe).sum(),
+                           side="right")
+    pairs = set()
+    for i, end in enumerate(ends.tolist()):
+        for j in range(i + 1, end):
+            a, b = sorted((int(owner[order[i]]), int(owner[order[j]])))
+            if a == b:
+                continue
+            x, y = flat[a], flat[b]
+            scale = tol * max(np.abs(x).max(), np.abs(y).max())
+            if min(np.abs(x - y).max(), np.abs(x + y).max()) <= scale:
+                pairs.add((a, b))
+    return sorted(pairs)
+
+
+def test_doubled_ball_has_no_near_duplicates():
+    # criterion 07's group at depth 6: the relative rounding key merges
+    # every pair within DEDUP_TOL up to sign (axAx and e were one such)
+    group, rep = pants_rep(3)
+    mats = [mob.mat for _, mob, _ in
+            enumerate_doubled(group, double_rep(rep, PANTS_BOUNDARY), 6)]
+    assert len(mats) == 18193
+    assert near_duplicate_pairs(mats, DEDUP_TOL) == []
+    # the detector sees a planted one: a negated copy nudged within tol
+    planted = -mats[100] * (1.0 + 0.5 * DEDUP_TOL)
+    assert near_duplicate_pairs(mats + [planted], DEDUP_TOL) == [(100, len(mats))]
+
+
 def test_doubled_value_sample_certificate():
     group, rep = pants_rep(3)
     dbl = double_rep(rep, PANTS_BOUNDARY)
@@ -368,7 +408,13 @@ def test_doubled_value_sample_certificate():
     assert "non-exhaustive" in vs.label
     assert vs.values[0] == 0.0
     assert np.all(np.diff(vs.values) >= 0.0)
-    assert 4.5 < vs.complete_to < 6.0
+    # the certificate is the frontier minimum, 6.94 on AxBAzx, less the
+    # worst one-letter dip, 0.42 from bbbAz to bbbAza: below the minimum
+    # and less than half a unit under it
+    prov = vs.provenance
+    assert vs.complete_to == prov["frontier_min"] - prov["dip"]
+    assert 6.0 < vs.complete_to < 7.0
+    assert prov["frontier_min"] < 7.0 and 0.0 < prov["dip"] < 0.5
     assert len(vs.values) > 400
 
 
@@ -395,19 +441,3 @@ def test_mixed_quadruple_positivity():
             continue
         assert quadruple_positive(*(f for _, f in picks))
         done += 1
-
-
-def test_write_doubled_csv(tmp_path):
-    group, rep = pants_rep(3)
-    dbl = double_rep(rep, PANTS_BOUNDARY)
-    rows = list(enumerate_doubled(group, dbl, 2))
-    path = tmp_path / "doubled.csv"
-    write_doubled_csv(rows, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "word,displacement,refl_parity"
-    assert len(lines) == len(rows) + 1
-    for line, (word, mob, _) in zip(lines[1:], rows):
-        name, disp, parity = line.split(",")
-        assert name == str(word)
-        assert parity == "0"
-        assert abs(float(disp) - displacement(mob)) < 1e-12

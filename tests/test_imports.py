@@ -8,6 +8,9 @@ class, each private method, and each module-level UPPER_CASE constant
 (a tolerance, say) must be read by some module of the package, and
 each exception class of errors.py by some other module. Reads are
 matched by name, so each private name is defined once in the package.
+Each public module-level function or class must be reached from the
+package's own top-level code, the benchmark or the acceptance
+criteria, save a short list of test oracles and paper quantities.
 """
 
 import ast
@@ -20,6 +23,7 @@ import orbitlab
 
 PACKAGE = pathlib.Path(orbitlab.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source):
@@ -72,7 +76,11 @@ def constant_definitions(source):
 
 def read_names(source):
     """Names a module reads, bare or as an attribute."""
-    tree = ast.parse(source)
+    return names_read_by(ast.parse(source))
+
+
+def names_read_by(tree):
+    """Names a syntax tree reads, bare or as an attribute."""
     return ({node.id for node in ast.walk(tree)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(tree)
@@ -213,3 +221,78 @@ def test_detector_flags_a_stale_reference():
                  "import a\n\nprint(a.math.pi, a.walk())  # a.spare, not b.a.walk\n"),
     }
     assert stale_references(sources) == [("b.py", 1, "a._gone"), ("b.py", 5, "a.spare")]
+
+
+# public names no caller reaches, each kept for a reason
+UNCALLED = {
+    "DiscPoint": "Klein-model oracle for displacement and shadows",
+    "apply_isometry": "Klein-model oracle for displacement and shadows",
+    "custom_rep": "oracle: a structureless rep checks the factor route",
+    "dist_h": "Klein-model oracle for displacement and shadows",
+    "poincare_series": "paper quantity: the series that defines the exponent",
+    "synthetic_log_sample": "oracle: a family with a known exponent",
+    "veronese_flag": "oracle: flags of known positivity",
+}
+
+
+def uncalled_public_names(sources, outside):
+    """(module, name) of each public module-level function or class of
+    sources, a name-to-text dict, that nothing reaches. The roots are the
+    names outside, a name-to-text dict of callers beyond the package,
+    reads, with their string constants (the benchmark patches functions
+    by name), and the names the package's top-level statements other
+    than definitions and imports read; a definition a root reaches
+    reaches every name its body reads in turn, so a name read only by
+    definitions nothing reaches stays unreached."""
+    body = {}
+    reached = set()
+    for text in outside.values():
+        tree = ast.parse(text)
+        reached |= names_read_by(tree) | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    for text in sources.values():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                body.setdefault(node.name, set()).update(names_read_by(node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= names_read_by(node)
+    todo = list(reached)
+    while todo:
+        for name in body.get(todo.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    return sorted((module, node.name) for module, text in sources.items()
+                  for node in ast.parse(text).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in reached)
+
+
+def test_public_names_have_a_caller():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = sorted((REPO / "perfbench").glob("*.py")) + [
+        REPO / "tests" / "test_acceptance.py"]
+    outside = {str(p): p.read_text(encoding="utf-8") for p in callers}
+    assert len(outside) > 1
+    assert sorted(name for _, name in uncalled_public_names(sources, outside)) == sorted(
+        UNCALLED)
+
+
+def test_detector_flags_an_uncalled_public_name():
+    sources = {
+        "a.py": ("def entry():\n    return helper()\n\n\n"
+                 "def helper():\n    return Box()\n\n\n"
+                 "class Box:\n    pass\n\n\n"
+                 "def spare():\n    return oracle()\n\n\n"
+                 "def oracle():\n    return oracle()\n\n\n"
+                 "def patched():\n    pass\n"),
+        "b.py": ("from a import entry\n\n\n"
+                 "def main():\n    entry()\n\n\n"
+                 "if __name__ == '__main__':\n    main()\n"),
+    }
+    outside = {"bench.py": 'TRACED = ("patched",)\n'}
+    assert uncalled_public_names(sources, outside) == [
+        ("a.py", "oracle"), ("a.py", "spare")]
+    assert uncalled_public_names(sources, {}) == [
+        ("a.py", "oracle"), ("a.py", "patched"), ("a.py", "spare")]

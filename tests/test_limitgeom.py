@@ -19,8 +19,6 @@ from orbitlab.limitgeom import (
     circle_sample,
     distortion_scan,
     shadow_separation_check,
-    sufficient_radius,
-    write_distortion_csv,
 )
 from orbitlab.reps import sym_power
 from orbitlab.words import (
@@ -178,28 +176,6 @@ def test_arc_extremes_against_reference_scan():
     assert checked > 100
 
 
-def test_distortion_csv(tmp_path):
-    group, rep = schottky_pair(2)
-    report = distortion_scan(group, rep, A1, RADIUS, 4)
-    path = tmp_path / "rows.csv"
-    write_distortion_csv(report, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "word,alpha_kappa,endpoint_distance,ratio"
-    assert len(lines) == len(report) + 1
-    word, alpha, dist, ratio = lines[1].split(",")
-    assert word == report.rows[0].word
-    assert float(ratio) == pytest.approx(float(dist) * math.exp(float(alpha)))
-
-
-def test_sufficient_radius_values():
-    group, _ = schottky_pair(2)
-    assert sufficient_radius(group, 5) == 9.0
-    # deeper sample resolves the same shadows at a much smaller radius
-    assert sufficient_radius(modular_group(), 6, depth=8) == 1.0
-    with pytest.raises(InvalidInput):
-        sufficient_radius(group, 5, grid=[0.25])
-
-
 def test_separation_duplicate_points():
     group, rep = schottky_pair(3)
     recs = orbit_table(group, rep, 1, functionals=())
@@ -315,5 +291,5 @@ def test_dimension_below_exponent():
         [p for _, p in curve], [0.5 * 10 ** (-k / 2.0) for k in range(6)]
     )
     vs = sample_from_enumeration(group, rep, A1, max_len=8)
-    exponent = estimate_exponent(vs, method="slope")
+    exponent = estimate_exponent(vs)
     assert est.value <= exponent.value + 0.15

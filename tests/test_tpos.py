@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from orbitlab.errors import InvalidInput, NotPositive
 from orbitlab.reps import sym_power_matrix
@@ -18,11 +17,8 @@ from orbitlab.tpos import (
     ConeCoords,
     ReducedWord,
     Unitriangular,
-    elementary,
     f_gamma,
     factorize,
-    grade_one_part,
-    log_unitriangular,
     pi_beta,
     standard_word,
 )
@@ -99,14 +95,6 @@ def test_cone_coords_validation():
     with pytest.raises(InvalidInput):
         ConeCoords(w, (0.5, math.inf, 2.0))
 
-
-def test_elementary_form_and_bounds():
-    e = elementary(3, 1, 2.5)
-    assert np.allclose(e.mat, [[1, 2.5, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(InvalidInput):
-        elementary(3, 0, 1.0)
-    with pytest.raises(InvalidInput):
-        elementary(3, 3, 1.0)
 
 
 # ----------------------------------------------------------- evaluation
@@ -260,55 +248,3 @@ def test_pi_beta_index_checked():
     w = standard_word(3)
     with pytest.raises(InvalidInput):
         pi_beta(w, (1.0, 1.0, 1.0), 3)
-
-
-def test_log_unitriangular_example():
-    u = Unitriangular([[1, 4, 2], [0, 1, 2], [0, 0, 1]])
-    got = log_unitriangular(u)
-    assert np.allclose(got, [[0, 4, -2], [0, 0, 2], [0, 0, 0]])
-
-
-def test_log_inverts_exp():
-    rng = np.random.default_rng(31)
-    for d in range(2, 7):
-        n = np.triu(rng.normal(size=(d, d)), k=1)
-        u = Unitriangular(expm(n))
-        assert np.allclose(log_unitriangular(u), n, atol=1e-10)
-
-
-def test_log_is_strictly_upper():
-    rng = np.random.default_rng(32)
-    w, p = random_coords(rng, 5)
-    out = log_unitriangular(f_gamma(w, p))
-    assert np.allclose(np.tril(out), 0.0)
-
-
-def test_grade_one_is_superdiagonal_of_log():
-    # the letter sums are exactly the first-order part of the logarithm
-    rng = np.random.default_rng(33)
-    for d in range(2, 7):
-        w, p = random_coords(rng, d)
-        x = f_gamma(w, p)
-        g1 = grade_one_part(w, p)
-        lg = log_unitriangular(x)
-        assert np.allclose(np.diagonal(g1, 1), np.diagonal(lg, 1), rtol=1e-12)
-
-
-def test_tangent_cone_ratio_bounded_and_stable():
-    # || log x - grade-one(x) || <= C ||v||^2 with C stable in sample size
-    def fitted(n, seed):
-        rng = np.random.default_rng(seed)
-        w = standard_word(4)
-        best = 0.0
-        for _ in range(n):
-            v = rng.uniform(0.0, 1.0, size=len(w))
-            v *= rng.uniform(0.05, 1.0) / np.linalg.norm(v)
-            x = f_gamma(w, v)
-            err = np.linalg.norm(log_unitriangular(x) - grade_one_part(w, v))
-            best = max(best, err / float(v @ v))
-        return best
-
-    c_small = fitted(1000, seed=1)
-    c_large = fitted(3000, seed=2)
-    assert c_small > 0
-    assert abs(c_small - c_large) <= 0.2 * max(c_small, c_large)

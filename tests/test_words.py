@@ -14,7 +14,6 @@ from orbitlab.doubling import (
 )
 from orbitlab.errors import InvalidInput, NonElementary
 from orbitlab.hypdisc import (
-    ORIGIN,
     BoundaryPoint,
     DiscPoint,
     Mobius,
@@ -33,17 +32,17 @@ from orbitlab.words import (
     custom_group,
     enumerate_elements,
     free_schottky,
-    limit_sample,
     limit_sample_words,
     load_group_file,
     modular_group,
     modular_norm_ball,
     orbit_table,
     standard_schottky,
-    write_orbit_csv,
 )
 
 TWO_LOG_PHI = 0.96242365011920694
+
+ORIGIN = DiscPoint(0.0, 0.0)
 
 INT_IMAGES = {"S": MODULAR_S, "T": MODULAR_T, "t": ((1, -1), (0, 1))}
 
@@ -194,7 +193,9 @@ class TestEnumerate:
             prod = Mobius.identity()
             for letter in word:
                 prod = prod @ g.image(letter)
-            assert prod.almost_equal(mob, tol=1e-10)
+            assert prod.orientation == mob.orientation
+            assert min(np.abs(prod.mat - mob.mat).max(),
+                       np.abs(prod.mat + mob.mat).max()) <= 1e-10
 
     def test_custom_finite_rotation_group(self):
         # projective order 5 rotation: exactly 5 distinct elements ever
@@ -215,9 +216,9 @@ def _oracle_round(mat, tol):
 
 
 def _oracle_scaled(mat, tol):
-    sup = float(np.abs(mat).max())
-    scaled = mat / math.ldexp(1.0, math.ceil(math.log2(sup)))
-    return _oracle_round(scaled, tol)
+    flat = mat.ravel()
+    lead = flat[int(np.argmax(np.abs(flat)))]
+    return tuple(int(round(v / lead / tol)) for v in flat)
 
 
 def oracle_elements(group, max_len):
@@ -270,7 +271,7 @@ class TestLevelWalker:
         pytest.param(lambda: custom_group([Mobius.rotation(2.0 * math.pi / 5.0)]),
                      12, 5, id="rotation-L12"),
         pytest.param(standard_schottky, 6, 1457, id="schottky-L6"),
-        pytest.param(_doubled_spec, 5, 6900, id="doubled-depth5"),
+        pytest.param(_doubled_spec, 5, 6898, id="doubled-depth5"),
     ])
     def test_matches_the_per_word_walk(self, build, max_len, count):
         group = build()
@@ -414,7 +415,7 @@ class TestOrbitTable:
     def test_identity_record(self):
         g = modular_group()
         rep = sym_power(2)(g.generator_matrices())
-        recs = orbit_table(g, rep, 0, ORIGIN)
+        recs = orbit_table(g, rep, 0)
         assert len(recs) == 1
         assert recs[0].displacement == 0.0
         assert np.allclose(recs[0].kappa.lambdas, 0.0, atol=1e-12)
@@ -423,7 +424,7 @@ class TestOrbitTable:
         g = modular_group()
         rep = sym_power(2)(g.generator_matrices())
         phi = parse_functional("a1")
-        recs = orbit_table(g, rep, 1, ORIGIN, functionals=[phi])
+        recs = orbit_table(g, rep, 1, functionals=[phi])
         by_word = {str(r.word): r for r in recs}
         rec = by_word["T"]
         t_mob = g.image("T")
@@ -435,7 +436,7 @@ class TestOrbitTable:
         g = free_schottky([Mobius(np.diag([math.e, 1.0 / math.e]))])
         rep = sym_power(2)(g.generator_matrices())
         phi = parse_functional("a1")
-        recs = orbit_table(g, rep, 4, ORIGIN, functionals=[phi])
+        recs = orbit_table(g, rep, 4, functionals=[phi])
         for rec in recs:
             if set(rec.word.letters) == {"a"}:
                 n = rec.length
@@ -444,41 +445,65 @@ class TestOrbitTable:
     def test_kappa_sums_to_zero(self):
         g = standard_schottky(4.0)
         rep = sym_power(3)(g.generator_matrices())
-        for rec in orbit_table(g, rep, 3, ORIGIN):
+        for rec in orbit_table(g, rep, 3):
             assert abs(rec.kappa.lambdas.sum()) <= 1e-9
 
     def test_displacement_matches_point_route(self):
         g = standard_schottky(2.0)
         rep = sym_power(2)(g.generator_matrices())
-        b0 = DiscPoint(0.2, -0.1)
         for rec, (word, mob) in zip(
-            orbit_table(g, rep, 2, b0), enumerate_elements(g, 2)
+            orbit_table(g, rep, 2), enumerate_elements(g, 2)
         ):
             if rec.displacement < 12:
-                want = dist_h(b0, apply_isometry(mob, b0))
+                want = dist_h(ORIGIN, apply_isometry(mob, ORIGIN))
                 assert rec.displacement == pytest.approx(want, abs=1e-9)
 
     def test_long_words_do_not_overflow(self):
         g = standard_schottky(4.0)
         rep = sym_power(2)(g.generator_matrices())
-        recs = orbit_table(g, rep, 5, ORIGIN)
+        recs = orbit_table(g, rep, 5)
         assert all(np.isfinite(r.displacement) for r in recs)
         assert max(r.displacement for r in recs) > 17.0
 
     def test_displacement_grows_linearly(self):
         g = standard_schottky(4.0)
         rep = sym_power(2)(g.generator_matrices())
-        recs = orbit_table(g, rep, 5, ORIGIN)
+        recs = orbit_table(g, rep, 5)
         for rec in recs:
             assert rec.displacement >= 3.0 * rec.length - 3.0
 
-    def test_csv_format(self, tmp_path):
+    @pytest.mark.parametrize("start_len", [0, 3, 6])
+    def test_start_len_forms_only_the_tail(self, start_len, monkeypatch):
+        # the shorter levels are walked, but reach no Cartan routine
+        g = modular_group()
+        rep = sym_power(3)(g.generator_matrices())
+        phi = parse_functional("a1")
+        full = list(words._orbit_records(g, rep, 6, 0, (phi,)))
+        sizes = []
+
+        def spy(rep, products):
+            sizes.append(len(products[0]))
+            return _cartan_rows(rep, products)
+
+        monkeypatch.setattr(words, "_cartan_rows", spy)
+        tail = list(words._orbit_records(g, rep, 6, start_len, (phi,)))
+        want = [rec for rec in full if rec.length >= start_len]
+        assert sizes == [sum(1 for rec in want if rec.length == n)
+                         for n in range(start_len, 7)]
+        assert len(tail) == len(want) > 0
+        for got, rec in zip(tail, want):
+            assert (str(got.word), got.displacement, got.phi_values) == (
+                str(rec.word), rec.displacement, rec.phi_values)
+            assert np.array_equal(got.kappa.lambdas, rec.kappa.lambdas)
+            assert np.array_equal(got.mob.mat, rec.mob.mat)
+
+    def test_csv_format(self):
         g = modular_group()
         rep = sym_power(2)(g.generator_matrices())
-        recs = orbit_table(g, rep, 1, ORIGIN)
-        out = tmp_path / "orbit.csv"
-        write_orbit_csv(recs, str(out))
-        lines = out.read_text(encoding="utf-8").splitlines()
+        recs = orbit_table(g, rep, 1)
+        text = words._orbit_csv_header(rep.dim) + "".join(
+            words._orbit_csv_row(rec) for rec in recs)
+        lines = text.splitlines()
         assert lines[0] == "word,len,disp,k1,k2"
         assert lines[1].startswith("e,0,0,")
         assert len(lines) == len(recs) + 1
@@ -490,7 +515,7 @@ class TestOrbitTable:
 
 class TestLimitSample:
     def test_schottky_depth1_four_points(self):
-        pts = limit_sample(standard_schottky(4.0), 1)
+        pts = [p for p, _ in limit_sample_words(standard_schottky(4.0), 1)]
         assert len(pts) == 4
         want = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
         got = sorted(p.theta for p in pts)
@@ -498,7 +523,7 @@ class TestLimitSample:
             assert angular_distance(g_val, w_val) <= 1e-9
 
     def test_points_sorted_and_distinct(self):
-        pts = limit_sample(standard_schottky(4.0), 3)
+        pts = [p for p, _ in limit_sample_words(standard_schottky(4.0), 3)]
         thetas = [p.theta for p in pts]
         assert thetas == sorted(thetas)
         assert all(b - a > 1e-12 for a, b in zip(thetas, thetas[1:]))
@@ -520,7 +545,7 @@ class TestLimitSample:
 
     def test_modular_gaps_shrink(self):
         def max_gap(depth):
-            pts = limit_sample(modular_group(), depth)
+            pts = [p for p, _ in limit_sample_words(modular_group(), depth)]
             thetas = sorted(p.theta for p in pts)
             gaps = [b - a for a, b in zip(thetas, thetas[1:])]
             gaps.append(2.0 * math.pi - thetas[-1] + thetas[0])
@@ -555,7 +580,7 @@ class TestLimitSample:
     def test_single_generator_elementary(self):
         g = free_schottky([Mobius.boost(3.0)])
         with pytest.raises(NonElementary):
-            limit_sample(g, 4)
+            limit_sample_words(g, 4)
 
 
 class TestGroupFile:
@@ -597,9 +622,9 @@ class TestDisplacementFunction:
     def test_matches_point_distance_when_small(self):
         m = Mobius.boost(1.0)
         assert displacement(m) == pytest.approx(1.0, abs=1e-12)
-        b0 = DiscPoint(0.3, 0.2)
-        want = dist_h(b0, apply_isometry(m, b0))
-        assert displacement(m, b0) == pytest.approx(want, abs=1e-10)
+        m = Mobius(np.array([[1.3, 0.4], [-0.2, 0.9]]))
+        want = dist_h(ORIGIN, apply_isometry(m, ORIGIN))
+        assert displacement(m) == pytest.approx(want, abs=1e-10)
 
     def test_large_translations_finite(self):
         m = Mobius.boost(200.0)
