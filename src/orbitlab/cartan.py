@@ -85,10 +85,6 @@ class CartanVector:
     def d(self):
         return self.lambdas.size
 
-    @property
-    def rank(self):
-        return self.d - 1 if self.lie_type == "A" else self.d // 2
-
     def __repr__(self):
         return "CartanVector(%s, %s)" % (
             self.lie_type,
@@ -217,7 +213,7 @@ class RootFunctional:
     """A nonnegative combination of simple roots, a fundamental weight,
     or the C-type long root."""
 
-    __slots__ = ("kind", "coeffs", "index", "a_phi")
+    __slots__ = ("kind", "coeffs", "index")
 
     def __init__(self, kind, coeffs=None, index=None):
         if kind == "roots":
@@ -226,22 +222,18 @@ class RootFunctional:
             for i, c in coeffs.items():
                 if c < 0:
                     raise InvalidInput("negative coefficient on a%d" % i)
-            total = math.fsum(coeffs.values())
-            if total <= 0:
+            if math.fsum(coeffs.values()) <= 0:
                 raise InvalidInput("root combination must be nonzero")
             self.coeffs = dict(coeffs)
-            self.a_phi = total
             self.index = None
         elif kind == "weight":
             if index is None or index < 1:
                 raise InvalidInput("weight needs a positive index")
             self.index = int(index)
             self.coeffs = None
-            self.a_phi = None
         elif kind == "long":
             self.index = None
             self.coeffs = None
-            self.a_phi = 1.0
         else:
             raise InvalidInput("unknown functional kind %r" % kind)
         self.kind = kind
@@ -259,12 +251,6 @@ class RootFunctional:
         if lie_type != "C":
             raise InvalidInput("long root needs a C-type Cartan vector")
         return _root_column(lam, lie_type, lam.shape[-1] // 2)
-
-    def normalized_value(self, kv):
-        """phi / a(phi); only defined when a(phi) is (root combinations)."""
-        if self.a_phi is None:
-            raise InvalidInput("a(phi) undefined for weight functionals")
-        return self.value(kv) / self.a_phi
 
     def name(self):
         if self.kind == "weight":

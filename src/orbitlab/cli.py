@@ -1,10 +1,14 @@
 """Batch front end over the library modules.
 
+Each command takes only the settings it reads: SETTINGS gives each
+setting's default, check and flag, COMMANDS each command's settings,
+and a flag or a config key that a command does not read is an error.
 Settings come from three layers: built-in defaults, command line
 flags, then an optional JSON config file, later layers winning. Every
-output starts with a verbatim echo of the merged settings so a report
-can be replayed. Text outputs are UTF-8 with LF newlines. Exit codes:
-0 success, 2 configuration error, 3 numeric failure inside a module.
+output starts with a verbatim echo of the command's merged settings so
+a report can be replayed. Text outputs are UTF-8 with LF newlines. Exit
+codes: 0 success, 2 configuration error, 3 numeric failure inside a
+module.
 """
 
 import argparse
@@ -48,31 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-SHARED_DEFAULTS = {
-    "group": None,
-    "rep": "sym3",
-    "functional": ["a1"],
-    "max_len": 6,
-    "radius": 9.0,
-    "window": None,
-    "seed": 0,
-    "out": ".",
-}
-
-# per-command extra settings and their defaults
-EXTRA_DEFAULTS = {
-    "orbit": {},
-    "critexp": {"values": None},
-    "limitcurve": {"depth": 5, "k": 1},
-    "dimension": {"depth": 5, "k": 1,
-                  "scales": [0.3 * 10.0 ** (-j / 2.0) for j in range(5)]},
-    "shadows": {},
-    "tp": {"dim": 4, "trials": 200},
-    "double": {"depth": 5},
-    "conerank": {"dim": 2, "trials": 1000},
-    "plot": {"input": None, "column": "disp", "bins": 12, "svg": None},
-}
-
 
 class _ConfigError(Exception):
     """Raised for any failure before computation starts."""
@@ -86,63 +65,49 @@ def _config_phase():
         raise _ConfigError(str(exc)) from exc
 
 
-class RunConfig:
-    """Merged and validated settings of one run.
+def _rep_name(key, value):
+    if not (isinstance(value, str) and value.startswith("sym")
+            and value[3:].isdigit() and 2 <= int(value[3:]) <= 9):
+        raise InvalidInput("rep must be sym2..sym9, got %r" % (value,))
+    return value
 
-    settings holds every key verbatim for the output echo; the named
-    attributes are the validated shared fields.
-    """
 
-    __slots__ = ("settings", "group_path", "rep", "functionals",
-                 "max_len", "radius", "window", "seed", "out")
+def _functionals(key, value):
+    funcs = [value] if isinstance(value, str) else value
+    if not funcs:
+        raise InvalidInput("need at least one functional expression")
+    funcs = [str(f) for f in funcs]
+    for expr in funcs:
+        parse_functional(expr)
+    return funcs
 
-    def __init__(self, settings):
-        self.settings = dict(settings)
-        self.group_path = settings["group"]
-        self.rep = settings["rep"]
-        if not (isinstance(self.rep, str) and self.rep.startswith("sym")
-                and self.rep[3:].isdigit() and 2 <= int(self.rep[3:]) <= 9):
-            raise InvalidInput("rep must be sym2..sym9, got %r" % (self.rep,))
-        funcs = settings["functional"]
-        if isinstance(funcs, str):
-            funcs = [funcs]
-        if not funcs:
-            raise InvalidInput("need at least one functional expression")
-        self.functionals = [str(f) for f in funcs]
-        for expr in self.functionals:
-            parse_functional(expr)
-        self.max_len = int(settings["max_len"])
-        if self.max_len < 0:
-            raise InvalidInput("max_len must be nonnegative")
-        self.radius = float(settings["radius"])
-        if self.radius <= 0.0:
-            raise InvalidInput("radius must be positive")
-        window = settings["window"]
-        if window is not None:
-            lo, hi = float(window[0]), float(window[1])
-            if not lo < hi:
-                raise InvalidInput("window needs lo < hi")
-            window = (lo, hi)
-        self.window = window
-        self.seed = int(settings["seed"])
-        if self.seed < 0:
-            raise InvalidInput("seed must be nonnegative")
-        self.out = str(settings["out"])
-        for key in ("dim", "trials", "bins"):
-            if key in settings and int(settings[key]) < 1:
-                raise InvalidInput("%s must be at least 1" % key)
-        for key in ("depth", "k"):
-            if key in settings and int(settings[key]) < 0:
-                raise InvalidInput("%s must be nonnegative" % key)
 
-    def extra(self, key):
-        return self.settings[key]
+def _window(key, value):
+    if value is None:
+        return None
+    lo, hi = float(value[0]), float(value[1])
+    if not lo < hi:
+        raise InvalidInput("window needs lo < hi")
+    return lo, hi
 
-    def echo_json(self):
-        return json.dumps(self.settings, sort_keys=True)
 
-    def sym_dim(self):
-        return int(self.rep[3:])
+def _positive(key, value):
+    if float(value) <= 0.0:
+        raise InvalidInput("%s must be positive" % key)
+    return float(value)
+
+
+def _at_least(low):
+    def check(key, value):
+        if int(value) < low:
+            raise InvalidInput("%s must be %s" % (
+                key, "nonnegative" if low == 0 else "at least %d" % low))
+        return int(value)
+    return check
+
+
+def _as_is(key, value):
+    return value
 
 
 def _parse_window(text):
@@ -152,118 +117,74 @@ def _parse_window(text):
     return [float(parts[0]), float(parts[1])]
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="orbitlab",
-        description="matrix group orbit experiments in batch",
-    )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON settings file; overrides flags")
-    shared.add_argument("--group", help="group description file")
-    shared.add_argument("--rep", help="representation name, sym2..sym9")
-    shared.add_argument("--functional", action="append",
-                        help="functional expression, repeatable")
-    shared.add_argument("--max-len", dest="max_len", type=int,
-                        help="word length bound")
-    shared.add_argument("--radius", type=float, help="orbit ball radius")
-    shared.add_argument("--window", type=_parse_window,
-                        help="fit window lo:hi")
-    shared.add_argument("--seed", type=int, help="random seed")
-    shared.add_argument("--out", help="output directory")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orbit", parents=[shared],
-                       help="stream the orbit table to CSV, resumably")
-    p.set_defaults(func=cmd_orbit)
-    p = sub.add_parser("critexp", parents=[shared],
-                       help="growth exponent of a group or a values file")
-    p.add_argument("--values", help="JSON file with values and complete_to")
-    p.set_defaults(func=cmd_critexp)
-    p = sub.add_parser("limitcurve", parents=[shared],
-                       help="limit curve sample and polygonal length")
-    p.add_argument("--depth", type=int, help="word length of the sample")
-    p.add_argument("--k", type=int, help="plane dimension of the curve")
-    p.set_defaults(func=cmd_limitcurve)
-    p = sub.add_parser("dimension", parents=[shared],
-                       help="box counting dimension of the limit curve")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_dimension)
-    p = sub.add_parser("shadows", parents=[shared],
-                       help="same-annulus shadow separation report")
-    p.set_defaults(func=cmd_shadows)
-    p = sub.add_parser("tp", parents=[shared],
-                       help="positive factorization round-trip errors")
-    p.add_argument("--dim", type=int, help="matrix size")
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_tp)
-    p = sub.add_parser("double", parents=[shared],
-                       help="base versus doubled growth exponents")
-    p.add_argument("--depth", type=int, help="doubled ball word length")
-    p.set_defaults(func=cmd_double)
-    p = sub.add_parser("conerank", parents=[shared],
-                       help="definite cone rank witness and sampling")
-    p.add_argument("--dim", type=int, help="matrix size")
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_conerank)
-    p = sub.add_parser("plot", parents=[shared],
-                       help="text histogram of a CSV column")
-    p.add_argument("--input", help="CSV file to read")
-    p.add_argument("--column", help="column name to histogram")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--svg", help="optional vector graphic output path")
-    p.set_defaults(func=cmd_plot)
-    return parser
+# setting: (default, check(key, value) giving the value a command reads,
+# options of its command line flag, or None for a config file key only)
+SETTINGS = {
+    "group": (None, _as_is, dict(help="group description file")),
+    "rep": ("sym3", _rep_name, dict(help="representation name, sym2..sym9")),
+    "functional": (["a1"], _functionals, dict(
+        action="append", help="functional expression, repeatable")),
+    "max_len": (6, _at_least(0), dict(type=int, help="word length bound")),
+    "radius": (9.0, _positive, dict(type=float, help="orbit ball radius")),
+    "window": (None, _window, dict(type=_parse_window, help="fit window lo:hi")),
+    "values": (None, _as_is, dict(help="JSON file with values and complete_to")),
+    "depth": (5, _at_least(0), dict(type=int, help="word length of the sample")),
+    "k": (1, _at_least(0), dict(type=int, help="plane dimension of the curve")),
+    "scales": ([0.3 * 10.0 ** (-j / 2.0) for j in range(5)],
+               lambda key, value: [float(s) for s in value], None),
+    "dim": (None, _at_least(1), dict(type=int, help="matrix size")),
+    "trials": (None, _at_least(1), dict(type=int, help="number of trials")),
+    "seed": (0, _at_least(0), dict(type=int, help="random seed")),
+    "input": (None, _as_is, dict(help="CSV file to read")),
+    "column": ("disp", lambda key, value: str(value),
+               dict(help="column name to histogram")),
+    "bins": (12, _at_least(1), dict(type=int, help="number of bins")),
+    "svg": (None, _as_is, dict(help="optional vector graphic output path")),
+    "out": (".", lambda key, value: str(value), dict(help="output directory")),
+}
 
 
-def build_config(args):
-    settings = dict(SHARED_DEFAULTS)
-    settings.update(EXTRA_DEFAULTS[args.command])
-    for key in list(settings):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise InvalidInput("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in settings:
-                raise InvalidInput("unknown config key %r" % key)
-            settings[key] = value
-    return RunConfig(settings)
+class RunConfig:
+    """Merged and validated settings of one command.
+
+    Each setting is an attribute holding its checked value; settings
+    holds them all verbatim for the output echo.
+    """
+
+    def __init__(self, settings):
+        self.settings = dict(settings)
+        for key, value in settings.items():
+            setattr(self, key, SETTINGS[key][1](key, value))
+
+    def echo_json(self):
+        return json.dumps(self.settings, sort_keys=True)
 
 
 def _group_for(cfg, default_separated=False):
-    if cfg.group_path is None:
+    if cfg.group is None:
         if default_separated:
             return separated_schottky(2.0)
         raise InvalidInput("this command needs a group file")
-    return load_group_file(cfg.group_path)
+    return load_group_file(cfg.group)
 
 
 def _rep_for(cfg, group):
-    return sym_power(cfg.sym_dim())(
+    return sym_power(int(cfg.rep[3:]))(
         group.generator_matrices(), label=cfg.rep
     )
+
+
+def _one_functional(cfg):
+    """The expression and the functional of a command that reads one."""
+    if len(cfg.functional) != 1:
+        raise InvalidInput("this command reads one functional, got %d"
+                           % len(cfg.functional))
+    return cfg.functional[0], parse_functional(cfg.functional[0])
 
 
 def _report_path(cfg, name):
     os.makedirs(cfg.out, exist_ok=True)
     return os.path.join(cfg.out, name)
-
-
-def _write_report(cfg, command, payload, started):
-    header = {
-        "command": command,
-        "config": cfg.settings,
-        "version": __version__,
-        "wall_time_s": round(time.time() - started, 6),
-    }
-    path = _report_path(cfg, command + ".jsonl")
-    write_report_jsonl(path, [header] + payload)
-    return path
 
 
 def cmd_orbit(cfg):
@@ -312,7 +233,6 @@ def cmd_orbit(cfg):
     checkpoint(cfg.max_len, os.path.getsize(csv_path))
     print("wrote %s (%d new rows, from length %d)"
           % (csv_path, rows - resumed_rows, start_len))
-    return EXIT_OK
 
 
 def _load_values_file(path):
@@ -337,155 +257,116 @@ def _with_provenance(row, vs):
 
 
 def cmd_critexp(cfg):
-    started = time.time()
     with _config_phase():
-        values_path = cfg.extra("values")
-        if values_path is not None:
-            samples = [(None, _load_values_file(values_path))]
+        if cfg.values is not None:
+            if cfg.group is not None:
+                raise InvalidInput("critexp reads a values file or a group, "
+                                   "not both")
+            vs = _load_values_file(cfg.values)
+            samples = [(vs.label, vs)]
         else:
             group = _group_for(cfg)
             rep = _rep_for(cfg, group)
-            samples = [(expr, None) for expr in cfg.functionals]
-            pending = (group, rep)
-    payload = []
-    for expr, vs in samples:
-        if vs is None:
-            group, rep = pending
-            vs = sample_from_enumeration(group, rep,
-                                         parse_functional(expr), cfg.max_len)
-        est = estimate_exponent(vs, window=cfg.window)
-        payload.append(_with_provenance(
-            est.report(expr if expr is not None else vs.label), vs))
-    path = _write_report(cfg, "critexp", payload, started)
-    for row in payload:
-        print("%s: %.4f +- %.4f (complete_to %.3f)" % (
-            row["functional"], row["value"], row["stderr"],
-            row["complete_to"]))
-    print("wrote %s" % path)
-    return EXIT_OK
+            # sampled lazily, one functional at a time, after this phase
+            samples = ((expr, sample_from_enumeration(
+                group, rep, parse_functional(expr), cfg.max_len))
+                for expr in cfg.functional)
+    payload = [_with_provenance(
+        estimate_exponent(vs, window=cfg.window).report(name), vs)
+        for name, vs in samples]
+    return payload, "\n".join(
+        "%s: %.4f +- %.4f (complete_to %.3f)" % (
+            row["functional"], row["value"], row["stderr"], row["complete_to"])
+        for row in payload)
 
 
 def cmd_limitcurve(cfg):
-    started = time.time()
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
-        depth, k = int(cfg.extra("depth")), int(cfg.extra("k"))
-    curve = limit_curve(rep, group, depth, k)
+    curve = limit_curve(rep, group, cfg.depth, cfg.k)
     length = polygonal_length([p for _, p in curve])
-    csv_path = _report_path(cfg, "limitcurve.csv")
-    write_curve_csv(csv_path, curve)
-    payload = [{"depth": depth, "k": k, "points": len(curve),
+    write_curve_csv(_report_path(cfg, "limitcurve.csv"), curve)
+    payload = [{"depth": cfg.depth, "k": cfg.k, "points": len(curve),
                 "polygonal_length": length, "csv": "limitcurve.csv"}]
-    path = _write_report(cfg, "limitcurve", payload, started)
-    print("polygonal length %.6f over %d points" % (length, len(curve)))
-    print("wrote %s" % path)
-    return EXIT_OK
+    return payload, "polygonal length %.6f over %d points" % (length, len(curve))
 
 
 def cmd_dimension(cfg):
-    started = time.time()
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
-        depth, k = int(cfg.extra("depth")), int(cfg.extra("k"))
-        scales = [float(s) for s in cfg.extra("scales")]
-    points = [p for _, p in limit_curve(rep, group, depth, k)]
-    est = box_dimension(points, scales)
-    payload = [{"depth": depth, "k": k, "points": len(points),
+    points = [p for _, p in limit_curve(rep, group, cfg.depth, cfg.k)]
+    est = box_dimension(points, cfg.scales)
+    payload = [{"depth": cfg.depth, "k": cfg.k, "points": len(points),
                 "value": est.value, "stderr": est.stderr,
                 "scales": list(est.scales), "counts": list(est.counts)}]
-    path = _write_report(cfg, "dimension", payload, started)
-    print("box dimension %.4f +- %.4f" % (est.value, est.stderr))
-    print("wrote %s" % path)
-    return EXIT_OK
+    return payload, "box dimension %.4f +- %.4f" % (est.value, est.stderr)
 
 
 def cmd_shadows(cfg):
-    started = time.time()
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
-        phi = parse_functional(cfg.functionals[0])
+        expr, phi = _one_functional(cfg)
     records = orbit_table(group, rep, cfg.max_len, functionals=(phi,))
     report = shadow_separation_check(records, phi, cfg.radius)
     payload = [{
-        "functional": cfg.functionals[0],
+        "functional": expr,
         "radius": cfg.radius,
         "c0_empirical": report.c0_empirical,
         "violations": report.violations,
         "pairs_overlapping": report.pairs_overlapping,
         "annuli": {str(k): v for k, v in sorted(report.annuli.items())},
     }]
-    path = _write_report(cfg, "shadows", payload, started)
-    print("empirical separation constant %.6g, %d violations" % (
-        report.c0_empirical, report.violations))
-    print("wrote %s" % path)
-    return EXIT_OK
+    return payload, "empirical separation constant %.6g, %d violations" % (
+        report.c0_empirical, report.violations)
 
 
 def cmd_tp(cfg):
-    started = time.time()
     with _config_phase():
-        d = int(cfg.extra("dim"))
-        trials = int(cfg.extra("trials"))
-        word = standard_word(d)
+        word = standard_word(cfg.dim)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(cfg.trials):
         params = rng.uniform(0.2, 2.0, size=len(word.letters))
         coords = factorize(f_gamma(word, params))
         err = float(np.abs(np.asarray(coords.params) - params).max())
         worst = max(worst, err)
-    payload = [{"dim": d, "trials": trials, "seed": cfg.seed,
+    payload = [{"dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
                 "max_roundtrip_error": worst}]
-    path = _write_report(cfg, "tp", payload, started)
-    print("max round-trip coordinate error %.3g over %d trials" % (
-        worst, trials))
-    print("wrote %s" % path)
-    return EXIT_OK
+    return payload, "max round-trip coordinate error %.3g over %d trials" % (
+        worst, cfg.trials)
 
 
 def cmd_double(cfg):
-    started = time.time()
     with _config_phase():
         group = _group_for(cfg, default_separated=True)
         rep = _rep_for(cfg, group)
-        phi = parse_functional(cfg.functionals[0])
-        depth = int(cfg.extra("depth"))
+        expr, phi = _one_functional(cfg)
     doubled = double_rep(rep, PANTS_BOUNDARY)
     base_vs = sample_from_enumeration(group, rep, phi, cfg.max_len)
     base_est = estimate_exponent(base_vs, window=cfg.window)
-    dbl_vs = doubled_value_sample(group, doubled, phi, depth)
+    dbl_vs = doubled_value_sample(group, doubled, phi, cfg.depth)
     dbl_est = estimate_exponent(dbl_vs)
     payload = []
     for which, est, vs in (("base", base_est, base_vs),
                            ("doubled", dbl_est, dbl_vs)):
-        row = _with_provenance(est.report(cfg.functionals[0]), vs)
+        row = _with_provenance(est.report(expr), vs)
         row["which"] = which
         row["label"] = vs.label
         payload.append(row)
-    path = _write_report(cfg, "double", payload, started)
-    print("base %.4f +- %.4f, doubled %.4f +- %.4f" % (
-        base_est.value, base_est.stderr, dbl_est.value, dbl_est.stderr))
-    print("wrote %s" % path)
-    return EXIT_OK
+    return payload, "base %.4f +- %.4f, doubled %.4f +- %.4f" % (
+        base_est.value, base_est.stderr, dbl_est.value, dbl_est.stderr)
 
 
 def cmd_conerank(cfg):
-    started = time.time()
-    with _config_phase():
-        n = int(cfg.extra("dim"))
-        trials = int(cfg.extra("trials"))
-    witness = rank_witness_check(n)
-    violations = rank_upper_sample(n, trials, seed=cfg.seed)
-    payload = [{"dim": n, "trials": trials, "seed": cfg.seed,
+    witness = rank_witness_check(cfg.dim)
+    violations = rank_upper_sample(cfg.dim, cfg.trials, seed=cfg.seed)
+    payload = [{"dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
                 "witness_ok": bool(witness), "violations": violations}]
-    path = _write_report(cfg, "conerank", payload, started)
-    print("witness %s, %d violations in %d trials" % (
-        "ok" if witness else "FAILED", violations, trials))
-    print("wrote %s" % path)
-    return EXIT_OK
+    return payload, "witness %s, %d violations in %d trials" % (
+        "ok" if witness else "FAILED", violations, cfg.trials)
 
 
 def _read_csv_column(path, column):
@@ -531,16 +412,13 @@ def _svg_histogram(counts, edges, path):
 
 def cmd_plot(cfg):
     with _config_phase():
-        src = cfg.extra("input")
-        if src is None:
+        if cfg.input is None:
             raise InvalidInput("plot needs an input CSV")
-        column = str(cfg.extra("column"))
-        bins = int(cfg.extra("bins"))
-        values = _read_csv_column(src, column)
-    counts, edges = np.histogram(values, bins=bins)
+        values = _read_csv_column(cfg.input, cfg.column)
+    counts, edges = np.histogram(values, bins=cfg.bins)
     top = counts.max() or 1
     lines = ["# config: %s" % cfg.echo_json(),
-             "%s histogram, %d values" % (column, len(values))]
+             "%s histogram, %d values" % (cfg.column, len(values))]
     for i, c in enumerate(counts):
         bar = "#" * int(round(40.0 * c / top))
         lines.append("%12.5g .. %-12.5g %6d %s" % (edges[i], edges[i + 1],
@@ -550,27 +428,99 @@ def cmd_plot(cfg):
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     sys.stdout.write(text)
-    svg = cfg.extra("svg")
-    if svg is not None:
-        _svg_histogram(list(counts), list(edges), svg)
-        print("wrote %s" % svg)
+    if cfg.svg is not None:
+        _svg_histogram(list(counts), list(edges), cfg.svg)
+        print("wrote %s" % cfg.svg)
     print("wrote %s" % out_path)
-    return EXIT_OK
+
+
+# command: (function, help, the settings it reads besides out, its
+# defaults that differ from SETTINGS'). A command function returns its
+# JSONL rows and summary line, or None when it writes its own files.
+COMMANDS = {
+    "orbit": (cmd_orbit, "stream the orbit table to CSV, resumably",
+              ("group", "rep", "max_len"), {}),
+    "critexp": (cmd_critexp, "growth exponent of a group or a values file",
+                ("group", "rep", "functional", "max_len", "window", "values"),
+                {}),
+    "limitcurve": (cmd_limitcurve, "limit curve sample and polygonal length",
+                   ("group", "rep", "depth", "k"), {}),
+    "dimension": (cmd_dimension, "box counting dimension of the limit curve",
+                  ("group", "rep", "depth", "k", "scales"), {}),
+    "shadows": (cmd_shadows, "same-annulus shadow separation report",
+                ("group", "rep", "functional", "max_len", "radius"), {}),
+    "tp": (cmd_tp, "positive factorization round-trip errors",
+           ("dim", "trials", "seed"), {"dim": 4, "trials": 200}),
+    "double": (cmd_double, "base versus doubled growth exponents",
+               ("group", "rep", "functional", "max_len", "window", "depth"),
+               {}),
+    "conerank": (cmd_conerank, "definite cone rank witness and sampling",
+                 ("dim", "trials", "seed"), {"dim": 2, "trials": 1000}),
+    "plot": (cmd_plot, "text histogram of a CSV column",
+             ("input", "column", "bins", "svg"), {}),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="orbitlab",
+        description="matrix group orbit experiments in batch",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, keys, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON settings file; overrides flags")
+        for key in keys + ("out",):
+            if SETTINGS[key][2] is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               **SETTINGS[key][2])
+        p.set_defaults(func=func)
+    return parser
+
+
+def build_config(args):
+    _, _, keys, defaults = COMMANDS[args.command]
+    settings = {key: SETTINGS[key][0] for key in keys + ("out",)}
+    settings.update(defaults)
+    for key in settings:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise InvalidInput("config file must hold a JSON object")
+        for key, value in loaded.items():
+            if key not in settings:
+                raise InvalidInput("unknown config key %r for %s"
+                                   % (key, args.command))
+            settings[key] = value
+    return RunConfig(settings)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with _config_phase():
             cfg = build_config(args)
-        return args.func(cfg)
+        started = time.time()
+        report = args.func(cfg)
     except _ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except OrbitLabError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
+    if report is not None:
+        payload, summary = report
+        header = {"command": args.command, "config": cfg.settings,
+                  "version": __version__,
+                  "wall_time_s": round(time.time() - started, 6)}
+        path = _report_path(cfg, args.command + ".jsonl")
+        write_report_jsonl(path, [header] + payload)
+        print(summary)
+        print("wrote %s" % path)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -26,8 +26,7 @@ class PSDMatrix:
     """A real symmetric positive semidefinite matrix.
 
     Symmetry is enforced by averaging with the transpose; the minimum
-    eigenvalue may dip below zero only by PSD_FLOOR. Use is_definite
-    for strict membership in the open cone.
+    eigenvalue may dip below zero only by PSD_FLOOR.
     """
 
     __slots__ = ("mat", "n")
@@ -52,10 +51,6 @@ class PSDMatrix:
 
     def is_zero(self):
         return self.norm() == 0.0
-
-    def is_definite(self):
-        low = float(np.linalg.eigvalsh(self.mat)[0])
-        return low > PD_REL_TOL * max(self.norm(), 1e-300)
 
     def __repr__(self):
         return "PSDMatrix(n=%d, norm=%.6g)" % (self.n, self.norm())

@@ -75,9 +75,6 @@ class ValueSample:
     def __len__(self):
         return int(self.values.size)
 
-    def is_certified(self, t):
-        return t <= self.complete_to
-
     def __repr__(self):
         return "ValueSample(n=%d, complete_to=%.6g)" % (len(self), self.complete_to)
 
@@ -90,7 +87,7 @@ def poincare_series(vs, s):
 
 def counting_function(vs, t):
     """Number of sampled values at most t; certified only when
-    t <= complete_to (check is_certified)."""
+    t <= complete_to."""
     return int(np.searchsorted(vs.values, t, side="right"))
 
 

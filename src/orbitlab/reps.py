@@ -235,9 +235,6 @@ class ScaledMatrix:
     def __matmul__(self, other):
         return ScaledMatrix(self.mat @ other.mat, self.log_scale + other.log_scale)
 
-    def true_matrix(self):
-        return math.exp(self.log_scale) * self.mat
-
     def log_singular_values(self):
         svals = np.linalg.svd(self.mat, compute_uv=False)
         if svals[-1] <= 0.0:

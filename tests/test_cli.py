@@ -1,6 +1,9 @@
-"""Subcommand exit codes, config precedence, reports, and resume."""
+"""Subcommand exit codes, config precedence, reports, resume, and the
+settings table."""
 
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,6 +33,70 @@ def write_separated_group(tmp_path):
 def read_jsonl(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
+
+
+def settings_read(source):
+    """Function name to the names each top-level function of a module
+    source reads as cfg.<name>, itself or through the module's functions
+    it calls, transitively."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "cfg"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in functions and node.func.id not in seen):
+                found |= reads(node.func.id, seen)
+        return found
+
+    return {name: reads(name, set()) for name in functions}
+
+
+def misread_settings(source, commands, members=()):
+    """(command, listed but unread, read but unlisted) for each command
+    whose settings in commands, a name-to-settings dict, differ from the
+    reads settings_read finds in its cmd_<command> function; out, which
+    every command takes, and RunConfig's own members are left out of the
+    reads."""
+    reads = settings_read(source)
+    found = []
+    for name in sorted(commands):
+        read = reads["cmd_" + name] - {"out"} - set(members)
+        listed = set(commands[name])
+        if read != listed:
+            found.append((name, sorted(listed - read), sorted(read - listed)))
+    return found
+
+
+def test_each_command_reads_exactly_its_settings():
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    commands = {name: entry[2] for name, entry in cli.COMMANDS.items()}
+    assert sorted(commands) == sorted(
+        name[4:] for name in settings_read(source) if name.startswith("cmd_"))
+    assert misread_settings(source, commands,
+                            members=set(vars(cli.RunConfig)) | {"settings"}) == []
+    # the report tail reads the shared setting for every command
+    assert "out" in settings_read(source)["main"]
+
+
+def test_detector_flags_an_unread_setting():
+    source = ("def _path(cfg):\n    return cfg.out\n\n\n"
+              "def _rep(cfg):\n    return cfg.rep, _path(cfg)\n\n\n"
+              "def cmd_a(cfg):\n    return _rep(cfg), cfg.seed, cfg.echo()\n\n\n"
+              "def cmd_b(cfg):\n    return cfg.trials\n")
+    assert settings_read(source) == {
+        "_path": {"out"}, "_rep": {"out", "rep"},
+        "cmd_a": {"out", "rep", "seed", "echo"}, "cmd_b": {"trials"}}
+    commands = {"a": ("rep", "seed"), "b": ("trials",)}
+    assert misread_settings(source, commands, members=("echo",)) == []
+    commands = {"a": ("rep", "seed", "radius"), "b": ()}
+    assert misread_settings(source, commands, members=("echo",)) == [
+        ("a", ["radius"], []), ("b", [], ["trials"])]
 
 
 def test_exit_codes(tmp_path):
@@ -94,10 +161,43 @@ def test_orbit_deterministic_and_resumable(tmp_path):
 @pytest.mark.parametrize("config", ['{"window": 5}', '{"max_len": null}',
                                     '{"functional": 5}', '{"depth": [1]}'])
 def test_config_type_errors_exit_2(tmp_path, capsys, config):
+    """Each key goes to a command that reads it, so the error is its
+    type: critexp reads window, max_len and functional, limitcurve
+    depth."""
+    command = "limitcurve" if "depth" in config else "critexp"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config, encoding="utf-8")
-    assert cli.main(["limitcurve", "--group", write_modular_group(tmp_path),
+    assert cli.main([command, "--group", write_modular_group(tmp_path),
                      "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "unknown config key" not in err
+
+
+def test_settings_a_command_does_not_read_are_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tp", "--radius", "1.0", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"radius": 1}', encoding="utf-8")
+    assert cli.main(["orbit", "--group", write_modular_group(tmp_path),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["shadows", "--max-len", "2", "--functional", "a1", "--functional", "a2"],
+    ["double", "--max-len", "2", "--functional", "a1", "--functional", "a2"],
+    ["critexp", "--values", "VALUES"]], ids=["shadows", "double", "critexp"])
+def test_settings_read_in_part_are_errors(tmp_path, capsys, args):
+    """shadows and double read one functional, and critexp a values file
+    or a group: a second functional or both sources are refused."""
+    values = tmp_path / "vals.json"
+    values.write_text('{"values": [0.1, 0.2], "complete_to": 0.2}',
+                      encoding="utf-8")
+    args = [str(values) if a == "VALUES" else a for a in args]
+    assert cli.main(args + ["--group", write_modular_group(tmp_path),
+                            "--out", str(tmp_path / "run")]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -27,8 +27,6 @@ def test_psd_matrix_type():
     assert m.n == 2
     assert not m.is_zero()
     assert PSDMatrix(np.zeros((3, 3))).is_zero()
-    assert PSDMatrix(np.eye(3)).is_definite()
-    assert not PSDMatrix(unit_diag(2, 0)).is_definite()
     with pytest.raises(InvalidInput):
         PSDMatrix(np.ones((2, 3)))
     with pytest.raises(InvalidInput):

@@ -37,7 +37,7 @@ from orbitlab.flags import (
     veronese_flag,
     write_curve_csv,
 )
-from orbitlab.reps import evaluate, sym_power, sym_power_matrix
+from orbitlab.reps import _word_product, sym_power, sym_power_matrix
 from orbitlab.tpos import Unitriangular, f_gamma, factorize, standard_word
 from orbitlab.words import modular_group, standard_schottky
 
@@ -375,7 +375,7 @@ def test_limit_curve_d2_equivariance():
     from orbitlab.hypdisc import apply_boundary
     from orbitlab.words import Word as W
 
-    gmat = evaluate(rep, W(("a",))).true_matrix()
+    gmat = _word_product(rep.images, W(("a",)), rep.label, rep.dim)
     gmob = group.images["a"]
     lookup = {round(bp.theta, 9): pt for bp, pt in curve}
     hits = 0

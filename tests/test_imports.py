@@ -223,9 +223,15 @@ def test_detector_flags_a_stale_reference():
     assert stale_references(sources) == [("b.py", 1, "a._gone"), ("b.py", 5, "a.spare")]
 
 
-# public names no caller reaches, each kept for a reason
+# public names and methods no caller reaches, each kept for a reason
 UNCALLED = {
     "DiscPoint": "Klein-model oracle for displacement and shadows",
+    "Flag.dual": "the duality property test",
+    "Mobius.boost": "builder of test isometries",
+    "Mobius.identity": "builder of test isometries",
+    "ScaledMatrix.identity": "oracle of the product and rep tests",
+    "ScaledMatrix.log_singular_values": "oracle of the product and rep tests",
+    "Shadow.contains": "oracle for the arc extremes of a shadow",
     "apply_isometry": "Klein-model oracle for displacement and shadows",
     "custom_rep": "oracle: a structureless rep checks the factor route",
     "dist_h": "Klein-model oracle for displacement and shadows",
@@ -235,15 +241,24 @@ UNCALLED = {
 }
 
 
+def public_methods(node):
+    """The public methods of a class definition; dunders are not public."""
+    return [item for item in node.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
 def uncalled_public_names(sources, outside):
     """(module, name) of each public module-level function or class of
-    sources, a name-to-text dict, that nothing reaches. The roots are the
-    names outside, a name-to-text dict of callers beyond the package,
+    sources, a name-to-text dict, and (module, "Class.method") of each
+    public method of a public class, that nothing reaches. The roots are
+    the names outside, a name-to-text dict of callers beyond the package,
     reads, with their string constants (the benchmark patches functions
     by name), and the names the package's top-level statements other
     than definitions and imports read; a definition a root reaches
     reaches every name its body reads in turn, so a name read only by
-    definitions nothing reaches stays unreached."""
+    definitions nothing reaches stays unreached. A class's body is all
+    of it but its public methods, so its dunders come with it, and a
+    public method is reached by its name alone."""
     body = {}
     reached = set()
     for text in outside.values():
@@ -253,7 +268,15 @@ def uncalled_public_names(sources, outside):
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     for text in sources.values():
         for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                methods = public_methods(node)
+                for item in methods:
+                    body.setdefault(item.name, set()).update(names_read_by(item))
+                rest = [item for item in node.body if item not in methods]
+                body.setdefault(node.name, set()).update(*(
+                    names_read_by(item)
+                    for item in rest + node.bases + node.decorator_list))
+            elif isinstance(node, ast.FunctionDef):
                 body.setdefault(node.name, set()).update(names_read_by(node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 reached |= names_read_by(node)
@@ -263,10 +286,17 @@ def uncalled_public_names(sources, outside):
             if name not in reached:
                 reached.add(name)
                 todo.append(name)
-    return sorted((module, node.name) for module, text in sources.items()
-                  for node in ast.parse(text).body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in reached)
+    found = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                found += [(module, node.name)] if node.name not in reached else []
+                if isinstance(node, ast.ClassDef):
+                    found += [(module, "%s.%s" % (node.name, item.name))
+                              for item in public_methods(node)
+                              if item.name not in reached]
+    return sorted(found)
 
 
 def test_public_names_have_a_caller():
@@ -296,3 +326,20 @@ def test_detector_flags_an_uncalled_public_name():
         ("a.py", "oracle"), ("a.py", "spare")]
     assert uncalled_public_names(sources, {}) == [
         ("a.py", "oracle"), ("a.py", "patched"), ("a.py", "spare")]
+
+
+def test_detector_flags_an_uncalled_public_method():
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    def __init__(self):\n        self.n = _count()\n\n"
+                 "    def size(self):\n        return self.n\n\n"
+                 "    def spare(self):\n        return self.oracle()\n\n"
+                 "    def oracle(self):\n        return 0\n\n"
+                 "    def _inner(self):\n        return 1\n\n\n"
+                 "def _count():\n    return 2\n\n\n"
+                 "class _Hidden:\n    def spare(self):\n        pass\n"),
+        "b.py": "from a import Box\n\nprint(Box().size())\n",
+    }
+    assert uncalled_public_names(sources, {}) == [
+        ("a.py", "Box.oracle"), ("a.py", "Box.spare")]
+    assert uncalled_public_names(sources, {"bench.py": "x.spare()\n"}) == []
