@@ -34,6 +34,7 @@ import re
 import numpy as np
 
 from .errors import IllConditioned, InvalidInput
+from .hypdisc import _half_lengths
 from .reps import ScaledMatrix, _word_product, evaluate, sp_product
 
 CONDITION_LIMIT = 1e14
@@ -123,14 +124,6 @@ def _dense_rows(mats, lie_type):
     return _centered(lam, lie_type)
 
 
-def _boost_half_lengths(mats):
-    """mu with singular values e^mu, e^-mu of stacked unimodular 2x2
-    products, from the Frobenius norm alone. Squared entries overflow
-    once mu passes about 354, and the result is then not finite."""
-    fro2 = (mats * mats).sum(axis=(1, 2))
-    return 0.5 * np.arccosh(np.maximum(1.0, 0.5 * fro2))
-
-
 def _factor_exponents(rep, products):
     """Log singular values, one row per element, of elements given by
     their factor products, in decreasing order.
@@ -141,7 +134,7 @@ def _factor_exponents(rep, products):
     of its boost mu, so each row already sums to zero up to rounding.
     """
     lam = np.concatenate([
-        _boost_half_lengths(mats)[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
+        _half_lengths(mats)[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
         for (d, _), mats in zip(rep.factors, products)
     ], axis=1)
     lam.sort(axis=1)

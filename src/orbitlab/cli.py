@@ -182,11 +182,6 @@ def _one_functional(cfg):
     return cfg.functional[0], parse_functional(cfg.functional[0])
 
 
-def _report_path(cfg, name):
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
-
-
 def cmd_orbit(cfg):
     """Stream word,len,disp,k1..kd rows; a checkpoint file records the
     last fully written length, the byte offset its rows end at and the
@@ -196,7 +191,7 @@ def cmd_orbit(cfg):
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
-        csv_path = _report_path(cfg, "orbit.csv")
+        csv_path = os.path.join(cfg.out, "orbit.csv")
     ck_path = csv_path + ".checkpoint"
     start_len = rows = 0
     mode = "w"
@@ -259,9 +254,6 @@ def _with_provenance(row, vs):
 def cmd_critexp(cfg):
     with _config_phase():
         if cfg.values is not None:
-            if cfg.group is not None:
-                raise InvalidInput("critexp reads a values file or a group, "
-                                   "not both")
             vs = _load_values_file(cfg.values)
             samples = [(vs.label, vs)]
         else:
@@ -286,7 +278,7 @@ def cmd_limitcurve(cfg):
         rep = _rep_for(cfg, group)
     curve = limit_curve(rep, group, cfg.depth, cfg.k)
     length = polygonal_length([p for _, p in curve])
-    write_curve_csv(_report_path(cfg, "limitcurve.csv"), curve)
+    write_curve_csv(os.path.join(cfg.out, "limitcurve.csv"), curve)
     payload = [{"depth": cfg.depth, "k": cfg.k, "points": len(curve),
                 "polygonal_length": length, "csv": "limitcurve.csv"}]
     return payload, "polygonal length %.6f over %d points" % (length, len(curve))
@@ -424,7 +416,7 @@ def cmd_plot(cfg):
         lines.append("%12.5g .. %-12.5g %6d %s" % (edges[i], edges[i + 1],
                                                    c, bar))
     text = "\n".join(lines) + "\n"
-    out_path = _report_path(cfg, "plot.txt")
+    out_path = os.path.join(cfg.out, "plot.txt")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     sys.stdout.write(text)
@@ -482,19 +474,23 @@ def build_config(args):
     _, _, keys, defaults = COMMANDS[args.command]
     settings = {key: SETTINGS[key][0] for key in keys + ("out",)}
     settings.update(defaults)
-    for key in settings:
-        if getattr(args, key, None) is not None:
-            settings[key] = getattr(args, key)
+    given = {key: getattr(args, key) for key in settings
+             if getattr(args, key, None) is not None}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise InvalidInput("config file must hold a JSON object")
-        for key, value in loaded.items():
+        for key in loaded:
             if key not in settings:
                 raise InvalidInput("unknown config key %r for %s"
                                    % (key, args.command))
-            settings[key] = value
+        given.update(loaded)
+    # a values file replaces the group and every setting that reads it
+    clash = sorted(set(given) & {"group", "rep", "functional", "max_len"})
+    if given.get("values") is not None and clash:
+        raise InvalidInput("a values file takes no %s" % ", ".join(clash))
+    settings.update(given)
     return RunConfig(settings)
 
 
@@ -503,6 +499,7 @@ def main(argv=None):
     try:
         with _config_phase():
             cfg = build_config(args)
+            os.makedirs(cfg.out, exist_ok=True)
         started = time.time()
         report = args.func(cfg)
     except _ConfigError as exc:
@@ -516,7 +513,7 @@ def main(argv=None):
         header = {"command": args.command, "config": cfg.settings,
                   "version": __version__,
                   "wall_time_s": round(time.time() - started, 6)}
-        path = _report_path(cfg, args.command + ".jsonl")
+        path = os.path.join(cfg.out, args.command + ".jsonl")
         write_report_jsonl(path, [header] + payload)
         print(summary)
         print("wrote %s" % path)

@@ -37,8 +37,9 @@ import math
 import numpy as np
 from scipy import stats
 
-from .cartan import _boost_half_lengths, _cartan_rows, cartan_projection, word_cartan
+from .cartan import _cartan_rows, cartan_projection, word_cartan
 from .errors import IllConditioned, InsufficientData, InvalidInput
+from .hypdisc import _half_lengths
 from .reps import sym_power_matrix
 from .words import _rep_tables, _walk_levels, modular_norm_ball
 
@@ -243,7 +244,7 @@ def sample_from_norm_ball(bound, sym_dim, phi):
 
     The ball is words.modular_norm_ball's (N, 2, 2) integer array; no
     words are formed and no SVD is taken: log of the top singular value
-    is half the arccosh of half the sum of squared entries, which is
+    is hypdisc._half_lengths, from the sum of squared entries, which is
     exact algebra for determinant 1. Certificate: an element with top
     singular value at most `bound` has every entry inside the scanned
     box, and for a symmetric power all root data reduce to 2 log(top
@@ -255,7 +256,7 @@ def sample_from_norm_ball(bound, sym_dim, phi):
     # functional on the sym-power Cartan vector of a unit-gap 2x2 matrix
     unit = sym_power_matrix(np.diag([math.exp(0.5), math.exp(-0.5)]), sym_dim)
     mult = phi.value(cartan_projection(unit))
-    vals = 2.0 * mult * _boost_half_lengths(mats)
+    vals = 2.0 * mult * _half_lengths(mats)
     return ValueSample(
         np.maximum(vals, 0.0),
         2.0 * mult * math.log(bound),

@@ -6,7 +6,8 @@ group whose orientation preserving part strictly contains the original.
 On the matrix side each reflection becomes a conjugated sign
 involution, and the extended letter table keeps the two-by-two factor
 structure, so Cartan data and flags of long doubled words stay on the
-stable evaluation route.
+stable evaluation route. A reflection's letter and its factor are one
+formula, _framed_reflection, on one eigenframe.
 
 The doubled ball is the walk of words.enumerate_elements run on a
 GroupSpec of kind doubled: the base letters plus one self-inverse letter
@@ -21,10 +22,11 @@ import numpy as np
 
 from .critexp import _frontier_sample
 from .errors import InvalidInput, OverlappingAxes
-from .flags import Flag, _eigenbasis, _loxodromic_frame, flag_distance
+from .flags import Flag, _eigenbasis, _loxodromic_frames, flag_distance
 from .hypdisc import (
     BoundaryPoint,
     Mobius,
+    _eigenframes,
     angular_distance,
     apply_boundary,
     classify,
@@ -115,11 +117,16 @@ class Reflection:
         )
 
 
+def _framed_reflection(frame):
+    """diag(1, -1) in the basis of a 2x2 eigenframe (hypdisc._eigenframes)."""
+    return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
+
+
 def reflection_across_axis(gamma):
     """Reflection across the axis of a hyperbolic Mobius value.
 
-    The fixed directions of gamma frame the involution diag(1, -1), so
-    both axis endpoints stay fixed while the complementary boundary arcs
+    The eigenframe of gamma frames the involution diag(1, -1), so both
+    axis endpoints stay fixed while the complementary boundary arcs
     trade places.
     """
     if gamma.orientation != 1:
@@ -127,10 +134,8 @@ def reflection_across_axis(gamma):
     kind = classify(gamma)
     if kind != "hyperbolic":
         raise InvalidInput("reflection needs a hyperbolic value, got %s" % kind)
-    plus, minus = fixed_points(gamma)
-    frame = np.column_stack([plus.direction(), minus.direction()])
-    mat = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
-    return Reflection(Mobius(mat), (plus, minus))
+    frame = _eigenframes(gamma.mat[np.newaxis])[0]
+    return Reflection(Mobius(_framed_reflection(frame)), fixed_points(gamma))
 
 
 def x_involution(d):
@@ -274,9 +279,10 @@ def double_rep(rep, boundary_elements):
     factor_mats = []
     for w in boundary:
         if structural:
-            frame = _loxodromic_frame(_word_product(rep.factors[0][1], w, rep.label))
+            product = _word_product(rep.factors[0][1], w, rep.label)
+            frame = _loxodromic_frames(product[np.newaxis])[0]
             basis = sym_power_matrix(frame, d)
-            factor = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
+            factor = _framed_reflection(frame)
         else:
             basis = _eigenbasis(evaluate(rep, w).mat)
             factor = None

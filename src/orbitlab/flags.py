@@ -24,7 +24,7 @@ from .errors import (
     NotTransverse,
     SpectrumNotLoxodromic,
 )
-from .hypdisc import Mobius, _kernel_vector
+from .hypdisc import Mobius, _eigenframes
 from .reps import ScaledMatrix, sym_power_matrix
 from .tpos import Unitriangular, factorize
 from .words import _limit_rows, _rep_tables
@@ -95,13 +95,18 @@ class GrassPoint:
 
 
 def flag_distance(p, q):
-    """Chordal metric: Frobenius distance of projectors over sqrt(2);
-    lines at right angles realize the maximum value 1."""
+    """Chordal metric, one row of _chordal_distances; lines at right
+    angles realize the maximum value 1."""
     if not isinstance(p, GrassPoint) or not isinstance(q, GrassPoint):
         raise InvalidInput("flag_distance compares Grassmannian points")
     if p.k != q.k or p.d != q.d:
         raise InvalidInput("points live on different Grassmannians")
-    return float(np.linalg.norm(p.projector() - q.projector(), "fro") / np.sqrt(2.0))
+    return float(_chordal_distances(p.projector(), q.projector()))
+
+
+def _chordal_distances(p, q):
+    """Frobenius distances over sqrt(2) of stacked projector pairs."""
+    return np.linalg.norm(p - q, axis=(-2, -1)) / np.sqrt(2.0)
 
 
 def _as_square_matrix(m):
@@ -262,21 +267,13 @@ def veronese_flag(t, d):
     return Flag(sym_power_matrix(np.array([[1.0, 0.0], [float(t), 1.0]]), d))
 
 
-def _loxodromic_frame(mat):
-    """Eigenbasis [attracting | repelling] of a real 2x2 with distinct
-    real eigenvalue moduli, via the explicit kernel formula that
-    hypdisc.fixed_points also reads (hypdisc._kernel_vector); immune to
-    the balancing loss that general eigensolvers suffer on strongly
-    graded matrices."""
-    tr = mat[0, 0] + mat[1, 1]
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc <= 1e-9 * max(1.0, tr * tr):
+def _loxodromic_frames(mats):
+    """hypdisc._eigenframes of stacked real 2x2 matrices, each checked to
+    have distinct real eigenvalue moduli."""
+    tr = np.trace(mats, axis1=1, axis2=2)
+    if np.any(tr * tr - 4.0 * np.linalg.det(mats) <= 1e-9 * np.maximum(1.0, tr * tr)):
         raise SpectrumNotLoxodromic("two-by-two factor is not loxodromic")
-    root = np.sqrt(disc)
-    big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
-    kernels = [np.array(_kernel_vector(mat, lam)) for lam in (big, det / big)]
-    return np.column_stack([v / np.hypot(*v) for v in kernels])
+    return _eigenframes(mats)
 
 
 def limit_flags(rep, group, depth):
@@ -287,17 +284,19 @@ def limit_flags(rep, group, depth):
     two-by-two eigenframe: the attracting flag of the image is the
     symmetric power of the frame, which stays accurate at word lengths
     where eigensolvers on the large graded image matrix lose the leading
-    eigenvector. The frame is read from the 2x2 product the limit-set
-    walk carries along each word. Any other representation takes the
-    direct eigenvector route on the dense image the walk carries.
+    eigenvector. All the frames come from one _loxodromic_frames call
+    on the 2x2 products the limit-set walk carries. Any other
+    representation takes the direct eigenvector route on the dense image
+    the walk carries.
     """
     tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
-        return [(bp, attracting_flag(ScaledMatrix(mats[0])))
-                for bp, _, mats in _limit_rows(group, depth, [rep.images])]
+        points, _, (mats,) = _limit_rows(group, depth, [rep.images])
+        return [(bp, attracting_flag(ScaledMatrix(m))) for bp, m in zip(points, mats)]
+    points, _, (mats,) = _limit_rows(group, depth, tables)
     d = rep.factors[0][0]
-    return [(bp, Flag(sym_power_matrix(_loxodromic_frame(mats[0]), d)))
-            for bp, _, mats in _limit_rows(group, depth, tables)]
+    return [(bp, Flag(sym_power_matrix(frame, d)))
+            for bp, frame in zip(points, _loxodromic_frames(mats))]
 
 
 def limit_curve(rep, group, depth, k):

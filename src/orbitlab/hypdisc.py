@@ -16,16 +16,19 @@ with orientation -1 and no special casing in the action.
 
 Orbit quantities are read from the origin o and from the matrix alone,
 never from interior coordinates, which pin to the boundary long before
-the displacements of long words stop being representable. displacement
-is d(o, m o), from the squared Frobenius norm of m. Geodesics are
-straight chords, which makes shadows exact circular arcs: the shadow of
-the ball B(m o, r) seen from o is the arc of half angle
-asin(sinh r / sinh d(o, m o)) around the direction of m o (a right
-triangle relation between the tangent ray, the center distance and the
-radius), and shadow_of_isometry reads both from m m^T. DiscPoint,
-dist_h and apply_isometry compute the same quantities from Klein
-coordinates, an independent route the tests check the matrix one
-against where coordinates still resolve.
+the displacements of long words stop being representable. Each 2x2
+formula lives here once, as a kernel on (N, 2, 2) stacks that consumers
+call a whole level at a time: _half_lengths (displacements and boosts),
+_eigenframes (fixed points, limit flags, axis reflections) and
+_shadow_arcs; displacement, fixed_points and shadow_of_isometry are
+their one-row calls. Geodesics are straight chords, which makes shadows
+exact circular arcs: the shadow of the ball B(m o, r) seen from o is
+the arc of half angle asin(sinh r / sinh d(o, m o)) around the
+direction of m o (a right triangle relation between the tangent ray,
+the center distance and the radius). DiscPoint, dist_h and
+apply_isometry compute the same quantities from Klein coordinates, an
+independent route the tests check the matrix one against where
+coordinates still resolve.
 """
 
 import math
@@ -214,10 +217,6 @@ class Shadow:
             return True
         return angular_distance(theta, self.center.theta) <= self.half_angle
 
-    def start(self):
-        """Counterclockwise start of the arc."""
-        return wrap_angle(self.center.theta - self.half_angle)
-
     def __repr__(self):
         return "Shadow(center=%r, half_angle=%r, full=%r)" % (
             self.center.theta,
@@ -247,12 +246,18 @@ def dist_h(p, q):
 
 
 def displacement(m):
-    """Hyperbolic distance from the origin to its image under m, computed
-    from the matrix itself: arccosh of half the squared Frobenius norm,
-    which stays finite for displacements far beyond where Klein
-    coordinates pin to the boundary."""
-    sq = float(np.sum(m.mat * m.mat))
-    return math.acosh(max(1.0, 0.5 * sq))
+    """Hyperbolic distance from the origin to its image under m, twice
+    one row of _half_lengths."""
+    return float(2.0 * _half_lengths(m.mat[np.newaxis])[0])
+
+
+def _half_lengths(mats):
+    """mu with singular values e^mu, e^-mu of stacked unimodular 2x2
+    matrices from the Frobenius norm alone, 2 mu = d(o, m o): finite far
+    past where Klein coordinates pin to the boundary, until squared
+    entries overflow once mu passes about 354."""
+    fro2 = (mats * mats).sum(axis=(1, 2))
+    return 0.5 * np.arccosh(np.maximum(1.0, 0.5 * fro2))
 
 
 def apply_isometry(m, p):
@@ -286,42 +291,61 @@ def classify(m):
 
 
 def fixed_points(m):
-    """Attracting and repelling boundary fixed points of a hyperbolic value;
-    for a parabolic value the unique fixed point is returned twice."""
+    """Attracting and repelling boundary fixed points of a hyperbolic value,
+    from one row of _fixed_angles; for a parabolic value the unique fixed
+    point is returned twice."""
     kind = classify(m)
     if kind not in ("hyperbolic", "parabolic"):
         raise InvalidInput("no boundary fixed points for %s values" % kind)
-    mat = m.mat if (m.mat[0, 0] + m.mat[1, 1]) >= 0 else -m.mat
-    tr = mat[0, 0] + mat[1, 1]
-    root = math.sqrt(tr * tr - 4.0) if kind == "hyperbolic" else 0.0
-    return tuple(BoundaryPoint(2.0 * math.atan2(w[1], w[0])) for w in
-                 (_kernel_vector(mat, 0.5 * (tr + root)),
-                  _kernel_vector(mat, 0.5 * (tr - root))))
+    plus, minus = (BoundaryPoint(t) for t in _fixed_angles(m.mat[np.newaxis])[0])
+    return (plus, plus) if kind == "parabolic" else (plus, minus)
 
 
-def _kernel_vector(mat, lam):
-    """A vector spanning the kernel of mat - lam I, for an eigenvalue lam
-    of a real 2x2 that is not scalar: the normal of the longer row, the
-    better conditioned of the two."""
-    v1 = (mat[0, 1], lam - mat[0, 0])
-    v2 = (lam - mat[1, 1], mat[1, 0])
-    return v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
+def _eigenframes(mats):
+    """Unit eigenvectors [larger | smaller eigenvalue modulus], the
+    columns of each of stacked real 2x2 matrices: the larger eigenvalue
+    from trace and det, the other det over it, each kernel the normal of
+    the longer row. Immune to the balancing loss of eigensolvers on
+    graded matrices; a negative discriminant is read as zero."""
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    tr, det = a + d, a * d - b * c
+    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    big = 0.5 * (tr + np.where(tr >= 0.0, root, -root))
+    frames = np.empty(mats.shape)
+    for k, lam in enumerate((big, det / big)):
+        v1, v2 = np.stack([b, lam - a], axis=1), np.stack([lam - d, c], axis=1)
+        v = np.where((np.hypot(*v1.T) >= np.hypot(*v2.T))[:, np.newaxis], v1, v2)
+        frames[:, :, k] = v / np.hypot(*v.T)[:, np.newaxis]
+    return frames
+
+
+def _fixed_angles(mats):
+    """(N, 2) boundary angles in [0, 2*pi) of the columns of _eigenframes,
+    each read with its sign for the trace nonnegative one of +-m."""
+    frames = _eigenframes(mats)
+    sign = np.where(mats[:, 0, 0] + mats[:, 1, 1] >= 0.0, 1.0, -1.0)[:, np.newaxis]
+    return np.mod(2.0 * np.arctan2(sign * frames[:, 1], sign * frames[:, 0]), TWO_PI)
+
+
+def _shadow_arcs(mats, r):
+    """Shadows from o of the balls B(m o, r) of stacked matrices: centre
+    angles in [0, 2*pi), the direction of m o read from M M^T (its image
+    on the determinant hyperboloid), half angles, and whether o lies in
+    the ball, where the half angle is pi, the whole circle."""
+    if r <= 0.0:
+        raise InvalidInput("shadow radius must be positive")
+    y_mat = mats @ np.swapaxes(mats, 1, 2)
+    centres = np.mod(np.arctan2(y_mat[:, 0, 1], 0.5 * (y_mat[:, 0, 0] - y_mat[:, 1, 1])),
+                     TWO_PI)
+    dist = 2.0 * _half_lengths(mats)
+    full = dist <= r
+    halves = np.full(len(mats), math.pi)
+    halves[~full] = np.arcsin(math.sinh(r) / np.sinh(dist[~full]))
+    return centres, halves, full
 
 
 def shadow_of_isometry(m, r):
-    """Shadow of the orbit point m(o) seen from the origin o, computed
-    from the matrix alone so that points far past the reach of interior
-    coordinates still get correct arcs: the whole circle when o lies in
-    the ball."""
-    if r <= 0.0:
-        raise InvalidInput("shadow radius must be positive")
-    # image of the origin on the determinant hyperboloid is M M^T
-    y_mat = m.mat @ m.mat.T
-    t = 0.5 * (y_mat[0, 0] + y_mat[1, 1])
-    ux = 0.5 * (y_mat[0, 0] - y_mat[1, 1])
-    uy = y_mat[0, 1]
-    d = math.acosh(max(1.0, t))
-    center = math.atan2(uy, ux) if math.hypot(ux, uy) > 0.0 else 0.0
-    if d <= r:
-        return Shadow(center, math.pi, full=True)
-    return Shadow(center, math.asin(math.sinh(r) / math.sinh(d)))
+    """Shadow of the orbit point m(o) seen from the origin o, one row of
+    _shadow_arcs."""
+    centres, halves, full = _shadow_arcs(m.mat[np.newaxis], r)
+    return Shadow(centres[0], halves[0], full=bool(full[0]))

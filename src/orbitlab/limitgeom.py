@@ -7,8 +7,9 @@ give an endpoint distance, and the product with e^(alpha(kappa)) is the
 distortion ratio. Bounded ratios across the orbit are the numerical
 shape of the two-sided distortion property; the constants are outputs,
 never inputs. The orbit points come from the ball walk of the words
-module (words._walk_levels), and kappa, from cartan._cartan_rows, only
-for the rows kept.
+module (words._walk_levels) a level at a time, with shadows from
+hypdisc._shadow_arcs and kappa, from cartan._cartan_rows, only for the
+rows kept.
 
 shadow_separation_check buckets orbit points into annuli by functional
 value and looks for same-annulus pairs whose shadows overlap even though
@@ -28,8 +29,8 @@ from scipy import stats
 
 from .cartan import _cartan_rows
 from .errors import InsufficientScales, InvalidInput
-from .flags import GrassPoint, flag_distance, limit_curve
-from .hypdisc import TWO_PI, displacement, shadow_of_isometry
+from .flags import GrassPoint, _chordal_distances, limit_curve
+from .hypdisc import TWO_PI, _half_lengths, _shadow_arcs
 from .words import _rep_tables, _walk_levels
 
 MIN_POINTS = 1000
@@ -93,72 +94,54 @@ def _single_root_index(phi):
     return next(iter(phi.coeffs))
 
 
-def _arc_extremes(thetas, sh):
-    """Indices of the first and last sorted angle inside the arc, in arc
-    order; None when fewer than two sample points fall inside. Found by
-    bisection, not by a scan over the sample; tests/test_hypdisc.py keeps
-    the scan, coarse_endpoints, as the oracle it must match."""
+def _arc_extremes(thetas, centres, halves):
+    """For each arc short of the whole circle (centre and half angle, as
+    hypdisc._shadow_arcs gives them), the indices of the first and last
+    sorted angle of thetas inside it, in arc order, and whether at least
+    two fall inside. Found by bisection for all arcs at once, not by a
+    scan over the sample; tests/test_hypdisc.py keeps the scan,
+    coarse_endpoints, as the oracle it must match."""
     n = thetas.size
-    if n == 0:
-        return None
-    if sh.full:
-        return (0, n - 1) if n >= 2 else None
-    start = sh.start()
-    width = 2.0 * sh.half_angle
-    lo = int(np.searchsorted(thetas, start, side="left"))
-    end = start + width
-    if end < TWO_PI:
-        hi = int(np.searchsorted(thetas, end, side="right"))
-        if hi - lo < 2:
-            return None
-        return lo, hi - 1
-    hi = int(np.searchsorted(thetas, end - TWO_PI, side="right"))
-    count = (n - lo) + hi
-    if count < 2:
-        return None
-    first = lo if lo < n else 0
-    last = hi - 1 if hi > 0 else n - 1
-    return first, last
+    starts = np.mod(centres - halves, TWO_PI)
+    ends = starts + 2.0 * halves
+    wraps = ends >= TWO_PI
+    lo = np.searchsorted(thetas, starts, side="left")
+    hi = np.searchsorted(thetas, np.where(wraps, ends - TWO_PI, ends), side="right")
+    found = np.where(wraps, n - lo + hi, hi - lo) >= 2
+    return np.where(lo < n, lo, 0), np.where(hi > 0, hi - 1, n - 1), found
 
 
-def distortion_scan(group, rep, phi, r, max_len, sample_depth=None, sample=None):
+def distortion_scan(group, rep, phi, r, max_len):
     """Distortion ratios of the sub-limit map over an orbit ball.
 
     Rows cover the orbit points with displacement beyond r whose shadows
     capture at least two sampled limit points with distinct flag images;
-    the rest are counted as skipped. The limit sample defaults to the
-    same depth as the scan. Rows are independent of one another and keep
-    enumeration order.
+    the rest are counted as skipped. The limit sample, sorted by angle,
+    has the same depth as the scan. A level takes one _shadow_arcs call,
+    whose whole-circle rows lie within r, and one _arc_extremes call;
+    rows keep enumeration order.
     """
-    k = _single_root_index(phi)
-    if sample is None:
-        sample = limit_curve(rep, group, sample_depth or max_len, k)
-    sample = sorted(sample, key=lambda pair: pair[0].theta)
+    sample = limit_curve(rep, group, max_len, _single_root_index(phi))
     thetas = np.array([bp.theta for bp, _ in sample])
-    planes = [plane for _, plane in sample]
+    projectors = np.array([plane.projector() for _, plane in sample])
     rows = []
     skipped = 0
     for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
-        kept = []
-        for i, mob in level.rows():
-            if displacement(mob) <= r:
-                continue
-            pick = _arc_extremes(thetas, shadow_of_isometry(mob, r))
-            if pick is None:
-                skipped += 1
-                continue
-            dist = flag_distance(planes[pick[0]], planes[pick[1]])
-            if dist <= 0.0:
-                skipped += 1
-                continue
-            kept.append((i, dist))
-        if not kept:
+        centres, halves, full = _shadow_arcs(level.mats, r)
+        far = np.flatnonzero(~full)
+        first, last, found = _arc_extremes(thetas, centres[far], halves[far])
+        dist = np.zeros(len(far))
+        if found.any():
+            dist[found] = _chordal_distances(*projectors[np.stack([first, last])[:, found]])
+        kept = far[dist > 0.0]
+        skipped += len(far) - len(kept)
+        if not len(kept):
             continue
         # the Cartan vectors of the kept rows only
-        lam = _cartan_rows(rep, [m[[i for i, _ in kept]] for m in level.products])
-        for (i, dist), a in zip(kept, phi.values(lam, rep.lie_type).tolist()):
-            rows.append(DistortionRow(str(level.word(i)), a, dist,
-                                      dist * math.exp(a)))
+        lam = _cartan_rows(rep, [m[kept] for m in level.products])
+        for i, a, d in zip(kept.tolist(), phi.values(lam, rep.lie_type).tolist(),
+                           dist[dist > 0.0].tolist()):
+            rows.append(DistortionRow(str(level.word(i)), a, d, d * math.exp(a)))
     return DistortionReport(rows, skipped, r, phi.name())
 
 
@@ -201,27 +184,16 @@ def shadow_separation_check(records, phi, r, c0=None):
     violations = 0
     annuli = {n: len(v) for n, v in buckets.items()}
     for n, bucket in sorted(buckets.items()):
-        m = len(bucket)
-        if m < 2:
-            continue
-        shads = [shadow_of_isometry(rec.mob, r) for rec in bucket]
-        centers = np.array([s.center.theta for s in shads])
-        halves = np.array(
-            [math.pi if s.full else s.half_angle for s in shads]
-        )
-        for i in range(m - 1):
-            gap = np.abs(
-                np.mod(centers[i + 1 :] - centers[i] + math.pi, 2 * math.pi)
-                - math.pi
-            )
-            hit = np.nonzero(gap <= halves[i + 1 :] + halves[i])[0]
-            for off in hit:
-                j = i + 1 + off
-                dist = displacement(bucket[i].mob.inverse() @ bucket[j].mob)
-                overlapping += 1
-                c0_emp = max(c0_emp, dist)
-                if c0 is not None and dist > c0:
-                    violations += 1
+        mats = np.array([rec.mob.mat for rec in bucket])
+        centers, halves, _ = _shadow_arcs(mats, r)
+        for i in range(len(bucket) - 1):
+            gap = np.abs(np.mod(centers[i + 1:] - centers[i] + math.pi, TWO_PI) - math.pi)
+            hit = i + 1 + np.flatnonzero(gap <= halves[i + 1:] + halves[i])
+            # d(m_i o, m_j o) is the displacement of m_i^-1 m_j
+            dist = 2.0 * _half_lengths(bucket[i].mob.inverse().mat @ mats[hit])
+            overlapping += len(hit)
+            c0_emp = max(c0_emp, dist.max(initial=0.0))
+            violations += 0 if c0 is None else int(np.count_nonzero(dist > c0))
     return SeparationReport(c0_emp, violations, overlapping, annuli)
 
 

@@ -151,23 +151,20 @@ def f_gamma(word, params):
     return Unitriangular(out)
 
 
-def factorize(u, word=None):
-    """Cone coordinates of an interior semigroup element.
+def factorize(u):
+    """Cone coordinates of an interior semigroup element, along the
+    standard word.
 
-    Only the standard word is supported. The last descending block is a
-    unit bidiagonal factor; sweeping columns right to left recovers one
-    parameter per column and divides the block out, then the leading
-    principal submatrix carries the same structure one dimension down.
+    The last descending block is a unit bidiagonal factor; sweeping
+    columns right to left recovers one parameter per column and divides
+    the block out, then the leading principal submatrix carries the same
+    structure one dimension down.
     A parameter at or below POSITIVITY_TOL stops the sweep with
     NotPositive; stage is the failing letter's 1-based position in the
     word, and values within the tolerance of zero are flagged marginal.
     Failures are detected in elimination order (last block first).
     """
     d = u.dim
-    if word is None:
-        word = standard_word(d)
-    if word != standard_word(d):
-        raise InvalidInput("factorization is implemented for the standard word")
     by_block = {}
     work = u.mat
     for size in range(d, 1, -1):
@@ -177,7 +174,7 @@ def factorize(u, word=None):
     for k in range(1, d):
         # block k lists letters k, k-1, ..., 1 and cs[i-1] is letter i
         params.extend(reversed(by_block[k]))
-    return ConeCoords(word, params)
+    return ConeCoords(standard_word(d), params)
 
 
 def _peel_block(mat, size):

@@ -12,12 +12,13 @@ is the integer group generated by s = [[0,-1],[1,0]] and t = [[1,1],[0,1]];
 its elements are deduplicated exactly, on their float64 rows up to
 overall sign, which hold exact integers while every entry stays below
 2^53 (the walk raises before a product could pass it). custom takes
-arbitrary generators and deduplicates by rounding, which can merge
-distinct elements of a non-discrete group, so enumeration is flagged
-non-exhaustive (exact_dedup, which follows from the kind, is False, and
-certified samples say so in their label) and a crude discreteness probe
-only warns. A fourth kind, doubled, is the reflection extension that
-the doubling module builds; it also deduplicates by rounding.
+arbitrary generators and deduplicates by rounding relative to the
+matrix magnitude, which can merge distinct elements of a non-discrete
+group, so enumeration is flagged non-exhaustive (exact_dedup, which
+follows from the kind, is False, and certified samples say so in their
+label) and a crude discreteness probe only warns. A fourth kind,
+doubled, is the reflection extension that the doubling module builds;
+it deduplicates by the same rounding.
 
 One breadth-first walker serves every kind, and it alone forms the
 products along the words of a ball; every consumer loops over its
@@ -35,7 +36,8 @@ enumerate_elements streams the levels as (Word, Mobius) pairs. Walks
 for a representation carry rep.tables (_rep_tables), whose products
 cartan._cartan_rows turns into Cartan vectors for orbit tables, the
 orbit CSV, growth samples and distortion scans; the limit-set sample
-(_limit_rows) hands them on to flags.limit_flags.
+(_limit_rows) hands them on to flags.limit_flags. No Mobius value is
+formed for a row whose numbers hypdisc's kernels read a level at once.
 
 The modular norm ball is not walked. modular_norm_ball finds every
 modular element with entries bounded by an integer in one array scan,
@@ -57,11 +59,14 @@ import numpy as np
 from .cartan import CartanVector, _cartan_rows
 from .errors import InvalidInput, NonElementary
 from .hypdisc import (
+    TRACE_TOL,
+    TWO_PI,
+    BoundaryPoint,
     Mobius,
+    _fixed_angles,
+    _half_lengths,
     angular_distance,
     classify,
-    displacement,
-    fixed_points,
     wrap_angle,
 )
 
@@ -221,8 +226,9 @@ def modular_group():
 
 
 def custom_group(generators, dedup_tol=1e-8):
-    """Arbitrary generators; duplicates are merged by rounding at dedup_tol
-    and enumeration is therefore flagged non-exhaustive."""
+    """Arbitrary generators; duplicates are merged by rounding at dedup_tol,
+    relative to the matrix magnitude, and enumeration is therefore
+    flagged non-exhaustive."""
     group = GroupSpec("custom", *_free_tables(generators), dedup_tol=dedup_tol)
     _discreteness_probe(group)
     return group
@@ -243,28 +249,19 @@ def _discreteness_probe(group, depth=6, margin=1e-3):
             return
 
 
-def _sign_canonical(flat, threshold):
-    """Rows (N, 4) negated where the first entry larger than threshold in
-    magnitude is negative, so M and -M share a row; rows with no such
-    entry are left alone."""
-    big = np.abs(flat) > threshold
-    lead = flat[np.arange(len(flat)), np.argmax(big, axis=1)]
-    flip = big.any(axis=1) & (lead < 0)
-    return np.where(flip[:, None], -flat, flat)
-
-
-def _round_canonical(flat, tol):
-    """Rounding keys of rows (N, 4): sign canonical, then each entry
-    rounded half-even to a multiple of tol. Keys are integral float64
-    values, not int64, which entries past about 1e10 at tol 1e-8 would
-    overflow; adding 0.0 folds -0.0 into 0.0."""
-    return np.rint(_sign_canonical(flat, 10.0 * tol) / tol) + 0.0
+def _sign_canonical(flat):
+    """Rows (N, 4) negated where the first nonzero entry is negative, so
+    M and -M share a row."""
+    lead = flat[np.arange(len(flat)), np.argmax(flat != 0.0, axis=1)]
+    return np.where((lead < 0)[:, None], -flat, flat)
 
 
 def _scaled_key(flat, tol):
     """Rounding keys at a tolerance relative to the matrix magnitude:
     each row (N, 4) divided by its signed entry of largest magnitude,
-    then rounded half-even to a multiple of tol.
+    then rounded half-even to a multiple of tol, and log |lead| rounded
+    alike, the magnitude the division discards (a^10 and a^11 of a boost
+    of length 2 differ in nothing else).
 
     An absolute grid splits true duplicates once entries grow large:
     the float drift between two multiplication orders scales with the
@@ -273,21 +270,25 @@ def _scaled_key(flat, tol):
     the scaled row keeps duplicates together while still only merging
     elements closer than tol in relative terms. The leading entry
     becomes exactly 1, so M and -M share a key, and no scale depends on
-    which side of a power of two a drifted entry falls.
+    which side of a power of two a drifted entry falls. Adding 0.0
+    folds -0.0 into 0.0.
     """
     lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-    return np.rint(flat / lead[:, None] / tol) + 0.0
+    return np.column_stack([np.rint(flat / lead[:, None] / tol),
+                            np.rint(np.log(np.abs(lead)) / tol)]) + 0.0
 
 
 def _first_new(keys, seen):
     """Positions of the rows of keys equal to no row of seen and to no
-    earlier row of keys: a stable sort puts each run of equal rows in
+    earlier row of keys: a stable sort of the rows as raw bytes (equal
+    values for keys free of -0.0 and NaN) puts each run of equal rows in
     position order, and only a run's first row survives."""
     both = np.concatenate([seen, keys])
-    order = np.lexsort(both.T[::-1])
-    ranked = both[order]
+    rows = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first[1:] = ranked[1:] != ranked[:-1]
     kept = order[first]
     return np.sort(kept[kept >= len(seen)]) - len(seen)
 
@@ -337,10 +338,10 @@ def _walk_levels(group, max_len, tables=()):
     so row by row and letter by letter the candidates come in stream
     order. Duplicates are dropped by key, exactly for modular, whose
     float rows are integers (InvalidInput is raised before an entry
-    could pass 2^53), and by rounding for custom and doubled; the first
-    row with a key wins, and rows of earlier levels come first. tables
-    are letter-to-matrix dicts whose plain products along each word the
-    levels carry as well. Walking stops early once a level is empty.
+    could pass 2^53), and by _scaled_key for custom and doubled; the
+    first row with a key wins, and rows of earlier levels come first.
+    tables are letter-to-matrix dicts whose plain products along each
+    word the levels carry too. Walking stops early once a level is empty.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be nonnegative")
@@ -353,8 +354,8 @@ def _walk_levels(group, max_len, tables=()):
     stacks = [np.array([np.asarray(t[a], dtype=float) for a in alphabet])
               for t in tables] if max_len else []
     key_of = {
-        "modular": lambda flat: _sign_canonical(flat, 0) + 0.0,
-        "custom": lambda flat: _round_canonical(flat, group.dedup_tol),
+        "modular": lambda flat: _sign_canonical(flat) + 0.0,
+        "custom": lambda flat: _scaled_key(flat, group.dedup_tol),
         "doubled": lambda flat: _scaled_key(flat, group.dedup_tol),
     }.get(group.kind)
     level = _Level(
@@ -416,10 +417,10 @@ def enumerate_elements(group, max_len):
     its relations, and w was yielded two levels earlier. So pruning loses
     no element, and the yielded words stay freely reduced. free_schottky
     needs nothing more. modular deduplicates exactly on its float rows,
-    integer matrices up to sign, custom by rounding at its dedup_tol,
-    and doubled (built by the doubling module) by rounding relative to
-    the matrix magnitude; an element reached by two reduced words keeps
-    the first.
+    integer matrices up to sign, and custom and doubled (built by the
+    doubling module) by rounding at their dedup_tol relative to the
+    matrix magnitude; an element reached by two reduced words keeps the
+    first.
     The elements come from the level arrays of _walk_levels.
     """
     for level in _walk_levels(group, max_len):
@@ -500,18 +501,19 @@ class OrbitRecord:
 def _orbit_records(group, rep, max_len, start_len, functionals=()):
     """The records of orbit_table for the word lengths start_len to
     max_len, streamed, with the Cartan vectors of cartan._cartan_rows
-    over each level's products. The walk builds the shorter levels, but
-    no Cartan row, displacement or record is formed for them."""
+    over each level's products and hypdisc._half_lengths over its
+    matrices. The walk builds the shorter levels, but no Cartan row,
+    displacement or record is formed for them."""
     levels = _walk_levels(group, max_len, _rep_tables(group, rep, max_len))
     for length, level in enumerate(levels):
         if length < start_len:
             continue
         lam = _cartan_rows(rep, level.products)
+        disp = (2.0 * _half_lengths(level.mats)).tolist()
         for i, mob in level.rows():
             kv = CartanVector._of(lam[i], rep.lie_type)
             values = {phi.name(): phi.value(kv) for phi in functionals}
-            yield OrbitRecord(level.word(i), displacement(mob), kv,
-                              values, mob=mob)
+            yield OrbitRecord(level.word(i), disp[i], kv, values, mob=mob)
 
 
 def orbit_table(group, rep, max_len, functionals=()):
@@ -530,57 +532,65 @@ def _orbit_csv_row(rec):
 
 
 def _limit_rows(group, depth, tables=()):
-    """limit_sample_words with a third entry per pair: the word's plain
-    product in each table walked."""
-    rows = []
+    """limit_sample_words and, per table walked, the (N, d, d) products
+    along the words: the cyclically reduced rows (from codes) of the
+    level arrays with |trace| > 2 + TRACE_TOL, their attracting angles
+    from one hypdisc._fixed_angles call per level, and Words only for
+    rows kept. An orientation reversing row raises, as classify does."""
+    inverse = np.array([group.alphabet.index(group.inverse_letter[a])
+                        for a in group.alphabet])
+    theta, picked, products = [], [], []
     for level in _walk_levels(group, depth, tables):
-        for i, mob in level.rows():
-            word = level.word(i)
-            if len(word) == 0:
-                continue
-            first, last = word.letters[0], word.letters[-1]
-            if len(word) > 1 and group.inverse_letter[last] == first:
-                continue
-            if classify(mob) != "hyperbolic":
-                continue
-            rows.append((fixed_points(mob)[0], word,
-                         [m[i].copy() for m in level.products]))
-    rows.sort(key=lambda row: row[0].theta)
-    distinct = []
-    for row in rows:
-        if (
-            not distinct
-            or angular_distance(distinct[-1][0].theta, row[0].theta) > LIMIT_DEDUP_TOL
-        ):
-            distinct.append(row)
-    if len(distinct) >= 2 and angular_distance(
-        distinct[0][0].theta, distinct[-1][0].theta
-    ) <= LIMIT_DEDUP_TOL:
-        distinct.pop()
-    if len(distinct) <= 2:
+        codes = level.codes
+        if not codes.shape[1]:
+            continue
+        keep = (codes.shape[1] == 1) | (inverse[codes[:, -1]] != codes[:, 0])
+        if np.any(level.orientation[keep] != 1):
+            raise InvalidInput("orientation reversing values are not classified here")
+        keep &= np.abs(level.mats[:, 0, 0] + level.mats[:, 1, 1]) > 2.0 + TRACE_TOL
+        rows = np.flatnonzero(keep)
+        theta += _fixed_angles(level.mats[rows])[:, 0].tolist()
+        picked += codes[rows].tolist()
+        products.append([m[rows] for m in level.products])
+    runs = []  # [first angle, first row in stream order] in angle order
+    for k in np.argsort(theta, kind="stable").tolist():
+        if runs and theta[k] - runs[-1][0] <= LIMIT_DEDUP_TOL:
+            runs[-1][1] = min(runs[-1][1], k)
+        else:
+            runs.append([theta[k], k])
+    if len(runs) >= 2 and runs[0][0] + TWO_PI - runs[-1][0] <= LIMIT_DEDUP_TOL:
+        del runs[-1 if runs[0][1] < runs[-1][1] else 0]
+    if len(runs) <= 2:
         raise NonElementary(
             "only %d accumulation points at depth %d; a non-elementary group "
             "shows at least 3 (raise depth if the group should qualify)"
-            % (len(distinct), depth)
+            % (len(runs), depth)
         )
-    return distinct
+    kept = [k for _, k in runs]
+    return ([BoundaryPoint(theta[k]) for k in kept],
+            [Word([group.alphabet[c] for c in picked[k]]) for k in kept],
+            [np.concatenate(ms)[kept] for ms in zip(*products)])
 
 
 def limit_sample_words(group, depth):
     """(attracting point, defining word) pairs for the cyclically reduced
-    hyperbolic words up to the given length, deduplicated and sorted by
-    angle; ties keep the shortest defining word.
+    hyperbolic words up to the given length, sorted by angle. A run of
+    points, one and those after it closer than LIMIT_DEDUP_TOL (the
+    runs at both ends meet across 0), is one point, with its first word
+    in stream order, the shortest, whichever way the angles round.
 
     Fewer than three distinct points means no free two-generator dynamics
     was seen; the group is reported elementary (raise the depth first if
     the group is merely thin at this depth).
     """
-    return [(p, w) for p, w, _ in _limit_rows(group, depth)]
+    points, words, _ = _limit_rows(group, depth)
+    return list(zip(points, words))
 
 
 def load_group_file(path):
     """Plain text group file: kind=... once, generator=a b c d per line
-    (row-major), dedup_tol=... optional for custom."""
+    (row-major), dedup_tol=... optional for custom, a tolerance relative
+    to the matrix magnitude."""
     kind = None
     gens = []
     dedup_tol = 1e-8

@@ -201,6 +201,37 @@ def test_settings_read_in_part_are_errors(tmp_path, capsys, args):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, config", [
+    (["--functional", "a2", "--max-len", "3"], None),
+    ([], {"rep": "sym2"}),
+], ids=["flags", "config"])
+def test_values_file_refuses_group_route_settings(tmp_path, capsys, extra, config):
+    """functional, max_len and rep go with a group, not a values file;
+    set by a flag or a config key next to values, they are refused,
+    not dropped."""
+    values = tmp_path / "vals.json"
+    values.write_text(json.dumps({"values": list(synthetic_log_sample(400).values)}),
+                      encoding="utf-8")
+    args = ["critexp", "--values", str(values), "--out", str(tmp_path / "run")] + extra
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        args += ["--config", str(cfg)]
+    assert cli.main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_unusable_out_is_a_config_error(tmp_path, capsys):
+    # the output directory is made before the command runs
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert cli.main(["tp", "--trials", "2", "--out", str(blocker / "sub")]) == 2
+    out, err = capsys.readouterr()
+    assert "config error" in err and "Traceback" not in err
+    assert "round-trip" not in out
+
+
 def test_config_file_overrides_flags(tmp_path):
     grp = write_modular_group(tmp_path)
     cfg = tmp_path / "cfg.json"

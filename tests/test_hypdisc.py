@@ -307,7 +307,7 @@ def coarse_endpoints(sh, limit_pts):
         inside = list(limit_pts)
         key = lambda p: p.theta
     else:
-        start = sh.start()
+        start = wrap_angle(sh.center.theta - sh.half_angle)
         inside = [p for p in limit_pts if sh.contains(p.theta)]
         key = lambda p: wrap_angle(p.theta - start)
     if not inside:

@@ -11,6 +11,8 @@ matched by name, so each private name is defined once in the package.
 Each public module-level function or class must be reached from the
 package's own top-level code, the benchmark or the acceptance
 criteria, save a short list of test oracles and paper quantities.
+The half-length formula, the inverse hyperbolic functions, is read in
+hypdisc alone.
 """
 
 import ast
@@ -221,6 +223,33 @@ def test_detector_flags_a_stale_reference():
                  "import a\n\nprint(a.math.pi, a.walk())  # a.spare, not b.a.walk\n"),
     }
     assert stale_references(sources) == [("b.py", 1, "a._gone"), ("b.py", 5, "a.spare")]
+
+
+HALF_LENGTH_NAMES = {"arccosh", "acosh", "arcsinh"}
+
+
+def half_length_readers(sources):
+    """(module, name) of each inverse hyperbolic function that a module
+    of sources, a name-to-text dict, other than hypdisc.py reads: a
+    second home of the half-length formula, which hypdisc._half_lengths
+    holds once so that a fix lands in one place."""
+    return sorted((module, name) for module, text in sources.items()
+                  if module != "hypdisc.py"
+                  for name in read_names(text) & HALF_LENGTH_NAMES)
+
+
+def test_half_length_formula_lives_in_hypdisc():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert half_length_readers(sources) == []
+    assert read_names(sources["hypdisc.py"]) & HALF_LENGTH_NAMES
+
+
+def test_detector_flags_a_planted_half_length():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    sources["cartan.py"] += "\n\ndef _mu(x):\n    return 0.5 * np.arccosh(x)\n"
+    sources["words.py"] += "\n\nD = math.acosh(2.0)\n"
+    assert half_length_readers(sources) == [("cartan.py", "arccosh"),
+                                            ("words.py", "acosh")]
 
 
 # public names and methods no caller reaches, each kept for a reason

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitlab import limitgeom
 from orbitlab.cartan import parse_functional, word_cartan
 from orbitlab.errors import InsufficientScales, InvalidInput
 from orbitlab.flags import GrassPoint, flag_distance, limit_curve
@@ -134,20 +135,28 @@ def test_sym3_band_and_depth_stability():
     assert deeper.spread < 1.25 * shallow.spread
 
 
-def test_power_word_ratios_converge():
+def deeper_sample(monkeypatch, depth):
+    """Make distortion_scan read a limit sample of the given depth."""
+    monkeypatch.setattr(limitgeom, "limit_curve",
+                        lambda rep, group, _, k: limit_curve(rep, group, depth, k))
+
+
+def test_power_word_ratios_converge(monkeypatch):
     # single-axis toy: the ratio along a^n stabilizes once the sample
     # out-resolves the scanned shadows
     group, rep = schottky_pair(2)
-    report = distortion_scan(group, rep, A1, RADIUS, 6, sample_depth=9)
+    deeper_sample(monkeypatch, 9)
+    report = distortion_scan(group, rep, A1, RADIUS, 6)
     by_word = {row.word: row.ratio for row in report.rows}
     ratios = [by_word["a" * n] for n in range(3, 7)]
     assert max(ratios) - min(ratios) < 1e-3 * ratios[-1]
     assert abs(ratios[2] - ratios[1]) < abs(ratios[1] - ratios[0])
 
 
-def test_empty_sample_skips_every_row():
+def test_empty_sample_skips_every_row(monkeypatch):
     group, rep = schottky_pair(2)
-    report = distortion_scan(group, rep, A1, RADIUS, 4, sample=[])
+    monkeypatch.setattr(limitgeom, "limit_curve", lambda *args: [])
+    report = distortion_scan(group, rep, A1, RADIUS, 4)
     assert len(report) == 0
     beyond = sum(
         1 for _, mob in enumerate_elements(group, 4) if displacement(mob) > RADIUS
@@ -167,11 +176,13 @@ def test_arc_extremes_against_reference_scan():
         if displacement(mob) <= RADIUS:
             continue
         sh = shadow_of_isometry(mob, RADIUS)
-        pick = _arc_extremes(thetas, sh)
+        assert not sh.full
+        first, last, found = _arc_extremes(
+            thetas, np.array([sh.center.theta]), np.array([sh.half_angle]))
         lo, hi = coarse_endpoints(sh, boundary)
-        assert pick is not None
-        assert thetas[pick[0]] == lo.theta
-        assert thetas[pick[1]] == hi.theta
+        assert found[0]
+        assert thetas[first[0]] == lo.theta
+        assert thetas[last[0]] == hi.theta
         checked += 1
     assert checked > 100
 
@@ -236,7 +247,7 @@ def test_modular_shadow_mass_band():
         if displacement(mob) <= 1.0:
             continue
         sh = shadow_of_isometry(mob, 1.0)
-        start = 0.0 if sh.full else sh.start()
+        start = 0.0 if sh.full else wrap_angle(sh.center.theta - sh.half_angle)
         inside = [
             (wrap_angle(bp.theta - start), plane)
             for bp, plane in sample
@@ -258,10 +269,11 @@ def test_modular_shadow_mass_band():
     assert arr.max() / arr.min() < 1e3
 
 
-def test_ball_shadow_sandwich():
+def test_ball_shadow_sandwich(monkeypatch):
     # no sampled limit point inside the inner ball escapes the shadow
     group, rep = schottky_pair(2)
-    report = distortion_scan(group, rep, A1, RADIUS, 5, sample_depth=6)
+    deeper_sample(monkeypatch, 6)
+    report = distortion_scan(group, rep, A1, RADIUS, 5)
     inner_scale = 0.5 * report.min_ratio
     sample = sorted(limit_curve(rep, group, 6, 1), key=lambda p: p[0].theta)
     thetas = np.array([bp.theta for bp, _ in sample])

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab import cli
+from orbitlab import cli, limitgeom
 from orbitlab.cartan import (
     CartanVector,
     _factor_exponents,
@@ -37,14 +37,13 @@ from orbitlab.doubling import (
 from orbitlab.errors import IllConditioned, InvalidInput
 from orbitlab.flags import (
     Flag,
-    _loxodromic_frame,
     attracting_flag,
     flag_distance,
     limit_curve,
     limit_flags,
 )
-from orbitlab.hypdisc import displacement, shadow_of_isometry
-from orbitlab.limitgeom import _arc_extremes, distortion_scan
+from orbitlab.hypdisc import TWO_PI, displacement, shadow_of_isometry, wrap_angle
+from orbitlab.limitgeom import distortion_scan
 from orbitlab.reps import (
     ScaledMatrix,
     custom_rep,
@@ -137,8 +136,49 @@ def test_custom_rep_kappas_agree(build, max_len, d):
                       <= 1e-12 * np.maximum(1.0, np.abs(want))), str(rec.word)
 
 
+def oracle_frame(mat):
+    """The 2x2 eigenframe one matrix at a time, as flags read it before
+    hypdisc._eigenframes took every frame of a level at once: the
+    larger eigenvalue from trace and det, the other as det over it,
+    and each kernel the normal of the longer row."""
+    tr = mat[0, 0] + mat[1, 1]
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    root = np.sqrt(tr * tr - 4.0 * det)
+    big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
+    kernels = []
+    for lam in (big, det / big):
+        v1 = (mat[0, 1], lam - mat[0, 0])
+        v2 = (lam - mat[1, 1], mat[1, 0])
+        v = np.array(v1 if math.hypot(*v1) >= math.hypot(*v2) else v2)
+        kernels.append(v / np.hypot(*v))
+    return np.column_stack(kernels)
+
+
+def oracle_arc_extremes(thetas, sh):
+    """Indices of the first and last sorted angle inside one Shadow, in
+    arc order, or None for fewer than two: the bisection distortion
+    scans made once per row before limitgeom._arc_extremes took a whole
+    level."""
+    n = thetas.size
+    if n == 0:
+        return None
+    if sh.full:
+        return (0, n - 1) if n >= 2 else None
+    start = wrap_angle(sh.center.theta - sh.half_angle)
+    lo = int(np.searchsorted(thetas, start, side="left"))
+    end = start + 2.0 * sh.half_angle
+    if end < TWO_PI:
+        hi = int(np.searchsorted(thetas, end, side="right"))
+        return (lo, hi - 1) if hi - lo >= 2 else None
+    hi = int(np.searchsorted(thetas, end - TWO_PI, side="right"))
+    if (n - lo) + hi < 2:
+        return None
+    return (lo if lo < n else 0), (hi - 1 if hi > 0 else n - 1)
+
+
 def oracle_distortion_scan(group, rep, phi, r, max_len):
-    """The scan with one per-word Cartan vector per row; (word,
+    """The scan one row at a time: a Mobius value, a displacement, a
+    shadow, its extremes and a Cartan vector per word; (word,
     alpha_kappa, endpoint distance, ratio) rows and the skipped count."""
     sample = sorted(limit_curve(rep, group, max_len, 1), key=lambda pair: pair[0].theta)
     thetas = np.array([bp.theta for bp, _ in sample])
@@ -147,7 +187,7 @@ def oracle_distortion_scan(group, rep, phi, r, max_len):
     for word, mob in enumerate_elements(group, max_len):
         if displacement(mob) <= r:
             continue
-        pick = _arc_extremes(thetas, shadow_of_isometry(mob, r))
+        pick = oracle_arc_extremes(thetas, shadow_of_isometry(mob, r))
         if pick is None:
             skipped += 1
             continue
@@ -179,7 +219,7 @@ def test_distortion_scan_rows_agree(kind):
             assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
-def test_distortion_scan_forms_kappa_for_kept_rows_only():
+def test_distortion_scan_forms_kappa_for_kept_rows_only(monkeypatch):
     # a dense sym3 rep passes the conditioning limit in this ball, yet
     # with no limit sample every row is skipped and none needs kappa
     group = standard_schottky()
@@ -187,7 +227,8 @@ def test_distortion_scan_forms_kappa_for_kept_rows_only():
                       for c in group.alphabet}, 3)
     with pytest.raises(IllConditioned):
         orbit_table(group, rep, 6)
-    report = distortion_scan(group, rep, parse_functional("a1"), 9.0, 6, sample=[])
+    monkeypatch.setattr(limitgeom, "limit_curve", lambda *args: [])
+    report = distortion_scan(group, rep, parse_functional("a1"), 9.0, 6)
     beyond = sum(1 for _, mob in enumerate_elements(group, 6)
                  if displacement(mob) > 9.0)
     assert len(report) == 0
@@ -223,7 +264,7 @@ def test_limit_flag_bases_are_bit_identical(build, depth):
     pairs = limit_sample_words(group, depth)
     assert len(got) == len(pairs) > 200
     for (bp, flag), (want_bp, word) in zip(got, pairs):
-        want = Flag(sym_power_matrix(_loxodromic_frame(raw_product(images, word)), 3))
+        want = Flag(sym_power_matrix(oracle_frame(raw_product(images, word)), 3))
         assert bp.theta == want_bp.theta
         assert np.array_equal(flag.basis, want.basis), str(word)
 
@@ -235,7 +276,7 @@ def test_double_rep_reflections_are_bit_identical():
     table = rep.factors[0][1]
     factor_table = dbl.rep.factors[0][1]
     for w, letter, image in zip(PANTS_BOUNDARY, dbl.letters, dbl.reflection_images):
-        frame = _loxodromic_frame(raw_product(table, w))
+        frame = oracle_frame(raw_product(table, w))
         basis = sym_power_matrix(frame, 3)
         assert np.array_equal(image, basis @ x_involution(3) @ np.linalg.inv(basis))
         factor = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
@@ -394,7 +435,7 @@ def test_limit_flag_bases_match_the_scaled_rule(build, depth):
     assert len(got) == len(pairs) > 200
     for (_, flag), (_, word) in zip(got, pairs):
         (sm,) = scaled_products([rep.factors[0][1]], word)
-        want = Flag(sym_power_matrix(_loxodromic_frame(sm.mat), 3))
+        want = Flag(sym_power_matrix(oracle_frame(sm.mat), 3))
         assert np.array_equal(flag.basis, want.basis), str(word)
 
 

@@ -184,12 +184,6 @@ def test_factorize_rejects_negative_entry_hard():
     assert err.value.stage == 1
 
 
-def test_factorize_only_standard_word():
-    u = f_gamma(standard_word(3), (1.0, 1.0, 1.0))
-    with pytest.raises(InvalidInput):
-        factorize(u, word=ReducedWord((2, 1, 2), 3))
-
-
 def test_factorize_boundary_scan_all_positions_d4():
     # zeroing any single parameter must be caught somewhere
     rng = np.random.default_rng(9)

@@ -20,13 +20,17 @@ from orbitlab.hypdisc import (
     angular_distance,
     apply_boundary,
     apply_isometry,
+    classify,
     dist_h,
     displacement,
+    fixed_points,
 )
 from orbitlab.reps import sp_product, sym_power
 from orbitlab.words import (
+    LIMIT_DEDUP_TOL,
     MODULAR_S,
     MODULAR_T,
+    GroupSpec,
     Word,
     _walk_levels,
     custom_group,
@@ -205,20 +209,11 @@ class TestEnumerate:
         assert len(items) == 5
 
 
-def _oracle_round(mat, tol):
-    flat = mat.ravel()
-    for x in flat:
-        if abs(x) > 10.0 * tol:
-            if x < 0:
-                flat = -flat
-            break
-    return tuple(int(round(v / tol)) for v in flat)
-
-
 def _oracle_scaled(mat, tol):
     flat = mat.ravel()
     lead = flat[int(np.argmax(np.abs(flat)))]
-    return tuple(int(round(v / lead / tol)) for v in flat)
+    return (tuple(int(round(v / lead / tol)) for v in flat)
+            + (int(round(math.log(abs(lead)) / tol)),))
 
 
 def oracle_elements(group, max_len):
@@ -228,9 +223,7 @@ def oracle_elements(group, max_len):
     ints = INT_IMAGES if group.kind == "modular" else None
     if group.kind == "modular":
         key_of = lambda mob, intm: int_canonical(intm)
-    elif group.kind == "custom":
-        key_of = lambda mob, intm: _oracle_round(mob.mat, group.dedup_tol)
-    elif group.kind == "doubled":
+    elif group.kind in ("custom", "doubled"):
         key_of = lambda mob, intm: _oracle_scaled(mob.mat, group.dedup_tol)
     else:
         key_of = None
@@ -328,6 +321,16 @@ class TestLevelWalker:
         group.images["t"] = Mobius(np.array(((0, -1), (1, 2 ** 27)), dtype=float))
         with pytest.raises(InvalidInput, match=r"2\^53"):
             list(enumerate_elements(group, 3))
+
+    @pytest.mark.parametrize("kind", ["custom", "doubled"])
+    def test_rounding_keys_keep_the_magnitude(self, kind):
+        # a^10 and a^11 of a length-2 boost scale to one row; the key
+        # keeps them apart by log |lead|
+        alphabet, images, inverse_letter = words._free_tables([Mobius.boost(2.0)])
+        group = GroupSpec(kind, alphabet, images, inverse_letter, dedup_tol=1e-8)
+        got = [str(w) for w, _ in enumerate_elements(group, 14)]
+        assert len(got) == 29
+        assert got[-2:] == ["a" * 14, "A" * 14]
 
     def test_levels_stop_when_a_finite_group_is_exhausted(self):
         group = custom_group([Mobius.rotation(2.0 * math.pi / 5.0)])
@@ -513,6 +516,47 @@ class TestOrbitTable:
         assert float(t_row["k1"]) == pytest.approx(0.5 * TWO_LOG_PHI, abs=1e-12)
 
 
+def oracle_limit_candidates(group, depth):
+    """(attracting point, word) of each cyclically reduced hyperbolic
+    word up to depth, in stream order, one Mobius value at a time, with
+    the attracting point formula hypdisc read before _eigenframes."""
+    out = []
+    for word, mob in enumerate_elements(group, depth):
+        if len(word) == 0:
+            continue
+        if len(word) > 1 and group.inverse_letter[word.letters[-1]] == word.letters[0]:
+            continue
+        if classify(mob) != "hyperbolic":
+            continue
+        mat = mob.mat if mob.mat[0, 0] + mob.mat[1, 1] >= 0 else -mob.mat
+        a, b, c, d = mat.ravel()
+        lam = 0.5 * (a + d + math.sqrt((a + d) ** 2 - 4.0))
+        v1, v2 = (b, lam - a), (lam - d, c)
+        w = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
+        out.append((BoundaryPoint(2.0 * math.atan2(w[1], w[0])), word))
+    return out
+
+
+def oracle_limit_sample(group, depth):
+    """limit_sample_words from oracle_limit_candidates under the tie
+    rule: in angle order, a run is a point and the points after it
+    closer to it than LIMIT_DEDUP_TOL, the runs at both ends are one
+    when their first points meet across 0, and a run keeps its first
+    word in stream order."""
+    rows = sorted(enumerate(oracle_limit_candidates(group, depth)),
+                  key=lambda row: row[1][0].theta)
+    runs = []
+    for row in rows:
+        if runs and row[1][0].theta - runs[-1][0][1][0].theta <= LIMIT_DEDUP_TOL:
+            runs[-1].append(row)
+        else:
+            runs.append([row])
+    if len(runs) >= 2 and angular_distance(
+            runs[0][0][1][0].theta, runs[-1][0][1][0].theta) <= LIMIT_DEDUP_TOL:
+        runs[0] += runs.pop()
+    return sorted((min(run)[1] for run in runs), key=lambda pair: pair[0].theta)
+
+
 class TestLimitSample:
     def test_schottky_depth1_four_points(self):
         pts = [p for p, _ in limit_sample_words(standard_schottky(4.0), 1)]
@@ -530,8 +574,6 @@ class TestLimitSample:
 
     def test_points_fixed_by_defining_words(self):
         g = standard_schottky(4.0)
-        from orbitlab.hypdisc import classify, fixed_points
-
         for word, mob in enumerate_elements(g, 3):
             if len(word) == 0:
                 continue
@@ -557,25 +599,25 @@ class TestLimitSample:
 
     @pytest.mark.parametrize("build", [modular_group, lambda: standard_schottky(4.0)],
                              ids=["modular", "schottky"])
-    def test_kernel_formula_matches_the_per_point_route(self, build, monkeypatch):
-        # fixed_points reads the kernel vector it shares with
-        # flags._loxodromic_frame; the oracle is the formula hypdisc
-        # kept for itself before
-        def attracting_point(mob):
-            mat = mob.mat if mob.mat[0, 0] + mob.mat[1, 1] >= 0 else -mob.mat
-            a, b, c, d = mat.ravel()
-            lam = 0.5 * (a + d + math.sqrt((a + d) ** 2 - 4.0))
-            v1, v2 = (b, lam - a), (lam - d, c)
-            w = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-            return (BoundaryPoint(2.0 * math.atan2(w[1], w[0])),)
-
+    def test_kernel_formula_matches_the_per_point_route(self, build):
+        # the level arrays and hypdisc._eigenframes against the route
+        # they replaced: a Mobius value, classify and the attracting
+        # point formula hypdisc kept for itself before, word by word
         group = build()
         got = limit_sample_words(group, 9)
-        monkeypatch.setattr(words, "fixed_points", attracting_point)
-        want = limit_sample_words(group, 9)
+        want = oracle_limit_sample(group, 9)
         assert [w for _, w in got] == [w for _, w in want]
         assert max(angular_distance(p.theta, q.theta)
                    for (p, _), (q, _) in zip(got, want)) <= 1e-15
+
+    def test_ties_keep_the_first_word_in_stream_order(self):
+        # TTTS and TTStSTTS share their attracting point: the shorter
+        # word stays, whichever of the two angles rounds lower
+        group = modular_group()
+        points = {str(w): p.theta for p, w in oracle_limit_candidates(group, 9)}
+        assert abs(points["TTTS"] - points["TTStSTTS"]) <= LIMIT_DEDUP_TOL
+        kept = {str(w) for _, w in limit_sample_words(group, 9)}
+        assert "TTTS" in kept and "TTStSTTS" not in kept
 
     def test_single_generator_elementary(self):
         g = free_schottky([Mobius.boost(3.0)])
