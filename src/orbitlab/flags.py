@@ -13,10 +13,18 @@ positive when some sign-diagonal conjugation makes those matrices factor
 through the positive semigroup. The conjugation quotients out the
 diagonal ambiguity left by the chart normalization, and the first
 matrix's superdiagonal signs pick the only candidate.
+
+The positivity steps work on stacked arrays: the transversality minors
+of all pairs and pieces take one determinant call, the chart's d
+intersection lines one SVD call, and the second and fourth flags of a
+quadruple go through one elimination together. Limit flags come the
+same way, from one symmetric-power call and one QR for the whole
+sample, and projectors from one einsum over the stacked bases.
 """
 
+import itertools
+
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     InvalidInput,
@@ -34,16 +42,27 @@ LOG_GAP_MIN = 1e-6
 RANK_TOL = 1e-12
 
 
-def _orthonormalize(basis, what):
-    basis = np.array(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
+def _orthonormalize(bases, what):
+    """Canonical bases of an (N, d, k) stack of tall matrices of basis
+    columns: one QR for the stack, each column signed so that R has a
+    positive diagonal."""
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim != 3 or bases.shape[1] < bases.shape[2]:
         raise InvalidInput("%s needs a tall matrix of basis columns" % what)
-    q, r = np.linalg.qr(basis)
-    scale = np.max(np.abs(basis)) or 1.0
-    diag = np.diagonal(r)
-    if np.min(np.abs(diag)) <= RANK_TOL * scale:
+    q, r = np.linalg.qr(bases)
+    scale = np.max(np.abs(bases), axis=(1, 2), initial=0.0)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    if np.any(np.min(np.abs(diag), axis=1) <= RANK_TOL * np.where(scale > 0.0, scale, 1.0)):
         raise InvalidInput("%s basis columns are not independent" % what)
-    return q * np.sign(diag)
+    return q * np.sign(diag)[:, np.newaxis, :]
+
+
+def _canonical(cls, basis):
+    """A Flag or GrassPoint on columns already in canonical form, with
+    no second QR."""
+    out = object.__new__(cls)
+    out.basis = basis
+    return out
 
 
 class Flag:
@@ -53,7 +72,7 @@ class Flag:
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        self.basis = _orthonormalize(basis, "flag")
+        self.basis = _orthonormalize([basis], "flag")[0]
         if self.basis.shape[0] != self.basis.shape[1]:
             raise InvalidInput("a complete flag needs a square basis")
 
@@ -64,7 +83,7 @@ class Flag:
     def piece(self, k):
         if not 1 <= k <= self.d - 1:
             raise InvalidInput("piece index must lie in 1..d-1")
-        return GrassPoint(self.basis[:, :k])
+        return _canonical(GrassPoint, self.basis[:, :k])
 
     def dual(self):
         """Flag of orthogonal complements, reversing the basis order."""
@@ -77,18 +96,21 @@ class Flag:
 class GrassPoint:
     """k-plane through the origin, held as an orthonormal basis."""
 
-    __slots__ = ("basis", "k")
+    __slots__ = ("basis",)
 
     def __init__(self, basis):
-        self.basis = _orthonormalize(basis, "plane")
-        self.k = self.basis.shape[1]
+        self.basis = _orthonormalize([basis], "plane")[0]
+
+    @property
+    def k(self):
+        return self.basis.shape[1]
 
     @property
     def d(self):
         return self.basis.shape[0]
 
     def projector(self):
-        return self.basis @ self.basis.T
+        return _projectors([self])[0]
 
     def __repr__(self):
         return "GrassPoint(k=%d, d=%d)" % (self.k, self.d)
@@ -107,6 +129,18 @@ def flag_distance(p, q):
 def _chordal_distances(p, q):
     """Frobenius distances over sqrt(2) of stacked projector pairs."""
     return np.linalg.norm(p - q, axis=(-2, -1)) / np.sqrt(2.0)
+
+
+def _projectors(points):
+    """(N, d, d) projectors of points on one Grassmannian, from one
+    einsum over their stacked bases."""
+    if (any(not isinstance(p, GrassPoint) for p in points)
+            or len({p.basis.shape for p in points}) > 1):
+        raise InvalidInput("projectors need points of one Grassmannian")
+    if not points:
+        return np.empty((0, 0, 0))
+    bases = np.array([p.basis for p in points])
+    return np.einsum("nik,njk->nij", bases, bases)
 
 
 def _as_square_matrix(m):
@@ -151,51 +185,77 @@ def _eigenbasis(mat):
 
 
 def transverse(f, g):
-    """All complementary pairs of pieces intersect trivially."""
-    if f.d != g.d:
-        raise InvalidInput("flags live in different dimensions")
-    d = f.d
-    for k in range(1, d):
-        minor = np.linalg.det(np.hstack([f.basis[:, :k], g.basis[:, : d - k]]))
-        if abs(minor) <= TRANSVERSE_TOL:
-            return False
+    """All complementary pairs of pieces intersect trivially; the
+    one-pair call of _require_pairwise_transverse."""
+    try:
+        _require_pairwise_transverse([f, g])
+    except NotTransverse:
+        return False
     return True
+
+
+def _require_pairwise_transverse(flags):
+    """NotTransverse naming the first pair, in (i, j) order, with a
+    k-piece of one meeting the (d - k)-piece of the other. Minor k of a
+    pair is the determinant of the first basis's leading k columns beside
+    the second's leading d - k; one det call takes every pair and piece."""
+    if len({f.d for f in flags}) != 1:
+        raise InvalidInput("flags live in different dimensions")
+    d = flags[0].d
+    bases = np.array([f.basis for f in flags])
+    first, second = np.array(list(itertools.combinations(range(len(flags)), 2))).T
+    pairs = np.concatenate([bases[first], bases[second]], axis=2)
+    cols = np.arange(d)
+    k = cols[1:, np.newaxis]
+    minors = np.linalg.det(pairs[:, :, np.where(cols < k, cols, cols + d - k)]
+                           .transpose(0, 2, 1, 3))
+    bad = (np.abs(minors) <= TRANSVERSE_TOL).any(axis=1)
+    if bad.any():
+        p = bad.argmax()
+        raise NotTransverse("flags %d and %d are not transverse"
+                            % (first[p] + 1, second[p] + 1))
 
 
 def _chart(f1, f3):
     """Basis whose ascending flag is f1 and descending flag is f3; the
-    k-th column spans the line f1^k meet f3^(d-k+1)."""
+    k-th column spans the line f1^k meet f3^(d-k+1), from the null
+    vector of f1's leading k columns beside minus f3's leading
+    d - k + 1. One SVD call takes the d stacks."""
     d = f1.d
-    cols = np.empty((d, d))
-    for k in range(1, d + 1):
-        stack = np.hstack([f1.basis[:, :k], -f3.basis[:, : d - k + 1]])
-        _, s, vt = np.linalg.svd(stack)
-        z = vt[-1]
-        v = f1.basis[:, :k] @ z[:k]
-        norm = np.linalg.norm(v)
-        if norm <= 1e-12:
-            raise NotTransverse("flags share a proper piece, no chart exists")
-        cols[:, k - 1] = v / norm
-    return cols
+    cols = np.arange(d + 1)
+    k = cols[1:, np.newaxis]
+    both = np.concatenate([f1.basis, -f3.basis], axis=1)
+    _, _, vt = np.linalg.svd(both[:, np.where(cols < k, cols, cols + d - k)]
+                             .transpose(1, 0, 2))
+    lines = f1.basis @ np.where(cols[:d] < k, vt[:, -1, :d], 0.0).T
+    norms = np.linalg.norm(lines, axis=0)
+    if (norms <= 1e-12).any():
+        raise NotTransverse("flags share a proper piece, no chart exists")
+    return lines / norms
 
 
-def _eliminate_unitriangular(basis):
-    """Unitriangular u whose last k columns span the same k-space as the
-    leading k columns of basis, for every k."""
-    d = basis.shape[0]
-    done = np.zeros((d, d))
-    for k in range(d):
-        v = basis[:, k].copy()
-        for j in range(k):
-            v -= v[d - 1 - j] * done[:, j]
-        pivot = v[d - 1 - k]
-        if abs(pivot) <= TRANSVERSE_TOL * max(1.0, np.max(np.abs(v))):
-            raise NotTransverse("flag is not transverse to the chart's third flag")
-        done[:, k] = v / pivot
-    u = done[:, ::-1]
-    u = np.triu(u)
-    np.fill_diagonal(u, 1.0)
-    return Unitriangular(u)
+def _eliminate_unitriangular(bases):
+    """For each basis X of an (S, d, d) stack, the unitriangular u whose
+    last k columns span the same k-space as the leading k columns of X,
+    for every k. Then X = u J T with J the order reversal and T upper
+    triangular, so the rows of X reversed factor as (J u J) T: an LU
+    factorization without pivoting, run on the whole stack a column at
+    a time. NotTransverse when a pivot is at or below TRANSVERSE_TOL
+    times the larger of 1 and the largest entry of its eliminated
+    column, T_kk times column k of J u J."""
+    d = bases.shape[1]
+    a = bases[:, ::-1].copy()
+    # a zero pivot leaves inf or nan below it; fmax below still raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(d - 1):
+            a[:, k + 1:, k] /= a[:, k, k, np.newaxis]
+            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, np.newaxis] * a[:, k, np.newaxis, k + 1:]
+    rows = np.arange(d)[:, np.newaxis]
+    pivots = np.abs(a.diagonal(axis1=1, axis2=2))
+    column = pivots * np.fmax(1.0, np.abs(np.where(rows > rows.T, a, 0.0)).max(axis=1))
+    if (pivots <= TRANSVERSE_TOL * np.fmax(1.0, column)).any():
+        raise NotTransverse("flag is not transverse to the chart's third flag")
+    return [Unitriangular(u) for u in np.where(rows < rows.T, a[:, ::-1, ::-1], np.eye(d))]
 
 
 def _positive_in_some_chart(units):
@@ -204,7 +264,7 @@ def _positive_in_some_chart(units):
     entry a pi_beta sum of positive parameters, so up to a global sign
     only s_1 = 1, s_(i+1) = s_i sign(u_(i,i+1)) can pass."""
     steps = np.sign(units[0].superdiagonal())
-    if not np.all(np.abs(steps) == 1.0):
+    if not (np.abs(steps) == 1.0).all():
         return False
     signs = np.concatenate([[1.0], np.cumprod(steps)])
     flip = np.outer(signs, signs)
@@ -216,20 +276,11 @@ def _positive_in_some_chart(units):
     return True
 
 
-def _require_pairwise_transverse(flags):
-    n = len(flags)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not transverse(flags[i], flags[j]):
-                raise NotTransverse(
-                    "flags %d and %d are not transverse" % (i + 1, j + 1)
-                )
-
-
 def _inverse_unitriangular(u):
-    inv = solve_triangular(u.mat, np.eye(u.dim), unit_diagonal=True)
-    inv = np.triu(inv)
-    np.fill_diagonal(inv, 1.0)
+    inv = np.linalg.inv(u.mat)
+    rows = np.arange(u.dim)
+    inv[rows[:, np.newaxis] > rows] = 0.0
+    inv[rows, rows] = 1.0
     return Unitriangular(inv)
 
 
@@ -242,22 +293,20 @@ def triple_positive(f1, f2, f3):
     """
     _require_pairwise_transverse([f1, f2, f3])
     g = np.linalg.inv(_chart(f1, f3))
-    u = _eliminate_unitriangular(g @ f2.basis)
-    return _positive_in_some_chart([u])
+    return _positive_in_some_chart(_eliminate_unitriangular(g @ f2.basis[np.newaxis]))
 
 
 def quadruple_positive(f1, f2, f3, f4):
     """Positivity of a cyclically ordered flag quadruple.
 
-    Both middle flags are eliminated in the single chart of (f1, f3);
-    the second flag must factor positively and the fourth must be the
-    inverse of a positive element, matching the configuration
+    Both middle flags are eliminated together in the single chart of
+    (f1, f3); the second flag must factor positively and the fourth must
+    be the inverse of a positive element, matching the configuration
     (ascending, u . descending, descending, v^{-1} . descending).
     """
     _require_pairwise_transverse([f1, f2, f3, f4])
     g = np.linalg.inv(_chart(f1, f3))
-    u = _eliminate_unitriangular(g @ f2.basis)
-    w = _eliminate_unitriangular(g @ f4.basis)
+    u, w = _eliminate_unitriangular(g @ np.array([f2.basis, f4.basis]))
     return _positive_in_some_chart([u, _inverse_unitriangular(w)])
 
 
@@ -285,18 +334,19 @@ def limit_flags(rep, group, depth):
     symmetric power of the frame, which stays accurate at word lengths
     where eigensolvers on the large graded image matrix lose the leading
     eigenvector. All the frames come from one _loxodromic_frames call
-    on the 2x2 products the limit-set walk carries. Any other
-    representation takes the direct eigenvector route on the dense image
-    the walk carries.
+    on the 2x2 products the limit-set walk carries, their symmetric
+    powers from one sym_power_matrix call and the canonical bases from
+    one QR. Any other representation takes the direct eigenvector route
+    on the dense image the walk carries.
     """
     tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
         points, _, (mats,) = _limit_rows(group, depth, [rep.images])
         return [(bp, attracting_flag(ScaledMatrix(m))) for bp, m in zip(points, mats)]
     points, _, (mats,) = _limit_rows(group, depth, tables)
-    d = rep.factors[0][0]
-    return [(bp, Flag(sym_power_matrix(frame, d)))
-            for bp, frame in zip(points, _loxodromic_frames(mats))]
+    bases = _orthonormalize(sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0]),
+                            "flag")
+    return [(bp, _canonical(Flag, basis)) for bp, basis in zip(points, bases)]
 
 
 def limit_curve(rep, group, depth, k):
@@ -308,11 +358,8 @@ def polygonal_length(points):
     """Sum of consecutive chordal distances, closing the loop."""
     if len(points) < 2:
         raise InvalidInput("need at least two points")
-    total = 0.0
-    for a, b in zip(points, points[1:]):
-        total += flag_distance(a, b)
-    total += flag_distance(points[-1], points[0])
-    return total
+    proj = _projectors(points)
+    return float(np.sum(_chordal_distances(proj, np.roll(proj, -1, axis=0))))
 
 
 def write_curve_csv(path, curve):

@@ -19,7 +19,9 @@ empirical separation constant.
 box_dimension covers a metric sample with greedy epsilon-nets over a
 geometric grid of scales and regresses log N against log(1/eps).
 Grassmannian points embed isometrically through their projectors, so
-the same covering code serves real samples and flag curves.
+the same covering code serves real samples and flag curves. The greedy
+net goes through the sample a block of rows at a time, with every
+distance in a block formed by one numpy call.
 """
 
 import math
@@ -29,13 +31,22 @@ from scipy import stats
 
 from .cartan import _cartan_rows
 from .errors import InsufficientScales, InvalidInput
-from .flags import GrassPoint, _chordal_distances, limit_curve
+from .flags import (
+    GrassPoint,
+    _canonical,
+    _chordal_distances,
+    _orthonormalize,
+    _projectors,
+    limit_curve,
+)
 from .hypdisc import TWO_PI, _half_lengths, _shadow_arcs
 from .words import _rep_tables, _walk_levels
 
 MIN_POINTS = 1000
 MIN_SCALES = 5
 MIN_SCALE_SPAN = 100.0
+# bytes of one block's difference array in _net_size
+NET_BLOCK_BYTES = 2**17
 
 
 class DistortionRow:
@@ -123,7 +134,7 @@ def distortion_scan(group, rep, phi, r, max_len):
     """
     sample = limit_curve(rep, group, max_len, _single_root_index(phi))
     thetas = np.array([bp.theta for bp, _ in sample])
-    projectors = np.array([plane.projector() for _, plane in sample])
+    projectors = _projectors([plane for _, plane in sample])
     rows = []
     skipped = 0
     for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
@@ -219,8 +230,7 @@ class DimensionEstimate:
 def _embed(points):
     first = points[0]
     if isinstance(first, GrassPoint):
-        rows = [p.projector().reshape(-1) / math.sqrt(2.0) for p in points]
-        return np.array(rows)
+        return _projectors(points).reshape(len(points), -1) / math.sqrt(2.0)
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -228,20 +238,46 @@ def _embed(points):
 
 
 def _net_size(cloud, eps):
+    """Number of centres of the greedy eps-net of the cloud's rows in
+    order: a row becomes a centre unless an earlier centre lies within
+    eps of it.
+
+    Rows go in blocks. A block takes its distances to the centres so far
+    in chunks, one call each, and settles the rows none of them covers
+    against the block's own pairwise distances, in row order, so the
+    centres are those of the row-by-row scan. Every distance is the norm
+    of a difference, as in that scan, so ties at eps fall the same way.
+    A block's difference arrays stay within NET_BLOCK_BYTES.
+    """
+    n, dim = cloud.shape
+    block = max(1, math.isqrt(NET_BLOCK_BYTES // (8 * dim)))
     centers = np.empty_like(cloud)
     count = 0
-    for row in cloud:
-        if count and np.min(
-            np.linalg.norm(centers[:count] - row, axis=1)
-        ) <= eps:
-            continue
-        centers[count] = row
-        count += 1
+    for start in range(0, n, block):
+        rows = cloud[start:start + block]
+        covered = np.zeros(len(rows), dtype=bool)
+        chunk = max(1, NET_BLOCK_BYTES // (8 * dim * len(rows)))
+        for lo in range(0, count, chunk):
+            diff = centers[lo:min(count, lo + chunk), np.newaxis] - rows
+            covered |= np.any(np.linalg.norm(diff, axis=-1) <= eps, axis=0)
+        rows = rows[~covered]
+        near = np.linalg.norm(rows[:, np.newaxis] - rows, axis=-1) <= eps
+        keep = np.ones(len(rows), dtype=bool)
+        # a row with no other row of the block near it is a centre
+        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
+            if keep[i]:
+                keep[i + 1:] &= ~near[i, i + 1:]
+        taken = rows[keep]
+        centers[count:count + len(taken)] = taken
+        count += len(taken)
     return count
 
 
 def box_dimension(points, scales):
-    """Slope of greedy covering counts on a geometric scale grid."""
+    """Slope of greedy covering counts on a geometric scale grid.
+
+    Each count is the size of the row-by-row greedy eps-net of the
+    embedded sample, formed a block of rows at a time by _net_size."""
     if len(points) < MIN_POINTS:
         raise InsufficientScales(
             "need at least %d points, got %d" % (MIN_POINTS, len(points))
@@ -275,7 +311,6 @@ def circle_sample(n):
     """n lines through the origin of the plane at uniform angles."""
     if n < 1:
         raise InvalidInput("need at least one point")
-    return [
-        GrassPoint([[math.cos(t)], [math.sin(t)]])
-        for t in np.linspace(0.0, math.pi, n, endpoint=False)
-    ]
+    lines = [[[math.cos(t)], [math.sin(t)]]
+             for t in np.linspace(0.0, math.pi, n, endpoint=False)]
+    return [_canonical(GrassPoint, basis) for basis in _orthonormalize(lines, "plane")]

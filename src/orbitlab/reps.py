@@ -37,27 +37,31 @@ def standard_symplectic_form(n):
 
 
 def sym_power_matrix(mat, d):
-    """Image of a 2x2 matrix under the degree-(d-1) symmetric power."""
+    """Image of a 2x2 matrix, or of each matrix of an (N, 2, 2) stack,
+    under the degree-(d-1) symmetric power."""
     if d < 2:
         raise InvalidInput("symmetric power needs dimension >= 2")
     m = np.asarray(mat, dtype=float)
-    if m.shape != (2, 2):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
         raise InvalidInput("symmetric power acts on 2x2 matrices")
     if d == 2:
         return m.copy()
-    a, b = m[0]
-    c, dd = m[1]
-    n = d - 1
-    cols = np.zeros((d, d))
-    for j in range(d):
-        # expand (a x + c y)^(n-j) (b x + d y)^j in monomials x^(n-i) y^i
-        p1 = np.array(
-            [math.comb(n - j, t) * a ** (n - j - t) * c**t for t in range(n - j + 1)]
-        )
-        p2 = np.array([math.comb(j, s) * b ** (j - s) * dd**s for s in range(j + 1)])
-        cols[:, j] = np.convolve(p1, p2)
-    scale = np.sqrt([math.comb(n, k) for k in range(d)])
-    return cols * scale[np.newaxis, :] / scale[:, np.newaxis]
+    # column l of the degree-k table holds the monomial coefficients of
+    # u^(k-l) v^l, u = a x + c y and v = b x + d y: the degree-1 table is
+    # the matrix itself, and each degree multiplies every column by u and
+    # appends the last one times v
+    a, b, c, dd = m[..., :1, :1], m[..., :1, 1:], m[..., 1:, :1], m[..., 1:, 1:]
+    cols = m.copy()
+    for k in range(2, d):
+        last = cols[..., -1:]
+        grown = np.zeros(m.shape[:-2] + (k + 1, k + 1))
+        grown[..., :-1, :-1] = a * cols
+        grown[..., 1:, :-1] += c * cols
+        grown[..., :-1, -1:] = b * last
+        grown[..., 1:, -1:] += dd * last
+        cols = grown
+    scale = np.sqrt([math.comb(d - 1, k) for k in range(d)])
+    return cols * scale / scale[:, np.newaxis]
 
 
 class Representation:

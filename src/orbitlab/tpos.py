@@ -110,13 +110,11 @@ class Unitriangular:
         mat = np.array(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInput("need a square matrix")
-        d = mat.shape[0]
-        if not all(mat[i, i] == 1.0 for i in range(d)):
+        if (mat.diagonal() != 1.0).any():
             raise InvalidInput("diagonal entries must equal 1 exactly")
-        for i in range(d):
-            for j in range(i):
-                if mat[i, j] != 0.0:
-                    raise InvalidInput("entries below the diagonal must vanish")
+        rows = np.arange(mat.shape[0])
+        if mat[rows[:, np.newaxis] > rows].any():
+            raise InvalidInput("entries below the diagonal must vanish")
         self.mat = mat
 
     @property
@@ -127,7 +125,7 @@ class Unitriangular:
         return Unitriangular(self.mat @ other.mat)
 
     def superdiagonal(self):
-        return np.array([self.mat[i, i + 1] for i in range(self.dim - 1)])
+        return np.diagonal(self.mat, 1)
 
     def __repr__(self):
         return "Unitriangular(%r)" % (self.mat,)

@@ -333,7 +333,8 @@ def test_shadows_report(tmp_path):
                      "--max-len", "4", "--radius", "9.0",
                      "--out", str(out)]) == 0
     row = read_jsonl(out / "shadows.jsonl")[1]
-    assert row["violations"] == 0
+    # no separation constant is given, so there is no violation count
+    assert "violations" not in row
     assert row["c0_empirical"] > 0.0
 
 

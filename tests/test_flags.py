@@ -7,10 +7,12 @@ quadruple is positive exactly when its parameters are in cyclic order.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from orbitlab.doubling import separated_schottky
 from orbitlab.errors import (
@@ -20,11 +22,13 @@ from orbitlab.errors import (
     SpectrumNotLoxodromic,
 )
 from orbitlab.flags import (
+    TRANSVERSE_TOL,
     Flag,
     GrassPoint,
     _chart,
     _eliminate_unitriangular,
     _inverse_unitriangular,
+    _loxodromic_frames,
     _positive_in_some_chart,
     attracting_flag,
     flag_distance,
@@ -39,7 +43,7 @@ from orbitlab.flags import (
 )
 from orbitlab.reps import _word_product, sym_power, sym_power_matrix
 from orbitlab.tpos import Unitriangular, f_gamma, factorize, standard_word
-from orbitlab.words import modular_group, standard_schottky
+from orbitlab.words import limit_sample_words, modular_group, standard_schottky
 
 
 def rot(theta):
@@ -226,7 +230,7 @@ def test_triple_positive_matches_direct_minor_signs():
         trio = [veronese_flag(t, 3) for t in ts]
         rng.shuffle(trio)
         g = np.linalg.inv(_chart(trio[0], trio[2]))
-        u = _eliminate_unitriangular(g @ trio[1].basis)
+        (u,) = _eliminate_unitriangular(g @ trio[1].basis[np.newaxis])
         assert triple_positive(*trio) == d3_minors_positive(u.mat)
 
 
@@ -311,10 +315,9 @@ def scan_positive(units):
 def chart_units(flags):
     """The unitriangulars triple_positive and quadruple_positive test."""
     g = np.linalg.inv(_chart(flags[0], flags[2]))
-    units = [_eliminate_unitriangular(g @ flags[1].basis)]
+    units = _eliminate_unitriangular(g @ np.array([f.basis for f in flags[1::2]]))
     if len(flags) == 4:
-        units.append(_inverse_unitriangular(
-            _eliminate_unitriangular(g @ flags[3].basis)))
+        units[1] = _inverse_unitriangular(units[1])
     return units
 
 
@@ -361,7 +364,175 @@ def test_one_sign_candidate_in_dimension_nine():
         assert _positive_in_some_chart([w]) == scan_positive([w])
 
 
+# ------------------------------- the per-pair, per-k route as the oracle
+
+
+def oracle_transverse(f, g):
+    """One determinant per complementary pair of pieces."""
+    d = f.d
+    for k in range(1, d):
+        minor = np.linalg.det(np.hstack([f.basis[:, :k], g.basis[:, : d - k]]))
+        if abs(minor) <= TRANSVERSE_TOL:
+            return False
+    return True
+
+
+def oracle_chart(f1, f3):
+    """One SVD per chart column."""
+    d = f1.d
+    cols = np.empty((d, d))
+    for k in range(1, d + 1):
+        stack = np.hstack([f1.basis[:, :k], -f3.basis[:, : d - k + 1]])
+        _, _, vt = np.linalg.svd(stack)
+        v = f1.basis[:, :k] @ vt[-1][:k]
+        norm = np.linalg.norm(v)
+        if norm <= 1e-12:
+            raise NotTransverse("flags share a proper piece, no chart exists")
+        cols[:, k - 1] = v / norm
+    return cols
+
+
+def oracle_eliminate(basis):
+    """One flag's elimination, a column at a time."""
+    d = basis.shape[0]
+    done = np.zeros((d, d))
+    for k in range(d):
+        v = basis[:, k].copy()
+        for j in range(k):
+            v -= v[d - 1 - j] * done[:, j]
+        pivot = v[d - 1 - k]
+        if abs(pivot) <= TRANSVERSE_TOL * max(1.0, np.max(np.abs(v))):
+            raise NotTransverse("flag is not transverse to the chart's third flag")
+        done[:, k] = v / pivot
+    u = np.triu(done[:, ::-1])
+    np.fill_diagonal(u, 1.0)
+    return Unitriangular(u)
+
+
+def oracle_positive(*flags):
+    """triple_positive or quadruple_positive by the per-pair minors, the
+    per-column chart, one elimination per flag and scipy's triangular
+    inverse."""
+    for i, j in itertools.combinations(range(len(flags)), 2):
+        if not oracle_transverse(flags[i], flags[j]):
+            raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
+    g = np.linalg.inv(oracle_chart(flags[0], flags[2]))
+    units = [oracle_eliminate(g @ flags[1].basis)]
+    if len(flags) == 4:
+        w = oracle_eliminate(g @ flags[3].basis)
+        inv = np.triu(solve_triangular(w.mat, np.eye(w.dim), unit_diagonal=True))
+        np.fill_diagonal(inv, 1.0)
+        units.append(Unitriangular(inv))
+    return _positive_in_some_chart(units)
+
+
+def stacked_positive(*flags):
+    return (triple_positive if len(flags) == 3 else quadruple_positive)(*flags)
+
+
+def decision(route, flags):
+    """True, False, or the NotTransverse message."""
+    try:
+        return route(*flags)
+    except NotTransverse as exc:
+        return "NotTransverse: %s" % exc
+
+
+def criterion_11_calls(flags, rng):
+    """The tuples criterion 11 tests, in its order: every triple, every
+    quadruple with its rotations and reversal, then 100 random
+    quadruples with theirs."""
+    def dihedral(tup):
+        return [tup] + [tup[r:] + tup[:r] for r in range(1, 4)] + [tup[::-1]]
+
+    n = len(flags)
+    calls = [tuple(flags[i] for i in trio) for trio in itertools.combinations(range(n), 3)]
+    for quad in itertools.combinations(range(n), 4):
+        calls += dihedral(tuple(flags[i] for i in quad))
+    for _ in range(100):
+        calls += dihedral(tuple(flags[i] for i in rng.permutation(n)[:4]))
+    return calls
+
+
+def test_stacked_positivity_matches_the_oracle_on_criterion_11():
+    rng = np.random.default_rng(111)
+    for group in (standard_schottky(), separated_schottky(2.0)):
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+        flags = [f for _, f in limit_flags(rep, group, 2)]
+        calls = criterion_11_calls(flags, rng)
+        assert len(calls) == 3195
+        got = [decision(stacked_positive, tup) for tup in calls]
+        assert got == [decision(oracle_positive, tup) for tup in calls]
+        assert True in got and False in got
+
+
+def gaussian_quadruples(rng, d, count):
+    """Gaussian flag quadruples. Of every four, the second repeats a flag,
+    the third has a flag whose line lies in another's hyperplane, and the
+    fourth is a Gaussian matrix applied to Veronese flags in cyclic
+    order, which is positive."""
+    for trial in range(count):
+        quad = [Flag(rng.normal(size=(d, d))) for _ in range(4)]
+        i, j = rng.choice(4, size=2, replace=False)
+        if trial % 4 == 1:
+            quad[j] = quad[i]
+        elif trial % 4 == 2:
+            basis = rng.normal(size=(d, d))
+            basis[:, 0] = quad[i].basis[:, : d - 1] @ rng.normal(size=d - 1)
+            quad[j] = Flag(basis)
+        elif trial % 4 == 3:
+            g = rng.normal(size=(d, d))
+            quad = [Flag(g @ veronese_flag(t, d).basis)
+                    for t in np.sort(rng.uniform(-3.0, 3.0, size=4))]
+        yield quad
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_stacked_positivity_matches_the_oracle_on_gaussian_flags(d):
+    rng = np.random.default_rng(37 + d)
+    seen = []
+    for quad in gaussian_quadruples(rng, d, 100):
+        for tup in (quad, quad[:3]):
+            got = decision(stacked_positive, tup)
+            assert got == decision(oracle_positive, tup)
+            seen.append(got)
+    # positive, not positive and each raising pair all occur
+    assert True in seen and False in seen
+    raised = {text for text in seen if isinstance(text, str)}
+    assert len(raised) >= 4 and all("are not transverse" in text for text in raised)
+
+
+def test_stacked_elimination_raises_on_a_zero_pivot():
+    # the reversal eliminates to the identity; the identity's rows
+    # reversed have a zero leading pivot
+    (u,) = _eliminate_unitriangular(np.eye(3)[np.newaxis, ::-1])
+    assert np.array_equal(u.mat, np.eye(3))
+    with pytest.raises(NotTransverse):
+        _eliminate_unitriangular(np.array([np.eye(3)[::-1], np.eye(3)]))
+
+
 # ----------------------------------------------------------- limit maps
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(standard_schottky, id="schottky"),
+    pytest.param(modular_group, id="modular"),
+    pytest.param(lambda: separated_schottky(2.0), id="separated"),
+])
+def test_batched_limit_flags_match_per_frame_flags(build):
+    group = build()
+    words = [word for _, word in limit_sample_words(group, 5)]
+    for d in (3, 4):
+        rep = sym_power(d)(group.generator_matrices())
+        got = limit_flags(rep, group, 5)
+        assert len(got) == len(words) > 20
+        for (_, flag), word in zip(got, words):
+            product = _word_product(rep.factors[0][1], word, rep.label)
+            want = Flag(sym_power_matrix(_loxodromic_frames(product[np.newaxis])[0], d))
+            assert np.abs(flag.basis - want.basis).max() <= 1e-12
+            for k in range(1, d):
+                plane = GrassPoint(flag.basis[:, :k])
+                assert np.abs(flag.piece(k).basis - plane.basis).max() <= 1e-12
 
 
 def test_limit_curve_d2_equivariance():

@@ -1,5 +1,6 @@
 """Distortion scans, shadow separation, and box-counting dimension."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from orbitlab.limitgeom import (
     DistortionRow,
     _arc_extremes,
     _embed,
+    _net_size,
     box_dimension,
     cantor_sample,
     circle_sample,
@@ -66,6 +68,40 @@ def test_cantor_dimension():
 def test_circle_dimension():
     est = box_dimension(circle_sample(2000), [0.3 * 10 ** (-k / 2.0) for k in range(5)])
     assert abs(est.value - 1.0) < 0.05
+
+
+def greedy_net_size(cloud, eps):
+    """The row-by-row greedy scan: a row becomes a centre unless a centre
+    already taken lies within eps of it."""
+    centers = np.empty_like(cloud)
+    count = 0
+    for row in cloud:
+        if count and np.min(np.linalg.norm(centers[:count] - row, axis=1)) <= eps:
+            continue
+        centers[count] = row
+        count += 1
+    return count
+
+
+GRASS_SCALES = [0.3 * 10 ** (-k / 2.0) for k in range(5)]
+
+
+@pytest.mark.parametrize("cloud, scales", [
+    pytest.param(lambda: _embed(cantor_sample(12)), [3.0**-k for k in range(2, 8)],
+                 id="cantor"),
+    pytest.param(lambda: _embed(circle_sample(2000)), GRASS_SCALES, id="circle"),
+    pytest.param(lambda: _embed([plane for _, plane in limit_curve(
+        *reversed(schottky_pair(3)), 8, 1)]), GRASS_SCALES, id="schottky-sym3-depth8"),
+    # many distances equal the scale exactly, so ties decide the counts
+    pytest.param(lambda: np.random.default_rng(59).permutation(
+        np.array(list(itertools.product(range(40), repeat=2)), dtype=float)),
+        [1.0, math.sqrt(2.0), 2.0, 5.0, 13.0], id="integer-grid"),
+])
+def test_blocked_net_matches_the_greedy_scan(cloud, scales):
+    cloud = cloud()
+    assert len(cloud) > 1000
+    for eps in scales:
+        assert _net_size(cloud, eps) == greedy_net_size(cloud, eps)
 
 
 def test_finite_set_dimension_zero():

@@ -104,6 +104,23 @@ class TestSymPower:
             )
             assert np.allclose(got, want, rtol=1e-10)
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(53)
+        mats = np.array([random_sl2(rng) for _ in range(200)])
+        for d in range(2, 7):
+            stacked = sym_power_matrix(mats, d)
+            assert stacked.shape == (200, d, d)
+            for m, got in zip(mats, stacked):
+                want = sym_power_matrix(m, d)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            # and the substitution oracle agrees on a few
+            for m, got in zip(mats[:3], stacked[:3]):
+                assert np.allclose(got, sym_power_oracle(m, d), rtol=0.0, atol=1e-12)
+        with pytest.raises(InvalidInput):
+            sym_power_matrix(np.zeros((2, 2, 2, 2)), 3)
+        with pytest.raises(InvalidInput):
+            sym_power_matrix(np.zeros((4, 2, 3)), 3)
+
     def test_builder(self):
         rep = sym_power(3)(SCHOTTKY_IMAGES)
         assert rep.dim == 3
