@@ -14,15 +14,19 @@ through the positive semigroup. The conjugation quotients out the
 diagonal ambiguity left by the chart normalization, and the first
 matrix's superdiagonal signs pick the only candidate.
 
-The positivity steps work on stacked arrays: the transversality minors
-of all pairs and pieces take one determinant call, the chart's d
-intersection lines one SVD call, and the second and fourth flags of a
-quadruple go through one elimination together. Limit flags come the
-same way, from one symmetric-power call and one QR for the whole
-sample, and projectors from one einsum over the stacked bases.
+Each step is one no-pivot LU. The leading minors of a Gram matrix
+Q_j^T Q_i of orthonormal bases, rows reversed, are the pair's
+transversality minors; for (f1, f3) its upper factor inverts to the
+chart, and eliminating a middle flag is the same LU. The Gram matrices
+come from one matmul and the rest runs on Python floats: at d = 3..9 a
+numpy call costs more than the arithmetic. Limit flags come from one
+symmetric-power call and one QR for the whole sample, and projectors
+from one einsum over the stacked bases.
 """
 
 import itertools
+import math
+import operator
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import (
 )
 from .hypdisc import Mobius, _eigenframes
 from .reps import ScaledMatrix, sym_power_matrix
-from .tpos import Unitriangular, factorize
+from .tpos import _cone_params
 from .words import _limit_rows, _rep_tables
 
 TRANSVERSE_TOL = 1e-10
@@ -185,103 +189,116 @@ def _eigenbasis(mat):
 
 
 def transverse(f, g):
-    """All complementary pairs of pieces intersect trivially; the
-    one-pair call of _require_pairwise_transverse."""
+    """Whether complementary pieces meet trivially: _pairwise_lus of a pair."""
     try:
-        _require_pairwise_transverse([f, g])
+        _pairwise_lus(_grams([f, g]))
     except NotTransverse:
         return False
     return True
 
 
-def _require_pairwise_transverse(flags):
-    """NotTransverse naming the first pair, in (i, j) order, with a
-    k-piece of one meeting the (d - k)-piece of the other. Minor k of a
-    pair is the determinant of the first basis's leading k columns beside
-    the second's leading d - k; one det call takes every pair and piece."""
+def _grams(flags):
+    """Nested lists of the Gram matrices Q_i^T Q_j of the flags' bases."""
     if len({f.d for f in flags}) != 1:
         raise InvalidInput("flags live in different dimensions")
-    d = flags[0].d
     bases = np.array([f.basis for f in flags])
-    first, second = np.array(list(itertools.combinations(range(len(flags)), 2))).T
-    pairs = np.concatenate([bases[first], bases[second]], axis=2)
-    cols = np.arange(d)
-    k = cols[1:, np.newaxis]
-    minors = np.linalg.det(pairs[:, :, np.where(cols < k, cols, cols + d - k)]
-                           .transpose(0, 2, 1, 3))
-    bad = (np.abs(minors) <= TRANSVERSE_TOL).any(axis=1)
-    if bad.any():
-        p = bad.argmax()
-        raise NotTransverse("flags %d and %d are not transverse"
-                            % (first[p] + 1, second[p] + 1))
+    return (bases.transpose(0, 2, 1)[:, np.newaxis] @ bases).tolist()
 
 
-def _chart(f1, f3):
-    """Basis whose ascending flag is f1 and descending flag is f3; the
-    k-th column spans the line f1^k meet f3^(d-k+1), from the null
-    vector of f1's leading k columns beside minus f3's leading
-    d - k + 1. One SVD call takes the d stacks."""
-    d = f1.d
-    cols = np.arange(d + 1)
-    k = cols[1:, np.newaxis]
-    both = np.concatenate([f1.basis, -f3.basis], axis=1)
-    _, _, vt = np.linalg.svd(both[:, np.where(cols < k, cols, cols + d - k)]
-                             .transpose(1, 0, 2))
-    lines = f1.basis @ np.where(cols[:d] < k, vt[:, -1, :d], 0.0).T
-    norms = np.linalg.norm(lines, axis=0)
-    if (norms <= 1e-12).any():
-        raise NotTransverse("flags share a proper piece, no chart exists")
-    return lines / norms
+def _lu(rows):
+    """No-pivot LU of nested rows: new rows with the unit lower factor
+    below the diagonal and the upper on and above it. Pivot k is leading
+    minor k + 1 over minor k; a zero pivot stops the elimination there."""
+    a = [list(row) for row in rows]
+    for k, top in enumerate(a[:-1]):
+        if top[k] == 0.0:
+            break
+        for row in a[k + 1:]:
+            m = row[k] = row[k] / top[k]
+            for c in range(k + 1, len(a)):
+                row[c] -= m * top[c]
+    return a
 
 
-def _eliminate_unitriangular(bases):
-    """For each basis X of an (S, d, d) stack, the unitriangular u whose
-    last k columns span the same k-space as the leading k columns of X,
-    for every k. Then X = u J T with J the order reversal and T upper
-    triangular, so the rows of X reversed factor as (J u J) T: an LU
-    factorization without pivoting, run on the whole stack a column at
-    a time. NotTransverse when a pivot is at or below TRANSVERSE_TOL
-    times the larger of 1 and the largest entry of its eliminated
-    column, T_kk times column k of J u J."""
-    d = bases.shape[1]
-    a = bases[:, ::-1].copy()
-    # a zero pivot leaves inf or nan below it; fmax below still raises
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(d - 1):
-            a[:, k + 1:, k] /= a[:, k, k, np.newaxis]
-            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, np.newaxis] * a[:, k, np.newaxis, k + 1:]
-    rows = np.arange(d)[:, np.newaxis]
-    pivots = np.abs(a.diagonal(axis1=1, axis2=2))
-    column = pivots * np.fmax(1.0, np.abs(np.where(rows > rows.T, a, 0.0)).max(axis=1))
-    if (pivots <= TRANSVERSE_TOL * np.fmax(1.0, column)).any():
-        raise NotTransverse("flag is not transverse to the chart's third flag")
-    return [Unitriangular(u) for u in np.where(rows < rows.T, a[:, ::-1, ::-1], np.eye(d))]
+def _minors(lu):
+    """Leading minors 1..d-1 of an _lu result: running pivot products."""
+    return list(itertools.accumulate((lu[k][k] for k in range(len(lu) - 1)), operator.mul))
+
+
+def _pairwise_lus(grams):
+    """_lu of J Q_j^T Q_i, J the row reversal, for each pair i < j. Its
+    leading minor k is, up to sign, the determinant of Q_i's leading k
+    columns beside Q_j's leading d - k; NotTransverse names the first
+    pair, in (i, j) order, with one at or below TRANSVERSE_TOL."""
+    lus = {}
+    for i, j in itertools.combinations(range(len(grams)), 2):
+        lus[i, j] = _lu(grams[j][i][::-1])
+        if any(abs(m) <= TRANSVERSE_TOL for m in _minors(lus[i, j])):
+            raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
+    return lus
+
+
+def _upper_inverse(u):
+    """Columns of the inverse of u's upper triangle, by back-substitution."""
+    cols = [[float(r == k) for r in range(len(u))] for k in range(len(u))]
+    for c in cols:
+        for r in reversed(range(len(u))):
+            c[r] = (c[r] - sum(map(operator.mul, u[r][r + 1:], c[r + 1:]))) / u[r][r]
+    return cols
+
+
+def _eliminate(x):
+    """The unitriangular u, nested rows, whose last k columns span the
+    leading k of x for every k: _lu factors x's rows reversed as (J u J) T.
+    NotTransverse when a pivot T_kk is at or below TRANSVERSE_TOL times
+    max(1, |T_kk| times the largest entry of column k of J u J)."""
+    a = _lu(x[::-1])
+    d = len(a)
+    for k in range(d):
+        pivot = abs(a[k][k])
+        column = pivot * max([1.0] + [abs(row[k]) for row in a[k + 1:]])
+        if pivot <= TRANSVERSE_TOL * max(1.0, column):
+            raise NotTransverse("flag is not transverse to the chart's third flag")
+    return [[a[d - 1 - r][d - 1 - c] if r < c else float(r == c) for c in range(d)]
+            for r in range(d)]
+
+
+def _chart_units(flags):
+    """The unitriangulars, nested rows, of the second flag and the
+    inverse of the fourth in the chart of (f1, f3). With J Q3^T Q1 = L U,
+    column k of Q1 U^-1 lies in f1^k meet f3^(d-k+1); at unit length,
+    these columns are the chart, with inverse N U Q1^T for N the column
+    norms of U^-1."""
+    grams = _grams(flags)
+    chart = _pairwise_lus(grams)[0, 2]
+    norms = [math.hypot(*col) for col in _upper_inverse(chart)]
+    inverse = [[0.0] * r + [n * x for x in row[r:]]
+               for r, (n, row) in enumerate(zip(norms, chart))]
+    units = [_eliminate([[sum(map(operator.mul, row, col)) for col in zip(*grams[0][m])]
+                         for row in inverse])
+             for m in range(1, len(flags), 2)]
+    if len(units) == 2:
+        units[1] = list(zip(*_upper_inverse(units[1])))
+    return units
 
 
 def _positive_in_some_chart(units):
-    """Whether some sign-diagonal conjugation makes every unit factor
-    positively. A factorizable matrix has a positive superdiagonal, each
-    entry a pi_beta sum of positive parameters, so up to a global sign
-    only s_1 = 1, s_(i+1) = s_i sign(u_(i,i+1)) can pass."""
-    steps = np.sign(units[0].superdiagonal())
-    if not (np.abs(steps) == 1.0).all():
+    """Whether some sign-diagonal conjugation makes every unit, nested
+    rows, factor positively. A factorizable matrix has a positive
+    superdiagonal, each entry a pi_beta sum of positive parameters, so up
+    to a global sign only s_1 = 1, s_(i+1) = s_i sign(u_(i,i+1)) can
+    pass."""
+    steps = [row[k + 1] for k, row in enumerate(units[0][:-1])]
+    if not all(x > 0.0 or x < 0.0 for x in steps):
         return False
-    signs = np.concatenate([[1.0], np.cumprod(steps)])
-    flip = np.outer(signs, signs)
+    signs = list(itertools.accumulate([1.0] + steps, lambda s, x: s if x > 0.0 else -s))
     for u in units:
         try:
-            factorize(Unitriangular(u.mat * flip))
+            _cone_params([[x * s * t for x, t in zip(row, signs)]
+                          for row, s in zip(u, signs)])
         except NotPositive:
             return False
     return True
-
-
-def _inverse_unitriangular(u):
-    inv = np.linalg.inv(u.mat)
-    rows = np.arange(u.dim)
-    inv[rows[:, np.newaxis] > rows] = 0.0
-    inv[rows, rows] = 1.0
-    return Unitriangular(inv)
 
 
 def triple_positive(f1, f2, f3):
@@ -291,23 +308,18 @@ def triple_positive(f1, f2, f3):
     pair, f2 becomes a unitriangular matrix; the triple is positive when
     some sign conjugate of it carries positive cone coordinates.
     """
-    _require_pairwise_transverse([f1, f2, f3])
-    g = np.linalg.inv(_chart(f1, f3))
-    return _positive_in_some_chart(_eliminate_unitriangular(g @ f2.basis[np.newaxis]))
+    return _positive_in_some_chart(_chart_units([f1, f2, f3]))
 
 
 def quadruple_positive(f1, f2, f3, f4):
     """Positivity of a cyclically ordered flag quadruple.
 
-    Both middle flags are eliminated together in the single chart of
-    (f1, f3); the second flag must factor positively and the fourth must
-    be the inverse of a positive element, matching the configuration
+    Both middle flags are eliminated in the single chart of (f1, f3);
+    the second flag must factor positively and the fourth must be the
+    inverse of a positive element, matching the configuration
     (ascending, u . descending, descending, v^{-1} . descending).
     """
-    _require_pairwise_transverse([f1, f2, f3, f4])
-    g = np.linalg.inv(_chart(f1, f3))
-    u, w = _eliminate_unitriangular(g @ np.array([f2.basis, f4.basis]))
-    return _positive_in_some_chart([u, _inverse_unitriangular(w)])
+    return _positive_in_some_chart(_chart_units([f1, f2, f3, f4]))
 
 
 def veronese_flag(t, d):

@@ -8,9 +8,10 @@ inverts it for the standard word (1, 2,1, 3,2,1, ...), whose letters
 group into blocks of descending indices. Each block multiplies out to a
 unit upper bidiagonal matrix, and a product of bidiagonal blocks can be
 peeled from the right by reading one corrected superdiagonal entry per
-column. A parameter at or below zero means the input sits outside the
-open semigroup; factorize reports which letter failed and whether the
-value was merely marginal.
+column. The sweep runs on nested lists of floats, and flag positivity
+calls it directly. A parameter at or below zero means the input sits
+outside the open semigroup; the sweep reports which letter failed and
+whether the value was merely marginal.
 
 pi_beta sums the parameters attached to one letter. It equals the
 corresponding superdiagonal entry of the product, which makes it
@@ -18,6 +19,7 @@ additive under multiplication: the grade-one part of the semigroup is a
 vector group sitting inside the nilpotent coordinates.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -70,8 +72,9 @@ class ReducedWord:
         return "ReducedWord(%r, d=%d)" % (self.letters, self.d)
 
 
+@functools.lru_cache(maxsize=None)
 def standard_word(d):
-    """Blocks of descending letters: (1), (2,1), ..., (d-1,...,1)."""
+    """Blocks of descending letters (1), (2,1), ..., (d-1,...,1); cached per d."""
     letters = []
     for k in range(1, d):
         letters.extend(range(k, 0, -1))
@@ -124,9 +127,6 @@ class Unitriangular:
     def __matmul__(self, other):
         return Unitriangular(self.mat @ other.mat)
 
-    def superdiagonal(self):
-        return np.diagonal(self.mat, 1)
-
     def __repr__(self):
         return "Unitriangular(%r)" % (self.mat,)
 
@@ -150,54 +150,42 @@ def f_gamma(word, params):
 
 
 def factorize(u):
-    """Cone coordinates of an interior semigroup element, along the
-    standard word.
+    """Cone coordinates along the standard word: _cone_params of u's rows."""
+    return ConeCoords(standard_word(u.dim), _cone_params(u.mat.tolist()))
 
-    The last descending block is a unit bidiagonal factor; sweeping
-    columns right to left recovers one parameter per column and divides
-    the block out, then the leading principal submatrix carries the same
-    structure one dimension down.
+
+def _cone_params(rows):
+    """Standard-word parameters of a unitriangular matrix of nested rows.
+
+    The last descending block is a unit bidiagonal factor b with
+    mat = g . b; sweeping columns right to left recovers one parameter
+    per column and builds g a column at a time, then g's leading
+    principal block carries the same structure one dimension down.
     A parameter at or below POSITIVITY_TOL stops the sweep with
     NotPositive; stage is the failing letter's 1-based position in the
     word, and values within the tolerance of zero are flagged marginal.
     Failures are detected in elimination order (last block first).
     """
-    d = u.dim
-    by_block = {}
-    work = u.mat
-    for size in range(d, 1, -1):
-        cs, work = _peel_block(work, size)
-        by_block[size - 1] = cs
+    cols = list(zip(*rows))
     params = []
-    for k in range(1, d):
-        # block k lists letters k, k-1, ..., 1 and cs[i-1] is letter i
-        params.extend(reversed(by_block[k]))
-    return ConeCoords(standard_word(d), params)
-
-
-def _peel_block(mat, size):
-    """Split mat = g . b with b unit bidiagonal carrying the block's
-    parameters; return those and g's leading principal block."""
-    k = size - 1
-    g = np.zeros((size, size))
-    g[size - 1, size - 1] = 1.0
-    col = g[:, size - 1]
-    cs = np.zeros(k)
-    for j in range(size - 2, -1, -1):
-        c = mat[j, j + 1] - col[j]
-        if not (c > POSITIVITY_TOL and math.isfinite(c)):
-            letter = j + 1
-            position = k * (k - 1) // 2 + (k - letter) + 1
-            raise NotPositive(
-                "block %d parameter for letter %d is %.3g, not positive"
-                % (k, letter, c),
-                stage=position,
-                marginal=c > -POSITIVITY_TOL,
-            )
-        cs[j] = c
-        col = (mat[:, j + 1] - col) / c
-        g[:, j] = col
-    return list(cs), g[: size - 1, : size - 1]
+    for k in range(len(rows) - 1, 0, -1):
+        # block k lists letters k, k-1, ..., 1, the order the sweep finds them
+        col, block, peeled = [0.0] * k + [1.0], [], []
+        for j in range(k - 1, -1, -1):
+            c = cols[j + 1][j] - col[j]
+            if not (c > POSITIVITY_TOL and math.isfinite(c)):
+                raise NotPositive(
+                    "block %d parameter for letter %d is %.3g, not positive"
+                    % (k, j + 1, c),
+                    stage=k * (k + 1) // 2 - j,
+                    marginal=c > -POSITIVITY_TOL,
+                )
+            col = [(a - b) / c for a, b in zip(cols[j + 1], col)]
+            block.append(c)
+            peeled.append(col[:k])
+        params = block + params
+        cols = peeled[::-1]
+    return params
 
 
 def pi_beta(word, params, i):

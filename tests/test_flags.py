@@ -25,10 +25,12 @@ from orbitlab.flags import (
     TRANSVERSE_TOL,
     Flag,
     GrassPoint,
-    _chart,
-    _eliminate_unitriangular,
-    _inverse_unitriangular,
+    _chart_units,
+    _eliminate,
+    _grams,
     _loxodromic_frames,
+    _lu,
+    _minors,
     _positive_in_some_chart,
     attracting_flag,
     flag_distance,
@@ -221,16 +223,14 @@ def test_triple_positive_matches_direct_minor_signs():
                 return True
         return False
 
-    from orbitlab.flags import _chart, _eliminate_unitriangular
-
     for _ in range(50):
         ts = np.sort(rng.uniform(-3.0, 3.0, size=3))
         if ts[1] - ts[0] < 0.1 or ts[2] - ts[1] < 0.1:
             continue
         trio = [veronese_flag(t, 3) for t in ts]
         rng.shuffle(trio)
-        g = np.linalg.inv(_chart(trio[0], trio[2]))
-        (u,) = _eliminate_unitriangular(g @ trio[1].basis[np.newaxis])
+        g = np.linalg.inv(oracle_chart(trio[0], trio[2]))
+        u = oracle_eliminate(g @ trio[1].basis)
         assert triple_positive(*trio) == d3_minors_positive(u.mat)
 
 
@@ -297,28 +297,19 @@ def test_positivity_dimension_four_veronese():
 
 
 def scan_positive(units):
-    """The scan the single candidate replaced: factorize under every
-    conjugation by diag(1, +-1, ..., +-1)."""
-    d = units[0].dim
+    """The scan the single candidate replaced: factorize the units,
+    nested rows, under every conjugation by diag(1, +-1, ..., +-1)."""
+    d = len(units[0])
     for bits in range(2 ** (d - 1)):
         signs = np.array([1.0] + [-1.0 if bits >> (i - 1) & 1 else 1.0
                                   for i in range(1, d)])
         try:
             for u in units:
-                factorize(Unitriangular(u.mat * np.outer(signs, signs)))
+                factorize(Unitriangular(np.array(u) * np.outer(signs, signs)))
         except NotPositive:
             continue
         return True
     return False
-
-
-def chart_units(flags):
-    """The unitriangulars triple_positive and quadruple_positive test."""
-    g = np.linalg.inv(_chart(flags[0], flags[2]))
-    units = _eliminate_unitriangular(g @ np.array([f.basis for f in flags[1::2]]))
-    if len(flags) == 4:
-        units[1] = _inverse_unitriangular(units[1])
-    return units
 
 
 def test_one_sign_candidate_matches_the_scan():
@@ -338,7 +329,7 @@ def test_one_sign_candidate_matches_the_scan():
     hits = 0
     for flags in cases:
         try:
-            units = chart_units(flags)
+            units = _chart_units(flags)
         except NotTransverse:
             continue
         got = _positive_in_some_chart(units)
@@ -355,16 +346,17 @@ def test_one_sign_candidate_in_dimension_nine():
         signs = np.concatenate([[1.0], rng.choice([-1.0, 1.0], size=8)])
         flip = np.outer(signs, signs)
         params = rng.uniform(0.2, 2.0, size=len(word))
-        u = Unitriangular(f_gamma(word, params).mat * flip)
+        u = f_gamma(word, params).mat * flip
         other = rng.uniform(0.2, 2.0, size=len(word))
-        v = Unitriangular(f_gamma(word, other).mat * flip)
-        assert _positive_in_some_chart([u, v]) and scan_positive([u, v])
+        v = f_gamma(word, other).mat * flip
+        units = [u.tolist(), v.tolist()]
+        assert _positive_in_some_chart(units) and scan_positive(units)
         params[rng.integers(len(word))] = -0.5
-        w = Unitriangular(f_gamma(word, params).mat * flip)
-        assert _positive_in_some_chart([w]) == scan_positive([w])
+        w = [(f_gamma(word, params).mat * flip).tolist()]
+        assert _positive_in_some_chart(w) == scan_positive(w)
 
 
-# ------------------------------- the per-pair, per-k route as the oracle
+# --------------------- the per-pair, per-k, per-column route as the oracle
 
 
 def oracle_transverse(f, g):
@@ -423,7 +415,7 @@ def oracle_positive(*flags):
         inv = np.triu(solve_triangular(w.mat, np.eye(w.dim), unit_diagonal=True))
         np.fill_diagonal(inv, 1.0)
         units.append(Unitriangular(inv))
-    return _positive_in_some_chart(units)
+    return _positive_in_some_chart([u.mat.tolist() for u in units])
 
 
 def stacked_positive(*flags):
@@ -487,7 +479,7 @@ def gaussian_quadruples(rng, d, count):
         yield quad
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_stacked_positivity_matches_the_oracle_on_gaussian_flags(d):
     rng = np.random.default_rng(37 + d)
     seen = []
@@ -504,11 +496,43 @@ def test_stacked_positivity_matches_the_oracle_on_gaussian_flags(d):
 
 def test_stacked_elimination_raises_on_a_zero_pivot():
     # the reversal eliminates to the identity; the identity's rows
-    # reversed have a zero leading pivot
-    (u,) = _eliminate_unitriangular(np.eye(3)[np.newaxis, ::-1])
-    assert np.array_equal(u.mat, np.eye(3))
+    # reversed have a zero leading pivot, which stops the LU there
+    assert _eliminate(np.eye(3)[::-1].tolist()) == np.eye(3).tolist()
+    assert _minors(_lu(np.eye(3)[::-1].tolist())) == [0.0, 0.0]
     with pytest.raises(NotTransverse):
-        _eliminate_unitriangular(np.array([np.eye(3)[::-1], np.eye(3)]))
+        _eliminate(np.eye(3).tolist())
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 6):
+        x = rng.normal(size=(d, d))
+        want = oracle_eliminate(x).mat
+        assert np.abs(np.array(_eliminate(x.tolist())) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def lu_minors_against_dets(flags):
+    """Largest gap between the LU transversality minors of each pair of
+    flags and oracle_transverse's determinants, in absolute value; the
+    minors up to the first at or below TRANSVERSE_TOL, the ones a
+    decision reads."""
+    d = flags[0].d
+    worst = 0.0
+    for f, g in itertools.combinations(flags, 2):
+        minors = _minors(_lu(_grams([f, g])[1][0][::-1]))
+        for k, minor in enumerate(minors, 1):
+            det = np.linalg.det(np.hstack([f.basis[:, :k], g.basis[:, : d - k]]))
+            worst = max(worst, abs(abs(minor) - abs(det)))
+            if abs(minor) <= TRANSVERSE_TOL:
+                break
+    return worst
+
+
+def test_lu_minors_match_the_oracle_determinants():
+    for group in (standard_schottky(), separated_schottky(2.0)):
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+        assert lu_minors_against_dets([f for _, f in limit_flags(rep, group, 2)]) <= 1e-12
+    for d in (2, 3, 4, 5, 6):
+        rng = np.random.default_rng(43 + d)
+        for quad in gaussian_quadruples(rng, d, 40):
+            assert lu_minors_against_dets(quad) <= 1e-12
 
 
 # ----------------------------------------------------------- limit maps

@@ -14,6 +14,7 @@ import pytest
 from orbitlab.errors import InvalidInput, NotPositive
 from orbitlab.reps import sym_power_matrix
 from orbitlab.tpos import (
+    POSITIVITY_TOL,
     ConeCoords,
     ReducedWord,
     Unitriangular,
@@ -80,7 +81,7 @@ def test_unitriangular_product_and_superdiagonal():
     b = Unitriangular([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
     c = a @ b
     assert isinstance(c, Unitriangular)
-    assert np.allclose(c.superdiagonal(), [3.0, 4.0])
+    assert np.allclose(np.diagonal(c.mat, 1), [3.0, 4.0])
 
 
 def test_cone_coords_validation():
@@ -198,6 +199,69 @@ def test_factorize_boundary_scan_all_positions_d4():
             factorize(Unitriangular(u))
 
 
+def peel_oracle(u):
+    """The block-peeling sweep as it ran on numpy arrays, one block at a
+    time: the list of parameters along the standard word."""
+    def peel_block(mat, size):
+        k = size - 1
+        g = np.zeros((size, size))
+        g[size - 1, size - 1] = 1.0
+        col = g[:, size - 1]
+        cs = np.zeros(k)
+        for j in range(size - 2, -1, -1):
+            c = mat[j, j + 1] - col[j]
+            if not (c > POSITIVITY_TOL and math.isfinite(c)):
+                letter = j + 1
+                raise NotPositive(
+                    "block %d parameter for letter %d is %.3g, not positive"
+                    % (k, letter, c),
+                    stage=k * (k - 1) // 2 + (k - letter) + 1,
+                    marginal=c > -POSITIVITY_TOL,
+                )
+            cs[j] = c
+            col = (mat[:, j + 1] - col) / c
+            g[:, j] = col
+        return list(cs), g[: size - 1, : size - 1]
+
+    d = u.dim
+    by_block = {}
+    work = u.mat
+    for size in range(d, 1, -1):
+        by_block[size - 1], work = peel_block(work, size)
+    return [t for k in range(1, d) for t in reversed(by_block[k])]
+
+
+def outcome(route, u):
+    """Parameters, or the stage, marginal flag and message of NotPositive."""
+    try:
+        return route(u)
+    except NotPositive as exc:
+        return (exc.stage, bool(exc.marginal), str(exc))
+
+
+def test_factorize_is_bit_identical_to_the_array_sweep():
+    rng = np.random.default_rng(19)
+    failures = 0
+    for d in range(2, 10):
+        w = standard_word(d)
+        cases = []
+        for _ in range(20):
+            _, p = random_coords(rng, d)
+            _, q = random_coords(rng, d)
+            cases.append(f_gamma(w, p) @ f_gamma(w, q))
+        for planted in (-0.3, 0.0, 1e-11, 2e-10):
+            for k in range(len(w)):
+                _, p = random_coords(rng, d, 0.5, 2.0)
+                p[k] = planted
+                cases.append(f_gamma(w, p))
+        for u in cases:
+            got = outcome(lambda v: list(factorize(v).params), u)
+            assert got == outcome(peel_oracle, u)
+            failures += isinstance(got, tuple)
+    # every planted -0.3, 0 and 1e-11 fails somewhere in the sweep
+    assert failures >= 3 * sum(n * (n - 1) // 2 for n in range(2, 10))
+
+
 # ---------------------------------------------------- grading and logs
 
 
@@ -208,7 +272,7 @@ def test_pi_beta_matches_superdiagonal():
         for _ in range(100 // (d - 1)):
             _, p = random_coords(rng, d)
             u = f_gamma(w, p)
-            sd = u.superdiagonal()
+            sd = np.diagonal(u.mat, 1)
             for i in range(1, d):
                 assert pi_beta(w, p, i) == pytest.approx(sd[i - 1], rel=1e-12)
 
