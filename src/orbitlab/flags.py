@@ -17,11 +17,18 @@ matrix's superdiagonal signs pick the only candidate.
 Each step is one no-pivot LU. The leading minors of a Gram matrix
 Q_j^T Q_i of orthonormal bases, rows reversed, are the pair's
 transversality minors; for (f1, f3) its upper factor inverts to the
-chart, and eliminating a middle flag is the same LU. The Gram matrices
-come from one matmul and the rest runs on Python floats: at d = 3..9 a
+chart, and eliminating a middle flag is the same LU. Each Gram matrix
+is one matmul and the rest runs on Python floats: at d = 3..9 a
 numpy call costs more than the arithmetic. Limit flags come from one
 symmetric-power call and one QR for the whole sample, and projectors
 from one einsum over the stacked bases.
+
+Bases are read-only, so a flag's identity names its basis, and each
+pair's transversality, chart inverse and middle flag's sign verdict is
+memoized: kept by the flag of least id, keyed on the step and the other
+flags. Keys hold those flags, so no hit comes from a dead flag's reused
+address, and point to higher ids only, so no cycle forms and the memo is
+freed with its flag. A failure is kept as a verdict and raised anew.
 """
 
 import itertools
@@ -58,7 +65,9 @@ def _orthonormalize(bases, what):
     diag = np.diagonal(r, axis1=1, axis2=2)
     if np.any(np.min(np.abs(diag), axis=1) <= RANK_TOL * np.where(scale > 0.0, scale, 1.0)):
         raise InvalidInput("%s basis columns are not independent" % what)
-    return q * np.sign(diag)[:, np.newaxis, :]
+    out = q * np.sign(diag)[:, np.newaxis, :]
+    out.flags.writeable = False
+    return out
 
 
 def _canonical(cls, basis):
@@ -73,7 +82,7 @@ class Flag:
     """Complete flag; leading k columns of the canonical basis span the
     k-dimensional subspace."""
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "_memo")
 
     def __init__(self, basis):
         self.basis = _orthonormalize([basis], "flag")[0]
@@ -189,20 +198,24 @@ def _eigenbasis(mat):
 
 
 def transverse(f, g):
-    """Whether complementary pieces meet trivially: _pairwise_lus of a pair."""
+    """Whether complementary pieces meet trivially: _require_transverse of a pair."""
     try:
-        _pairwise_lus(_grams([f, g]))
+        _require_transverse([f, g])
     except NotTransverse:
         return False
     return True
 
 
-def _grams(flags):
-    """Nested lists of the Gram matrices Q_i^T Q_j of the flags' bases."""
-    if len({f.d for f in flags}) != 1:
-        raise InvalidInput("flags live in different dimensions")
-    bases = np.array([f.basis for f in flags])
-    return (bases.transpose(0, 2, 1)[:, np.newaxis] @ bases).tolist()
+def _memoized(make, flags, *args):
+    """make(*flags, *args), once; the flag of least id is None in the key."""
+    owner = min(flags, key=id)
+    key = (make, *args, *[None if f is owner else f for f in flags])
+    memo = owner._memo = getattr(owner, "_memo", {})
+    try:
+        return memo[key]
+    except KeyError:
+        memo[key] = out = make(*flags, *args)
+        return out
 
 
 def _lu(rows):
@@ -225,17 +238,24 @@ def _minors(lu):
     return list(itertools.accumulate((lu[k][k] for k in range(len(lu) - 1)), operator.mul))
 
 
-def _pairwise_lus(grams):
-    """_lu of J Q_j^T Q_i, J the row reversal, for each pair i < j. Its
-    leading minor k is, up to sign, the determinant of Q_i's leading k
-    columns beside Q_j's leading d - k; NotTransverse names the first
-    pair, in (i, j) order, with one at or below TRANSVERSE_TOL."""
-    lus = {}
-    for i, j in itertools.combinations(range(len(grams)), 2):
-        lus[i, j] = _lu(grams[j][i][::-1])
-        if any(abs(m) <= TRANSVERSE_TOL for m in _minors(lus[i, j])):
+def _pair_lu(f, g):
+    """_lu of J Q_g^T Q_f, J the row reversal: its minor k is, up to sign,
+    det of Q_f's leading k columns beside Q_g's leading d - k."""
+    return _lu((g.basis.T @ f.basis)[::-1].tolist())
+
+
+def _transverse_pair(f, g):
+    return not any(abs(m) <= TRANSVERSE_TOL for m in _minors(_pair_lu(f, g)))
+
+
+def _require_transverse(flags):
+    """NotTransverse names the first pair, in (i, j) order, with a
+    _pair_lu minor at or below TRANSVERSE_TOL."""
+    if len({f.basis.shape for f in flags}) != 1:
+        raise InvalidInput("flags live in different dimensions")
+    for i, j in itertools.combinations(range(len(flags)), 2):
+        if not _memoized(_transverse_pair, (flags[i], flags[j])):
             raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
-    return lus
 
 
 def _upper_inverse(u):
@@ -263,42 +283,59 @@ def _eliminate(x):
             for r in range(d)]
 
 
-def _chart_units(flags):
-    """The unitriangulars, nested rows, of the second flag and the
-    inverse of the fourth in the chart of (f1, f3). With J Q3^T Q1 = L U,
+def _chart_inverse(f1, f3):
+    """The inverse N U Q1^T of the chart of (f1, f3). With J Q3^T Q1 = L U,
     column k of Q1 U^-1 lies in f1^k meet f3^(d-k+1); at unit length,
-    these columns are the chart, with inverse N U Q1^T for N the column
-    norms of U^-1."""
-    grams = _grams(flags)
-    chart = _pairwise_lus(grams)[0, 2]
-    norms = [math.hypot(*col) for col in _upper_inverse(chart)]
-    inverse = [[0.0] * r + [n * x for x in row[r:]]
-               for r, (n, row) in enumerate(zip(norms, chart))]
-    units = [_eliminate([[sum(map(operator.mul, row, col)) for col in zip(*grams[0][m])]
-                         for row in inverse])
-             for m in range(1, len(flags), 2)]
-    if len(units) == 2:
-        units[1] = list(zip(*_upper_inverse(units[1])))
-    return units
+    these columns are the chart, and N holds the column norms of U^-1."""
+    lu = _pair_lu(f1, f3)
+    norms = [math.hypot(*col) for col in _upper_inverse(lu)]
+    return np.array([[0.0] * r + [n * x for x in row[r:]]
+                     for r, (n, row) in enumerate(zip(norms, lu))]) @ f1.basis.T
 
 
-def _positive_in_some_chart(units):
-    """Whether some sign-diagonal conjugation makes every unit, nested
-    rows, factor positively. A factorizable matrix has a positive
-    superdiagonal, each entry a pi_beta sum of positive parameters, so up
-    to a global sign only s_1 = 1, s_(i+1) = s_i sign(u_(i,i+1)) can
-    pass."""
-    steps = [row[k + 1] for k, row in enumerate(units[0][:-1])]
-    if not all(x > 0.0 or x < 0.0 for x in steps):
+def _positive_under(mask, u):
+    """Whether u, nested rows, factors positively conjugated by diag(s),
+    s_k = -1 where bit k of mask is set."""
+    signs = [-1.0 if mask >> k & 1 else 1.0 for k in range(len(u))]
+    try:
+        _cone_params([[x * s * t for x, t in zip(row, signs)] for row, s in zip(u, signs)])
+    except NotPositive:
         return False
-    signs = list(itertools.accumulate([1.0] + steps, lambda s, x: s if x > 0.0 else -s))
-    for u in units:
-        try:
-            _cone_params([[x * s * t for x, t in zip(row, signs)]
-                          for row, s in zip(u, signs)])
-        except NotPositive:
-            return False
     return True
+
+
+def _positive_mask(u):
+    """The sign mask under which u, nested rows, factors positively, or -1.
+    _cone_params fails any superdiagonal entry at or below zero: it tests
+    the last column's, and each peel lowers the others by a passed
+    parameter. So only s_0 = 1, s_(k+1) = s_k sign(u_(k,k+1)) can pass."""
+    mask = 0
+    for k, row in enumerate(u[:-1]):
+        if not (row[k + 1] > 0.0 or row[k + 1] < 0.0):
+            return -1
+        mask |= (mask >> k & 1 ^ (row[k + 1] < 0.0)) << k + 1
+    return mask if _positive_under(mask, u) else -1
+
+
+def _unit_mask(f1, f3, f, invert):
+    """_positive_mask of f's unit in the chart of (f1, f3), inverted if
+    asked; None when the elimination fails."""
+    try:
+        u = _eliminate((_memoized(_chart_inverse, (f1, f3)) @ f.basis).tolist())
+    except NotTransverse:
+        return None
+    return _positive_mask(list(zip(*_upper_inverse(u))) if invert else u)
+
+
+def _tuple_positive(flags):
+    """Whether the second flag's unit, and the fourth's inverse, factor
+    positively under one sign mask: by _positive_mask, their own."""
+    _require_transverse(flags)
+    f1, f3 = flags[0], flags[2]
+    masks = [_memoized(_unit_mask, (f1, f3, f), k == 3) for k, f in enumerate(flags) if k % 2]
+    if None in masks:
+        raise NotTransverse("flag is not transverse to the chart's third flag")
+    return masks[0] >= 0 and masks[-1] == masks[0]
 
 
 def triple_positive(f1, f2, f3):
@@ -308,7 +345,7 @@ def triple_positive(f1, f2, f3):
     pair, f2 becomes a unitriangular matrix; the triple is positive when
     some sign conjugate of it carries positive cone coordinates.
     """
-    return _positive_in_some_chart(_chart_units([f1, f2, f3]))
+    return _tuple_positive([f1, f2, f3])
 
 
 def quadruple_positive(f1, f2, f3, f4):
@@ -319,7 +356,7 @@ def quadruple_positive(f1, f2, f3, f4):
     inverse of a positive element, matching the configuration
     (ascending, u . descending, descending, v^{-1} . descending).
     """
-    return _positive_in_some_chart(_chart_units([f1, f2, f3, f4]))
+    return _tuple_positive([f1, f2, f3, f4])
 
 
 def veronese_flag(t, d):

@@ -7,13 +7,16 @@ quadruple is positive exactly when its parameters are in cyclic order.
 """
 
 import csv
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from orbitlab import flags as flags_module
 from orbitlab.doubling import separated_schottky
 from orbitlab.errors import (
     InvalidInput,
@@ -25,13 +28,14 @@ from orbitlab.flags import (
     TRANSVERSE_TOL,
     Flag,
     GrassPoint,
-    _chart_units,
     _eliminate,
-    _grams,
     _loxodromic_frames,
     _lu,
+    _memoized,
     _minors,
-    _positive_in_some_chart,
+    _pair_lu,
+    _positive_mask,
+    _positive_under,
     attracting_flag,
     flag_distance,
     limit_curve,
@@ -71,6 +75,18 @@ def test_flag_canonical_form_is_unique():
     g = Flag(b @ t)
     assert np.allclose(f.basis, g.basis)
     assert np.allclose(f.basis.T @ f.basis, np.eye(4), atol=1e-12)
+
+
+def test_bases_are_read_only():
+    # a basis is never written in place, so a flag's identity keys its memo
+    f = Flag(np.random.default_rng(2).normal(size=(3, 3)))
+    group = standard_schottky()
+    rep = sym_power(3)(group.generator_matrices())
+    _, limit = limit_flags(rep, group, 2)[0]
+    for basis in (f.basis, f.piece(2).basis, GrassPoint(np.eye(3)[:, :2]).basis,
+                  limit.basis, limit.piece(1).basis):
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
 
 def test_flag_rejects_singular_basis():
@@ -312,6 +328,13 @@ def scan_positive(units):
     return False
 
 
+def one_candidate(units):
+    """The single candidate's decision on units, nested rows: the first
+    unit's sign mask, then every unit conjugated by its signs."""
+    mask = _positive_mask(units[0])
+    return mask >= 0 and all(_positive_under(mask, u) for u in units)
+
+
 def test_one_sign_candidate_matches_the_scan():
     rng = np.random.default_rng(29)
     cases = []
@@ -329,10 +352,10 @@ def test_one_sign_candidate_matches_the_scan():
     hits = 0
     for flags in cases:
         try:
-            units = _chart_units(flags)
+            units = oracle_units(*flags)
         except NotTransverse:
             continue
-        got = _positive_in_some_chart(units)
+        got = one_candidate(units)
         assert got == scan_positive(units)
         hits += got
     # both answers occur, so agreement is not vacuous
@@ -350,10 +373,36 @@ def test_one_sign_candidate_in_dimension_nine():
         other = rng.uniform(0.2, 2.0, size=len(word))
         v = f_gamma(word, other).mat * flip
         units = [u.tolist(), v.tolist()]
-        assert _positive_in_some_chart(units) and scan_positive(units)
+        assert one_candidate(units) and scan_positive(units)
         params[rng.integers(len(word))] = -0.5
         w = [(f_gamma(word, params).mat * flip).tolist()]
-        assert _positive_in_some_chart(w) == scan_positive(w)
+        assert one_candidate(w) == scan_positive(w)
+
+
+def test_only_the_own_sign_mask_can_pass():
+    # quadruple positivity compares the two units' own masks, which is
+    # exact because _cone_params fails every other conjugation
+    rng = np.random.default_rng(53)
+    seen = set()
+    for d in (2, 3, 4, 5):
+        word = standard_word(d)
+        for trial in range(90):
+            params = rng.uniform(0.01, 3.0, size=len(word))
+            if trial % 3 == 1:
+                params[rng.integers(len(word))] = rng.choice([2e-10, 1e-10, 1e-30, -1e-30])
+            u = f_gamma(word, params).mat
+            if trial % 3 == 2:
+                u = np.triu(rng.normal(size=(d, d)), 1) + np.eye(d)
+            if trial % 2:
+                u = np.triu(solve_triangular(u, np.eye(d), unit_diagonal=True))
+                np.fill_diagonal(u, 1.0)
+            signs = np.concatenate([[1.0], rng.choice([-1.0, 1.0], size=d - 1)])
+            rows = (u * np.outer(signs, signs)).tolist()
+            own = _positive_mask(rows)
+            passing = [m for m in range(0, 2 ** d, 2) if _positive_under(m, rows)]
+            assert passing == ([own] if own >= 0 else [])
+            seen.add(own >= 0)
+    assert seen == {True, False}
 
 
 # --------------------- the per-pair, per-k, per-column route as the oracle
@@ -401,21 +450,27 @@ def oracle_eliminate(basis):
     return Unitriangular(u)
 
 
-def oracle_positive(*flags):
-    """triple_positive or quadruple_positive by the per-pair minors, the
-    per-column chart, one elimination per flag and scipy's triangular
-    inverse."""
-    for i, j in itertools.combinations(range(len(flags)), 2):
-        if not oracle_transverse(flags[i], flags[j]):
-            raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
+def oracle_units(*flags):
+    """The second flag's unit and the inverse of the fourth's, nested
+    rows, by the per-column chart, one elimination per flag and scipy's
+    triangular inverse."""
     g = np.linalg.inv(oracle_chart(flags[0], flags[2]))
-    units = [oracle_eliminate(g @ flags[1].basis)]
+    units = [oracle_eliminate(g @ flags[1].basis).mat]
     if len(flags) == 4:
         w = oracle_eliminate(g @ flags[3].basis)
         inv = np.triu(solve_triangular(w.mat, np.eye(w.dim), unit_diagonal=True))
         np.fill_diagonal(inv, 1.0)
-        units.append(Unitriangular(inv))
-    return _positive_in_some_chart([u.mat.tolist() for u in units])
+        units.append(inv)
+    return [u.tolist() for u in units]
+
+
+def oracle_positive(*flags):
+    """triple_positive or quadruple_positive by the per-pair minors and
+    oracle_units."""
+    for i, j in itertools.combinations(range(len(flags)), 2):
+        if not oracle_transverse(flags[i], flags[j]):
+            raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
+    return one_candidate(oracle_units(*flags))
 
 
 def stacked_positive(*flags):
@@ -516,7 +571,7 @@ def lu_minors_against_dets(flags):
     d = flags[0].d
     worst = 0.0
     for f, g in itertools.combinations(flags, 2):
-        minors = _minors(_lu(_grams([f, g])[1][0][::-1]))
+        minors = _minors(_pair_lu(f, g))
         for k, minor in enumerate(minors, 1):
             det = np.linalg.det(np.hstack([f.basis[:, :k], g.basis[:, : d - k]]))
             worst = max(worst, abs(abs(minor) - abs(det)))
@@ -533,6 +588,91 @@ def test_lu_minors_match_the_oracle_determinants():
         rng = np.random.default_rng(43 + d)
         for quad in gaussian_quadruples(rng, d, 40):
             assert lu_minors_against_dets(quad) <= 1e-12
+
+
+def criterion_11_flags():
+    """Both groups' depth-2 sym3 limit flags, as criterion 11 samples them."""
+    for group in (standard_schottky(), separated_schottky(2.0)):
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+        yield [f for _, f in limit_flags(rep, group, 2)]
+
+
+def test_warm_memo_cold_memo_and_oracle_decide_alike():
+    rng = np.random.default_rng(113)
+    for flags in criterion_11_flags():
+        calls = criterion_11_calls(flags, rng)
+        # the first pass warms the memo as it goes; the second reads it
+        first = [decision(stacked_positive, tup) for tup in calls]
+        warm = [decision(stacked_positive, tup) for tup in calls]
+        cold = [decision(stacked_positive, [Flag(f.basis) for f in tup]) for tup in calls]
+        assert first == warm == cold == [decision(oracle_positive, tup) for tup in calls]
+        assert True in warm and False in warm
+        # the first call stores the failing pair's verdict, the second reads it
+        a, b, c = flags[:3]
+        for tup in ((a, b, a), (a, b, c, b), (a, a, b, c)):
+            want = decision(oracle_positive, tup)
+            assert want.startswith("NotTransverse: flags")
+            assert decision(stacked_positive, tup) == want
+            assert decision(stacked_positive, tup) == want
+    fresh = [veronese_flag(t, 3) for t in (-1.0, 0.0, 1.0)] + [veronese_flag(2.0, 4)]
+    with pytest.raises(InvalidInput):
+        quadruple_positive(*fresh)
+    with pytest.raises(InvalidInput):
+        transverse(fresh[0], fresh[3])
+    assert not any(hasattr(f, "_memo") for f in fresh)
+
+
+def test_no_hit_from_a_dead_flag():
+    # a flag dropped by the caller, and new flags that may take its
+    # address, never share a memo entry
+    pool = [veronese_flag(t, 3) for t in np.linspace(-2.0, 2.0, 40)]
+    owner, dropped = min(pool, key=id), max(pool, key=id)
+    made = []
+
+    def make(f, g):
+        made.append(None)
+        return len(made)
+
+    assert _memoized(make, (owner, dropped)) == 1
+    pool.remove(dropped)
+    del dropped
+    fresh = [Flag(np.eye(3)) for _ in range(200)]
+    assert [_memoized(make, (owner, f)) for f in fresh] == list(range(2, 202))
+
+
+def test_memo_bounds_the_eliminations(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _eliminate(x)
+
+    monkeypatch.setattr(flags_module, "_eliminate", counted)
+    flags = next(criterion_11_flags())
+    assert len(flags) == 12
+    for tup in criterion_11_calls(flags, np.random.default_rng(111)):
+        stacked_positive(*tup)
+    # one elimination per (f1, f3, middle flag, position) at most
+    assert 0 < len(calls) <= 12 * 11 * 10 * 2
+
+
+def test_memo_goes_with_the_flags():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        flags = next(criterion_11_flags())
+        for tup in criterion_11_calls(flags, np.random.default_rng(111)):
+            stacked_positive(*tup)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert any(hasattr(f, "_memo") for f in flags)
+        del flags, tup
+        # no reference cycle: the drop alone freed the memo
+        assert gc.collect() == 0
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held > 100_000 and left < 0.05 * held
 
 
 # ----------------------------------------------------------- limit maps

@@ -266,7 +266,7 @@ UNCALLED = {
     "dist_h": "Klein-model oracle for displacement and shadows",
     "poincare_series": "paper quantity: the series that defines the exponent",
     "synthetic_log_sample": "oracle: a family with a known exponent",
-    "transverse": "one-pair call of the stacked pairwise transversality check",
+    "transverse": "one-pair call of the memoized pair check",
     "veronese_flag": "oracle: flags of known positivity",
 }
 
