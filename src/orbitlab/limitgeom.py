@@ -20,14 +20,13 @@ box_dimension covers a metric sample with greedy epsilon-nets over a
 geometric grid of scales and regresses log N against log(1/eps).
 Grassmannian points embed isometrically through their projectors, so
 the same covering code serves real samples and flag curves. The greedy
-net goes through the sample a block of rows at a time, with every
-distance in a block formed by one numpy call.
+net asks one k-d tree over the sample for each new centre's ball.
 """
 
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import spatial, stats
 
 from .cartan import _cartan_rows
 from .errors import InsufficientScales, InvalidInput
@@ -45,8 +44,6 @@ from .words import _rep_tables, _walk_levels
 MIN_POINTS = 1000
 MIN_SCALES = 5
 MIN_SCALE_SPAN = 100.0
-# bytes of one block's difference array in _net_size
-NET_BLOCK_BYTES = 2**17
 
 
 class DistortionRow:
@@ -237,39 +234,21 @@ def _embed(points):
     return arr
 
 
-def _net_size(cloud, eps):
-    """Number of centres of the greedy eps-net of the cloud's rows in
-    order: a row becomes a centre unless an earlier centre lies within
-    eps of it.
-
-    Rows go in blocks. A block takes its distances to the centres so far
-    in chunks, one call each, and settles the rows none of them covers
-    against the block's own pairwise distances, in row order, so the
-    centres are those of the row-by-row scan. Every distance is the norm
-    of a difference, as in that scan, so ties at eps fall the same way.
-    A block's difference arrays stay within NET_BLOCK_BYTES.
-    """
-    n, dim = cloud.shape
-    block = max(1, math.isqrt(NET_BLOCK_BYTES // (8 * dim)))
-    centers = np.empty_like(cloud)
+def _net_size(tree, eps):
+    """Number of centres of the greedy eps-net of the rows of tree.data
+    in order: a row becomes a centre unless an earlier centre lies
+    within eps of it. The k-d tree proposes each new centre's ball with
+    a relative slack of 1e-9; a row is covered when the norm of its
+    difference from the centre, as in the row-by-row scan, is at most
+    eps, so ties at eps fall as in that scan, whatever the tree rounds."""
+    cloud = tree.data
+    covered = np.zeros(len(cloud), dtype=bool)
     count = 0
-    for start in range(0, n, block):
-        rows = cloud[start:start + block]
-        covered = np.zeros(len(rows), dtype=bool)
-        chunk = max(1, NET_BLOCK_BYTES // (8 * dim * len(rows)))
-        for lo in range(0, count, chunk):
-            diff = centers[lo:min(count, lo + chunk), np.newaxis] - rows
-            covered |= np.any(np.linalg.norm(diff, axis=-1) <= eps, axis=0)
-        rows = rows[~covered]
-        near = np.linalg.norm(rows[:, np.newaxis] - rows, axis=-1) <= eps
-        keep = np.ones(len(rows), dtype=bool)
-        # a row with no other row of the block near it is a centre
-        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
-            if keep[i]:
-                keep[i + 1:] &= ~near[i, i + 1:]
-        taken = rows[keep]
-        centers[count:count + len(taken)] = taken
-        count += len(taken)
+    for i in range(len(cloud)):
+        if not covered[i]:
+            near = np.array(tree.query_ball_point(cloud[i], eps * (1.0 + 1e-9)))
+            covered[near[np.linalg.norm(cloud[near] - cloud[i], axis=1) <= eps]] = True
+            count += 1
     return count
 
 
@@ -277,7 +256,7 @@ def box_dimension(points, scales):
     """Slope of greedy covering counts on a geometric scale grid.
 
     Each count is the size of the row-by-row greedy eps-net of the
-    embedded sample, formed a block of rows at a time by _net_size."""
+    embedded sample, by _net_size on one k-d tree for all scales."""
     if len(points) < MIN_POINTS:
         raise InsufficientScales(
             "need at least %d points, got %d" % (MIN_POINTS, len(points))
@@ -287,8 +266,8 @@ def box_dimension(points, scales):
         raise InsufficientScales("need %d positive scales" % MIN_SCALES)
     if scales[-1] / scales[0] < MIN_SCALE_SPAN:
         raise InsufficientScales("scales must span two decades")
-    cloud = _embed(points)
-    counts = [_net_size(cloud, eps) for eps in scales]
+    tree = spatial.cKDTree(_embed(points))
+    counts = [_net_size(tree, eps) for eps in scales]
     xs = np.log(1.0 / np.array(scales))
     ys = np.log(np.array(counts, dtype=float))
     fit = stats.linregress(xs, ys)

@@ -36,7 +36,9 @@ enumerate_elements streams the levels as (Word, Mobius) pairs. Walks
 for a representation carry rep.tables (_rep_tables), whose products
 cartan._cartan_rows turns into Cartan vectors for orbit tables, the
 orbit CSV, growth samples and distortion scans; the limit-set sample
-(_limit_rows) hands them on to flags.limit_flags. No Mobius value is
+(_limit_rows) keeps angles, letter codes and products as arrays over
+its rows and hands the products on to flags.limit_flags, and only
+limit_sample_words turns the kept codes into Words. No Mobius value is
 formed for a row whose numbers hypdisc's kernels read a level at once.
 
 The modular norm ball is not walked. modular_norm_ball finds every
@@ -531,44 +533,62 @@ def _orbit_csv_row(rec):
     return "%s,%d,%.17g,%s\n" % (rec.word, rec.length, rec.displacement, lams)
 
 
+def _limit_runs(theta):
+    """Stream positions of the rows standing for the points of the angles
+    theta, in angle order. In sorted order a run is an angle and the ones
+    after it at most LIMIT_DEDUP_TOL above it; the runs at both ends are
+    one when their first angles meet across 0; a run keeps its first row."""
+    order = np.argsort(theta, kind="stable")
+    ranked = theta[order]
+    start = np.diff(ranked, prepend=-np.inf) > LIMIT_DEDUP_TOL
+    # gaps within the tolerance can chain past it: each pass starts a
+    # new run at the first angle too far above its run's first
+    while True:
+        run = np.cumsum(start) - 1
+        over = np.flatnonzero(ranked - ranked[start][run] > LIMIT_DEDUP_TOL)
+        if not len(over):
+            break
+        start[over[np.diff(run[over], prepend=-1) > 0]] = True
+    first = np.flatnonzero(start)
+    kept = np.minimum.reduceat(order, first)
+    if len(first) >= 2 and ranked[first[0]] + TWO_PI - ranked[first[-1]] <= LIMIT_DEDUP_TOL:
+        kept = np.delete(kept, -1 if kept[0] < kept[-1] else 0)
+    return kept
+
+
 def _limit_rows(group, depth, tables=()):
-    """limit_sample_words and, per table walked, the (N, d, d) products
-    along the words: the cyclically reduced rows (from codes) of the
-    level arrays with |trace| > 2 + TRACE_TOL, their attracting angles
-    from one hypdisc._fixed_angles call per level, and Words only for
-    rows kept. An orientation reversing row raises, as classify does."""
+    """The points of limit_sample_words, the (N, depth) letter codes of
+    their words padded with -1, and per table walked the (N, d, d)
+    products along them, from the cyclically reduced level rows with
+    |trace| > 2 + TRACE_TOL, one hypdisc._fixed_angles call per level
+    and one _limit_runs call. An orientation reversing row raises, as
+    classify does."""
     inverse = np.array([group.alphabet.index(group.inverse_letter[a])
                         for a in group.alphabet])
-    theta, picked, products = [], [], []
+    theta, codes, products = [np.empty(0)], [], []
     for level in _walk_levels(group, depth, tables):
-        codes = level.codes
-        if not codes.shape[1]:
+        length = level.codes.shape[1]
+        if not length:
             continue
-        keep = (codes.shape[1] == 1) | (inverse[codes[:, -1]] != codes[:, 0])
+        keep = (length == 1) | (inverse[level.codes[:, -1]] != level.codes[:, 0])
         if np.any(level.orientation[keep] != 1):
             raise InvalidInput("orientation reversing values are not classified here")
         keep &= np.abs(level.mats[:, 0, 0] + level.mats[:, 1, 1]) > 2.0 + TRACE_TOL
         rows = np.flatnonzero(keep)
-        theta += _fixed_angles(level.mats[rows])[:, 0].tolist()
-        picked += codes[rows].tolist()
+        theta.append(_fixed_angles(level.mats[rows])[:, 0])
+        codes.append(np.pad(level.codes[rows], ((0, 0), (0, depth - length)),
+                            constant_values=-1))
         products.append([m[rows] for m in level.products])
-    runs = []  # [first angle, first row in stream order] in angle order
-    for k in np.argsort(theta, kind="stable").tolist():
-        if runs and theta[k] - runs[-1][0] <= LIMIT_DEDUP_TOL:
-            runs[-1][1] = min(runs[-1][1], k)
-        else:
-            runs.append([theta[k], k])
-    if len(runs) >= 2 and runs[0][0] + TWO_PI - runs[-1][0] <= LIMIT_DEDUP_TOL:
-        del runs[-1 if runs[0][1] < runs[-1][1] else 0]
-    if len(runs) <= 2:
+    theta = np.concatenate(theta)
+    kept = _limit_runs(theta)
+    if len(kept) <= 2:
         raise NonElementary(
             "only %d accumulation points at depth %d; a non-elementary group "
             "shows at least 3 (raise depth if the group should qualify)"
-            % (len(runs), depth)
+            % (len(kept), depth)
         )
-    kept = [k for _, k in runs]
-    return ([BoundaryPoint(theta[k]) for k in kept],
-            [Word([group.alphabet[c] for c in picked[k]]) for k in kept],
+    return ([BoundaryPoint(t) for t in theta[kept].tolist()],
+            np.concatenate(codes)[kept],
             [np.concatenate(ms)[kept] for ms in zip(*products)])
 
 
@@ -583,8 +603,9 @@ def limit_sample_words(group, depth):
     was seen; the group is reported elementary (raise the depth first if
     the group is merely thin at this depth).
     """
-    points, words, _ = _limit_rows(group, depth)
-    return list(zip(points, words))
+    points, codes, _ = _limit_rows(group, depth)
+    return [(bp, Word([group.alphabet[c] for c in row if c >= 0]))
+            for bp, row in zip(points, codes.tolist())]
 
 
 def load_group_file(path):

@@ -17,6 +17,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from orbitlab import flags as flags_module
+from orbitlab import words as words_module
 from orbitlab.doubling import separated_schottky
 from orbitlab.errors import (
     InvalidInput,
@@ -47,7 +48,7 @@ from orbitlab.flags import (
     veronese_flag,
     write_curve_csv,
 )
-from orbitlab.reps import _word_product, sym_power, sym_power_matrix
+from orbitlab.reps import _word_product, custom_rep, sym_power, sym_power_matrix
 from orbitlab.tpos import Unitriangular, f_gamma, factorize, standard_word
 from orbitlab.words import limit_sample_words, modular_group, standard_schottky
 
@@ -697,6 +698,23 @@ def test_batched_limit_flags_match_per_frame_flags(build):
             for k in range(1, d):
                 plane = GrassPoint(flag.basis[:, :k])
                 assert np.abs(flag.piece(k).basis - plane.basis).max() <= 1e-12
+
+
+def test_limit_flags_and_curve_build_no_word(monkeypatch):
+    # of the limit-set walk's callers only limit_sample_words reads words
+    group = standard_schottky()
+    sym3 = sym_power(3)(group.generator_matrices(), label="sym3")
+    dense = custom_rep({c: sym_power_matrix(group.image(c).mat, 3)
+                        for c in group.alphabet}, 3)
+
+    def no_word(*args):
+        raise AssertionError("a Word was built")
+
+    monkeypatch.setattr(words_module, "Word", no_word)
+    for rep in (sym3, dense):
+        assert len(limit_flags(rep, group, 5)) == len(limit_curve(rep, group, 5, 1)) > 20
+    with pytest.raises(AssertionError, match="a Word was built"):
+        limit_sample_words(group, 5)
 
 
 def test_limit_curve_d2_equivariance():

@@ -16,8 +16,12 @@ hypdisc alone.
 """
 
 import ast
+import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -373,3 +377,30 @@ def test_detector_flags_an_uncalled_public_method():
     assert uncalled_public_names(sources, {}) == [
         ("a.py", "Box.oracle"), ("a.py", "Box.spare")]
     assert uncalled_public_names(sources, {"bench.py": "x.spare()\n"}) == []
+
+
+def traced_names():
+    """(module, class or None, attribute) of each entry of the benchmark
+    tracer's TRACED tuple, read from perfbench/tracer.py as a file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [entry[:3] for entry in tracer.TRACED]
+
+
+def test_traced_names_resolve():
+    # the tracer wraps vars(owner)[attribute]; a deleted or renamed
+    # name breaks every traced run of the benchmark
+    names = traced_names()
+    check = (
+        "import importlib\n"
+        "for module, cls, attr in %r:\n"
+        "    owner = importlib.import_module('orbitlab.' + module)\n"
+        "    owner = vars(owner).get(cls) if cls else owner\n"
+        "    if owner is None or attr not in vars(owner):\n"
+        "        print(module, cls, attr)\n" % (names,))
+    run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert len(names) > 10
+    assert run.stdout == ""

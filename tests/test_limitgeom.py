@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import spatial
 
 from orbitlab import limitgeom
 from orbitlab.cartan import parse_functional, word_cartan
@@ -96,12 +97,22 @@ GRASS_SCALES = [0.3 * 10 ** (-k / 2.0) for k in range(5)]
     pytest.param(lambda: np.random.default_rng(59).permutation(
         np.array(list(itertools.product(range(40), repeat=2)), dtype=float)),
         [1.0, math.sqrt(2.0), 2.0, 5.0, 13.0], id="integer-grid"),
+    # in three dimensions the tree's rounding of sqrt 2 and sqrt 3 may
+    # differ from the norm's
+    pytest.param(lambda: np.random.default_rng(61).permutation(
+        np.array(list(itertools.product(range(11), repeat=3)), dtype=float)),
+        [1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0], id="integer-lattice-3d"),
+    # ties at distance 0: every row comes three times
+    pytest.param(lambda: np.random.default_rng(67).permutation(
+        np.repeat(_embed(circle_sample(500)), 3, axis=0)), GRASS_SCALES,
+        id="duplicate-rows"),
 ])
-def test_blocked_net_matches_the_greedy_scan(cloud, scales):
+def test_tree_net_matches_the_greedy_scan(cloud, scales):
     cloud = cloud()
     assert len(cloud) > 1000
+    tree = spatial.cKDTree(cloud)
     for eps in scales:
-        assert _net_size(cloud, eps) == greedy_net_size(cloud, eps)
+        assert _net_size(tree, eps) == greedy_net_size(cloud, eps)
 
 
 def test_finite_set_dimension_zero():

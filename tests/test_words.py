@@ -14,6 +14,7 @@ from orbitlab.doubling import (
 )
 from orbitlab.errors import InvalidInput, NonElementary
 from orbitlab.hypdisc import (
+    TWO_PI,
     BoundaryPoint,
     DiscPoint,
     Mobius,
@@ -32,6 +33,7 @@ from orbitlab.words import (
     MODULAR_T,
     GroupSpec,
     Word,
+    _limit_runs,
     _walk_levels,
     custom_group,
     enumerate_elements,
@@ -555,6 +557,62 @@ def oracle_limit_sample(group, depth):
             runs[0][0][1][0].theta, runs[-1][0][1][0].theta) <= LIMIT_DEDUP_TOL:
         runs[0] += runs.pop()
     return sorted((min(run)[1] for run in runs), key=lambda pair: pair[0].theta)
+
+
+def oracle_runs(theta):
+    """The row loop _limit_runs replaced: in stable angle order, a run
+    is anchored at its first angle and keeps its first row in stream
+    order, and the runs at both ends are one when their first angles
+    meet across 0."""
+    theta = theta.tolist()
+    runs = []  # [first angle, first row in stream order] in angle order
+    for k in np.argsort(theta, kind="stable").tolist():
+        if runs and theta[k] - runs[-1][0] <= LIMIT_DEDUP_TOL:
+            runs[-1][1] = min(runs[-1][1], k)
+        else:
+            runs.append([theta[k], k])
+    if len(runs) >= 2 and runs[0][0] + TWO_PI - runs[-1][0] <= LIMIT_DEDUP_TOL:
+        del runs[-1 if runs[0][1] < runs[-1][1] else 0]
+    return [k for _, k in runs]
+
+
+def synthetic_angle_sets():
+    """Angles that exercise each clause of the run rule, each set also
+    shuffled in stream order."""
+    tol = LIMIT_DEDUP_TOL
+    rng = np.random.default_rng(17)
+    # chains of gaps just under the tolerance, spanning several of it
+    for base in (0.5, 2.0, 6.0):
+        for gap in (0.999 * tol, (1.0 - 1e-6) * tol, 0.5 * tol):
+            yield np.concatenate([base + gap * np.arange(12), [base + 1.0]])
+    # angles exactly one tolerance above their run's first
+    yield np.array([0.0, tol, 3.0])
+    yield np.concatenate([0.5 * tol * np.arange(6), [1.0]])
+    # gaps of one tolerance, which rounding puts on either side of it
+    yield 1.0 + tol * np.arange(40)
+    yield np.cumsum(np.full(40, tol)) + 3.0
+    # equal angles, alone and inside chains
+    yield np.repeat([0.25, 1.5, 1.5 + 0.6 * tol, 4.0], 3)
+    # runs meeting across 0, with either end's first row earlier
+    low, high = [0.0, 0.4 * tol, 2.0], [TWO_PI - 0.4 * tol, TWO_PI - 0.1 * tol, 4.0]
+    yield np.array(low + high)
+    yield np.array(high + low)
+    yield np.array([0.3 * tol, TWO_PI - 0.8 * tol, TWO_PI - 0.1 * tol, 3.0])
+    yield np.array([TWO_PI - 0.8 * tol, 0.3 * tol, 3.0, 1.0])
+    # a run whose first row in stream order sorts last
+    yield np.array([2.0 + 0.9 * tol, 2.0 + 0.6 * tol, 2.0 + 0.3 * tol, 2.0, 5.0])
+    # random clusters at the scale of the tolerance
+    for _ in range(20):
+        centres = rng.uniform(0.0, TWO_PI, 8)
+        yield np.mod(np.repeat(centres, 6) + rng.uniform(-2.0, 2.0, 48) * tol, TWO_PI)
+    yield np.empty(0)
+    yield np.array([1.0])
+
+
+@pytest.mark.parametrize("theta", list(synthetic_angle_sets()))
+def test_run_split_matches_the_row_loop(theta):
+    for angles in (theta, np.random.default_rng(len(theta)).permutation(theta)):
+        assert _limit_runs(angles).tolist() == oracle_runs(angles)
 
 
 class TestLimitSample:
