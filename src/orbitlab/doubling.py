@@ -262,8 +262,8 @@ def double_rep(rep, boundary_elements):
     fixes both. Representations with a single two-by-two factor keep
     that structure: the reflection's factor is the framed diag(1, -1),
     whose symmetric power is R itself. Any other representation takes
-    g from flags._eigenbasis, the eigenbasis of attracting_flag, so it
-    is refused where attracting_flag would be: complex eigenvalues, or
+    g from flags._eigenbasis, as limit_flags' dense route does, so it is
+    refused where that route would be: complex eigenvalues, or
     consecutive moduli within a ratio of 1 + flags.LOG_GAP_MIN.
     """
     boundary = [_as_word(w) for w in boundary_elements]

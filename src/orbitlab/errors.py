@@ -30,7 +30,7 @@ class NotTransverse(OrbitLabError):
 class NotPositive(OrbitLabError):
     """Factorization left the positive cell.
 
-    stage is the word position (0-based) of the first non-positive
+    stage is the word position (1-based) of the first non-positive
     multiplier; marginal is True when the multiplier sits inside the
     boundary tolerance rather than clearly negative.
     """

@@ -17,33 +17,24 @@ matrix's superdiagonal signs pick the only candidate.
 Each step is one no-pivot LU. The leading minors of a Gram matrix
 Q_j^T Q_i of orthonormal bases, rows reversed, are the pair's
 transversality minors; for (f1, f3) its upper factor inverts to the
-chart, and eliminating a middle flag is the same LU. Each Gram matrix
-is one matmul and the rest runs on Python floats: at d = 3..9 a
-numpy call costs more than the arithmetic. Limit flags come from one
-symmetric-power call and one QR for the whole sample, and projectors
-from one einsum over the stacked bases.
-
-Bases are read-only, so a flag's identity names its basis, and each
-pair's transversality, chart inverse and middle flag's sign verdict is
-memoized: kept by the flag of least id, keyed on the step and the other
-flags. Keys hold those flags, so no hit comes from a dead flag's reused
-address, and point to higher ids only, so no cycle forms and the memo is
-freed with its flag. A failure is kept as a verdict and raised anew.
+chart, and eliminating a middle flag is the same LU. Flags built
+together, as limit_flags builds its sample from one symmetric-power
+call and one QR, keep views of one read-only stack of bases and share a
+_FlagSet. Its tables are filled on demand, each by one numpy kernel over
+every member: member i's transversality to all members, and for each
+chart (f_i, f_k) asked for, every member's sign mask and its inverse's.
+A tuple of one set is then a few lookups, and the tables go with the
+flags. Flags of no common set, such as Flag(basis), take the same
+kernels on a throwaway set of their own.
 """
 
+import functools
 import itertools
-import math
-import operator
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    NotPositive,
-    NotTransverse,
-    SpectrumNotLoxodromic,
-)
-from .hypdisc import Mobius, _eigenframes
+from .errors import InvalidInput, NotTransverse, SpectrumNotLoxodromic
+from .hypdisc import _eigenframes
 from .reps import ScaledMatrix, sym_power_matrix
 from .tpos import _cone_params
 from .words import _limit_rows, _rep_tables
@@ -51,6 +42,7 @@ from .words import _limit_rows, _rep_tables
 TRANSVERSE_TOL = 1e-10
 LOG_GAP_MIN = 1e-6
 RANK_TOL = 1e-12
+_NO_UNIT = -2
 
 
 def _orthonormalize(bases, what):
@@ -82,12 +74,13 @@ class Flag:
     """Complete flag; leading k columns of the canonical basis span the
     k-dimensional subspace."""
 
-    __slots__ = ("basis", "_memo")
+    __slots__ = ("basis", "_set", "_index")
 
     def __init__(self, basis):
         self.basis = _orthonormalize([basis], "flag")[0]
         if self.basis.shape[0] != self.basis.shape[1]:
             raise InvalidInput("a complete flag needs a square basis")
+        self._set = None
 
     @property
     def d(self):
@@ -97,10 +90,6 @@ class Flag:
         if not 1 <= k <= self.d - 1:
             raise InvalidInput("piece index must lie in 1..d-1")
         return _canonical(GrassPoint, self.basis[:, :k])
-
-    def dual(self):
-        """Flag of orthogonal complements, reversing the basis order."""
-        return Flag(self.basis[:, ::-1])
 
     def __repr__(self):
         return "Flag(d=%d)" % self.d
@@ -156,26 +145,6 @@ def _projectors(points):
     return np.einsum("nik,njk->nij", bases, bases)
 
 
-def _as_square_matrix(m):
-    if isinstance(m, ScaledMatrix):
-        return m.mat
-    if isinstance(m, Mobius):
-        return m.mat
-    out = np.array(m, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise InvalidInput("need a square matrix")
-    return out
-
-
-def attracting_flag(m):
-    """Eigenbasis flag ordered by decreasing eigenvalue modulus.
-
-    Requires a real spectrum with pairwise modulus gaps; complex pairs
-    or near-ties have no attracting flag.
-    """
-    return Flag(_eigenbasis(_as_square_matrix(m)))
-
-
 def _eigenbasis(mat):
     """Real unit eigenvectors of a square matrix as columns, by
     decreasing eigenvalue modulus; SpectrumNotLoxodromic unless the
@@ -197,145 +166,144 @@ def _eigenbasis(mat):
     return vecs.real[:, order]
 
 
-def transverse(f, g):
-    """Whether complementary pieces meet trivially: _require_transverse of a pair."""
-    try:
-        _require_transverse([f, g])
-    except NotTransverse:
-        return False
-    return True
+class _FlagSet:
+    """Flags built together: their read-only (N, d, d) stack of bases and
+    positivity tables, each filled on demand by one kernel over every
+    member. The set holds no flag, so it goes with its flags."""
 
+    __slots__ = ("bases", "rows", "bad", "charts")
 
-def _memoized(make, flags, *args):
-    """make(*flags, *args), once; the flag of least id is None in the key."""
-    owner = min(flags, key=id)
-    key = (make, *args, *[None if f is owner else f for f in flags])
-    memo = owner._memo = getattr(owner, "_memo", {})
-    try:
-        return memo[key]
-    except KeyError:
-        memo[key] = out = make(*flags, *args)
+    def __init__(self, bases):
+        self.bases, self.rows, self.bad, self.charts = bases, set(), set(), {}
+
+    def flags(self):
+        out = [_canonical(Flag, basis) for basis in self.bases]
+        for n, flag in enumerate(out):
+            flag._set, flag._index = self, n
         return out
 
+    def chart(self, i, k):
+        if (i, k) not in self.charts:
+            self.charts[i, k] = _chart_masks(self.bases, i, k)
+        return self.charts[i, k]
 
-def _lu(rows):
-    """No-pivot LU of nested rows: new rows with the unit lower factor
-    below the diagonal and the upper on and above it. Pivot k is leading
-    minor k + 1 over minor k; a zero pivot stops the elimination there."""
-    a = [list(row) for row in rows]
-    for k, top in enumerate(a[:-1]):
-        if top[k] == 0.0:
-            break
-        for row in a[k + 1:]:
-            m = row[k] = row[k] / top[k]
-            for c in range(k + 1, len(a)):
-                row[c] -= m * top[c]
+
+def _lu(a):
+    """No-pivot LU of an (N, d, d) stack, on a copy: the unit lower factor
+    below the diagonal, the upper on and above it. Pivot k is leading minor
+    k + 1 over minor k; past a zero pivot the entries are inf or nan."""
+    a = np.array(a, dtype=float)
+    for k in range(a.shape[-1] - 1):
+        a[:, k + 1:, k] /= a[:, k, k, np.newaxis]
+        a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, np.newaxis] * a[:, k, np.newaxis, k + 1:]
     return a
 
 
-def _minors(lu):
-    """Leading minors 1..d-1 of an _lu result: running pivot products."""
-    return list(itertools.accumulate((lu[k][k] for k in range(len(lu) - 1)), operator.mul))
+def _transverse_rows(bases, members):
+    """Whether each listed member i is transverse to each member j: no
+    leading minor 1..d-1 of _lu(J Q_j^T Q_i), J the row reversal, at or
+    below TRANSVERSE_TOL. Minor k is, up to sign, det of Q_i's leading k
+    columns beside Q_j's leading d - k."""
+    d = bases.shape[-1]
+    with np.errstate(all="ignore"):
+        grams = np.matmul(bases.transpose(0, 2, 1), bases[members][:, np.newaxis])
+        lu = _lu(grams[:, :, ::-1].reshape(-1, d, d)).diagonal(0, 1, 2)
+        return ~(np.abs(lu[:, :-1].cumprod(1)) <= TRANSVERSE_TOL).any(1).reshape(len(members), -1)
 
 
-def _pair_lu(f, g):
-    """_lu of J Q_g^T Q_f, J the row reversal: its minor k is, up to sign,
-    det of Q_f's leading k columns beside Q_g's leading d - k."""
-    return _lu((g.basis.T @ f.basis)[::-1].tolist())
+@functools.lru_cache(maxsize=None)
+def _triangles(d):
+    """The identity and lower-triangle masks, with and without the diagonal."""
+    return np.eye(d), np.tri(d, dtype=bool), np.tri(d, k=-1)
 
 
-def _transverse_pair(f, g):
-    return not any(abs(m) <= TRANSVERSE_TOL for m in _minors(_pair_lu(f, g)))
+def _eliminate(xs):
+    """(units, failed) of an (N, d, d) stack: the unitriangular u whose
+    last k columns span the leading k of x for every k, as _lu factors
+    x's rows reversed as (J u J) T; failed where a pivot T_kk is at or
+    below TRANSVERSE_TOL times max(1, |T_kk| times the largest entry of
+    column k of J u J)."""
+    a = _lu(xs[:, ::-1])
+    eye, lower, strict = _triangles(a.shape[-1])
+    pivots = np.abs(a.diagonal(0, 1, 2))
+    column = pivots * (np.abs(a) * strict).max(1, initial=1.0)
+    failed = (pivots <= TRANSVERSE_TOL * np.fmax(1.0, column)).any(1)
+    return np.where(lower, eye, a[:, ::-1, ::-1]), failed
+
+
+def _unit_inverse(units):
+    """Inverses of an (N, d, d) stack of unitriangular matrices: the
+    finite series I + M + ... + M^(d-1), M = I - u, by Horner's rule."""
+    eye = _triangles(units.shape[-1])[0]
+    m, inv = eye - units, eye
+    for _ in range(units.shape[-1] - 1):
+        inv = eye + m @ inv
+    return inv
+
+
+def _sign_masks(units):
+    """The sign mask under which each unit of an (N, d, d) stack factors
+    positively, or -1; bit k flips basis vector k. _cone_params fails any
+    superdiagonal entry at or below zero: it tests the last column's, and
+    each peel lowers the others by a passed parameter. So only s_0 = 1,
+    s_(k+1) = s_k sign(u_(k,k+1)) can pass, and none passes a zero or nan."""
+    sup = units.diagonal(1, 1, 2)
+    signs = np.ones(units.shape[:2])
+    signs[:, 1:] = np.where(sup < 0.0, -1.0, 1.0).cumprod(1)
+    _, stage, _ = _cone_params(units * (signs[:, :, np.newaxis] * signs[:, np.newaxis, :]))
+    ok = (stage == 0) & (np.abs(sup) > 0.0).all(1)
+    return np.where(ok, (signs < 0.0) @ (2 ** np.arange(units.shape[-1])), -1)
+
+
+def _chart_masks(bases, i, k):
+    """Lists of each member's _sign_masks in the chart of members i and
+    k, and of its inverse's; _NO_UNIT where the member fails _eliminate.
+    With J Q_k^T Q_i = L U, column c of Q_i U^-1 lies in f_i^c meet
+    f_k^(d-c+1); at unit length these columns are the chart, whose
+    inverse is N U Q_i^T, N the column norms of U^-1."""
+    with np.errstate(all="ignore"):
+        lu = _lu((bases[k].T @ bases[i])[np.newaxis, ::-1])[0]
+        upper = lu * _triangles(len(lu))[1].T
+        norms = np.linalg.norm(np.linalg.inv(upper), axis=0)
+        units, failed = _eliminate(upper * norms[:, np.newaxis] @ bases[i].T @ bases)
+        masks = _sign_masks(np.concatenate([units, _unit_inverse(units)]))
+        return np.where(failed, _NO_UNIT, masks.reshape(2, -1)).tolist()
 
 
 def _require_transverse(flags):
-    """NotTransverse names the first pair, in (i, j) order, with a
-    _pair_lu minor at or below TRANSVERSE_TOL."""
-    if len({f.basis.shape for f in flags}) != 1:
-        raise InvalidInput("flags live in different dimensions")
-    for i, j in itertools.combinations(range(len(flags)), 2):
-        if not _memoized(_transverse_pair, (flags[i], flags[j])):
-            raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
-
-
-def _upper_inverse(u):
-    """Columns of the inverse of u's upper triangle, by back-substitution."""
-    cols = [[float(r == k) for r in range(len(u))] for k in range(len(u))]
-    for c in cols:
-        for r in reversed(range(len(u))):
-            c[r] = (c[r] - sum(map(operator.mul, u[r][r + 1:], c[r + 1:]))) / u[r][r]
-    return cols
-
-
-def _eliminate(x):
-    """The unitriangular u, nested rows, whose last k columns span the
-    leading k of x for every k: _lu factors x's rows reversed as (J u J) T.
-    NotTransverse when a pivot T_kk is at or below TRANSVERSE_TOL times
-    max(1, |T_kk| times the largest entry of column k of J u J)."""
-    a = _lu(x[::-1])
-    d = len(a)
-    for k in range(d):
-        pivot = abs(a[k][k])
-        column = pivot * max([1.0] + [abs(row[k]) for row in a[k + 1:]])
-        if pivot <= TRANSVERSE_TOL * max(1.0, column):
-            raise NotTransverse("flag is not transverse to the chart's third flag")
-    return [[a[d - 1 - r][d - 1 - c] if r < c else float(r == c) for c in range(d)]
-            for r in range(d)]
-
-
-def _chart_inverse(f1, f3):
-    """The inverse N U Q1^T of the chart of (f1, f3). With J Q3^T Q1 = L U,
-    column k of Q1 U^-1 lies in f1^k meet f3^(d-k+1); at unit length,
-    these columns are the chart, and N holds the column norms of U^-1."""
-    lu = _pair_lu(f1, f3)
-    norms = [math.hypot(*col) for col in _upper_inverse(lu)]
-    return np.array([[0.0] * r + [n * x for x in row[r:]]
-                     for r, (n, row) in enumerate(zip(norms, lu))]) @ f1.basis.T
-
-
-def _positive_under(mask, u):
-    """Whether u, nested rows, factors positively conjugated by diag(s),
-    s_k = -1 where bit k of mask is set."""
-    signs = [-1.0 if mask >> k & 1 else 1.0 for k in range(len(u))]
-    try:
-        _cone_params([[x * s * t for x, t in zip(row, signs)] for row, s in zip(u, signs)])
-    except NotPositive:
-        return False
-    return True
-
-
-def _positive_mask(u):
-    """The sign mask under which u, nested rows, factors positively, or -1.
-    _cone_params fails any superdiagonal entry at or below zero: it tests
-    the last column's, and each peel lowers the others by a passed
-    parameter. So only s_0 = 1, s_(k+1) = s_k sign(u_(k,k+1)) can pass."""
-    mask = 0
-    for k, row in enumerate(u[:-1]):
-        if not (row[k + 1] > 0.0 or row[k + 1] < 0.0):
-            return -1
-        mask |= (mask >> k & 1 ^ (row[k + 1] < 0.0)) << k + 1
-    return mask if _positive_under(mask, u) else -1
-
-
-def _unit_mask(f1, f3, f, invert):
-    """_positive_mask of f's unit in the chart of (f1, f3), inverted if
-    asked; None when the elimination fails."""
-    try:
-        u = _eliminate((_memoized(_chart_inverse, (f1, f3)) @ f.basis).tolist())
-    except NotTransverse:
-        return None
-    return _positive_mask(list(zip(*_upper_inverse(u))) if invert else u)
+    """The flags' shared _FlagSet and their indices in it, or else a
+    throwaway set of their own. The set's rows are the members i whose
+    _transverse_rows it has read, and bad holds each pair (i, j) found
+    not transverse; NotTransverse names the tuple's first in (i, j) order."""
+    fs = flags[0]._set
+    if fs is None or [f._set for f in flags].count(fs) < len(flags):
+        if len({f.basis.shape for f in flags}) != 1:
+            raise InvalidInput("flags live in different dimensions")
+        fs, idx = _FlagSet(np.array([f.basis for f in flags])), range(len(flags))
+    else:
+        idx = [f._index for f in flags]
+    new = sorted(set(idx[:-1]) - fs.rows)
+    if new:
+        fs.rows.update(new)
+        rows, cols = np.nonzero(~_transverse_rows(fs.bases, new))
+        fs.bad.update(zip(np.take(new, rows).tolist(), cols.tolist()))
+    if not fs.bad.isdisjoint(itertools.combinations(idx, 2)):
+        p, q = next((p, q) for p, q in itertools.combinations(range(len(idx)), 2)
+                    if (idx[p], idx[q]) in fs.bad)
+        raise NotTransverse("flags %d and %d are not transverse" % (p + 1, q + 1))
+    return fs, idx
 
 
 def _tuple_positive(flags):
     """Whether the second flag's unit, and the fourth's inverse, factor
-    positively under one sign mask: by _positive_mask, their own."""
-    _require_transverse(flags)
-    f1, f3 = flags[0], flags[2]
-    masks = [_memoized(_unit_mask, (f1, f3, f), k == 3) for k, f in enumerate(flags) if k % 2]
-    if None in masks:
+    positively under one sign mask: by _sign_masks, their own."""
+    fs, idx = _require_transverse(flags)
+    forward, inverse = fs.chart(idx[0], idx[2])
+    first = forward[idx[1]]
+    last = inverse[idx[3]] if len(idx) == 4 else first
+    if _NO_UNIT in (first, last):
         raise NotTransverse("flag is not transverse to the chart's third flag")
-    return masks[0] >= 0 and masks[-1] == masks[0]
+    return first >= 0 and last == first
 
 
 def triple_positive(f1, f2, f3):
@@ -359,12 +327,6 @@ def quadruple_positive(f1, f2, f3, f4):
     return _tuple_positive([f1, f2, f3, f4])
 
 
-def veronese_flag(t, d):
-    """Osculating flag of the moment curve direction (1, t) under the
-    degree d-1 symmetric power."""
-    return Flag(sym_power_matrix(np.array([[1.0, 0.0], [float(t), 1.0]]), d))
-
-
 def _loxodromic_frames(mats):
     """hypdisc._eigenframes of stacked real 2x2 matrices, each checked to
     have distinct real eigenvalue moduli."""
@@ -386,16 +348,16 @@ def limit_flags(rep, group, depth):
     on the 2x2 products the limit-set walk carries, their symmetric
     powers from one sym_power_matrix call and the canonical bases from
     one QR. Any other representation takes the direct eigenvector route
-    on the dense image the walk carries.
+    on the dense image the walk carries. The flags share one _FlagSet.
     """
     tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
         points, _, (mats,) = _limit_rows(group, depth, [rep.images])
-        return [(bp, attracting_flag(ScaledMatrix(m))) for bp, m in zip(points, mats)]
-    points, _, (mats,) = _limit_rows(group, depth, tables)
-    bases = _orthonormalize(sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0]),
-                            "flag")
-    return [(bp, _canonical(Flag, basis)) for bp, basis in zip(points, bases)]
+        bases = [_eigenbasis(ScaledMatrix(m).mat) for m in mats]
+    else:
+        points, _, (mats,) = _limit_rows(group, depth, tables)
+        bases = sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0])
+    return list(zip(points, _FlagSet(_orthonormalize(bases, "flag")).flags()))
 
 
 def limit_curve(rep, group, depth, k):

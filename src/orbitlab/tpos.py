@@ -8,10 +8,12 @@ inverts it for the standard word (1, 2,1, 3,2,1, ...), whose letters
 group into blocks of descending indices. Each block multiplies out to a
 unit upper bidiagonal matrix, and a product of bidiagonal blocks can be
 peeled from the right by reading one corrected superdiagonal entry per
-column. The sweep runs on nested lists of floats, and flag positivity
-calls it directly. A parameter at or below zero means the input sits
-outside the open semigroup; the sweep reports which letter failed and
-whether the value was merely marginal.
+column. The sweep runs on a stack of matrices at once, one numpy
+operation per letter: flag positivity sweeps every member of a chart in
+one call, and factorize is the one-row call. A parameter at or below
+zero means the input sits outside the open semigroup; the sweep reports
+which letter failed first and its value, so NotPositive can say whether
+the value was merely marginal.
 
 pi_beta sums the parameters attached to one letter. It equals the
 corresponding superdiagonal entry of the product, which makes it
@@ -150,42 +152,52 @@ def f_gamma(word, params):
 
 
 def factorize(u):
-    """Cone coordinates along the standard word: _cone_params of u's rows."""
-    return ConeCoords(standard_word(u.dim), _cone_params(u.mat.tolist()))
+    """Cone coordinates along the standard word: the one-row call of
+    _cone_params. NotPositive names the first failing letter."""
+    word = standard_word(u.dim)
+    params, stage, value = _cone_params(u.mat[np.newaxis])
+    s, c = int(stage[0]), float(value[0])
+    if s:
+        k = (math.isqrt(8 * s - 7) + 1) // 2
+        raise NotPositive("block %d parameter for letter %d is %.3g, not positive"
+                          % (k, k * (k + 1) // 2 - s + 1, c),
+                          stage=s, marginal=c > -POSITIVITY_TOL)
+    return ConeCoords(word, params[0])
 
 
-def _cone_params(rows):
-    """Standard-word parameters of a unitriangular matrix of nested rows.
+def _cone_params(mats):
+    """Standard-word parameters of an (N, d, d) stack of unitriangular
+    matrices, (N, m) in word order, and each row's first failure.
 
     The last descending block is a unit bidiagonal factor b with
     mat = g . b; sweeping columns right to left recovers one parameter
     per column and builds g a column at a time, then g's leading
-    principal block carries the same structure one dimension down.
-    A parameter at or below POSITIVITY_TOL stops the sweep with
-    NotPositive; stage is the failing letter's 1-based position in the
-    word, and values within the tolerance of zero are flagged marginal.
-    Failures are detected in elimination order (last block first).
+    principal block carries the same structure one dimension down. Each
+    step is one elementwise operation on the stack, so a row gets the
+    floats a sweep of that row alone gives. A parameter at or below
+    POSITIVITY_TOL, or not finite, fails its row. The (N,) stage is the
+    first failure's 1-based position in the word, in elimination order
+    (last block first), or 0 where the row passed; value is that
+    parameter, 0 where the row passed.
     """
-    cols = list(zip(*rows))
-    params = []
-    for k in range(len(rows) - 1, 0, -1):
-        # block k lists letters k, k-1, ..., 1, the order the sweep finds them
-        col, block, peeled = [0.0] * k + [1.0], [], []
-        for j in range(k - 1, -1, -1):
-            c = cols[j + 1][j] - col[j]
-            if not (c > POSITIVITY_TOL and math.isfinite(c)):
-                raise NotPositive(
-                    "block %d parameter for letter %d is %.3g, not positive"
-                    % (k, j + 1, c),
-                    stage=k * (k + 1) // 2 - j,
-                    marginal=c > -POSITIVITY_TOL,
-                )
-            col = [(a - b) / c for a, b in zip(cols[j + 1], col)]
-            block.append(c)
-            peeled.append(col[:k])
-        params = block + params
-        cols = peeled[::-1]
-    return params
+    n, d = mats.shape[0], mats.shape[-1]
+    m = d * (d - 1) // 2
+    cols = mats.transpose(0, 2, 1)
+    # word order, and a last column of zeros that fails every row at stage 0
+    found, order = np.zeros((n, m + 1)), []
+    with np.errstate(all="ignore"):
+        for k in range(d - 1, 0, -1):
+            # block k lists letters k, k-1, ..., 1, the order the sweep finds them
+            col, peeled = np.eye(k + 1)[k], np.empty((n, k, k))
+            for j in range(k - 1, -1, -1):
+                order.append(k * (k + 1) // 2 - j - 1)
+                c = found[:, order[-1]] = cols[:, j + 1, j] - col[..., j]
+                col = (cols[:, j + 1] - col) / c[:, np.newaxis]
+                peeled[:, j] = col[:, :k]
+            cols = peeled
+        ok = (found > POSITIVITY_TOL) & (found < np.inf)
+    first = np.array(order + [m])[np.argmin(ok[:, order + [m]], axis=1)]
+    return found[:, :m], np.where(first < m, first + 1, 0), found[np.arange(n), first]
 
 
 def pi_beta(word, params, i):

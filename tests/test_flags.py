@@ -7,6 +7,7 @@ quadruple is positive exactly when its parameters are in cyclic order.
 """
 
 import csv
+import functools
 import gc
 import itertools
 import math
@@ -14,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from flagtools import attracting_flag, dual, transverse, veronese_flag
 from scipy.linalg import solve_triangular
 
 from orbitlab import flags as flags_module
@@ -32,24 +34,18 @@ from orbitlab.flags import (
     _eliminate,
     _loxodromic_frames,
     _lu,
-    _memoized,
-    _minors,
-    _pair_lu,
-    _positive_mask,
-    _positive_under,
-    attracting_flag,
+    _sign_masks,
+    _transverse_rows,
     flag_distance,
     limit_curve,
     limit_flags,
     polygonal_length,
     quadruple_positive,
-    transverse,
     triple_positive,
-    veronese_flag,
     write_curve_csv,
 )
 from orbitlab.reps import _word_product, custom_rep, sym_power, sym_power_matrix
-from orbitlab.tpos import Unitriangular, f_gamma, factorize, standard_word
+from orbitlab.tpos import Unitriangular, _cone_params, f_gamma, factorize, standard_word
 from orbitlab.words import limit_sample_words, modular_group, standard_schottky
 
 
@@ -79,7 +75,8 @@ def test_flag_canonical_form_is_unique():
 
 
 def test_bases_are_read_only():
-    # a basis is never written in place, so a flag's identity keys its memo
+    # a basis is never written in place, so a set's tables stay true to
+    # the stack its flags view
     f = Flag(np.random.default_rng(2).normal(size=(3, 3)))
     group = standard_schottky()
     rep = sym_power(3)(group.generator_matrices())
@@ -120,7 +117,7 @@ def test_grass_point_orthonormalized():
 def test_dual_flag_reverses_pieces():
     rng = np.random.default_rng(3)
     f = Flag(rng.normal(size=(4, 4)))
-    d = f.dual()
+    d = dual(f)
     # the dual's k-piece is the orthogonal complement of the (4-k)-piece
     for k in (1, 2, 3):
         inner = d.piece(k).basis.T @ f.piece(4 - k).basis
@@ -283,9 +280,9 @@ def test_positivity_invariant_under_group_action():
 
 def test_positivity_invariant_under_duality():
     quad = (VER[-2.0], VER[-1.0], VER[1.0], VER[2.0])
-    assert quadruple_positive(*(f.dual() for f in quad))
+    assert quadruple_positive(*(dual(f) for f in quad))
     bad = (VER[-2.0], VER[1.0], VER[-1.0], VER[2.0])
-    assert not quadruple_positive(*(f.dual() for f in bad))
+    assert not quadruple_positive(*(dual(f) for f in bad))
 
 
 def test_subtriples_of_positive_quadruple():
@@ -329,11 +326,23 @@ def scan_positive(units):
     return False
 
 
+def own_mask(u):
+    """_sign_masks of one unit, nested rows."""
+    return int(_sign_masks(np.array(u, dtype=float)[np.newaxis])[0])
+
+
+def positive_under(mask, u):
+    """Whether u, nested rows, passes _cone_params conjugated by diag(s),
+    s_k = -1 where bit k of mask is set."""
+    signs = np.array([-1.0 if mask >> k & 1 else 1.0 for k in range(len(u))])
+    return _cone_params((np.array(u) * np.outer(signs, signs))[np.newaxis])[1][0] == 0
+
+
 def one_candidate(units):
     """The single candidate's decision on units, nested rows: the first
     unit's sign mask, then every unit conjugated by its signs."""
-    mask = _positive_mask(units[0])
-    return mask >= 0 and all(_positive_under(mask, u) for u in units)
+    mask = own_mask(units[0])
+    return mask >= 0 and all(positive_under(mask, u) for u in units)
 
 
 def test_one_sign_candidate_matches_the_scan():
@@ -399,8 +408,8 @@ def test_only_the_own_sign_mask_can_pass():
                 np.fill_diagonal(u, 1.0)
             signs = np.concatenate([[1.0], rng.choice([-1.0, 1.0], size=d - 1)])
             rows = (u * np.outer(signs, signs)).tolist()
-            own = _positive_mask(rows)
-            passing = [m for m in range(0, 2 ** d, 2) if _positive_under(m, rows)]
+            own = own_mask(rows)
+            passing = [m for m in range(0, 2 ** d, 2) if positive_under(m, rows)]
             assert passing == ([own] if own >= 0 else [])
             seen.add(own >= 0)
     assert seen == {True, False}
@@ -451,27 +460,52 @@ def oracle_eliminate(basis):
     return Unitriangular(u)
 
 
-def oracle_units(*flags):
-    """The second flag's unit and the inverse of the fourth's, nested
-    rows, by the per-column chart, one elimination per flag and scipy's
-    triangular inverse."""
-    g = np.linalg.inv(oracle_chart(flags[0], flags[2]))
-    units = [oracle_eliminate(g @ flags[1].basis).mat]
-    if len(flags) == 4:
-        w = oracle_eliminate(g @ flags[3].basis)
+def oracle_unit(g, f, position):
+    """The unit of f in the chart whose inverse is g, nested rows, by one
+    elimination; at position 4, its inverse by scipy's triangular inverse."""
+    w = oracle_eliminate(g @ f.basis)
+    if position == 4:
         inv = np.triu(solve_triangular(w.mat, np.eye(w.dim), unit_diagonal=True))
         np.fill_diagonal(inv, 1.0)
-        units.append(inv)
-    return [u.tolist() for u in units]
+        return inv.tolist()
+    return w.mat.tolist()
+
+
+def oracle_units(*flags):
+    """The second flag's unit and the inverse of the fourth's, nested
+    rows, in the per-column chart of the first and third."""
+    g = np.linalg.inv(oracle_chart(flags[0], flags[2]))
+    return [oracle_unit(g, flags[k], k + 1) for k in range(1, len(flags), 2)]
+
+
+class IndexedOracle:
+    """triple_positive or quadruple_positive by the per-pair minors, the
+    per-column chart and oracle_unit, on indices into one list of flags.
+    Each pair's minors, each chart, each (f1, f3, middle flag, position)
+    unit and its sign decisions are computed once per oracle."""
+
+    def __init__(self, flags):
+        cache = functools.lru_cache(maxsize=None)
+        self.transverse = cache(lambda i, j: oracle_transverse(flags[i], flags[j]))
+        self.chart = cache(lambda i, k: np.linalg.inv(oracle_chart(flags[i], flags[k])))
+        self.unit = cache(lambda i, k, m, position: oracle_unit(self.chart(i, k), flags[m], position))
+        self.mask = cache(lambda *key: own_mask(self.unit(*key)))
+        self.under = cache(lambda mask, *key: positive_under(mask, self.unit(*key)))
+
+    def __call__(self, *idx):
+        for p, q in itertools.combinations(range(len(idx)), 2):
+            if not self.transverse(idx[p], idx[q]):
+                raise NotTransverse("flags %d and %d are not transverse" % (p + 1, q + 1))
+        keys = [(idx[0], idx[2], idx[k], k + 1) for k in range(1, len(idx), 2)]
+        for key in keys:
+            self.unit(*key)
+        mask = self.mask(*keys[0])
+        return mask >= 0 and all(self.under(mask, *key) for key in keys)
 
 
 def oracle_positive(*flags):
-    """triple_positive or quadruple_positive by the per-pair minors and
-    oracle_units."""
-    for i, j in itertools.combinations(range(len(flags)), 2):
-        if not oracle_transverse(flags[i], flags[j]):
-            raise NotTransverse("flags %d and %d are not transverse" % (i + 1, j + 1))
-    return one_candidate(oracle_units(*flags))
+    """The oracle on one tuple of flags."""
+    return IndexedOracle(flags)(*range(len(flags)))
 
 
 def stacked_positive(*flags):
@@ -502,15 +536,37 @@ def criterion_11_calls(flags, rng):
     return calls
 
 
-def test_stacked_positivity_matches_the_oracle_on_criterion_11():
-    rng = np.random.default_rng(111)
+def criterion_11_flags():
+    """Both groups' depth-2 sym3 limit flags, as criterion 11 samples them."""
     for group in (standard_schottky(), separated_schottky(2.0)):
         rep = sym_power(3)(group.generator_matrices(), label="sym3")
-        flags = [f for _, f in limit_flags(rep, group, 2)]
-        calls = criterion_11_calls(flags, rng)
+        yield [f for _, f in limit_flags(rep, group, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_11_oracles():
+    """One IndexedOracle per group, on flags of its own."""
+    return [IndexedOracle(flags) for flags in criterion_11_flags()]
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_11_decisions(seed):
+    """Per group, the criterion-11 calls of stream seed as index tuples,
+    one stream for both groups as the criterion draws them, with the
+    oracle's decisions; computed once for the tests that read them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for flags, oracle in zip(criterion_11_flags(), criterion_11_oracles()):
+        calls = criterion_11_calls(range(len(flags)), rng)
+        out.append((calls, [decision(oracle, idx) for idx in calls]))
+    return out
+
+
+def test_stacked_positivity_matches_the_oracle_on_criterion_11():
+    for flags, (calls, want) in zip(criterion_11_flags(), criterion_11_decisions(111)):
         assert len(calls) == 3195
-        got = [decision(stacked_positive, tup) for tup in calls]
-        assert got == [decision(oracle_positive, tup) for tup in calls]
+        got = [decision(stacked_positive, [flags[i] for i in idx]) for idx in calls]
+        assert got == want
         assert True in got and False in got
 
 
@@ -552,16 +608,21 @@ def test_stacked_positivity_matches_the_oracle_on_gaussian_flags(d):
 
 def test_stacked_elimination_raises_on_a_zero_pivot():
     # the reversal eliminates to the identity; the identity's rows
-    # reversed have a zero leading pivot, which stops the LU there
-    assert _eliminate(np.eye(3)[::-1].tolist()) == np.eye(3).tolist()
-    assert _minors(_lu(np.eye(3)[::-1].tolist())) == [0.0, 0.0]
-    with pytest.raises(NotTransverse):
-        _eliminate(np.eye(3).tolist())
+    # reversed have a zero leading pivot, which fails the elimination,
+    # and a flag's Gram matrix with itself is the identity, which fails
+    # the pair check
+    with np.errstate(all="ignore"):
+        units, failed = _eliminate(np.array([np.eye(3)[::-1], np.eye(3)]))
+    assert units[0].tolist() == np.eye(3).tolist() and failed.tolist() == [False, True]
+    stack = np.array([np.eye(3), np.eye(3)[:, ::-1]])
+    assert _transverse_rows(stack, [0, 1]).tolist() == [[False, True], [True, False]]
     rng = np.random.default_rng(41)
     for d in (2, 3, 6):
         x = rng.normal(size=(d, d))
         want = oracle_eliminate(x).mat
-        assert np.abs(np.array(_eliminate(x.tolist())) - want).max() <= 1e-12 * np.abs(want).max()
+        units, failed = _eliminate(x[np.newaxis])
+        assert not failed[0]
+        assert np.abs(units[0] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def lu_minors_against_dets(flags):
@@ -572,8 +633,9 @@ def lu_minors_against_dets(flags):
     d = flags[0].d
     worst = 0.0
     for f, g in itertools.combinations(flags, 2):
-        minors = _minors(_pair_lu(f, g))
-        for k, minor in enumerate(minors, 1):
+        with np.errstate(all="ignore"):
+            lu = _lu((g.basis.T @ f.basis)[np.newaxis, ::-1])[0]
+        for k, minor in enumerate(np.cumprod(np.diagonal(lu)[:-1]), 1):
             det = np.linalg.det(np.hstack([f.basis[:, :k], g.basis[:, : d - k]]))
             worst = max(worst, abs(abs(minor) - abs(det)))
             if abs(minor) <= TRANSVERSE_TOL:
@@ -591,22 +653,15 @@ def test_lu_minors_match_the_oracle_determinants():
             assert lu_minors_against_dets(quad) <= 1e-12
 
 
-def criterion_11_flags():
-    """Both groups' depth-2 sym3 limit flags, as criterion 11 samples them."""
-    for group in (standard_schottky(), separated_schottky(2.0)):
-        rep = sym_power(3)(group.generator_matrices(), label="sym3")
-        yield [f for _, f in limit_flags(rep, group, 2)]
-
-
-def test_warm_memo_cold_memo_and_oracle_decide_alike():
-    rng = np.random.default_rng(113)
-    for flags in criterion_11_flags():
-        calls = criterion_11_calls(flags, rng)
-        # the first pass warms the memo as it goes; the second reads it
-        first = [decision(stacked_positive, tup) for tup in calls]
-        warm = [decision(stacked_positive, tup) for tup in calls]
-        cold = [decision(stacked_positive, [Flag(f.basis) for f in tup]) for tup in calls]
-        assert first == warm == cold == [decision(oracle_positive, tup) for tup in calls]
+def test_warm_memo_cold_memo_and_oracle_decide_alike(monkeypatch):
+    for flags, (calls, want) in zip(criterion_11_flags(), criterion_11_decisions(113)):
+        tuples = [[flags[i] for i in idx] for idx in calls]
+        # the first pass fills the set's tables as it goes, the second
+        # reads them, and fresh copies share no set
+        first = [decision(stacked_positive, tup) for tup in tuples]
+        warm = [decision(stacked_positive, tup) for tup in tuples]
+        cold = [decision(stacked_positive, [Flag(f.basis) for f in tup]) for tup in tuples]
+        assert first == warm == cold == want
         assert True in warm and False in warm
         # the first call stores the failing pair's verdict, the second reads it
         a, b, c = flags[:3]
@@ -616,45 +671,38 @@ def test_warm_memo_cold_memo_and_oracle_decide_alike():
             assert decision(stacked_positive, tup) == want
             assert decision(stacked_positive, tup) == want
     fresh = [veronese_flag(t, 3) for t in (-1.0, 0.0, 1.0)] + [veronese_flag(2.0, 4)]
+
+    def no_set(bases):
+        raise AssertionError("a flag set was made")
+
+    monkeypatch.setattr(flags_module, "_FlagSet", no_set)
     with pytest.raises(InvalidInput):
         quadruple_positive(*fresh)
     with pytest.raises(InvalidInput):
         transverse(fresh[0], fresh[3])
-    assert not any(hasattr(f, "_memo") for f in fresh)
-
-
-def test_no_hit_from_a_dead_flag():
-    # a flag dropped by the caller, and new flags that may take its
-    # address, never share a memo entry
-    pool = [veronese_flag(t, 3) for t in np.linspace(-2.0, 2.0, 40)]
-    owner, dropped = min(pool, key=id), max(pool, key=id)
-    made = []
-
-    def make(f, g):
-        made.append(None)
-        return len(made)
-
-    assert _memoized(make, (owner, dropped)) == 1
-    pool.remove(dropped)
-    del dropped
-    fresh = [Flag(np.eye(3)) for _ in range(200)]
-    assert [_memoized(make, (owner, f)) for f in fresh] == list(range(2, 202))
 
 
 def test_memo_bounds_the_eliminations(monkeypatch):
-    calls = []
+    rows, charts = [], []
+    count_rows, count_charts = flags_module._transverse_rows, flags_module._chart_masks
 
-    def counted(x):
-        calls.append(x)
-        return _eliminate(x)
+    def counted_rows(bases, members):
+        rows.extend(members)
+        return count_rows(bases, members)
 
-    monkeypatch.setattr(flags_module, "_eliminate", counted)
+    def counted_charts(bases, i, k):
+        charts.append((i, k))
+        return count_charts(bases, i, k)
+
+    monkeypatch.setattr(flags_module, "_transverse_rows", counted_rows)
+    monkeypatch.setattr(flags_module, "_chart_masks", counted_charts)
     flags = next(criterion_11_flags())
     assert len(flags) == 12
     for tup in criterion_11_calls(flags, np.random.default_rng(111)):
         stacked_positive(*tup)
-    # one elimination per (f1, f3, middle flag, position) at most
-    assert 0 < len(calls) <= 12 * 11 * 10 * 2
+    # one kernel per chart and per pair row at most, each run once
+    assert 0 < len(charts) == len(set(charts)) <= 12 * 11
+    assert 0 < len(rows) == len(set(rows)) <= 12
 
 
 def test_memo_goes_with_the_flags():
@@ -663,17 +711,66 @@ def test_memo_goes_with_the_flags():
     try:
         before = tracemalloc.get_traced_memory()[0]
         flags = next(criterion_11_flags())
+        built = tracemalloc.get_traced_memory()[0]
         for tup in criterion_11_calls(flags, np.random.default_rng(111)):
             stacked_positive(*tup)
-        held = tracemalloc.get_traced_memory()[0] - before
-        assert any(hasattr(f, "_memo") for f in flags)
+        tables = tracemalloc.get_traced_memory()[0] - built
+        assert len(flags[0]._set.charts) == 12 * 11
         del flags, tup
-        # no reference cycle: the drop alone freed the memo
+        # no reference cycle: the drop alone freed the set and its tables
         assert gc.collect() == 0
         left = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held > 100_000 and left < 0.05 * held
+    assert tables > 50_000 and left < 0.05 * tables
+
+
+def test_mixed_set_tuples_decide_as_the_oracle():
+    # limit flags beside moved copies, as in the doubling pool, and
+    # repeated flags: a tuple of one set reads its tables, any other
+    # takes a throwaway set, and both decide as the oracle does
+    group = separated_schottky(2.0)
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    base = [f for _, f in limit_flags(rep, group, 3)]
+    big = sym_power_matrix(group.image("a").mat, 3)
+    pool = base + [Flag(big @ f.basis) for f in base] + [Flag(f.basis) for f in base[:8]]
+    rng = np.random.default_rng(61)
+    seen = []
+    for trial in range(400):
+        # every fourth tuple from the set alone, every fifth with a repeat
+        picks = rng.choice(len(base) if trial % 4 == 0 else len(pool), size=3 + trial % 2,
+                           replace=False)
+        tup = [pool[i] for i in (picks if trial % 3 else np.sort(picks))]
+        if trial % 5 == 0:
+            tup[-1] = tup[rng.integers(len(tup) - 1)]
+        got = decision(stacked_positive, tup)
+        assert got == decision(oracle_positive, tup)
+        seen.append((got, all(f._set is base[0]._set for f in tup)))
+    # both routes give True, False and NotTransverse
+    for shared in (True, False):
+        got = {x if isinstance(x, bool) else "raised" for x, s in seen if s is shared}
+        assert got == {True, False, "raised"}
+
+
+def test_one_call_on_a_large_set_keeps_no_square_table():
+    group = standard_schottky(4.0)
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    flags = [f for _, f in limit_flags(rep, group, 8)]
+    n, d = len(flags), 3
+    assert n == 7588
+    for picks in ((0, n // 4, n // 2, 3 * n // 4), (0, n // 2, n // 4, 3 * n // 4)):
+        quad = [flags[i] for i in picks]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = decision(stacked_positive, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == decision(oracle_positive, quad)
+        # a few (N, d, d) stacks; a table of N^2 booleans alone is 57.6 MB
+        assert peak < 24 * n * d * d * 8 < n * n
+    assert got is False
 
 
 # ----------------------------------------------------------- limit maps

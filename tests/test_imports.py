@@ -259,7 +259,6 @@ def test_detector_flags_a_planted_half_length():
 # public names and methods no caller reaches, each kept for a reason
 UNCALLED = {
     "DiscPoint": "Klein-model oracle for displacement and shadows",
-    "Flag.dual": "the duality property test",
     "Mobius.boost": "builder of test isometries",
     "Mobius.identity": "builder of test isometries",
     "ScaledMatrix.identity": "oracle of the product and rep tests",
@@ -270,8 +269,6 @@ UNCALLED = {
     "dist_h": "Klein-model oracle for displacement and shadows",
     "poincare_series": "paper quantity: the series that defines the exponent",
     "synthetic_log_sample": "oracle: a family with a known exponent",
-    "transverse": "one-pair call of the memoized pair check",
-    "veronese_flag": "oracle: flags of known positivity",
 }
 
 

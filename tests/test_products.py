@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from flagtools import attracting_flag
 
 from orbitlab import cli, limitgeom
 from orbitlab.cartan import (
@@ -37,7 +38,6 @@ from orbitlab.doubling import (
 from orbitlab.errors import IllConditioned, InvalidInput
 from orbitlab.flags import (
     Flag,
-    attracting_flag,
     flag_distance,
     limit_curve,
     limit_flags,

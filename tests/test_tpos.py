@@ -21,6 +21,7 @@ from orbitlab.tpos import (
     f_gamma,
     factorize,
     pi_beta,
+    _cone_params,
     standard_word,
 )
 
@@ -260,6 +261,60 @@ def test_factorize_is_bit_identical_to_the_array_sweep():
             failures += isinstance(got, tuple)
     # every planted -0.3, 0 and 1e-11 fails somewhere in the sweep
     assert failures >= 3 * sum(n * (n - 1) // 2 for n in range(2, 10))
+
+
+def row_sweep(rows):
+    """The sweep on one matrix of nested rows, on Python floats, as it ran
+    before it was stacked: the parameters, or the stage and value of the
+    first failure."""
+    cols = list(zip(*rows))
+    params = []
+    for k in range(len(rows) - 1, 0, -1):
+        col, block, peeled = [0.0] * k + [1.0], [], []
+        for j in range(k - 1, -1, -1):
+            c = cols[j + 1][j] - col[j]
+            if not (c > POSITIVITY_TOL and math.isfinite(c)):
+                return k * (k + 1) // 2 - j, c
+            col = [(a - b) / c for a, b in zip(cols[j + 1], col)]
+            block.append(c)
+            peeled.append(col[:k])
+        params = block + params
+        cols = peeled[::-1]
+    return params
+
+
+def test_stacked_cone_params_match_the_row_sweep():
+    rng = np.random.default_rng(71)
+    planted = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-10, -1e-10, 2e-10, 1e-300, 1e300]
+    seen = set()
+    for d in range(2, 8):
+        w = standard_word(d)
+        mats = []
+        for trial in range(120):
+            _, p = random_coords(rng, d, 0.05, 2.0)
+            if trial % 3 == 1:
+                p[rng.integers(len(w))] = rng.choice([1e-10, 1.5e-10, 9e-11, 0.0, -1e-11])
+            u = f_gamma(w, p).mat
+            if trial % 4 == 2:
+                u = np.triu(rng.normal(size=(d, d)), 1) + np.eye(d)
+            if trial % 2:
+                r, c = np.sort(rng.choice(d, size=2, replace=False))
+                u[r, c] = rng.choice(planted)
+            mats.append(u)
+        params, stage, value = _cone_params(np.array(mats))
+        for u, got_params, got_stage, got_value in zip(mats, params, stage, value):
+            want = row_sweep(u.tolist())
+            if isinstance(want, list):
+                assert got_stage == 0 and got_value == 0.0
+                assert [t.hex() for t in got_params.tolist()] == [t.hex() for t in want]
+            else:
+                # the same stage, and the same value bit for bit, nan for nan
+                assert (int(got_stage), repr(float(got_value))) == (want[0], repr(want[1]))
+                assert float(got_value).hex() == want[1].hex() or math.isnan(want[1])
+                assert (got_value > -POSITIVITY_TOL) == (want[1] > -POSITIVITY_TOL)
+            seen.add(isinstance(want, list) or (math.isnan(want[1]), want[1] > -POSITIVITY_TOL))
+    # passing rows, and failures that are nan, marginal and clearly negative
+    assert seen == {True, (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------- grading and logs
