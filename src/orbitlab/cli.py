@@ -39,7 +39,7 @@ from .errors import InvalidInput, OrbitLabError
 from .flags import limit_curve, polygonal_length, write_curve_csv
 from .limitgeom import box_dimension, shadow_separation_check
 from .reps import sym_power
-from .tpos import f_gamma, factorize, standard_word
+from .tpos import Unitriangular, _cone_params, f_gamma, factorize, standard_word
 from .words import (
     _orbit_csv_header,
     _orbit_csv_row,
@@ -316,13 +316,14 @@ def cmd_shadows(cfg):
 def cmd_tp(cfg):
     with _config_phase():
         word = standard_word(cfg.dim)
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(cfg.trials):
-        params = rng.uniform(0.2, 2.0, size=len(word.letters))
-        coords = factorize(f_gamma(word, params))
-        err = float(np.abs(np.asarray(coords.params) - params).max())
-        worst = max(worst, err)
+    params = np.random.default_rng(cfg.seed).uniform(
+        0.2, 2.0, size=(cfg.trials, len(word.letters)))
+    mats = np.array([f_gamma(word, row).mat for row in params])
+    # every trial in one stacked sweep; a failing row raises as factorize does
+    found, stage, _ = _cone_params(mats)
+    if stage.any():
+        factorize(Unitriangular(mats[np.flatnonzero(stage)[0]]))
+    worst = float(np.abs(found - params).max())
     payload = [{"dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
                 "max_roundtrip_error": worst}]
     return payload, "max round-trip coordinate error %.3g over %d trials" % (

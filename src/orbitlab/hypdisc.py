@@ -25,10 +25,9 @@ their one-row calls. Geodesics are straight chords, which makes shadows
 exact circular arcs: the shadow of the ball B(m o, r) seen from o is
 the arc of half angle asin(sinh r / sinh d(o, m o)) around the
 direction of m o (a right triangle relation between the tangent ray,
-the center distance and the radius). DiscPoint, dist_h and
-apply_isometry compute the same quantities from Klein coordinates, an
-independent route the tests check the matrix one against where
-coordinates still resolve.
+the center distance and the radius). The tests check the matrix route
+against Klein coordinates, an independent route, where coordinates
+still resolve.
 """
 
 import math
@@ -41,12 +40,6 @@ TWO_PI = 2.0 * math.pi
 
 # |trace| window around 2 that counts as parabolic
 TRACE_TOL = 1e-9
-
-# points must stay this far inside the closed disc
-BOUNDARY_MARGIN = 1e-12
-
-# relative tolerance for "same point" predicates
-POINT_TOL = 1e-13
 
 
 def wrap_angle(theta):
@@ -61,36 +54,6 @@ def angular_distance(a, b):
     """Shorter arc length between two angles, in [0, pi]."""
     d = abs(wrap_angle(a) - wrap_angle(b))
     return min(d, TWO_PI - d)
-
-
-class DiscPoint:
-    """A point of the open disc in Klein coordinates."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        x = float(x)
-        y = float(y)
-        if math.hypot(x, y) >= 1.0 - BOUNDARY_MARGIN:
-            raise InvalidInput(
-                "point with norm %.17g is not inside the disc" % math.hypot(x, y)
-            )
-        self.x = x
-        self.y = y
-
-    def __repr__(self):
-        return "DiscPoint(%r, %r)" % (self.x, self.y)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiscPoint)
-            and abs(self.x - other.x) <= POINT_TOL
-            and abs(self.y - other.y) <= POINT_TOL
-        )
-
-    def __hash__(self):
-        return hash((round(self.x, 12), round(self.y, 12)))
-
 
 
 class BoundaryPoint:
@@ -212,37 +175,12 @@ class Shadow:
         self.half_angle = float(half_angle)
         self.full = bool(full)
 
-    def contains(self, theta):
-        if self.full:
-            return True
-        return angular_distance(theta, self.center.theta) <= self.half_angle
-
     def __repr__(self):
         return "Shadow(center=%r, half_angle=%r, full=%r)" % (
             self.center.theta,
             self.half_angle,
             self.full,
         )
-
-
-def dist_h(p, q):
-    """Hilbert cross ratio distance between two interior points."""
-    if not isinstance(p, DiscPoint) or not isinstance(q, DiscPoint):
-        raise InvalidInput("dist_h needs interior points")
-    dx = q.x - p.x
-    dy = q.y - p.y
-    ell = math.hypot(dx, dy)
-    if ell < 1e-16:
-        return 0.0
-    ux, uy = dx / ell, dy / ell
-    # chord parameters where |p + t u| = 1; t_minus < 0 < ell < t_plus
-    pu = p.x * ux + p.y * uy
-    rad = math.sqrt(pu * pu + 1.0 - (p.x * p.x + p.y * p.y))
-    t_plus = -pu + rad
-    t_minus = -pu - rad
-    num = (ell - t_minus) * t_plus
-    den = (-t_minus) * (t_plus - ell)
-    return 0.5 * math.log(num / den)
 
 
 def displacement(m):
@@ -258,15 +196,6 @@ def _half_lengths(mats):
     entries overflow once mu passes about 354."""
     fro2 = (mats * mats).sum(axis=(1, 2))
     return 0.5 * np.arccosh(np.maximum(1.0, 0.5 * fro2))
-
-
-def apply_isometry(m, p):
-    """Image of an interior point under a Mobius value, via the action
-    X -> M X M^T on the determinant hyperboloid."""
-    x_mat = np.array([[1.0 + p.x, p.y], [p.y, 1.0 - p.x]])
-    y_mat = m.mat @ x_mat @ m.mat.T
-    t = 0.5 * (y_mat[0, 0] + y_mat[1, 1])
-    return DiscPoint(0.5 * (y_mat[0, 0] - y_mat[1, 1]) / t, y_mat[0, 1] / t)
 
 
 def apply_boundary(m, bp):

@@ -27,11 +27,13 @@ length: for each row its parent row and the alphabet positions of its
 letters, its Mobius matrix and orientation, the products of the
 letters' matrices and of their orientations, and, for each letter table
 a caller passes in, the plain product of the table's matrices along the
-word. A level is built from the one before with stacked products
+word, which for a table equal to the images is the level's matrices
+themselves. A level is built from the one before with stacked products
 (np.matmul), which round exactly as one product at a time does. The
 walker never appends the inverse of a word's last letter: that gives
 back the word's parent, already seen, whatever the relations of the
-group. Duplicates are dropped with keys computed a level at a time.
+group. Duplicates are dropped with keys computed a level at a time and
+one sort of their 64-bit hashes per level.
 enumerate_elements streams the levels as (Word, Mobius) pairs. Walks
 for a representation carry rep.tables (_rep_tables), whose products
 cartan._cartan_rows turns into Cartan vectors for orbit tables, the
@@ -76,6 +78,9 @@ MODULAR_S = ((0, -1), (1, 0))
 MODULAR_T = ((1, 1), (0, 1))
 
 LIMIT_DEDUP_TOL = 1e-12
+
+# odd multiplier of _first_new's row hash, 2^64 over the golden ratio
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 class Word:
@@ -282,9 +287,38 @@ def _scaled_key(flat, tol):
 
 def _first_new(keys, seen):
     """Positions of the rows of keys equal to no row of seen and to no
-    earlier row of keys: a stable sort of the rows as raw bytes (equal
-    values for keys free of -0.0 and NaN) puts each run of equal rows in
-    position order, and only a run's first row survives."""
+    earlier row of keys.
+
+    Each row of seen, then keys, is hashed to 64 bits by a multiply-xor
+    over its uint64 bits (_HASH_MULT), and one plain np.argsort of the
+    hashes puts equal rows next to each other; a run of equal hashes
+    keeps its least position (np.minimum.reduceat), so the sort need not
+    be stable. Keys are free of -0.0 and NaN, so equal bits are equal
+    values. The hash is checked, not trusted: every hash-adjacent pair
+    with equal hashes must be equal in all columns, and on a collision
+    the call falls back to _first_new_bytes.
+    """
+    bits = np.concatenate([seen, keys]).view(np.uint64)
+    h = np.zeros(len(bits), dtype=np.uint64)
+    for col in bits.T:
+        h ^= col
+        h *= _HASH_MULT
+        h ^= h >> np.uint64(32)
+    order = np.argsort(h)
+    h = h[order]
+    start = np.ones(len(order), dtype=bool)
+    np.not_equal(h[1:], h[:-1], out=start[1:])
+    tied = order[np.flatnonzero(~start[1:])[:, np.newaxis] + [0, 1]]
+    if np.any(bits[tied[:, 0]] != bits[tied[:, 1]]):
+        return _first_new_bytes(keys, seen)
+    kept = np.minimum.reduceat(order, np.flatnonzero(start))
+    return np.sort(kept[kept >= len(seen)]) - len(seen)
+
+
+def _first_new_bytes(keys, seen):
+    """_first_new by a stable sort of the rows as raw bytes, which puts
+    each run of equal rows in position order; only a run's first row
+    survives. The fallback of _first_new on a hash collision."""
     both = np.concatenate([seen, keys])
     rows = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
     order = np.argsort(rows, kind="stable")
@@ -296,7 +330,7 @@ def _first_new(keys, seen):
 
 
 class _Level:
-    """One level of the word tree, as arrays over its rows.
+    """One level of the word tree, as read-only arrays over its rows.
 
     Row i is the word of row parent[i] one level up, extended by one
     letter; codes[i] holds the alphabet positions of its letters, so
@@ -304,12 +338,15 @@ class _Level:
     matrix, the product of the letters' matrices, and orientation the
     product of their orientations; products holds, for each letter table
     walked, the (N, d, d) array of the plain products of the table's
-    matrices along the words.
+    matrices along the words, which is mats itself for a table equal to
+    the images. No consumer can write through one name into another.
     """
 
     __slots__ = ("alphabet", "parent", "codes", "mats", "orientation", "products")
 
     def __init__(self, alphabet, parent, codes, mats, orientation, products):
+        for array in (parent, codes, mats, orientation, *products):
+            array.flags.writeable = False
         self.alphabet = alphabet
         self.parent = parent
         self.codes = codes
@@ -334,16 +371,21 @@ def _walk_levels(group, max_len, tables=()):
     """The word tree of enumerate_elements, one _Level per word length.
 
     Each level is computed from the one before with stacked products,
-    of the matrices, of the orientations and of each table's matrices,
-    with no determinant and no rescaling: every row is extended by
-    every letter except the inverse of its last one (free reduction),
-    so row by row and letter by letter the candidates come in stream
-    order. Duplicates are dropped by key, exactly for modular, whose
+    of the matrices and of the orientations, with no determinant and no
+    rescaling: every row is extended by every letter except the inverse
+    of its last one (free reduction), so row by row and letter by letter
+    the candidates come in stream order. Duplicates are dropped by key
+    (_first_new: one hash sort per level), exactly for modular, whose
     float rows are integers (InvalidInput is raised before an entry
     could pass 2^53), and by _scaled_key for custom and doubled; the
     first row with a key wins, and rows of earlier levels come first.
     tables are letter-to-matrix dicts whose plain products along each
-    word the levels carry too. Walking stops early once a level is empty.
+    kept word the levels carry too. A table is compared with the images
+    once per walk (np.array_equal); an equal one, such as the sym3
+    factor of separated_schottky or of its doubled group, takes the
+    level's mats as its products, so each level forms one product of
+    2x2 stacks.
+    Walking stops early once a level is empty.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be nonnegative")
@@ -355,15 +397,18 @@ def _walk_levels(group, max_len, tables=()):
     # the identity walk reads no letter of the tables
     stacks = [np.array([np.asarray(t[a], dtype=float) for a in alphabet])
               for t in tables] if max_len else []
+    shared = [np.array_equal(st, images) for st in stacks] or [False] * len(tables)
     key_of = {
         "modular": lambda flat: _sign_canonical(flat) + 0.0,
         "custom": lambda flat: _scaled_key(flat, group.dedup_tol),
         "doubled": lambda flat: _scaled_key(flat, group.dedup_tol),
     }.get(group.kind)
+    mats = np.eye(2)[np.newaxis]
     level = _Level(
         alphabet, np.array([-1]), np.zeros((1, 0), dtype=np.int8),
-        np.eye(2)[np.newaxis], np.array([1]),
-        [np.eye(len(next(iter(t.values()))))[np.newaxis] for t in tables],
+        mats, np.array([1]),
+        [mats if same else np.eye(len(next(iter(t.values()))))[np.newaxis]
+         for t, same in zip(tables, shared)],
     )
     seen = key_of(level.mats.reshape(-1, 4)) if key_of else None
     yield level
@@ -377,21 +422,20 @@ def _walk_levels(group, max_len, tables=()):
             raise InvalidInput(
                 "integer entries could pass 2^53 past word length %d" % length
             )
-        codes = np.empty((len(rows), length + 1), dtype=np.int8)
-        codes[:, :length] = np.take(level.codes, rows, axis=0)
-        codes[:, length] = letters
         mats = np.matmul(level.mats[rows], images[letters])
         orientation = level.orientation[rows] * signs[letters]
-        products = [np.matmul(m[rows], st[letters])
-                    for m, st in zip(level.products, stacks)]
         if key_of:
             keys = key_of(mats.reshape(-1, 4))
             kept = _first_new(keys, seen)
             seen = np.concatenate([seen, keys[kept]])
-            rows, codes, mats, orientation = (
-                rows[kept], codes[kept], mats[kept], orientation[kept])
-            products = [m[kept] for m in products]
+            rows, letters, mats, orientation = (
+                rows[kept], letters[kept], mats[kept], orientation[kept])
             del keys, kept
+        codes = np.empty((len(rows), length + 1), dtype=np.int8)
+        codes[:, :length] = np.take(level.codes, rows, axis=0)
+        codes[:, length] = letters
+        products = [mats if same else np.matmul(m[rows], st[letters])
+                    for m, st, same in zip(level.products, stacks, shared)]
         level = _Level(alphabet, rows, codes, mats, orientation, products)
         # a consumer computes while the walk waits at the yield; the
         # candidate arrays must not add to its peak

@@ -11,6 +11,8 @@ import pytest
 from orbitlab import cli
 from orbitlab.critexp import synthetic_log_sample
 from orbitlab.doubling import separated_schottky
+from orbitlab.errors import NotPositive
+from orbitlab.tpos import f_gamma, factorize, standard_word
 
 
 def write_modular_group(tmp_path):
@@ -303,6 +305,53 @@ def test_tp_report(tmp_path):
                      "--out", str(out)]) == 0
     row = read_jsonl(out / "tp.jsonl")[1]
     assert row["max_roundtrip_error"] < 1e-9
+
+
+def tp_by_trial(dim, trials, seed):
+    """The tp payload's error as the per-trial factorize loop gave it."""
+    word = standard_word(dim)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        params = rng.uniform(0.2, 2.0, size=len(word.letters))
+        coords = factorize(f_gamma(word, params))
+        worst = max(worst, float(np.abs(np.asarray(coords.params) - params).max()))
+    return worst
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_tp_stack_matches_the_trial_loop(dim, seed):
+    cfg = cli.RunConfig({"dim": dim, "trials": 200, "seed": seed, "out": "unused"})
+    payload, _ = cli.cmd_tp(cfg)
+    want = tp_by_trial(dim, 200, seed)
+    assert payload == [{"dim": dim, "trials": 200, "seed": seed,
+                        "max_roundtrip_error": want}]
+    assert np.float64(payload[0]["max_roundtrip_error"]).tobytes() == np.float64(want).tobytes()
+
+
+def test_tp_failing_trial_raises_as_factorize(monkeypatch):
+    # the third and fourth trials get a negative parameter: the stacked
+    # sweep raises factorize's NotPositive for the third
+    built = []
+
+    def planted(word, params):
+        params = params.copy()
+        if len(built) in (2, 3):
+            params[len(built) - 1] = -0.5
+        built.append(params)
+        return f_gamma(word, params)
+
+    monkeypatch.setattr(cli, "f_gamma", planted)
+    cfg = cli.RunConfig({"dim": 4, "trials": 5, "seed": 0, "out": "unused"})
+    with pytest.raises(NotPositive) as raised:
+        cli.cmd_tp(cfg)
+    assert len(built) == 5
+    with pytest.raises(NotPositive) as direct:
+        factorize(f_gamma(standard_word(4), built[2]))
+    assert str(raised.value) == str(direct.value)
+    assert (raised.value.stage, raised.value.marginal) == (
+        direct.value.stage, direct.value.marginal)
 
 
 def test_limitcurve_report(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orbitlab.cartan import parse_functional
+from orbitlab.critexp import counting_function
 from orbitlab.doubling import (
     DEDUP_TOL,
     PANTS_BOUNDARY,
@@ -429,6 +430,20 @@ def test_doubled_value_sample_certificate():
     assert 6.0 < vs.complete_to < 7.0
     assert prov["frontier_min"] < 7.0 and 0.0 < prov["dip"] < 0.5
     assert len(vs.values) > 400
+
+
+@pytest.mark.parametrize("ell", [1.85, 2.0])
+def test_doubled_certificate_holds_three_letters_deeper(ell):
+    # words of lengths 5 to 7 add no value at or below the depth-4
+    # certificate
+    group, rep = pants_rep(3, ell)
+    dbl = double_rep(rep, PANTS_BOUNDARY)
+    shallow = doubled_value_sample(group, dbl, A1, 4)
+    deeper = doubled_value_sample(group, dbl, A1, 7)
+    t = shallow.complete_to
+    assert t > 3.5
+    assert len(deeper) > 100 * len(shallow)
+    assert counting_function(deeper, t) == counting_function(shallow, t) > 0
 
 
 def test_mixed_quadruple_positivity():

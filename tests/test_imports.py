@@ -258,15 +258,11 @@ def test_detector_flags_a_planted_half_length():
 
 # public names and methods no caller reaches, each kept for a reason
 UNCALLED = {
-    "DiscPoint": "Klein-model oracle for displacement and shadows",
     "Mobius.boost": "builder of test isometries",
     "Mobius.identity": "builder of test isometries",
     "ScaledMatrix.identity": "oracle of the product and rep tests",
     "ScaledMatrix.log_singular_values": "oracle of the product and rep tests",
-    "Shadow.contains": "oracle for the arc extremes of a shadow",
-    "apply_isometry": "Klein-model oracle for displacement and shadows",
     "custom_rep": "oracle: a structureless rep checks the factor route",
-    "dist_h": "Klein-model oracle for displacement and shadows",
     "poincare_series": "paper quantity: the series that defines the exponent",
     "synthetic_log_sample": "oracle: a family with a known exponent",
 }

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from kleintools import contains
 from scipy import spatial
 
 from orbitlab import limitgeom
@@ -298,7 +299,7 @@ def test_modular_shadow_mass_band():
         inside = [
             (wrap_angle(bp.theta - start), plane)
             for bp, plane in sample
-            if sh.contains(bp.theta)
+            if contains(sh, bp.theta)
         ]
         if len(inside) < 2:
             continue
@@ -337,7 +338,7 @@ def test_ball_shadow_sandwich(monkeypatch):
         dists = np.linalg.norm(cloud - cloud[center], axis=1)
         for idx in np.nonzero(dists < inner)[0]:
             checked += 1
-            assert sh.contains(thetas[idx])
+            assert contains(sh, thetas[idx])
     assert checked > 1000
 
 

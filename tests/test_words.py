@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from kleintools import DiscPoint, apply_isometry, dist_h
 
 import orbitlab.words as words
 from orbitlab.cartan import _cartan_rows, parse_functional, word_cartan
@@ -16,17 +17,14 @@ from orbitlab.errors import InvalidInput, NonElementary
 from orbitlab.hypdisc import (
     TWO_PI,
     BoundaryPoint,
-    DiscPoint,
     Mobius,
     angular_distance,
     apply_boundary,
-    apply_isometry,
     classify,
-    dist_h,
     displacement,
     fixed_points,
 )
-from orbitlab.reps import sp_product, sym_power
+from orbitlab.reps import _word_product, custom_rep, sp_product, sym_power
 from orbitlab.words import (
     LIMIT_DEDUP_TOL,
     MODULAR_S,
@@ -375,6 +373,177 @@ def test_modular_float_keys_match_integer_keys():
     for (gw, gm), (ww, wm) in zip(got, want):
         assert gw == ww
         assert np.array_equal(gm.mat, wm.mat)
+
+
+def byte_sort_first_new(keys, seen):
+    """The dedup the hash sort replaced, kept as the oracle of
+    words._first_new: a stable sort of the rows as raw bytes puts each
+    run of equal rows in position order, and a run's first row survives."""
+    both = np.concatenate([seen, keys])
+    rows = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    kept = order[first]
+    return np.sort(kept[kept >= len(seen)]) - len(seen)
+
+
+def _doubled_sym3_spec(length):
+    pants = separated_schottky(length)
+    rep = sym_power(3)(pants.generator_matrices(), label="sym3")
+    return _doubled_group(pants, double_rep(rep, PANTS_BOUNDARY))
+
+
+def _order_four_custom():
+    # a b is the quarter turn, so (ab)^2 = (BA)^2 and the walk meets
+    # duplicates from length 4 on, past the discreteness probe's reach
+    a = Mobius.boost(3.0)
+    return custom_group([a, a.inverse() @ Mobius.rotation(0.5 * math.pi)])
+
+
+def synthetic_dedup_cases():
+    """(keys, seen) pairs of rounding-key rows, free of -0.0 and NaN."""
+    rng = np.random.default_rng(41)
+    seen = np.rint(rng.normal(size=(30, 5)) * 1e8)
+    level = np.rint(rng.normal(size=(40, 5)) * 1e8)
+    inside = level[rng.integers(0, 40, size=60)]
+    against = np.concatenate([level, seen[rng.integers(0, 30, size=25)]])
+    repeated = np.concatenate([level, np.repeat(level[:1] + 7.0, 50, axis=0)])
+    unit = np.repeat(level[:8], 2, axis=0)
+    unit[np.arange(1, 16, 2), np.arange(8) % 5] += 1.0
+    ulp = np.repeat(level[:8], 2, axis=0)
+    ulp[1::2, 2] = np.nextafter(ulp[1::2, 2], np.inf)
+    # a rounding key's leading entry is often exactly 1 / tol
+    lead, lead_seen = level.copy(), seen.copy()
+    lead[:, 0] = lead_seen[:, 0] = 1e8
+    cases = {
+        "inside-one-level": (inside, seen),
+        "one-leading-column": (np.concatenate([lead, lead_seen[:9]]), lead_seen),
+        "against-seen": (rng.permutation(against), seen),
+        "repeated-50-shuffled": (rng.permutation(repeated), seen),
+        "one-unit-apart": (unit, seen),
+        "one-ulp-apart": (ulp, seen),
+        "empty-keys": (level[:0], seen),
+        "one-row": (level[:1], seen),
+        "one-row-seen": (seen[3:4], seen),
+        "empty-seen": (inside, seen[:0]),
+        "modular-rows": (np.rint(rng.normal(size=(200, 4)) * 3.0) + 0.0,
+                         np.rint(rng.normal(size=(50, 4)) * 3.0) + 0.0),
+    }
+    return [pytest.param(keys, old, id=name) for name, (keys, old) in cases.items()]
+
+
+class TestHashDedup:
+    """words._first_new against the byte sort it replaced."""
+
+    @pytest.mark.parametrize("build, max_len", [
+        pytest.param(lambda: _doubled_sym3_spec(1.85), 6, id="doubled-1.85-depth6"),
+        pytest.param(lambda: _doubled_sym3_spec(2.0), 6, id="doubled-2.0-depth6"),
+        pytest.param(modular_group, 9, id="modular-depth9"),
+        pytest.param(_order_four_custom, 9, id="custom-depth9"),
+    ])
+    def test_walk_levels_match_the_byte_sort(self, monkeypatch, build, max_len):
+        group, calls = build(), []
+        hashed = words._first_new
+        monkeypatch.setattr(words, "_first_new",
+                            lambda keys, seen: calls.append((keys, seen)) or hashed(keys, seen))
+        list(_walk_levels(group, max_len))
+        monkeypatch.undo()
+        assert len(calls) == max_len
+        assert sum(len(keys) - len(hashed(keys, seen)) for keys, seen in calls) > 100
+        # the walks' keys never collide, so the byte sort is never reached
+        fallback = []
+        monkeypatch.setattr(words, "_first_new_bytes",
+                            lambda keys, seen: fallback.append(1))
+        for keys, seen in calls:
+            assert np.array_equal(hashed(keys, seen), byte_sort_first_new(keys, seen))
+        assert not fallback
+        monkeypatch.undo()
+        self._check_collisions(monkeypatch, calls)
+
+    @pytest.mark.parametrize("keys, seen", synthetic_dedup_cases())
+    def test_edge_cases_match_the_byte_sort(self, monkeypatch, keys, seen):
+        got = words._first_new(keys, seen)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, byte_sort_first_new(keys, seen))
+        self._check_collisions(monkeypatch, [(keys, seen)])
+
+    @staticmethod
+    def _check_collisions(monkeypatch, calls):
+        # a zero multiplier hashes every row to 0: every pair collides,
+        # and the equality check must send each call to the byte sort
+        fallback = []
+        byte_sort = words._first_new_bytes
+        monkeypatch.setattr(words, "_HASH_MULT", np.uint64(0))
+        monkeypatch.setattr(words, "_first_new_bytes",
+                            lambda keys, seen: fallback.append(1) or byte_sort(keys, seen))
+        distinct = 0
+        for keys, seen in calls:
+            assert np.array_equal(words._first_new(keys, seen),
+                                  byte_sort_first_new(keys, seen))
+            distinct += len(np.unique(np.concatenate([seen, keys]), axis=0)) > 1
+        assert len(fallback) == distinct
+        monkeypatch.undo()
+
+    def test_a_run_keeps_its_least_position(self):
+        # a run's first row is its least position, not its first in the
+        # sort: a plain argsort may order equal hashes either way
+        keys = np.repeat(np.arange(3.0)[:, np.newaxis], 4000, axis=0)
+        keys = np.random.default_rng(5).permutation(np.tile(keys, (1, 5)))
+        want = [int(np.flatnonzero(keys[:, 0] == v)[0]) for v in (0.0, 1.0, 2.0)]
+        assert words._first_new(keys, keys[:0]).tolist() == sorted(want)
+
+
+class TestSharedTables:
+    """A letter table equal to the images has the level matrices as its
+    products."""
+
+    @staticmethod
+    def _walks():
+        pants = separated_schottky(1.85)
+        sym3 = sym_power(3)(pants.generator_matrices(), label="sym3")
+        doubled = double_rep(sym3, PANTS_BOUNDARY)
+        return [(pants, sym3.tables, "sym3"),
+                (_doubled_group(pants, doubled), doubled.rep.tables, "doubled")]
+
+    def test_an_equal_table_is_the_level_matrices(self):
+        for group, tables, label in self._walks():
+            levels = list(_walk_levels(group, 5, tables))
+            assert len(levels) == 6
+            for level in levels:
+                assert level.products[0] is level.mats, label
+
+    def test_other_tables_are_not_shared(self):
+        group = standard_schottky()
+        slow = standard_schottky(3.0)
+        sym2 = sym_power(2)
+        rep = sp_product([
+            sym2({c: group.image(c).mat for c in "abAB"}, label="f4"),
+            sym2({c: slow.image(c).mat for c in "abAB"}, label="f3"),
+        ])
+        dense = custom_rep(sym_power(3)(group.generator_matrices()).images, 3)
+        for tables in (rep.tables, dense.tables):
+            for level in _walk_levels(group, 4, tables):
+                assert level.products[-1] is not level.mats
+                assert level.products[-1].shape[1:] == (tables[-1]["a"].shape)
+
+    def test_shared_rows_are_the_word_products(self):
+        rng = np.random.default_rng(17)
+        for group, tables, label in self._walks():
+            for level in _walk_levels(group, 6, tables):
+                for i in rng.choice(len(level), size=min(len(level), 40), replace=False):
+                    word = level.word(i)
+                    assert np.array_equal(level.products[0][i],
+                                          _word_product(tables[0], word, label)), str(word)
+
+    def test_level_arrays_are_read_only(self):
+        for group, tables, _ in self._walks():
+            level = list(_walk_levels(group, 2, tables))[-1]
+            for array in (level.parent, level.codes, level.mats,
+                          level.orientation, *level.products):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 class TestNormBall:
