@@ -20,12 +20,12 @@ transversality minors; for (f1, f3) its upper factor inverts to the
 chart, and eliminating a middle flag is the same LU. Flags built
 together, as limit_flags builds its sample from one symmetric-power
 call and one QR, keep views of one read-only stack of bases and share a
-_FlagSet. Its tables are filled on demand, each by one numpy kernel over
-every member: member i's transversality to all members, and for each
-chart (f_i, f_k) asked for, every member's sign mask and its inverse's.
-A tuple of one set is then a few lookups, and the tables go with the
-flags. Flags of no common set, such as Flag(basis), take the same
-kernels on a throwaway set of their own.
+_FlagSet. When a tuple brings members not asked about before, one kernel
+decides the transversality of the asked pairs and, for every new triple
+(i, k, j) of distinct asked members, fills j's sign mask in the chart
+(f_i, f_k) and its inverse's. A tuple is then a few lookups; the tables
+go with the flags and grow with what is asked, not with N. Flags of no
+common set, such as Flag(basis), take the same kernel on a throwaway set.
 """
 
 import functools
@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 from .errors import InvalidInput, NotTransverse, SpectrumNotLoxodromic
-from .hypdisc import _eigenframes
+from .hypdisc import BoundaryPoint, _eigenframes
 from .reps import ScaledMatrix, sym_power_matrix
 from .tpos import _cone_params
 from .words import _limit_rows, _rep_tables
@@ -62,14 +62,6 @@ def _orthonormalize(bases, what):
     return out
 
 
-def _canonical(cls, basis):
-    """A Flag or GrassPoint on columns already in canonical form, with
-    no second QR."""
-    out = object.__new__(cls)
-    out.basis = basis
-    return out
-
-
 class Flag:
     """Complete flag; leading k columns of the canonical basis span the
     k-dimensional subspace."""
@@ -89,7 +81,7 @@ class Flag:
     def piece(self, k):
         if not 1 <= k <= self.d - 1:
             raise InvalidInput("piece index must lie in 1..d-1")
-        return _canonical(GrassPoint, self.basis[:, :k])
+        return _views(GrassPoint, self.basis[np.newaxis, :, :k], None)[0]
 
     def __repr__(self):
         return "Flag(d=%d)" % self.d
@@ -98,10 +90,11 @@ class Flag:
 class GrassPoint:
     """k-plane through the origin, held as an orthonormal basis."""
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "_set", "_index")
 
     def __init__(self, basis):
         self.basis = _orthonormalize([basis], "plane")[0]
+        self._set = None
 
     @property
     def k(self):
@@ -116,6 +109,17 @@ class GrassPoint:
 
     def __repr__(self):
         return "GrassPoint(k=%d, d=%d)" % (self.k, self.d)
+
+
+def _views(cls, stack, owner):
+    """Flags or GrassPoints viewing a read-only stack of canonical bases,
+    each with its index and, as _set, owner: a _FlagSet, a stack or None."""
+    out = []
+    for n, basis in enumerate(stack):
+        view = object.__new__(cls)
+        view.basis, view._set, view._index = basis, owner, n
+        out.append(view)
+    return out
 
 
 def flag_distance(p, q):
@@ -135,13 +139,18 @@ def _chordal_distances(p, q):
 
 def _projectors(points):
     """(N, d, d) projectors of points on one Grassmannian, from one
-    einsum over their stacked bases."""
-    if (any(not isinstance(p, GrassPoint) for p in points)
-            or len({p.basis.shape for p in points}) > 1):
+    einsum over their bases, one fancy index when they view one stack."""
+    if not all(isinstance(p, GrassPoint) for p in points):
         raise InvalidInput("projectors need points of one Grassmannian")
     if not points:
         return np.empty((0, 0, 0))
-    bases = np.array([p.basis for p in points])
+    stack = points[0]._set
+    if stack is not None and all(p._set is stack for p in points):
+        bases = stack[[p._index for p in points]]
+    elif len({p.basis.shape for p in points}) > 1:
+        raise InvalidInput("projectors need points of one Grassmannian")
+    else:
+        bases = np.array([p.basis for p in points])
     return np.einsum("nik,njk->nij", bases, bases)
 
 
@@ -168,24 +177,54 @@ def _eigenbasis(mat):
 
 class _FlagSet:
     """Flags built together: their read-only (N, d, d) stack of bases and
-    positivity tables, each filled on demand by one kernel over every
-    member. The set holds no flag, so it goes with its flags."""
+    positivity tables. asked gives each member asked about its position;
+    by positions, bad holds each pair found not transverse, self-pairs
+    included, and masks[i, k, j] those of ask. It holds no flag."""
 
-    __slots__ = ("bases", "rows", "bad", "charts")
+    __slots__ = ("bases", "asked", "bad", "masks")
 
     def __init__(self, bases):
-        self.bases, self.rows, self.bad, self.charts = bases, set(), set(), {}
+        self.bases, self.asked, self.bad, self.masks = bases, {}, set(), {}
 
-    def flags(self):
-        out = [_canonical(Flag, basis) for basis in self.bases]
-        for n, flag in enumerate(out):
-            flag._set, flag._index = self, n
-        return out
+    def ask(self, new):
+        """Ask members new in one kernel. With J Q_k^T Q_i = L U for each
+        ordered pair, U's minors decide transversality; the unit columns of
+        Q_i U^-1, in f_i^c meet f_k^(d-c+1), are the chart, inverse N U Q_i^T
+        with N the column norms of U^-1 (U = I where no tuple reads it)."""
+        old = len(self.asked)
+        self.asked.update(zip(new, range(old, old + len(new))))
+        first, third, pair, middle, keys = (_positions(old, len(self.asked)) if old
+                                            else _first_positions(len(self.asked)))
+        q = self.bases[list(self.asked)]
+        qi = q[first]
+        eye, lower, _ = _triangles(q.shape[-1])
+        with np.errstate(all="ignore"):
+            lu = _lu(np.matmul(q[third].transpose(0, 2, 1), qi)[:, ::-1])
+            bad = (np.abs(lu.diagonal(0, 1, 2)[:, :-1].cumprod(1)) <= TRANSVERSE_TOL).any(1)
+            upper = np.where(bad[:, np.newaxis, np.newaxis], eye, lu * lower.T)
+            inv = np.linalg.inv(upper)
+            frames = upper * np.sqrt((inv * inv).sum(1))[:, :, np.newaxis] @ qi.transpose(0, 2, 1)
+            units, failed = _eliminate(frames[pair] @ q[middle])
+            masks = _sign_masks(np.concatenate([units, _unit_inverse(units)]))
+        self.bad.update(zip(first[bad].tolist(), third[bad].tolist()))
+        forward, inverse = np.where(failed, _NO_UNIT, masks.reshape(2, -1)).tolist()
+        self.masks.update(zip(keys, zip(forward, inverse)))
 
-    def chart(self, i, k):
-        if (i, k) not in self.charts:
-            self.charts[i, k] = _chart_masks(self.bases, i, k)
-        return self.charts[i, k]
+
+def _positions(old, size):
+    """All ordered pairs (first, third) of positions below size; triples of
+    distinct ones, one at or above old, as pair index, middle and key."""
+    ne = np.arange(size)[:, np.newaxis] != np.arange(size)
+    new = ne[:, :, np.newaxis] & ne[:, np.newaxis, :] & ne
+    new[:old, :old, :old] = False
+    pair, middle = np.nonzero(new.reshape(size * size, size))
+    first, third = np.divmod(np.arange(size * size), size)
+    keys = zip(first[pair].tolist(), third[pair].tolist(), middle.tolist())
+    return first, third, pair, middle, tuple(keys)
+
+
+# a set's first kernel, a throwaway set's only one, asks at most a tuple's members
+_first_positions = functools.lru_cache(maxsize=None)(functools.partial(_positions, 0))
 
 
 def _lu(a):
@@ -197,18 +236,6 @@ def _lu(a):
         a[:, k + 1:, k] /= a[:, k, k, np.newaxis]
         a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, np.newaxis] * a[:, k, np.newaxis, k + 1:]
     return a
-
-
-def _transverse_rows(bases, members):
-    """Whether each listed member i is transverse to each member j: no
-    leading minor 1..d-1 of _lu(J Q_j^T Q_i), J the row reversal, at or
-    below TRANSVERSE_TOL. Minor k is, up to sign, det of Q_i's leading k
-    columns beside Q_j's leading d - k."""
-    d = bases.shape[-1]
-    with np.errstate(all="ignore"):
-        grams = np.matmul(bases.transpose(0, 2, 1), bases[members][:, np.newaxis])
-        lu = _lu(grams[:, :, ::-1].reshape(-1, d, d)).diagonal(0, 1, 2)
-        return ~(np.abs(lu[:, :-1].cumprod(1)) <= TRANSVERSE_TOL).any(1).reshape(len(members), -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,26 +282,10 @@ def _sign_masks(units):
     return np.where(ok, (signs < 0.0) @ (2 ** np.arange(units.shape[-1])), -1)
 
 
-def _chart_masks(bases, i, k):
-    """Lists of each member's _sign_masks in the chart of members i and
-    k, and of its inverse's; _NO_UNIT where the member fails _eliminate.
-    With J Q_k^T Q_i = L U, column c of Q_i U^-1 lies in f_i^c meet
-    f_k^(d-c+1); at unit length these columns are the chart, whose
-    inverse is N U Q_i^T, N the column norms of U^-1."""
-    with np.errstate(all="ignore"):
-        lu = _lu((bases[k].T @ bases[i])[np.newaxis, ::-1])[0]
-        upper = lu * _triangles(len(lu))[1].T
-        norms = np.linalg.norm(np.linalg.inv(upper), axis=0)
-        units, failed = _eliminate(upper * norms[:, np.newaxis] @ bases[i].T @ bases)
-        masks = _sign_masks(np.concatenate([units, _unit_inverse(units)]))
-        return np.where(failed, _NO_UNIT, masks.reshape(2, -1)).tolist()
-
-
 def _require_transverse(flags):
-    """The flags' shared _FlagSet and their indices in it, or else a
-    throwaway set of their own. The set's rows are the members i whose
-    _transverse_rows it has read, and bad holds each pair (i, j) found
-    not transverse; NotTransverse names the tuple's first in (i, j) order."""
+    """The flags' shared _FlagSet, or else a throwaway set of their own,
+    with all of them asked, and their positions in it; NotTransverse
+    names the tuple's first pair in (p, q) order found not transverse."""
     fs = flags[0]._set
     if fs is None or [f._set for f in flags].count(fs) < len(flags):
         if len({f.basis.shape for f in flags}) != 1:
@@ -282,25 +293,23 @@ def _require_transverse(flags):
         fs, idx = _FlagSet(np.array([f.basis for f in flags])), range(len(flags))
     else:
         idx = [f._index for f in flags]
-    new = sorted(set(idx[:-1]) - fs.rows)
+    new = [i for i in dict.fromkeys(idx) if i not in fs.asked]
     if new:
-        fs.rows.update(new)
-        rows, cols = np.nonzero(~_transverse_rows(fs.bases, new))
-        fs.bad.update(zip(np.take(new, rows).tolist(), cols.tolist()))
-    if not fs.bad.isdisjoint(itertools.combinations(idx, 2)):
-        p, q = next((p, q) for p, q in itertools.combinations(range(len(idx)), 2)
-                    if (idx[p], idx[q]) in fs.bad)
+        fs.ask(new)
+    pos = [fs.asked[i] for i in idx]
+    if not fs.bad.isdisjoint(itertools.combinations(pos, 2)):
+        p, q = next((p, q) for p, q in itertools.combinations(range(len(pos)), 2)
+                    if (pos[p], pos[q]) in fs.bad)
         raise NotTransverse("flags %d and %d are not transverse" % (p + 1, q + 1))
-    return fs, idx
+    return fs, pos
 
 
 def _tuple_positive(flags):
     """Whether the second flag's unit, and the fourth's inverse, factor
     positively under one sign mask: by _sign_masks, their own."""
-    fs, idx = _require_transverse(flags)
-    forward, inverse = fs.chart(idx[0], idx[2])
-    first = forward[idx[1]]
-    last = inverse[idx[3]] if len(idx) == 4 else first
+    fs, pos = _require_transverse(flags)
+    first = fs.masks[pos[0], pos[2], pos[1]][0]
+    last = fs.masks[pos[0], pos[2], pos[3]][1] if len(pos) == 4 else first
     if _NO_UNIT in (first, last):
         raise NotTransverse("flag is not transverse to the chart's third flag")
     return first >= 0 and last == first
@@ -336,9 +345,9 @@ def _loxodromic_frames(mats):
     return _eigenframes(mats)
 
 
-def limit_flags(rep, group, depth):
-    """(boundary point, full attracting flag) along the sampled limit
-    set, sorted by angle.
+def _limit_stack(rep, group, depth, k=None):
+    """Angles of the sampled limit set, sorted, and the read-only (N, d, d)
+    stack of their attracting flags' canonical bases, or its first k columns.
 
     Symmetric-power representations expose their flags through the
     two-by-two eigenframe: the attracting flag of the image is the
@@ -348,21 +357,32 @@ def limit_flags(rep, group, depth):
     on the 2x2 products the limit-set walk carries, their symmetric
     powers from one sym_power_matrix call and the canonical bases from
     one QR. Any other representation takes the direct eigenvector route
-    on the dense image the walk carries. The flags share one _FlagSet.
+    on the dense image the walk carries.
     """
     tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
-        points, _, (mats,) = _limit_rows(group, depth, [rep.images])
+        theta, _, (mats,) = _limit_rows(group, depth, [rep.images])
         bases = [_eigenbasis(ScaledMatrix(m).mat) for m in mats]
     else:
-        points, _, (mats,) = _limit_rows(group, depth, tables)
+        theta, _, (mats,) = _limit_rows(group, depth, tables)
         bases = sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0])
-    return list(zip(points, _FlagSet(_orthonormalize(bases, "flag")).flags()))
+    bases = _orthonormalize(bases, "flag")
+    if k is not None and not 1 <= k <= bases.shape[-1] - 1:
+        raise InvalidInput("piece index must lie in 1..d-1")
+    return theta, bases[:, :, :k]
+
+
+def limit_flags(rep, group, depth):
+    """(boundary point, full attracting flag) along the sampled limit
+    set, sorted by angle; the flags share one _FlagSet."""
+    theta, bases = _limit_stack(rep, group, depth)
+    return list(zip(map(BoundaryPoint, theta.tolist()), _views(Flag, bases, _FlagSet(bases))))
 
 
 def limit_curve(rep, group, depth, k):
     """(boundary point, k-plane) pairs of the sampled sub-limit map."""
-    return [(bp, flag.piece(k)) for bp, flag in limit_flags(rep, group, depth)]
+    theta, planes = _limit_stack(rep, group, depth, k)
+    return list(zip(map(BoundaryPoint, theta.tolist()), _views(GrassPoint, planes, planes)))
 
 
 def polygonal_length(points):

@@ -19,8 +19,9 @@ empirical separation constant.
 box_dimension covers a metric sample with greedy epsilon-nets over a
 geometric grid of scales and regresses log N against log(1/eps).
 Grassmannian points embed isometrically through their projectors, so
-the same covering code serves real samples and flag curves. The greedy
-net asks one k-d tree over the sample for each new centre's ball.
+the same covering code serves real samples and flag curves, whose
+planes flags._projectors gathers from one stack. The greedy net asks
+one k-d tree over the sample for each new centre's ball.
 """
 
 import math
@@ -32,11 +33,11 @@ from .cartan import _cartan_rows
 from .errors import InsufficientScales, InvalidInput
 from .flags import (
     GrassPoint,
-    _canonical,
     _chordal_distances,
+    _limit_stack,
     _orthonormalize,
     _projectors,
-    limit_curve,
+    _views,
 )
 from .hypdisc import TWO_PI, _half_lengths, _shadow_arcs
 from .words import _rep_tables, _walk_levels
@@ -127,11 +128,10 @@ def distortion_scan(group, rep, phi, r, max_len):
     the rest are counted as skipped. The limit sample, sorted by angle,
     has the same depth as the scan. A level takes one _shadow_arcs call,
     whose whole-circle rows lie within r, and one _arc_extremes call;
-    rows keep enumeration order.
+    rows keep enumeration order. No point object is built.
     """
-    sample = limit_curve(rep, group, max_len, _single_root_index(phi))
-    thetas = np.array([bp.theta for bp, _ in sample])
-    projectors = _projectors([plane for _, plane in sample])
+    thetas, planes = _limit_stack(rep, group, max_len, _single_root_index(phi))
+    projectors = np.einsum("nik,njk->nij", planes, planes)
     rows = []
     skipped = 0
     for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
@@ -292,4 +292,5 @@ def circle_sample(n):
         raise InvalidInput("need at least one point")
     lines = [[[math.cos(t)], [math.sin(t)]]
              for t in np.linspace(0.0, math.pi, n, endpoint=False)]
-    return [_canonical(GrassPoint, basis) for basis in _orthonormalize(lines, "plane")]
+    planes = _orthonormalize(lines, "plane")
+    return _views(GrassPoint, planes, planes)

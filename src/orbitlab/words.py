@@ -39,7 +39,7 @@ for a representation carry rep.tables (_rep_tables), whose products
 cartan._cartan_rows turns into Cartan vectors for orbit tables, the
 orbit CSV, growth samples and distortion scans; the limit-set sample
 (_limit_rows) keeps angles, letter codes and products as arrays over
-its rows and hands the products on to flags.limit_flags, and only
+its rows and hands them on to flags._limit_stack, and only
 limit_sample_words turns the kept codes into Words. No Mobius value is
 formed for a row whose numbers hypdisc's kernels read a level at once.
 
@@ -601,12 +601,12 @@ def _limit_runs(theta):
 
 
 def _limit_rows(group, depth, tables=()):
-    """The points of limit_sample_words, the (N, depth) letter codes of
-    their words padded with -1, and per table walked the (N, d, d)
-    products along them, from the cyclically reduced level rows with
-    |trace| > 2 + TRACE_TOL, one hypdisc._fixed_angles call per level
-    and one _limit_runs call. An orientation reversing row raises, as
-    classify does."""
+    """The wrapped angles of limit_sample_words' points, the (N, depth)
+    letter codes of their words padded with -1, and per table walked the
+    (N, d, d) products along them, from the cyclically reduced level rows
+    with |trace| > 2 + TRACE_TOL, one hypdisc._fixed_angles call per
+    level and one _limit_runs call. An orientation reversing row raises,
+    as classify does."""
     inverse = np.array([group.alphabet.index(group.inverse_letter[a])
                         for a in group.alphabet])
     theta, codes, products = [np.empty(0)], [], []
@@ -631,8 +631,7 @@ def _limit_rows(group, depth, tables=()):
             "shows at least 3 (raise depth if the group should qualify)"
             % (len(kept), depth)
         )
-    return ([BoundaryPoint(t) for t in theta[kept].tolist()],
-            np.concatenate(codes)[kept],
+    return (np.mod(theta[kept], TWO_PI), np.concatenate(codes)[kept],
             [np.concatenate(ms)[kept] for ms in zip(*products)])
 
 
@@ -647,9 +646,9 @@ def limit_sample_words(group, depth):
     was seen; the group is reported elementary (raise the depth first if
     the group is merely thin at this depth).
     """
-    points, codes, _ = _limit_rows(group, depth)
-    return [(bp, Word([group.alphabet[c] for c in row if c >= 0]))
-            for bp, row in zip(points, codes.tolist())]
+    theta, codes, _ = _limit_rows(group, depth)
+    return [(BoundaryPoint(t), Word([group.alphabet[c] for c in row if c >= 0]))
+            for t, row in zip(theta.tolist(), codes.tolist())]
 
 
 def load_group_file(path):

@@ -20,7 +20,7 @@ from scipy.linalg import solve_triangular
 
 from orbitlab import flags as flags_module
 from orbitlab import words as words_module
-from orbitlab.doubling import separated_schottky
+from orbitlab.doubling import hyperbolic_with_axis, separated_schottky
 from orbitlab.errors import (
     InvalidInput,
     NotPositive,
@@ -32,10 +32,13 @@ from orbitlab.flags import (
     Flag,
     GrassPoint,
     _eliminate,
+    _FlagSet,
     _loxodromic_frames,
     _lu,
+    _orthonormalize,
+    _projectors,
     _sign_masks,
-    _transverse_rows,
+    _views,
     flag_distance,
     limit_curve,
     limit_flags,
@@ -46,7 +49,7 @@ from orbitlab.flags import (
 )
 from orbitlab.reps import _word_product, custom_rep, sym_power, sym_power_matrix
 from orbitlab.tpos import Unitriangular, _cone_params, f_gamma, factorize, standard_word
-from orbitlab.words import limit_sample_words, modular_group, standard_schottky
+from orbitlab.words import free_schottky, limit_sample_words, modular_group, standard_schottky
 
 
 def rot(theta):
@@ -81,8 +84,9 @@ def test_bases_are_read_only():
     group = standard_schottky()
     rep = sym_power(3)(group.generator_matrices())
     _, limit = limit_flags(rep, group, 2)[0]
+    _, plane = limit_curve(rep, group, 2, 2)[0]
     for basis in (f.basis, f.piece(2).basis, GrassPoint(np.eye(3)[:, :2]).basis,
-                  limit.basis, limit.piece(1).basis):
+                  limit.basis, limit.piece(1).basis, plane.basis):
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
 
@@ -614,8 +618,9 @@ def test_stacked_elimination_raises_on_a_zero_pivot():
     with np.errstate(all="ignore"):
         units, failed = _eliminate(np.array([np.eye(3)[::-1], np.eye(3)]))
     assert units[0].tolist() == np.eye(3).tolist() and failed.tolist() == [False, True]
-    stack = np.array([np.eye(3), np.eye(3)[:, ::-1]])
-    assert _transverse_rows(stack, [0, 1]).tolist() == [[False, True], [True, False]]
+    fs = _FlagSet(np.array([np.eye(3), np.eye(3)[:, ::-1]]))
+    fs.ask([0, 1])
+    assert fs.bad == {(0, 0), (1, 1)}
     rng = np.random.default_rng(41)
     for d in (2, 3, 6):
         x = rng.normal(size=(d, d))
@@ -683,26 +688,32 @@ def test_warm_memo_cold_memo_and_oracle_decide_alike(monkeypatch):
 
 
 def test_memo_bounds_the_eliminations(monkeypatch):
-    rows, charts = [], []
-    count_rows, count_charts = flags_module._transverse_rows, flags_module._chart_masks
+    kernels, eliminated = [], []
+    ask, eliminate = flags_module._FlagSet.ask, flags_module._eliminate
 
-    def counted_rows(bases, members):
-        rows.extend(members)
-        return count_rows(bases, members)
+    def counted_ask(fs, new):
+        old = len(fs.asked)
+        ask(fs, new)
+        kernels.append((old, len(fs.asked)))
 
-    def counted_charts(bases, i, k):
-        charts.append((i, k))
-        return count_charts(bases, i, k)
+    def counted_eliminate(xs):
+        eliminated.append(len(xs))
+        return eliminate(xs)
 
-    monkeypatch.setattr(flags_module, "_transverse_rows", counted_rows)
-    monkeypatch.setattr(flags_module, "_chart_masks", counted_charts)
+    monkeypatch.setattr(flags_module._FlagSet, "ask", counted_ask)
+    monkeypatch.setattr(flags_module, "_eliminate", counted_eliminate)
     flags = next(criterion_11_flags())
     assert len(flags) == 12
+    growths = 0
     for tup in criterion_11_calls(flags, np.random.default_rng(111)):
+        growths += any(f._index not in flags[0]._set.asked for f in tup)
         stacked_positive(*tup)
-    # one kernel per chart and per pair row at most, each run once
-    assert 0 < len(charts) == len(set(charts)) <= 12 * 11
-    assert 0 < len(rows) == len(set(rows)) <= 12
+    # one kernel per tuple that brings members not asked about before
+    olds, sizes = zip(*kernels)
+    assert len(kernels) == growths <= 12 and olds == (0,) + sizes[:-1] and sizes[-1] == 12
+    # each triple computed once: the kernels eliminate as many triples
+    # as the table holds, all distinct keys
+    assert sum(eliminated) == len(flags[0]._set.masks) == 12 * 11 * 10
 
 
 def test_memo_goes_with_the_flags():
@@ -715,7 +726,7 @@ def test_memo_goes_with_the_flags():
         for tup in criterion_11_calls(flags, np.random.default_rng(111)):
             stacked_positive(*tup)
         tables = tracemalloc.get_traced_memory()[0] - built
-        assert len(flags[0]._set.charts) == 12 * 11
+        assert len(flags[0]._set.masks) == 12 * 11 * 10
         del flags, tup
         # no reference cycle: the drop alone freed the set and its tables
         assert gc.collect() == 0
@@ -750,6 +761,54 @@ def test_mixed_set_tuples_decide_as_the_oracle():
     for shared in (True, False):
         got = {x if isinstance(x, bool) else "raised" for x, s in seen if s is shared}
         assert got == {True, False, "raised"}
+
+
+def benchmark_group(name, seed):
+    """standard_schottky, separated_schottky(2.0) or the modular group with
+    the parameters the ball-and-geometry benchmark draws at a seed: seed 0
+    keeps them, any other moves the Schottky translation lengths and axis
+    angle by a uniform draw, in the benchmark's order."""
+    rng = None if seed == 0 else np.random.default_rng(seed)
+
+    def jitter(center, half_width):
+        return center if rng is None else center + float(rng.uniform(-half_width, half_width))
+
+    length, angle = jitter(4.0, 0.2), jitter(0.5 * math.pi, 0.1)
+    a, b = jitter(2.0, 0.05), jitter(2.0, 0.05)
+    if name == "schottky":
+        return standard_schottky(length, angle)
+    if name == "separated":
+        return free_schottky([hyperbolic_with_axis(0.0, 0.5 * math.pi, a),
+                              hyperbolic_with_axis(math.pi, 1.5 * math.pi, b)])
+    return modular_group()
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("schottky", 2), ("schottky", 3), ("separated", 2), ("separated", 3),
+    ("modular", 4), ("modular", 5),
+])
+def test_positivity_decisions_match_the_oracle_on_limit_streams(name, depth):
+    # the first 14 limit flags of a group, one set's tables filled as the
+    # stream asks: every ordered triple, then random quadruples, one in
+    # five drawn with repeats, and tuples that repeat a flag
+    oracles = {}
+    for seed in range(3):
+        group = benchmark_group(name, seed)
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+        flags = [f for _, f in limit_flags(rep, group, depth)][:14]
+        key = tuple(f.basis.tobytes() for f in flags)
+        oracle = oracles.setdefault(key, IndexedOracle(flags))
+        n = len(flags)
+        rng = np.random.default_rng([seed, depth, 59])
+        calls = list(itertools.permutations(range(n), 3))
+        calls += [tuple(rng.choice(n, size=4, replace=trial % 5 == 0).tolist())
+                  for trial in range(3000)]
+        a, b, c = rng.permutation(n)[:3].tolist()
+        calls += [(a, b, a), (a, a, b, c), (a, b, c, b), (a, b, c, a), (a, b, b)]
+        got = [decision(stacked_positive, [flags[i] for i in idx]) for idx in calls]
+        assert got == [decision(oracle, idx) for idx in calls]
+        # positive, not positive and a raising tuple all occur
+        assert {True, False} <= set(got) and any(isinstance(x, str) for x in got)
 
 
 def test_one_call_on_a_large_set_keeps_no_square_table():
@@ -814,6 +873,42 @@ def test_limit_flags_and_curve_build_no_word(monkeypatch):
         limit_sample_words(group, 5)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(standard_schottky, id="schottky"),
+    pytest.param(modular_group, id="modular"),
+])
+def test_limit_curve_planes_are_flag_pieces(build):
+    group = build()
+    for d in (3, 4):
+        rep = sym_power(d)(group.generator_matrices())
+        flags = limit_flags(rep, group, 5)
+        for k in range(1, d):
+            curve = limit_curve(rep, group, 5, k)
+            assert [bp.theta for bp, _ in curve] == [bp.theta for bp, _ in flags]
+            got = np.array([plane.basis for _, plane in curve])
+            want = np.array([flag.piece(k).basis for _, flag in flags])
+            assert got.tobytes() == want.tobytes()
+            # the planes view one stack, as the flags share one set
+            assert all(plane._set is curve[0][1]._set for _, plane in curve)
+
+
+def test_projectors_gather_a_shared_stack():
+    group = standard_schottky()
+    rep = sym_power(3)(group.generator_matrices())
+    planes = [plane for _, plane in limit_curve(rep, group, 4, 2)]
+    rng = np.random.default_rng(67)
+    shuffled = [planes[i] for i in rng.permutation(len(planes))[:40]]
+    own = [GrassPoint(rng.normal(size=(3, 2))) for _ in range(5)]
+    pieces = [flag.piece(2) for _, flag in limit_flags(rep, group, 4)]
+    for points in (planes, shuffled, shuffled[:20] + own + shuffled[20:], pieces,
+                   [planes[3]] * 3, own[:1]):
+        bases = np.array([p.basis for p in points])
+        want = np.einsum("nik,njk->nij", bases, bases)
+        assert _projectors(points).tobytes() == want.tobytes()
+    with pytest.raises(InvalidInput):
+        _projectors(planes[:2] + [line(0.0)])
+
+
 def test_limit_curve_d2_equivariance():
     group = standard_schottky()
     rep = sym_power(2)(group.generator_matrices(), label="ident")
@@ -876,6 +971,33 @@ def test_polygonal_length_refinement_monotone():
     assert fine <= finer + 1e-12
     with pytest.raises(InvalidInput):
         polygonal_length([line(0.0)])
+
+
+def conic_polygon(n):
+    """n lines of the sym3 Veronese conic at uniform angles in [0, pi): the
+    images of the plane's lines under sym_power_matrix, the embedding of
+    the modular limit curve at k = 1."""
+    phi = np.linspace(0.0, math.pi, n, endpoint=False)
+    c, s = np.cos(phi), np.sin(phi)
+    rotations = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
+    lines = _orthonormalize(sym_power_matrix(rotations, 3)[:, :, :1], "plane")
+    return _views(GrassPoint, lines, lines)
+
+
+def test_conic_length_is_the_criterion_08_reference():
+    # the modular limit set is the whole circle, so the k = 1 sym3 limit
+    # curve is the whole Veronese conic; in sym_power_matrix's basis its
+    # line element is sqrt(2) d(phi) over phi in [0, pi), so its length is
+    # pi sqrt(2), which inscribed polygons approach from below
+    exact = math.pi * math.sqrt(2.0)
+    lengths = [polygonal_length(conic_polygon(2 ** j)) for j in (10, 12, 14)]
+    assert lengths[0] < lengths[1] < lengths[2] < exact
+    assert exact - lengths[2] < 1e-7
+    group = modular_group()
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    l8, l9 = (polygonal_length([p for _, p in limit_curve(rep, group, depth, 1)])
+              for depth in (8, 9))
+    assert l8 < l9 < exact
 
 
 def test_curve_csv_format(tmp_path):

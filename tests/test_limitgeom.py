@@ -11,7 +11,7 @@ from scipy import spatial
 from orbitlab import limitgeom
 from orbitlab.cartan import parse_functional, word_cartan
 from orbitlab.errors import InsufficientScales, InvalidInput
-from orbitlab.flags import GrassPoint, flag_distance, limit_curve
+from orbitlab.flags import GrassPoint, _limit_stack, flag_distance, limit_curve
 from orbitlab.hypdisc import displacement, shadow_of_isometry, wrap_angle
 from orbitlab.limitgeom import (
     DimensionEstimate,
@@ -185,8 +185,8 @@ def test_sym3_band_and_depth_stability():
 
 def deeper_sample(monkeypatch, depth):
     """Make distortion_scan read a limit sample of the given depth."""
-    monkeypatch.setattr(limitgeom, "limit_curve",
-                        lambda rep, group, _, k: limit_curve(rep, group, depth, k))
+    monkeypatch.setattr(limitgeom, "_limit_stack",
+                        lambda rep, group, _, k: _limit_stack(rep, group, depth, k))
 
 
 def test_power_word_ratios_converge(monkeypatch):
@@ -203,7 +203,8 @@ def test_power_word_ratios_converge(monkeypatch):
 
 def test_empty_sample_skips_every_row(monkeypatch):
     group, rep = schottky_pair(2)
-    monkeypatch.setattr(limitgeom, "limit_curve", lambda *args: [])
+    monkeypatch.setattr(limitgeom, "_limit_stack",
+                        lambda *args: (np.empty(0), np.empty((0, 2, 1))))
     report = distortion_scan(group, rep, A1, RADIUS, 4)
     assert len(report) == 0
     beyond = sum(

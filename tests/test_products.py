@@ -227,7 +227,8 @@ def test_distortion_scan_forms_kappa_for_kept_rows_only(monkeypatch):
                       for c in group.alphabet}, 3)
     with pytest.raises(IllConditioned):
         orbit_table(group, rep, 6)
-    monkeypatch.setattr(limitgeom, "limit_curve", lambda *args: [])
+    monkeypatch.setattr(limitgeom, "_limit_stack",
+                        lambda *args: (np.empty(0), np.empty((0, 3, 1))))
     report = distortion_scan(group, rep, parse_functional("a1"), 9.0, 6)
     beyond = sum(1 for _, mob in enumerate_elements(group, 6)
                  if displacement(mob) > 9.0)
