@@ -3,10 +3,8 @@
 The open cone of positive definite n x n matrices has removal rank n:
 the diagonal unit family shows n summands can be jointly necessary,
 while among any n+1 semidefinite summands with definite sum one is
-always removable. Both halves run here as eigenvalue checks.
+always removable. Both halves run here as one definiteness test.
 """
-
-import math
 
 import numpy as np
 
@@ -17,9 +15,6 @@ PSD_FLOOR = 1e-10
 
 # definiteness is relative: min eigenvalue > PD_REL_TOL * ||S||_F
 PD_REL_TOL = 1e-8
-
-# accepted spectral-radius margin when testing a summand for removal
-REMOVABLE_MARGIN = 1e-10
 
 
 class PSDMatrix:
@@ -33,8 +28,8 @@ class PSDMatrix:
 
     def __init__(self, mat):
         m = np.asarray(mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInput("a cone element is a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise InvalidInput("a cone element is a nonempty square matrix")
         if not np.all(np.isfinite(m)):
             raise InvalidInput("matrix entries must be finite")
         m = 0.5 * (m + m.T)
@@ -50,93 +45,82 @@ class PSDMatrix:
         return float(np.linalg.norm(self.mat))
 
     def is_zero(self):
-        return self.norm() == 0.0
+        """No nonzero entry; a tiny matrix whose norm underflows is not
+        zero."""
+        return not np.any(self.mat)
 
     def __repr__(self):
         return "PSDMatrix(n=%d, norm=%.6g)" % (self.n, self.norm())
 
 
-def _as_psd(value):
-    return value if isinstance(value, PSDMatrix) else PSDMatrix(value)
+def _definite(x):
+    """Whether each symmetric matrix of the stack x (..., n, n) is
+    positive definite: min eigenvalue > PD_REL_TOL * ||x||_F, the norm
+    read off the same eigenvalues by hypot, which neither underflows
+    nor overflows where squared entries would."""
+    w = np.linalg.eigvalsh(x)
+    return w[..., 0] > PD_REL_TOL * np.hypot.reduce(w, axis=-1)
 
 
-def _common_dim(mats):
-    if not mats:
-        raise InvalidInput("need at least one matrix")
-    n = mats[0].n
-    for m in mats:
-        if m.n != n:
-            raise InvalidInput("matrix sizes disagree")
-    return n
+def _removable(stack):
+    """First k whose removal from the summands stack (m, n, n) leaves a
+    definite sum S - A_k, or -1.
 
-
-def _sum_definite(mats):
-    """Sum of the family, raising SumNotPD unless definite."""
-    n = _common_dim(mats)
-    s = np.zeros((n, n))
-    for m in mats:
-        s += m.mat
-    low = float(np.linalg.eigvalsh(s)[0])
-    if low <= PD_REL_TOL * float(np.linalg.norm(s)):
-        raise SumNotPD(
-            "sum has minimum eigenvalue %.3g, not positive definite" % low
-        )
-    return s
+    S - A_k = S^(1/2) (I - B_k) S^(1/2) with B_k = S^(-1/2) A_k S^(-1/2),
+    so by Sylvester's law of inertia this is the spectral test
+    lambda_max(B_k) < 1 without forming S^(-1/2).
+    """
+    ok = _definite(stack.sum(axis=0) - stack)
+    k = int(ok.argmax())
+    return k if ok[k] else -1
 
 
 def removable_index(mats):
     """Smallest index k whose removal keeps the sum positive definite.
 
-    With S the (definite) sum, each summand is compared through
-    B_k = S^(-1/2) A_k S^(-1/2); a spectral radius below one means
-    S - A_k = S^(1/2) (I - B_k) S^(1/2) stays definite. Every summand
-    must be nonzero. The returned index is post-verified directly on
-    the eigenvalues of S - A_k. When no index qualifies, which the
-    trace of sum(B_k) = I rules out for more than n summands,
-    NoneRemovable reports the count.
+    Every summand must be nonzero and the sum S definite. When no index
+    qualifies, which the trace of sum S^(-1/2) A_k S^(-1/2) = I rules
+    out for more than n summands, NoneRemovable reports the count.
     """
-    mats = [_as_psd(m) for m in mats]
-    n = _common_dim(mats)
+    mats = [m if isinstance(m, PSDMatrix) else PSDMatrix(m) for m in mats]
+    if not mats:
+        raise InvalidInput("need at least one matrix")
+    n = mats[0].n
+    if any(m.n != n for m in mats):
+        raise InvalidInput("matrix sizes disagree")
     for i, m in enumerate(mats):
         if m.is_zero():
             raise InvalidInput("summand %d is the zero matrix" % i)
-    s = _sum_definite(mats)
-    w, q = np.linalg.eigh(s)
-    inv_sqrt = q @ np.diag(1.0 / np.sqrt(w)) @ q.T
-    for k, m in enumerate(mats):
-        b = inv_sqrt @ m.mat @ inv_sqrt
-        b = 0.5 * (b + b.T)
-        top = float(np.linalg.eigvalsh(b)[-1])
-        if top >= 1.0 - REMOVABLE_MARGIN:
-            continue
-        rest = float(np.linalg.eigvalsh(s - m.mat)[0])
-        if rest > 0.0:
-            return k
-    raise NoneRemovable(
-        "none of the %d summands is removable in dimension %d"
-        % (len(mats), n),
-        count=len(mats),
-    )
+    stack = np.stack([m.mat for m in mats])
+    s = stack.sum(axis=0)
+    if not _definite(s):
+        raise SumNotPD(
+            "sum has minimum eigenvalue %.3g, not positive definite"
+            % float(np.linalg.eigvalsh(s)[0])
+        )
+    k = _removable(stack)
+    if k < 0:
+        raise NoneRemovable(
+            "none of the %d summands is removable in dimension %d"
+            % (len(mats), n),
+            count=len(mats),
+        )
+    return k
 
 
 def rank_witness_check(n):
     """Whether the diagonal unit matrices witness n jointly necessary
-    summands: their sum is the identity, definite, while every
-    deletion leaves a singular sum."""
+    summands: their sum is the identity, definite, while no summand is
+    removable."""
     if n < 1:
         raise InvalidInput("dimension must be at least 1")
-    family = [np.zeros((n, n)) for _ in range(n)]
-    for i in range(n):
-        family[i][i, i] = 1.0
-    total = sum(family)
-    if float(np.linalg.eigvalsh(total)[0]) <= PD_REL_TOL * math.sqrt(n):
-        return False
-    for i in range(n):
-        rest = total - family[i]
-        low = float(np.linalg.eigvalsh(rest)[0])
-        if low > PD_REL_TOL * float(np.linalg.norm(rest)):
-            return False
-    return True
+    family = np.zeros((n, n, n))
+    family[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    try:
+        removable_index(family)
+    except NoneRemovable:
+        return True
+    return False
 
 
 def _random_psd(rng, n):
@@ -149,35 +133,35 @@ def _random_psd(rng, n):
     else:
         rows = int(rng.integers(1, n))
     g = rng.standard_normal((rows, n))
-    return PSDMatrix(g.T @ g)
+    return g.T @ g
+
+
+def _trial_stacks(n, trials, seed):
+    """Each trial's (n+1, n, n) summands with definite sum, drawn from
+    its own generator spawned off the seed; a tuple whose sum fails the
+    definiteness tolerance is redrawn inside the trial. The children are
+    spawned one at a time, the same as spawn(trials) gives, so memory
+    does not grow with trials."""
+    root = np.random.SeedSequence(seed)
+    for _ in range(trials):
+        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
+        while True:
+            stack = np.array([_random_psd(rng, n) for _ in range(n + 1)])
+            if _definite(stack.sum(axis=0)):
+                break
+        yield stack
 
 
 def rank_upper_sample(n, trials, seed=0):
     """Number of random (n+1)-tuples of semidefinite matrices with
     definite sum for which no summand is removable.
 
-    Each trial draws from its own generator spawned off the seed, so
-    runs are reproducible and trials are independent. Tuples whose sum
-    fails the definiteness tolerance are redrawn inside the trial.
-    Any count above zero contradicts the removal rank of the cone.
+    Trials come from _trial_stacks, so runs are reproducible, trials
+    are independent and are decided one at a time. Any count above zero
+    contradicts the removal rank of the cone.
     """
     if n < 1:
         raise InvalidInput("dimension must be at least 1")
     if trials < 1:
         raise InvalidInput("need at least one trial")
-    violations = 0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        while True:
-            mats = [_random_psd(rng, n) for _ in range(n + 1)]
-            try:
-                _sum_definite(mats)
-            except SumNotPD:
-                continue
-            break
-        try:
-            removable_index(mats)
-        except (NoneRemovable, SumNotPD):
-            violations += 1
-    return violations
-
+    return sum(_removable(stack) < 0 for stack in _trial_stacks(n, trials, seed))

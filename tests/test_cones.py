@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import conetools
 from orbitlab.cones import (
     PSDMatrix,
+    _removable,
+    _trial_stacks,
     rank_upper_sample,
     rank_witness_check,
     removable_index,
@@ -33,6 +36,20 @@ def test_psd_matrix_type():
         PSDMatrix([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(InvalidInput):
         PSDMatrix([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidInput):
+        PSDMatrix(np.zeros((0, 0)))
+    # the Frobenius norm of 1e-200 I underflows to 0, its entries do not
+    assert not PSDMatrix(1e-200 * np.eye(2)).is_zero()
+
+
+def test_definiteness_is_relative_at_every_scale():
+    # a rank-one sum stays singular and multiples of the identity stay
+    # definite where squared entries underflow or overflow
+    v = np.array([1.0, math.sqrt(2.0)])
+    for scale in (1e-200, 1e-170, 1e-150, 1.0, 1e200):
+        with pytest.raises(SumNotPD):
+            removable_index([scale * np.outer(v, v)] * 2)
+        assert removable_index([scale * np.eye(2)] * 3) == 0
 
 
 def test_removable_index_examples():
@@ -113,3 +130,40 @@ def test_iterated_removal_caratheodory():
             rest = sum(mats)
             assert np.linalg.eigvalsh(rest)[0] > 0.0
         assert len(mats) == bound
+
+
+def outcome(decide, mats):
+    """The index decide returns, or its exception's type, message and
+    count."""
+    try:
+        return decide(mats)
+    except (InvalidInput, NoneRemovable, SumNotPD) as exc:
+        return type(exc), str(exc), getattr(exc, "count", None)
+
+
+@pytest.mark.parametrize("mats", [
+    [np.eye(2), unit_diag(2, 0), unit_diag(2, 1)],
+    [np.array([[1.0]]), np.array([[1.0]])],
+    [unit_diag(2, 0), unit_diag(2, 1)],
+    [np.eye(3)],
+    [unit_diag(2, 0), unit_diag(2, 0)],
+    [np.eye(2), np.zeros((2, 2))],
+    [np.eye(2), np.eye(3)],
+    [],
+    [np.eye(2), np.eye(2) * 0.5, np.eye(2) * 0.5],
+    [np.eye(2) * 0.5, np.eye(2) * 0.5, np.eye(2)],
+    [1e-150 * np.eye(2)] * 3,
+])
+def test_removable_index_matches_the_spectral_oracle(mats):
+    assert outcome(removable_index, mats) == outcome(conetools.removable_index, mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trials_match_the_spectral_oracle_on_criterion_02_streams(n):
+    # the first 1000 criterion-02 trials: same draws and redraws, so the
+    # same stacks bit for bit, and the same removable index
+    seed, count = 20 + n, 1000
+    pairs = zip(conetools.trials(n, count, seed), _trial_stacks(n, count, seed))
+    for (mats, k), stack in pairs:
+        assert np.array_equal(np.array([m.mat for m in mats]), stack)
+        assert _removable(stack) == k >= 0

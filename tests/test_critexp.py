@@ -38,6 +38,8 @@ from orbitlab.errors import IllConditioned, InsufficientData, InvalidInput
 from orbitlab.hypdisc import Mobius
 from orbitlab.reps import sym_power
 from orbitlab.words import (
+    MODULAR_S,
+    MODULAR_T,
     custom_group,
     enumerate_elements,
     free_schottky,
@@ -318,6 +320,24 @@ def test_rounding_enumerations_are_labelled_estimates():
     for group, rounds in ((schottky, False), (modular_group(), False), (custom, True)):
         vs = sample_from_enumeration(group, sym3(group), A1, 3)
         assert ("non-exhaustive" in vs.label) == rounds, vs.label
+
+
+@pytest.mark.parametrize("generators", [
+    pytest.param(lambda: [standard_schottky(4.0).image(c).mat for c in "ab"], id="schottky-4"),
+    pytest.param(lambda: [separated_schottky(2.0).image(c).mat for c in "ab"], id="separated-2"),
+    pytest.param(lambda: [MODULAR_S, MODULAR_T], id="modular"),
+])
+@pytest.mark.parametrize("max_len", [4, 5, 6])
+def test_custom_certificate_holds_three_letters_deeper(generators, max_len):
+    # words of lengths max_len + 1 to max_len + 3 add no value at or
+    # below the rounding enumeration's certificate
+    group = custom_group(generators())
+    rep = sym3(group)
+    shallow = sample_from_enumeration(group, rep, A1, max_len)
+    deeper = sample_from_enumeration(group, rep, A1, max_len + 3)
+    t = shallow.complete_to
+    assert len(deeper) > len(shallow)
+    assert counting_function(deeper, t) == counting_function(shallow, t) > 0
 
 
 def test_fifth_generator_letter_keeps_the_identity():

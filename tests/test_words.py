@@ -18,6 +18,7 @@ from orbitlab.hypdisc import (
     TWO_PI,
     BoundaryPoint,
     Mobius,
+    _half_lengths,
     angular_distance,
     apply_boundary,
     classify,
@@ -583,6 +584,19 @@ class TestNormBall:
     def test_bad_bound(self):
         with pytest.raises(InvalidInput):
             modular_norm_ball(0)
+
+    def test_orbit_count_follows_the_lattice_law(self):
+        # PSL2(Z)\H has area pi/3, so the number N(T) of elements that
+        # move o by at most T is 6 (cosh T - 1) up to the lattice-point
+        # error O(e^(2T/3)) (Huber 1959; Iwaniec, ch. 12); the ball holds
+        # every element up to displacement 2 log 150 = 10.02
+        ball = modular_norm_ball(150)
+        assert len(ball) == 109_722 and 2.0 * math.log(150) > 10.0
+        dist = 2.0 * _half_lengths(ball.astype(float))
+        counts = [int(np.count_nonzero(dist <= t)) for t in range(4, 11)]
+        assert counts == [162, 442, 1242, 3274, 8874, 24194, 65802]
+        for t, count in zip(range(4, 11), counts):
+            assert abs(count - 6.0 * (math.cosh(t) - 1.0)) <= math.exp(2.0 * t / 3.0)
 
 
 class TestOrbitTable:
