@@ -5,10 +5,13 @@ setting's default, check and flag, COMMANDS each command's settings,
 and a flag or a config key that a command does not read is an error.
 Settings come from three layers: built-in defaults, command line
 flags, then an optional JSON config file, later layers winning. Every
-output starts with a verbatim echo of the command's merged settings so
-a report can be replayed. Text outputs are UTF-8 with LF newlines. Exit
-codes: 0 success, 2 configuration error, 3 numeric failure inside a
-module.
+command's rows go to <command>.jsonl under a header of command,
+config (the merged settings, so a run can be replayed), version and
+wall_time_s; orbit.csv and plot.txt start with a "# config:" echo.
+orbit.csv is its own checkpoint: a rerun keeps its rows below the last
+length it holds and walks on from that length. Text outputs are UTF-8
+with LF newlines. Exit codes: 0 success, 2 configuration error, 3
+numeric failure inside a module.
 """
 
 import argparse
@@ -182,52 +185,48 @@ def _one_functional(cfg):
     return cfg.functional[0], parse_functional(cfg.functional[0])
 
 
+def _orbit_resume(path, head):
+    """(word length to walk on from, byte offset to cut the CSV at, rows
+    before it). A file starting with head keeps its complete rows below
+    the last length present and redoes that length, a cut-off trailing
+    row with it; a missing, empty or foreign file starts over."""
+    if not os.path.exists(path):
+        return 0, 0, 0
+    with open(path, "rb") as fh:
+        if fh.read(len(head)) != head:
+            return 0, 0, 0
+        length, offset, rows = 0, len(head), 0
+        start, kept = offset, rows
+        for line in fh:
+            fields = line.split(b",", 2)
+            if not (line.endswith(b"\n") and len(fields) == 3 and fields[1].isdigit()):
+                break
+            if int(fields[1]) != length:
+                length, start, kept = int(fields[1]), offset, rows
+            offset += len(line)
+            rows += 1
+    return length, start, kept
+
+
 def cmd_orbit(cfg):
-    """Stream word,len,disp,k1..kd rows; a checkpoint file records the
-    last fully written length, the byte offset its rows end at and the
-    rows so far, so an interrupted run cuts off any rows of a partly
-    written length and appends instead of restarting; the lengths
-    already written are walked but get no records."""
+    """Stream word,len,disp,k1..kd rows to orbit.csv under the config
+    echo and column header, resuming as _orbit_resume finds."""
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
         csv_path = os.path.join(cfg.out, "orbit.csv")
-    ck_path = csv_path + ".checkpoint"
-    start_len = rows = 0
-    mode = "w"
-    try:
-        with open(ck_path, "r", encoding="utf-8") as fh:
-            ck = json.load(fh)
-        if (ck["config"] == cfg.echo_json() and ck["completed_len"] < cfg.max_len
-                and 0 < ck["offset"] <= os.path.getsize(csv_path)):
-            start_len, rows = int(ck["completed_len"]) + 1, int(ck["rows"])
-            mode = "a"
-    except (OSError, ValueError, TypeError, KeyError):
-        pass  # no usable checkpoint: start over
-    if mode == "a":
-        os.truncate(csv_path, ck["offset"])
-    resumed_rows = rows
-
-    def checkpoint(done_len, offset):
-        with open(ck_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"config": cfg.echo_json(), "completed_len": done_len,
-                       "offset": offset, "rows": rows}, fh, sort_keys=True)
-
-    current = start_len
-    with open(csv_path, mode, encoding="utf-8", newline="\n") as fh:
-        if mode == "w":
-            fh.write("# config: %s\n" % cfg.echo_json())
-            fh.write(_orbit_csv_header(rep.dim))
+    head = "# config: %s\n%s" % (cfg.echo_json(), _orbit_csv_header(rep.dim))
+    start_len, offset, rows = _orbit_resume(csv_path, head.encode())
+    with open(csv_path, "a", encoding="utf-8", newline="\n") as fh:
+        fh.truncate(offset)
+        if not offset:
+            fh.write(head)
         for rec in _orbit_records(group, rep, cfg.max_len, start_len):
-            if rec.length > current:
-                fh.flush()
-                checkpoint(current, fh.tell())
-                current = rec.length
             fh.write(_orbit_csv_row(rec))
             rows += 1
-    checkpoint(cfg.max_len, os.path.getsize(csv_path))
-    print("wrote %s (%d new rows, from length %d)"
-          % (csv_path, rows - resumed_rows, start_len))
+    payload = [{"max_len": cfg.max_len, "from_len": start_len, "rows": rows,
+                "csv": "orbit.csv"}]
+    return payload, "%d orbit rows, walked from length %d" % (rows, start_len)
 
 
 def _load_values_file(path):
@@ -301,7 +300,7 @@ def cmd_shadows(cfg):
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
         expr, phi = _one_functional(cfg)
-    records = orbit_table(group, rep, cfg.max_len, functionals=(phi,))
+    records = orbit_table(group, rep, cfg.max_len)
     report = shadow_separation_check(records, phi, cfg.radius)
     payload = [{
         "functional": expr,
@@ -408,26 +407,25 @@ def cmd_plot(cfg):
         values = _read_csv_column(cfg.input, cfg.column)
     counts, edges = np.histogram(values, bins=cfg.bins)
     top = counts.max() or 1
-    lines = ["# config: %s" % cfg.echo_json(),
-             "%s histogram, %d values" % (cfg.column, len(values))]
+    lines = ["%s histogram, %d values" % (cfg.column, len(values))]
     for i, c in enumerate(counts):
         bar = "#" * int(round(40.0 * c / top))
         lines.append("%12.5g .. %-12.5g %6d %s" % (edges[i], edges[i + 1],
                                                    c, bar))
-    text = "\n".join(lines) + "\n"
-    out_path = os.path.join(cfg.out, "plot.txt")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    with open(os.path.join(cfg.out, "plot.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("# config: %s\n%s\n" % (cfg.echo_json(), "\n".join(lines)))
     if cfg.svg is not None:
         _svg_histogram(list(counts), list(edges), cfg.svg)
-        print("wrote %s" % cfg.svg)
-    print("wrote %s" % out_path)
+    payload = [{"column": cfg.column, "values": len(values),
+                "counts": counts.tolist(), "edges": edges.tolist(),
+                "txt": "plot.txt", "svg": cfg.svg}]
+    return payload, "\n".join(lines)
 
 
 # command: (function, help, the settings it reads besides out, its
 # defaults that differ from SETTINGS'). A command function returns its
-# JSONL rows and summary line, or None when it writes its own files.
+# JSONL rows and summary; main writes them under the report header.
 COMMANDS = {
     "orbit": (cmd_orbit, "stream the orbit table to CSV, resumably",
               ("group", "rep", "max_len"), {}),
@@ -500,22 +498,20 @@ def main(argv=None):
             cfg = build_config(args)
             os.makedirs(cfg.out, exist_ok=True)
         started = time.time()
-        report = args.func(cfg)
+        payload, summary = args.func(cfg)
     except _ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except OrbitLabError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
-    if report is not None:
-        payload, summary = report
-        header = {"command": args.command, "config": cfg.settings,
-                  "version": __version__,
-                  "wall_time_s": round(time.time() - started, 6)}
-        path = os.path.join(cfg.out, args.command + ".jsonl")
-        write_report_jsonl(path, [header] + payload)
-        print(summary)
-        print("wrote %s" % path)
+    header = {"command": args.command, "config": cfg.settings,
+              "version": __version__,
+              "wall_time_s": round(time.time() - started, 6)}
+    path = os.path.join(cfg.out, args.command + ".jsonl")
+    write_report_jsonl(path, [header] + payload)
+    print(summary)
+    print("wrote %s" % path)
     return EXIT_OK
 
 

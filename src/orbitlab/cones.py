@@ -42,11 +42,12 @@ class PSDMatrix:
         self.n = m.shape[0]
 
     def norm(self):
-        return float(np.linalg.norm(self.mat))
+        """The Frobenius norm by hypot over the entries, as _definite
+        takes it, so it neither underflows nor overflows."""
+        return float(np.hypot.reduce(self.mat.ravel()))
 
     def is_zero(self):
-        """No nonzero entry; a tiny matrix whose norm underflows is not
-        zero."""
+        """No nonzero entry."""
         return not np.any(self.mat)
 
     def __repr__(self):

@@ -135,7 +135,10 @@ def reflection_across_axis(gamma):
     if kind != "hyperbolic":
         raise InvalidInput("reflection needs a hyperbolic value, got %s" % kind)
     frame = _eigenframes(gamma.mat[np.newaxis])[0]
-    return Reflection(Mobius(_framed_reflection(frame)), fixed_points(gamma))
+    # taken as built, unscaled: the factor double_rep keeps for the same
+    # frame, so a doubled walk's products are its level matrices
+    return Reflection(Mobius._normalized(_framed_reflection(frame), -1),
+                      fixed_points(gamma))
 
 
 def x_involution(d):

@@ -127,37 +127,73 @@ def test_orbit_deterministic_and_resumable(tmp_path):
     assert cli.main(args) == 0
     csv_path = out / "orbit.csv"
     fresh = csv_path.read_bytes()
-    header = csv_path.read_text().split("\n")[0]
-    assert header.startswith("# config: ")
-    assert '"max_len": 5' in header
-    assert cli.main(args) == 0
-    assert csv_path.read_bytes() == fresh
-
-    ck_path = out / "orbit.csv.checkpoint"
     lines = fresh.decode().splitlines(keepends=True)
-    data = [line for line in lines if not line.startswith(("#", "word,"))]
-    assert json.loads(ck_path.read_text())["rows"] == len(data)
-
-    # simulate runs killed after length 3 was checkpointed: partway
-    # through length 4, whose first rows follow the offset, and cleanly
-    head = [line for line in lines
-            if line.startswith(("#", "word,")) or int(line.split(",")[1]) <= 3]
-    fours = [line for line in data if int(line.split(",")[1]) == 4]
-    prefix = "".join(head).encode()
-    for partial in (fours[:5], []):
-        csv_path.write_bytes(prefix + "".join(partial).encode())
-        ck = json.loads(ck_path.read_text())
-        ck.update(completed_len=3, offset=len(prefix), rows=len(head) - 2)
-        ck_path.write_text(json.dumps(ck, sort_keys=True), encoding="utf-8")
-        assert cli.main(args) == 0
-        assert csv_path.read_bytes() == fresh
-        assert json.loads(ck_path.read_text())["rows"] == len(data)
-
-    # a checkpoint with a field of the wrong type starts the run over
-    ck.update(completed_len=3, offset=str(len(prefix)))
-    ck_path.write_text(json.dumps(ck, sort_keys=True), encoding="utf-8")
+    assert lines[0].startswith("# config: ")
+    assert '"max_len": 5' in lines[0]
+    assert lines[1].startswith("word,")
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == fresh
+    assert sorted(p.name for p in out.iterdir()) == ["orbit.csv", "orbit.jsonl"]
+    # a finished file redoes its last length only
+    assert read_jsonl(out / "orbit.jsonl")[1]["from_len"] == 5
+
+    # the CSV is its own checkpoint: a run killed anywhere walks on from
+    # the last length the file holds and rewrites the rest byte for byte
+    head = len(lines[0]) + len(lines[1])
+    fours = next(i for i, line in enumerate(lines) if line.split(",")[1:2] == ["4"])
+    boundary = sum(len(line) for line in lines[:fours])
+    cuts = {"inside a length": (boundary + len(lines[fours]) + 7, 4),
+            "inside a row": (boundary + len(lines[fours]) // 2, 3),
+            "at a length boundary": (boundary, 3),
+            "after the header": (head, 0),
+            "inside the header": (head - 3, 0),
+            "to empty": (0, 0)}
+    for where, (cut, from_len) in cuts.items():
+        csv_path.write_bytes(fresh[:cut])
+        assert cli.main(args) == 0, where
+        assert csv_path.read_bytes() == fresh, where
+        row = read_jsonl(out / "orbit.jsonl")[1]
+        assert (row["from_len"], row["rows"]) == (from_len, len(lines) - 2), where
+
+    # a row that does not parse ends the rows kept, as a cut does
+    csv_path.write_bytes(fresh[:boundary] + b"garbled\n" + fresh[boundary:])
+    assert cli.main(args) == 0
+    assert csv_path.read_bytes() == fresh
+    assert read_jsonl(out / "orbit.jsonl")[1]["from_len"] == 3
+
+    # a file written under other settings starts over
+    foreign = lines[0].replace('"max_len": 5', '"max_len": 4')
+    csv_path.write_bytes((foreign + "".join(lines[1:fours])).encode())
+    assert cli.main(args) == 0
+    assert csv_path.read_bytes() == fresh
+    assert read_jsonl(out / "orbit.jsonl")[1]["from_len"] == 0
+
+
+def test_every_command_reports_through_main(tmp_path):
+    grp = write_separated_group(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["orbit", "--group", grp, "--max-len", "2",
+                     "--out", str(out)]) == 0
+    small = {
+        "critexp": ["--group", grp, "--max-len", "6"],
+        "limitcurve": ["--group", grp, "--depth", "3"],
+        "dimension": ["--group", grp, "--depth", "6"],
+        "shadows": ["--group", grp, "--max-len", "2"],
+        "tp": ["--trials", "3"],
+        "double": ["--max-len", "6", "--depth", "6"],
+        "conerank": ["--trials", "5"],
+        "plot": ["--input", str(out / "orbit.csv"), "--bins", "3"],
+    }
+    assert sorted(list(small) + ["orbit"]) == sorted(cli.COMMANDS)
+    for command, extra in small.items():
+        assert cli.main([command] + extra + ["--out", str(out)]) == 0, command
+    for command in cli.COMMANDS:
+        header, *rows = read_jsonl(out / (command + ".jsonl"))
+        assert sorted(header) == ["command", "config", "version", "wall_time_s"]
+        assert header["command"] == command
+        assert header["config"]["out"] == str(out)
+        assert header["version"] and header["wall_time_s"] >= 0.0
+        assert rows, command
 
 
 @pytest.mark.parametrize("config", ['{"window": 5}', '{"max_len": null}',
@@ -174,6 +210,45 @@ def test_config_type_errors_exit_2(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "unknown config key" not in err
+
+
+def test_window_flag(tmp_path, capsys):
+    grp = write_separated_group(tmp_path)
+    out = tmp_path / "run"
+    args = ["critexp", "--group", grp, "--max-len", "7", "--out", str(out)]
+    assert cli.main(args + ["--window", "3:9"]) == 0
+    assert read_jsonl(out / "critexp.jsonl")[0]["config"]["window"] == [3.0, 9.0]
+    assert cli.main(args + ["--window", "9:3"]) == 2
+    assert "window needs lo < hi" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--window", "3"])
+    assert exc.value.code == 2
+    assert "window format is lo:hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["shadows", "--radius", "0"], "radius must be positive"),
+    (["orbit", "--max-len", "-1"], "max_len must be nonnegative"),
+    (["conerank", "--trials", "0"], "trials must be at least 1"),
+], ids=["radius", "max_len", "trials"])
+def test_range_checks_exit_2(tmp_path, capsys, args, message):
+    args += ["--out", str(tmp_path / "run")]
+    if args[0] != "conerank":
+        args += ["--group", write_modular_group(tmp_path)]
+    assert cli.main(args) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("generator=1 0 1", "generator needs 4 numbers"),
+    ("colour=blue", "unknown group file key 'colour'"),
+], ids=["three-numbers", "unknown-key"])
+def test_bad_group_file_lines_exit_2(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.grp"
+    path.write_text("kind=custom\n%s\n" % line, encoding="utf-8")
+    assert cli.main(["orbit", "--group", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_settings_a_command_does_not_read_are_errors(tmp_path, capsys):

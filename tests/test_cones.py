@@ -38,8 +38,11 @@ def test_psd_matrix_type():
         PSDMatrix([[math.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(InvalidInput):
         PSDMatrix(np.zeros((0, 0)))
-    # the Frobenius norm of 1e-200 I underflows to 0, its entries do not
+    # squared, the entries of 1e-200 I underflow to 0 and those of
+    # 1e200 I overflow; the norm by hypot does neither
     assert not PSDMatrix(1e-200 * np.eye(2)).is_zero()
+    assert repr(PSDMatrix(1e-200 * np.eye(2))) == "PSDMatrix(n=2, norm=1.41421e-200)"
+    assert repr(PSDMatrix(1e200 * np.eye(2))) == "PSDMatrix(n=2, norm=1.41421e+200)"
 
 
 def test_definiteness_is_relative_at_every_scale():

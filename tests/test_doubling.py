@@ -212,13 +212,14 @@ def test_double_rep_dim2_matches_geometry():
 @pytest.mark.parametrize("ell", [1.85, 2.0, 4.0])
 def test_group_and_rep_reflections_share_one_frame(ell):
     # the group's reflection letters and the factors of the rep's are
-    # one formula on one eigenframe; they differed by 1.2e-14 on BA at
-    # 1.85 while the group side went through angles and directions
+    # one formula on one eigenframe, taken as built on both sides; they
+    # differed by 1.2e-14 on BA at 1.85 while the group side went through
+    # angles and directions, and by an ulp while it rescaled to |det| = 1
     group, rep = pants_rep(3, ell)
     dbl = double_rep(rep, PANTS_BOUNDARY)
     spec = _doubled_group(group, dbl)
     for c in dbl.letters:
-        assert np.abs(spec.images[c].mat - dbl.rep.factors[0][1][c]).max() <= 1e-15
+        assert np.array_equal(spec.images[c].mat, dbl.rep.factors[0][1][c])
 
 
 def test_reflection_image_ignores_column_scaling():

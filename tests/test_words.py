@@ -11,6 +11,7 @@ from orbitlab.doubling import (
     PANTS_BOUNDARY,
     _doubled_group,
     double_rep,
+    hyperbolic_with_axis,
     separated_schottky,
 )
 from orbitlab.errors import InvalidInput, NonElementary
@@ -502,11 +503,22 @@ class TestSharedTables:
 
     @staticmethod
     def _walks():
-        pants = separated_schottky(1.85)
-        sym3 = sym_power(3)(pants.generator_matrices(), label="sym3")
-        doubled = double_rep(sym3, PANTS_BOUNDARY)
-        return [(pants, sym3.tables, "sym3"),
-                (_doubled_group(pants, doubled), doubled.rep.tables, "doubled")]
+        # the doubled walks share only when the group's reflection letters
+        # are the rep's reflection factors bit for bit
+        angle = -0.17
+        rotated = free_schottky([
+            hyperbolic_with_axis(angle, angle + 0.5 * math.pi, 1.85),
+            hyperbolic_with_axis(angle + math.pi, angle + 1.5 * math.pi, 1.85)])
+        walks = []
+        for pants, label in ((separated_schottky(1.85), "1.85"),
+                             (separated_schottky(2.0), "2.0"),
+                             (rotated, "1.85 rotated")):
+            sym3 = sym_power(3)(pants.generator_matrices(), label="sym3")
+            doubled = double_rep(sym3, PANTS_BOUNDARY)
+            walks += [(pants, sym3.tables, "sym3 " + label),
+                      (_doubled_group(pants, doubled), doubled.rep.tables,
+                       "doubled " + label)]
+        return walks
 
     def test_an_equal_table_is_the_level_matrices(self):
         for group, tables, label in self._walks():
@@ -893,6 +905,14 @@ class TestGroupFile:
         path = tmp_path / "group.txt"
         path.write_text("kind=modular\n", encoding="utf-8")
         assert load_group_file(str(path)).kind == "modular"
+
+    def test_custom_file_keeps_its_tolerance(self, tmp_path):
+        path = tmp_path / "group.txt"
+        path.write_text("kind=custom\ndedup_tol=1e-6\n"
+                        "generator=2.0 0.0 0.0 0.5\n", encoding="utf-8")
+        g = load_group_file(str(path))
+        assert (g.kind, g.dedup_tol) == ("custom", 1e-6)
+        assert len(g.alphabet) == 2
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "group.txt"
