@@ -527,13 +527,12 @@ def modular_norm_ball(bound):
 class OrbitRecord:
     """One group element with its displacement and Cartan data."""
 
-    __slots__ = ("word", "displacement", "kappa", "phi_values", "mob")
+    __slots__ = ("word", "displacement", "kappa", "mob")
 
-    def __init__(self, word, displacement, kappa, phi_values, mob=None):
+    def __init__(self, word, displacement, kappa, mob=None):
         self.word = word
         self.displacement = float(displacement)
         self.kappa = kappa
-        self.phi_values = dict(phi_values)
         self.mob = mob
 
     @property
@@ -544,7 +543,7 @@ class OrbitRecord:
         return "OrbitRecord(%s, disp=%.6g)" % (self.word, self.displacement)
 
 
-def _orbit_records(group, rep, max_len, start_len, functionals=()):
+def _orbit_records(group, rep, max_len, start_len):
     """The records of orbit_table for the word lengths start_len to
     max_len, streamed, with the Cartan vectors of cartan._cartan_rows
     over each level's products and hypdisc._half_lengths over its
@@ -557,14 +556,13 @@ def _orbit_records(group, rep, max_len, start_len, functionals=()):
         lam = _cartan_rows(rep, level.products)
         disp = (2.0 * _half_lengths(level.mats)).tolist()
         for i, mob in level.rows():
-            kv = CartanVector._of(lam[i], rep.lie_type)
-            values = {phi.name(): phi.value(kv) for phi in functionals}
-            yield OrbitRecord(level.word(i), disp[i], kv, values, mob=mob)
+            yield OrbitRecord(level.word(i), disp[i],
+                              CartanVector._of(lam[i], rep.lie_type), mob=mob)
 
 
-def orbit_table(group, rep, max_len, functionals=()):
+def orbit_table(group, rep, max_len):
     """One OrbitRecord per distinct element up to max_len, in stream order."""
-    return list(_orbit_records(group, rep, max_len, 0, functionals))
+    return list(_orbit_records(group, rep, max_len, 0))
 
 
 def _orbit_csv_header(d):

@@ -238,7 +238,7 @@ def test_arc_extremes_against_reference_scan():
 
 def test_separation_duplicate_points():
     group, rep = schottky_pair(3)
-    recs = orbit_table(group, rep, 1, functionals=())
+    recs = orbit_table(group, rep, 1)
     rec = next(r for r in recs if len(r.word) == 1)
     report = shadow_separation_check([rec, rec], A1, RADIUS)
     assert report.pairs_overlapping == 1
@@ -269,7 +269,7 @@ def test_separation_single_point_annuli():
 def test_separation_requires_isometries():
     group, rep = schottky_pair(3)
     rec = orbit_table(group, rep, 1)[1]
-    bare = OrbitRecord(rec.word, rec.displacement, rec.kappa, {}, mob=None)
+    bare = OrbitRecord(rec.word, rec.displacement, rec.kappa, mob=None)
     with pytest.raises(InvalidInput):
         shadow_separation_check([bare], A1, RADIUS)
 

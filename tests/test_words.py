@@ -624,23 +624,23 @@ class TestOrbitTable:
         g = modular_group()
         rep = sym_power(2)(g.generator_matrices())
         phi = parse_functional("a1")
-        recs = orbit_table(g, rep, 1, functionals=[phi])
+        recs = orbit_table(g, rep, 1)
         by_word = {str(r.word): r for r in recs}
         rec = by_word["T"]
         t_mob = g.image("T")
         want = dist_h(ORIGIN, apply_isometry(t_mob, ORIGIN))
         assert rec.displacement == pytest.approx(want, abs=1e-11)
-        assert rec.phi_values["a1"] == pytest.approx(TWO_LOG_PHI, abs=1e-12)
+        assert phi.value(rec.kappa) == pytest.approx(TWO_LOG_PHI, abs=1e-12)
 
     def test_schottky_generator_powers(self):
         g = free_schottky([Mobius(np.diag([math.e, 1.0 / math.e]))])
         rep = sym_power(2)(g.generator_matrices())
         phi = parse_functional("a1")
-        recs = orbit_table(g, rep, 4, functionals=[phi])
+        recs = orbit_table(g, rep, 4)
         for rec in recs:
             if set(rec.word.letters) == {"a"}:
                 n = rec.length
-                assert rec.phi_values["a1"] == pytest.approx(2.0 * n, abs=1e-10)
+                assert phi.value(rec.kappa) == pytest.approx(2.0 * n, abs=1e-10)
 
     def test_kappa_sums_to_zero(self):
         g = standard_schottky(4.0)
@@ -678,7 +678,7 @@ class TestOrbitTable:
         g = modular_group()
         rep = sym_power(3)(g.generator_matrices())
         phi = parse_functional("a1")
-        full = list(words._orbit_records(g, rep, 6, 0, (phi,)))
+        full = list(words._orbit_records(g, rep, 6, 0))
         sizes = []
 
         def spy(rep, products):
@@ -686,14 +686,14 @@ class TestOrbitTable:
             return _cartan_rows(rep, products)
 
         monkeypatch.setattr(words, "_cartan_rows", spy)
-        tail = list(words._orbit_records(g, rep, 6, start_len, (phi,)))
+        tail = list(words._orbit_records(g, rep, 6, start_len))
         want = [rec for rec in full if rec.length >= start_len]
         assert sizes == [sum(1 for rec in want if rec.length == n)
                          for n in range(start_len, 7)]
         assert len(tail) == len(want) > 0
         for got, rec in zip(tail, want):
-            assert (str(got.word), got.displacement, got.phi_values) == (
-                str(rec.word), rec.displacement, rec.phi_values)
+            assert (str(got.word), got.displacement, phi.value(got.kappa)) == (
+                str(rec.word), rec.displacement, phi.value(rec.kappa))
             assert np.array_equal(got.kappa.lambdas, rec.kappa.lambdas)
             assert np.array_equal(got.mob.mat, rec.mob.mat)
 
