@@ -10,8 +10,9 @@ config (the merged settings, so a run can be replayed), version and
 wall_time_s; orbit.csv and plot.txt start with a "# config:" echo.
 orbit.csv is its own checkpoint: a rerun keeps its rows below the last
 length it holds and walks on from that length. Text outputs are UTF-8
-with LF newlines. Exit codes: 0 success, 2 configuration error, 3
-numeric failure inside a module.
+with LF newlines. Exit codes: 0 success, 2 configuration error (an
+output path that cannot be written among them), 3 numeric failure
+inside a module.
 """
 
 import argparse
@@ -499,17 +500,18 @@ def main(argv=None):
             os.makedirs(cfg.out, exist_ok=True)
         started = time.time()
         payload, summary = args.func(cfg)
-    except _ConfigError as exc:
+        header = {"command": args.command, "config": cfg.settings,
+                  "version": __version__,
+                  "wall_time_s": round(time.time() - started, 6)}
+        path = os.path.join(cfg.out, args.command + ".jsonl")
+        write_report_jsonl(path, [header] + payload)
+    except (_ConfigError, OSError) as exc:
+        # an output path that cannot be written is a configuration error
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except OrbitLabError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
-    header = {"command": args.command, "config": cfg.settings,
-              "version": __version__,
-              "wall_time_s": round(time.time() - started, 6)}
-    path = os.path.join(cfg.out, args.command + ".jsonl")
-    write_report_jsonl(path, [header] + payload)
     print(summary)
     print("wrote %s" % path)
     return EXIT_OK

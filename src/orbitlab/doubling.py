@@ -3,11 +3,14 @@
 A rank-2 Schottky group whose generator axes are disjoint is a pair of
 pants; reflecting across the three boundary axes embeds it in a larger
 group whose orientation preserving part strictly contains the original.
-On the matrix side each reflection becomes a conjugated sign
-involution, and the extended letter table keeps the two-by-two factor
-structure, so Cartan data and flags of long doubled words stay on the
-stable evaluation route. A reflection's letter and its factor are one
-formula, _framed_reflection, on one eigenframe.
+Doubling covers symmetric-power representations, whose images come
+from one two-by-two factor table. Each boundary word gives one
+Reflection, built once by double_rep from the word's product in that
+table: its matrix is the reflection letter's factor, so Cartan data and
+flags of long doubled words stay on the stable evaluation route, and
+its symmetric power is the letter's image, a conjugated sign
+involution. The doubled group reads the same Reflection for the
+letter's Mobius value and axis endpoints.
 
 The doubled ball is the walk of words.enumerate_elements run on a
 GroupSpec of kind doubled: the base letters plus one self-inverse letter
@@ -22,7 +25,6 @@ import numpy as np
 
 from .critexp import _frontier_sample
 from .errors import InvalidInput, OverlappingAxes
-from .flags import Flag, _eigenbasis, _loxodromic_frames, flag_distance
 from .hypdisc import (
     BoundaryPoint,
     Mobius,
@@ -37,7 +39,6 @@ from .reps import (
     Representation,
     ScaledMatrix,
     _word_product,
-    evaluate,
     sym_power_matrix,
 )
 from .words import GroupSpec, Word, _walk_levels, free_schottky
@@ -47,7 +48,6 @@ REFLECTION_LETTERS = "xyzuvw"
 
 SQUARE_TOL = 1e-10
 ENDPOINT_TOL = 1e-9
-FLAG_FIX_TOL = 1e-9
 DEDUP_TOL = 1e-8
 AXIS_TOL = 1e-9
 
@@ -117,11 +117,6 @@ class Reflection:
         )
 
 
-def _framed_reflection(frame):
-    """diag(1, -1) in the basis of a 2x2 eigenframe (hypdisc._eigenframes)."""
-    return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
-
-
 def reflection_across_axis(gamma):
     """Reflection across the axis of a hyperbolic Mobius value.
 
@@ -135,106 +130,70 @@ def reflection_across_axis(gamma):
     if kind != "hyperbolic":
         raise InvalidInput("reflection needs a hyperbolic value, got %s" % kind)
     frame = _eigenframes(gamma.mat[np.newaxis])[0]
-    # taken as built, unscaled: the factor double_rep keeps for the same
-    # frame, so a doubled walk's products are its level matrices
-    return Reflection(Mobius._normalized(_framed_reflection(frame), -1),
-                      fixed_points(gamma))
+    # taken as built, unscaled: double_rep keeps this matrix as the
+    # letter's factor, so a doubled walk's products are its level matrices
+    mat = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
+    return Reflection(Mobius._normalized(mat, -1), fixed_points(gamma))
 
 
-def x_involution(d):
-    """Sign involution diag(+1, -1, +1, ...) of size d.
-
-    Conjugation by it negates every superdiagonal elementary matrix,
-    fixes diagonals, and squares to the identity.
-    """
-    if d < 2:
-        raise InvalidInput("the sign involution needs dimension >= 2")
-    return np.diag([(-1.0) ** j for j in range(d)])
-
-
-def _check_involution(mat, label):
-    d = mat.shape[0]
-    err = float(np.abs(mat @ mat - np.eye(d)).max())
-    scale = max(1.0, float(np.abs(mat).max()) ** 2)
-    if err > SQUARE_TOL * scale:
-        raise InvalidInput(
-            "reflection image of %s squares %.3g away from the identity"
-            % (label, err)
-        )
-
-
-def _check_fixes_flags(big, basis, label):
-    """Both flags of the eigenbasis must be fixed by the conjugated
-    involution.
-
-    Column rescaling of the basis, sign flips included, cancels against
-    the diagonal involution, so one check covers every eigenbasis
-    normalization; failing it means no sign pattern works.
-    """
-    d = basis.shape[0]
-    worst = 0.0
-    for cols in (basis, basis[:, ::-1]):
-        fixed = Flag(cols)
-        moved = Flag(big @ cols)
-        for k in range(1, d):
-            worst = max(worst, flag_distance(fixed.piece(k), moved.piece(k)))
-    if worst > FLAG_FIX_TOL:
-        raise InvalidInput(
-            "no eigenbasis sign pattern makes the reflection fix both "
-            "boundary flags of %s (distance %.3g)" % (label, worst)
-        )
+def _factor_table(rep):
+    """(dimension, letter-to-2x2 table) of a representation whose one
+    two-by-two factor has the rep's own dimension: a symmetric power."""
+    if rep.factors is None or len(rep.factors) != 1 or rep.factors[0][0] != rep.dim:
+        raise InvalidInput("doubling needs a symmetric-power representation, got %s"
+                           % rep.label)
+    return rep.factors[0]
 
 
 class DoubledRep:
-    """A representation extended by boundary reflection letters.
+    """A symmetric-power representation extended by boundary reflection
+    letters.
 
-    base is the original table; boundary the words whose axes carry the
-    reflections; letters one fresh letter per boundary word; rep the
-    extended Representation. Restricting rep to the base alphabet gives
-    back base exactly, and every reflection image squares to the
-    identity projectively.
+    base is the original representation; boundary the words whose axes
+    carry the reflections; letters one fresh letter per boundary word;
+    reflections one Reflection per boundary word; rep the extended
+    Representation. A reflection letter's two-by-two factor is its
+    reflection's matrix, and its image the symmetric power of that
+    matrix. Restricting rep to the base alphabet gives back base
+    exactly.
     """
 
-    __slots__ = ("base", "boundary", "letters", "reflection_images", "rep")
+    __slots__ = ("base", "boundary", "letters", "reflections", "rep")
 
-    def __init__(self, base, boundary, letters, reflection_images,
-                 reflection_factors=None):
+    def __init__(self, base, boundary, letters, reflections):
+        dfac, table = _factor_table(base)
         boundary = tuple(boundary)
         letters = tuple(letters)
-        reflection_images = [np.asarray(m, dtype=float) for m in reflection_images]
-        if not (len(boundary) == len(letters) == len(reflection_images)):
-            raise InvalidInput("boundary words, letters and images must align")
+        reflections = tuple(reflections)
+        if not (len(boundary) == len(letters) == len(reflections)):
+            raise InvalidInput("boundary words, letters and reflections must align")
         if len(set(letters)) != len(letters):
             raise InvalidInput("reflection letters repeat")
         for c in letters:
             if c in base.images:
                 raise InvalidInput("letter %r is already taken by the base" % c)
-        for c, mat in zip(letters, reflection_images):
-            _check_involution(mat, c)
-        images = {k: v for k, v in base.images.items()}
-        for c, mat in zip(letters, reflection_images):
-            images[c] = mat
-        factors = None
-        if (base.factors is not None and len(base.factors) == 1
-                and reflection_factors is not None
-                and all(f is not None for f in reflection_factors)):
-            dfac, table = base.factors[0]
-            ext = dict(table)
-            for c, f in zip(letters, reflection_factors):
-                ext[c] = np.asarray(f, dtype=float)
-            factors = ((dfac, ext),)
+        images = dict(base.images)
+        factors = dict(table)
+        for c, r in zip(letters, reflections):
+            factors[c] = r.mob.mat
+            images[c] = sym_power_matrix(r.mob.mat, dfac)
         self.base = base
         self.boundary = boundary
         self.letters = letters
-        self.reflection_images = reflection_images
+        self.reflections = reflections
         self.rep = Representation(
             base.dim, base.lie_type, images, base.label + " doubled",
-            verified=base.verified, factors=factors,
+            verified=base.verified, factors=((dfac, factors),),
         )
         # the determinant renormalization above ripples the last ulp;
-        # restriction to the base alphabet must be the base table itself
-        for k, v in base.images.items():
-            self.rep.images[k] = v
+        # every image stays as built: the base letters' are the base
+        # table, the reflection letters' the symmetric powers of their
+        # factors
+        self.rep.images.update(images)
+
+    @property
+    def reflection_images(self):
+        return [self.rep.images[c] for c in self.letters]
 
     @property
     def dim(self):
@@ -251,50 +210,27 @@ class DoubledRep:
         )
 
 
-def _as_word(w):
-    return w if isinstance(w, Word) else Word(tuple(w))
-
-
 def double_rep(rep, boundary_elements):
-    """Extend a representation by one reflection per boundary element.
+    """Extend a symmetric-power representation by one Reflection per
+    boundary element, across the axis of the word's product in the
+    rep's two-by-two table.
 
-    Each boundary word's image gets the conjugated sign involution
-    R = g x g^-1, where g is its eigenbasis with columns in decreasing
-    eigenvalue order; the attracting flag then sits on leading
-    coordinate subspaces, the repelling flag on trailing ones, and R
-    fixes both. Representations with a single two-by-two factor keep
-    that structure: the reflection's factor is the framed diag(1, -1),
-    whose symmetric power is R itself. Any other representation takes
-    g from flags._eigenbasis, as limit_flags' dense route does, so it is
-    refused where that route would be: complex eigenvalues, or
-    consecutive moduli within a ratio of 1 + flags.LOG_GAP_MIN.
+    The symmetric power is a homomorphism, so each letter's image is the
+    sign involution diag(1, -1, 1, ...) conjugated by the symmetric
+    power of the word's eigenframe, and fixes both boundary flags. Any
+    other representation, or a boundary word whose product is not
+    hyperbolic, raises InvalidInput.
     """
-    boundary = [_as_word(w) for w in boundary_elements]
-    d = rep.dim
-    x = x_involution(d)
+    boundary = [w if isinstance(w, Word) else Word(tuple(w)) for w in boundary_elements]
+    _, table = _factor_table(rep)
     letters = [c for c in REFLECTION_LETTERS if c not in rep.images]
     if len(letters) < len(boundary):
         raise InvalidInput("not enough free letters for the reflections")
-    letters = letters[: len(boundary)]
-    structural = (rep.factors is not None and len(rep.factors) == 1
-                  and rep.factors[0][0] == rep.dim)
-    images = []
-    factor_mats = []
-    for w in boundary:
-        if structural:
-            product = _word_product(rep.factors[0][1], w, rep.label)
-            frame = _loxodromic_frames(product[np.newaxis])[0]
-            basis = sym_power_matrix(frame, d)
-            factor = _framed_reflection(frame)
-        else:
-            basis = _eigenbasis(evaluate(rep, w).mat)
-            factor = None
-        big = basis @ x @ np.linalg.inv(basis)
-        _check_involution(big, str(w))
-        _check_fixes_flags(big, basis, str(w))
-        images.append(big)
-        factor_mats.append(factor)
-    return DoubledRep(rep, boundary, letters, images, factor_mats)
+    reflections = [
+        reflection_across_axis(Mobius._normalized(_word_product(table, w, rep.label), 1))
+        for w in boundary
+    ]
+    return DoubledRep(rep, boundary, letters[: len(boundary)], reflections)
 
 
 def _axes_disjoint(pair_a, pair_b):
@@ -316,18 +252,15 @@ def _doubled_group(group, doubled):
     """The reflection-extended group as a GroupSpec of kind doubled.
 
     The base letters keep their images; each reflection letter is its
-    own inverse, with the reflection across its boundary word's axis as
-    image. Elements are deduplicated by words._scaled_key at DEDUP_TOL, which
+    own inverse, with doubled's Reflection for its boundary word as
+    image, the one whose matrix is the letter's factor in doubled.rep.
+    Elements are deduplicated by words._scaled_key at DEDUP_TOL, which
     can merge distinct far-apart elements, so the enumeration is
     non-exhaustive by construction.
     """
     if group.kind != "free_schottky" or len(group.alphabet) != 4:
         raise InvalidInput("doubling covers rank-2 Schottky groups")
-    reflections = [
-        reflection_across_axis(Mobius._normalized(
-            _word_product(group.generator_matrices(), w, group.kind), 1))
-        for w in doubled.boundary
-    ]
+    reflections = doubled.reflections
     for i in range(len(reflections)):
         for j in range(i + 1, len(reflections)):
             if not _axes_disjoint(reflections[i].endpoints, reflections[j].endpoints):

@@ -156,29 +156,27 @@ def distortion_scan(group, rep, phi, r, max_len):
 class SeparationReport:
     """Empirical same-annulus shadow separation constant."""
 
-    __slots__ = ("c0_empirical", "violations", "pairs_overlapping", "annuli")
+    __slots__ = ("c0_empirical", "pairs_overlapping", "annuli")
 
-    def __init__(self, c0_empirical, violations, pairs_overlapping, annuli):
+    def __init__(self, c0_empirical, pairs_overlapping, annuli):
         self.c0_empirical = float(c0_empirical)
-        self.violations = int(violations)
         self.pairs_overlapping = int(pairs_overlapping)
         self.annuli = dict(annuli)
 
     def __repr__(self):
-        return "SeparationReport(c0=%.6g, violations=%d)" % (
+        return "SeparationReport(c0=%.6g, pairs_overlapping=%d)" % (
             self.c0_empirical,
-            self.violations,
+            self.pairs_overlapping,
         )
 
 
-def shadow_separation_check(records, phi, r, c0=None):
+def shadow_separation_check(records, phi, r):
     """Scan same-annulus orbit pairs for overlapping shadows.
 
     Points land in annulus n when their functional value lies in
     [n, n+1). c0_empirical is the largest distance between same-annulus
-    points whose shadows still overlap, hence the smallest constant with
-    zero violations; when c0 is given, pairs beyond it count as
-    violations.
+    points whose shadows still overlap: the smallest separation
+    constant the sample allows.
     """
     buckets = {}
     for rec in records:
@@ -189,7 +187,6 @@ def shadow_separation_check(records, phi, r, c0=None):
         buckets.setdefault(n, []).append(rec)
     c0_emp = 0.0
     overlapping = 0
-    violations = 0
     annuli = {n: len(v) for n, v in buckets.items()}
     for n, bucket in sorted(buckets.items()):
         mats = np.array([rec.mob.mat for rec in bucket])
@@ -201,8 +198,7 @@ def shadow_separation_check(records, phi, r, c0=None):
             dist = 2.0 * _half_lengths(bucket[i].mob.inverse().mat @ mats[hit])
             overlapping += len(hit)
             c0_emp = max(c0_emp, dist.max(initial=0.0))
-            violations += 0 if c0 is None else int(np.count_nonzero(dist > c0))
-    return SeparationReport(c0_emp, violations, overlapping, annuli)
+    return SeparationReport(c0_emp, overlapping, annuli)
 
 
 class DimensionEstimate:

@@ -11,8 +11,8 @@ accepts raw matrices and only normalizes determinants.
 
 Every product along a word is the plain product of the letters'
 matrices, left to right. One word's is formed by _word_product alone
-(evaluate, cartan.word_cartan, doubling.double_rep, doubling's reflection
-axes); words._walk_levels forms a whole ball's by the same rule, a level
+(evaluate, cartan.word_cartan, doubling.double_rep's reflection axes);
+words._walk_levels forms a whole ball's by the same rule, a level
 at a time, in the tables it is handed, such as Representation.tables.
 Only evaluate takes a log scale, once, when it hands the finished
 product on as a ScaledMatrix: a matrix with sup norm in [1, 2) plus a

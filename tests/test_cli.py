@@ -309,6 +309,19 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys):
     assert "round-trip" not in out
 
 
+@pytest.mark.parametrize("command, name", [("orbit", "orbit.csv"), ("tp", "tp.jsonl")])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, name):
+    # a directory where the command writes its CSV or its report
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    args = {"orbit": ["--group", write_modular_group(tmp_path), "--max-len", "1"],
+            "tp": ["--trials", "2"]}[command]
+    assert cli.main([command, "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 1 and "Traceback" not in err
+    assert "directory" in err
+
+
 def test_config_file_overrides_flags(tmp_path):
     grp = write_modular_group(tmp_path)
     cfg = tmp_path / "cfg.json"
