@@ -11,8 +11,9 @@ wall_time_s; orbit.csv and plot.txt start with a "# config:" echo.
 orbit.csv is its own checkpoint: a rerun keeps its rows below the last
 length it holds and walks on from that length. Text outputs are UTF-8
 with LF newlines. Exit codes: 0 success, 2 configuration error (an
-output path that cannot be written among them), 3 numeric failure
-inside a module.
+output path that cannot be written among them; the report's is tried,
+in append mode, before the command runs), 3 numeric failure inside a
+module, which leaves an earlier report as it was, or an empty one.
 """
 
 import argparse
@@ -498,12 +499,13 @@ def main(argv=None):
         with _config_phase():
             cfg = build_config(args)
             os.makedirs(cfg.out, exist_ok=True)
+            path = os.path.join(cfg.out, args.command + ".jsonl")
+            open(path, "a", encoding="utf-8").close()
         started = time.time()
         payload, summary = args.func(cfg)
         header = {"command": args.command, "config": cfg.settings,
                   "version": __version__,
                   "wall_time_s": round(time.time() - started, 6)}
-        path = os.path.join(cfg.out, args.command + ".jsonl")
         write_report_jsonl(path, [header] + payload)
     except (_ConfigError, OSError) as exc:
         # an output path that cannot be written is a configuration error

@@ -31,11 +31,11 @@ window. poincare_series is the series that defines the exponent as its
 abscissa of convergence.
 """
 
+import functools
 import json
 import math
 
 import numpy as np
-from scipy import stats
 
 from .cartan import _cartan_rows, cartan_projection, word_cartan
 from .errors import IllConditioned, InsufficientData, InvalidInput
@@ -155,9 +155,18 @@ def estimate_exponent(vs, window=None):
     keep = counts > 0
     if keep.sum() < 3:
         raise InsufficientData("too few grid points with nonzero counts")
-    fit = stats.linregress(grid[keep], np.log(counts[keep].astype(float)))
-    return ExponentEstimate(fit.slope, fit.stderr, (t0, t1), inside.size,
-                            vs.complete_to)
+    slope, stderr = _line_fit(grid[keep], np.log(counts[keep].astype(float)))
+    return ExponentEstimate(slope, stderr, (t0, t1), inside.size, vs.complete_to)
+
+
+def _line_fit(x, y):
+    """Least-squares slope of y on x (three points or more) and its
+    standard error, bit for bit as scipy.stats.linregress (1.17.1) forms
+    them, without importing scipy.stats."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = ((math.nan if ssxym == 0 else 0.0) if ssxm == 0.0 or ssym == 0.0
+         else min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0))
+    return ssxym / ssxm, np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
 
 
 def sample_from_enumeration(group, rep, phi, max_len):
@@ -252,16 +261,24 @@ def sample_from_norm_ball(bound, sym_dim, phi):
     functional's value on the unit-gap direction. No slack term is
     needed.
     """
-    mats = modular_norm_ball(bound)
     # functional on the sym-power Cartan vector of a unit-gap 2x2 matrix
     unit = sym_power_matrix(np.diag([math.exp(0.5), math.exp(-0.5)]), sym_dim)
     mult = phi.value(cartan_projection(unit))
-    vals = 2.0 * mult * _half_lengths(mats)
+    vals = 2.0 * mult * _norm_ball_half_lengths(bound)
     return ValueSample(
         np.maximum(vals, 0.0),
         2.0 * mult * math.log(bound),
         label="modular norm ball %d, sym%d" % (bound, sym_dim),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _norm_ball_half_lengths(bound):
+    """Read-only half-lengths of modular_norm_ball(bound): one scan per
+    bound, however many functionals' samples read it."""
+    half = _half_lengths(modular_norm_ball(bound))
+    half.flags.writeable = False
+    return half
 
 
 def synthetic_log_sample(n, c=2.0):

@@ -28,7 +28,7 @@ from .errors import InvalidInput, OverlappingAxes
 from .hypdisc import (
     BoundaryPoint,
     Mobius,
-    _eigenframes,
+    _eigenvectors,
     angular_distance,
     apply_boundary,
     classify,
@@ -129,7 +129,7 @@ def reflection_across_axis(gamma):
     kind = classify(gamma)
     if kind != "hyperbolic":
         raise InvalidInput("reflection needs a hyperbolic value, got %s" % kind)
-    frame = _eigenframes(gamma.mat[np.newaxis])[0]
+    frame = np.column_stack([v[0] for v in _eigenvectors(gamma.mat[np.newaxis])])
     # taken as built, unscaled: double_rep keeps this matrix as the
     # letter's factor, so a doubled walk's products are its level matrices
     mat = frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)

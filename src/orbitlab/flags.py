@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 from .errors import InvalidInput, NotTransverse, SpectrumNotLoxodromic
-from .hypdisc import BoundaryPoint, _eigenframes
+from .hypdisc import _boundary_points, _eigenvectors
 from .reps import ScaledMatrix, sym_power_matrix
 from .tpos import _cone_params
 from .words import _limit_rows, _rep_tables
@@ -293,11 +293,11 @@ def _require_transverse(flags):
         fs, idx = _FlagSet(np.array([f.basis for f in flags])), range(len(flags))
     else:
         idx = [f._index for f in flags]
-    new = [i for i in dict.fromkeys(idx) if i not in fs.asked]
-    if new:
-        fs.ask(new)
-    pos = [fs.asked[i] for i in idx]
-    if not fs.bad.isdisjoint(itertools.combinations(pos, 2)):
+    pos = [fs.asked.get(i) for i in idx]
+    if None in pos:
+        fs.ask([i for i in dict.fromkeys(idx) if i not in fs.asked])
+        pos = [fs.asked[i] for i in idx]
+    if fs.bad and not fs.bad.isdisjoint(itertools.combinations(pos, 2)):
         p, q = next((p, q) for p, q in itertools.combinations(range(len(pos)), 2)
                     if (pos[p], pos[q]) in fs.bad)
         raise NotTransverse("flags %d and %d are not transverse" % (p + 1, q + 1))
@@ -337,52 +337,53 @@ def quadruple_positive(f1, f2, f3, f4):
 
 
 def _loxodromic_frames(mats):
-    """hypdisc._eigenframes of stacked real 2x2 matrices, each checked to
+    """Eigenframes [larger | smaller eigenvalue modulus], the columns of
+    hypdisc._eigenvectors, of stacked real 2x2 matrices, each checked to
     have distinct real eigenvalue moduli."""
     tr = np.trace(mats, axis1=1, axis2=2)
     if np.any(tr * tr - 4.0 * np.linalg.det(mats) <= 1e-9 * np.maximum(1.0, tr * tr)):
         raise SpectrumNotLoxodromic("two-by-two factor is not loxodromic")
-    return _eigenframes(mats)
+    return np.stack(list(_eigenvectors(mats)), axis=2)
 
 
 def _limit_stack(rep, group, depth, k=None):
-    """Angles of the sampled limit set, sorted, and the read-only (N, d, d)
-    stack of their attracting flags' canonical bases, or its first k columns.
+    """Angles of the sampled limit set, sorted, and the read-only stack
+    of their attracting flags' canonical bases, (N, d, d), or only its
+    first k columns.
 
-    Symmetric-power representations expose their flags through the
-    two-by-two eigenframe: the attracting flag of the image is the
-    symmetric power of the frame, which stays accurate at word lengths
-    where eigensolvers on the large graded image matrix lose the leading
-    eigenvector. All the frames come from one _loxodromic_frames call
-    on the 2x2 products the limit-set walk carries, their symmetric
-    powers from one sym_power_matrix call and the canonical bases from
-    one QR. Any other representation takes the direct eigenvector route
-    on the dense image the walk carries.
+    A symmetric power's attracting flag is the symmetric power of the
+    2x2 eigenframe, which stays accurate at word lengths where
+    eigensolvers on the graded image lose the leading eigenvector: one
+    _loxodromic_frames call on the 2x2 products the limit-set walk
+    carries, one sym_power_matrix call. Any other representation takes
+    the direct eigenvector route on the dense image the walk carries.
+    One QR of the k columns returned, rank check included, gives the
+    full QR's leading k columns bit for bit: the reflectors past k fix
+    e_1 ... e_k.
     """
     tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
         theta, _, (mats,) = _limit_rows(group, depth, [rep.images])
-        bases = [_eigenbasis(ScaledMatrix(m).mat) for m in mats]
+        bases = np.array([_eigenbasis(ScaledMatrix(m).mat) for m in mats])
     else:
         theta, _, (mats,) = _limit_rows(group, depth, tables)
         bases = sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0])
-    bases = _orthonormalize(bases, "flag")
     if k is not None and not 1 <= k <= bases.shape[-1] - 1:
         raise InvalidInput("piece index must lie in 1..d-1")
-    return theta, bases[:, :, :k]
+    return theta, _orthonormalize(bases[:, :, :k], "flag")
 
 
 def limit_flags(rep, group, depth):
     """(boundary point, full attracting flag) along the sampled limit
     set, sorted by angle; the flags share one _FlagSet."""
     theta, bases = _limit_stack(rep, group, depth)
-    return list(zip(map(BoundaryPoint, theta.tolist()), _views(Flag, bases, _FlagSet(bases))))
+    return list(zip(_boundary_points(theta), _views(Flag, bases, _FlagSet(bases))))
 
 
 def limit_curve(rep, group, depth, k):
     """(boundary point, k-plane) pairs of the sampled sub-limit map."""
     theta, planes = _limit_stack(rep, group, depth, k)
-    return list(zip(map(BoundaryPoint, theta.tolist()), _views(GrassPoint, planes, planes)))
+    return list(zip(_boundary_points(theta), _views(GrassPoint, planes, planes)))
 
 
 def polygonal_length(points):

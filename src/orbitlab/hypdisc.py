@@ -19,7 +19,7 @@ never from interior coordinates, which pin to the boundary long before
 the displacements of long words stop being representable. Each 2x2
 formula lives here once, as a kernel on (N, 2, 2) stacks that consumers
 call a whole level at a time: _half_lengths (displacements and boosts),
-_eigenframes (fixed points, limit flags, axis reflections) and
+_eigenvectors (fixed points, limit flags, axis reflections) and
 _shadow_arcs; displacement, fixed_points and shadow_of_isometry are
 their one-row calls. Geodesics are straight chords, which makes shadows
 exact circular arcs: the shadow of the ball B(m o, r) seen from o is
@@ -82,6 +82,15 @@ class BoundaryPoint:
 
     def __lt__(self, other):
         return self.theta < other.theta
+
+
+def _boundary_points(thetas):
+    """BoundaryPoints of an array of angles, wrapped in numpy as wrap_angle wraps."""
+    t = np.fmod(thetas, TWO_PI)
+    points = [object.__new__(BoundaryPoint) for _ in range(len(t))]
+    for point, theta in zip(points, np.where(t < 0.0, t + TWO_PI, t).tolist()):
+        point.theta = theta
+    return points
 
 
 class Mobius:
@@ -226,34 +235,32 @@ def fixed_points(m):
     kind = classify(m)
     if kind not in ("hyperbolic", "parabolic"):
         raise InvalidInput("no boundary fixed points for %s values" % kind)
-    plus, minus = (BoundaryPoint(t) for t in _fixed_angles(m.mat[np.newaxis])[0])
+    plus, minus = (BoundaryPoint(t[0]) for t in _fixed_angles(m.mat[np.newaxis]))
     return (plus, plus) if kind == "parabolic" else (plus, minus)
 
 
-def _eigenframes(mats):
-    """Unit eigenvectors [larger | smaller eigenvalue modulus], the
-    columns of each of stacked real 2x2 matrices: the larger eigenvalue
-    from trace and det, the other det over it, each kernel the normal of
-    the longer row. Immune to the balancing loss of eigensolvers on
-    graded matrices; a negative discriminant is read as zero."""
+def _eigenvectors(mats):
+    """Unit eigenvectors of stacked real 2x2 matrices, (N, 2) arrays for
+    the larger eigenvalue modulus, then, if asked for, the smaller: the
+    larger eigenvalue from trace and det, the other det over it, each
+    kernel the normal of the longer row. Immune to the balancing loss of
+    eigensolvers on graded matrices; a negative discriminant reads as 0."""
     a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
     tr, det = a + d, a * d - b * c
     root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     big = 0.5 * (tr + np.where(tr >= 0.0, root, -root))
-    frames = np.empty(mats.shape)
-    for k, lam in enumerate((big, det / big)):
+    for lam in (big, det / big):
         v1, v2 = np.stack([b, lam - a], axis=1), np.stack([lam - d, c], axis=1)
         v = np.where((np.hypot(*v1.T) >= np.hypot(*v2.T))[:, np.newaxis], v1, v2)
-        frames[:, :, k] = v / np.hypot(*v.T)[:, np.newaxis]
-    return frames
+        yield v / np.hypot(*v.T)[:, np.newaxis]
 
 
 def _fixed_angles(mats):
-    """(N, 2) boundary angles in [0, 2*pi) of the columns of _eigenframes,
-    each read with its sign for the trace nonnegative one of +-m."""
-    frames = _eigenframes(mats)
-    sign = np.where(mats[:, 0, 0] + mats[:, 1, 1] >= 0.0, 1.0, -1.0)[:, np.newaxis]
-    return np.mod(2.0 * np.arctan2(sign * frames[:, 1], sign * frames[:, 0]), TWO_PI)
+    """Boundary angles in [0, 2*pi) of _eigenvectors, attracting then
+    repelling, each read with its sign for the trace nonnegative +-m."""
+    sign = np.where(mats[:, 0, 0] + mats[:, 1, 1] >= 0.0, 1.0, -1.0)
+    for v in _eigenvectors(mats):
+        yield np.mod(2.0 * np.arctan2(sign * v[:, 1], sign * v[:, 0]), TWO_PI)
 
 
 def _shadow_arcs(mats, r):

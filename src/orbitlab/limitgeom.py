@@ -6,30 +6,30 @@ with the sampled limit set, the flag images of the extreme sample points
 give an endpoint distance, and the product with e^(alpha(kappa)) is the
 distortion ratio. Bounded ratios across the orbit are the numerical
 shape of the two-sided distortion property; the constants are outputs,
-never inputs. The orbit points come from the ball walk of the words
-module (words._walk_levels) a level at a time, with shadows from
-hypdisc._shadow_arcs and kappa, from cartan._cartan_rows, only for the
-rows kept.
+never inputs. The ball comes a level at a time from words._walk_levels,
+shadows from hypdisc._shadow_arcs and kappa, for the kept rows only,
+from cartan._cartan_rows; the DistortionReport holds arrays and spells
+no word unless its rows are asked for.
 
 shadow_separation_check buckets orbit points into annuli by functional
 value and looks for same-annulus pairs whose shadows overlap even though
 the points are far apart; the largest such pair distance is the
 empirical separation constant.
 
-box_dimension covers a metric sample with greedy epsilon-nets over a
-geometric grid of scales and regresses log N against log(1/eps).
-Grassmannian points embed isometrically through their projectors, so
-the same covering code serves real samples and flag curves, whose
-planes flags._projectors gathers from one stack. The greedy net asks
-one k-d tree over the sample for each new centre's ball.
+box_dimension fits log N against log(1/eps) (critexp._line_fit) over a
+geometric grid of scales, N the size of a greedy eps-net. Grassmannian
+points embed isometrically through their projectors, so one covering
+code serves real samples and flag curves. The net steps from centre to
+centre and asks one k-d tree over the sample for each centre's ball.
 """
 
 import math
 
 import numpy as np
-from scipy import spatial, stats
+from scipy import spatial
 
 from .cartan import _cartan_rows
+from .critexp import _line_fit
 from .errors import InsufficientScales, InvalidInput
 from .flags import (
     GrassPoint,
@@ -40,7 +40,7 @@ from .flags import (
     _views,
 )
 from .hypdisc import TWO_PI, _half_lengths, _shadow_arcs
-from .words import _rep_tables, _walk_levels
+from .words import Word, _rep_tables, _walk_levels
 
 MIN_POINTS = 1000
 MIN_SCALES = 5
@@ -60,39 +60,51 @@ class DistortionRow:
 
 
 class DistortionReport:
-    """Scanned rows plus the count of shadows too small to measure."""
+    """A distortion scan's rows as arrays in scan order (alpha_kappa,
+    endpoint_distance, ratio, and codes, their words' letter codes per
+    word length, spelled in alphabet), the count of shadows too small to
+    measure, and rows, the DistortionRow objects, built when asked."""
 
-    __slots__ = ("rows", "skipped", "radius", "functional")
+    __slots__ = ("alphabet", "codes", "alpha_kappa", "endpoint_distance", "ratio",
+                 "skipped", "radius", "functional")
 
-    def __init__(self, rows, skipped, radius, functional):
-        self.rows = list(rows)
-        self.skipped = int(skipped)
-        self.radius = float(radius)
-        self.functional = functional
+    def __init__(self, alphabet, codes, alpha_kappa, endpoint_distance, skipped, radius,
+                 functional):
+        self.ratio = np.array([d * math.exp(a) for a, d in zip(
+            alpha_kappa.tolist(), endpoint_distance.tolist())], dtype=float)
+        if np.any(self.ratio <= 0.0):
+            raise InvalidInput("distortion ratios must be positive")
+        self.alphabet, self.codes = alphabet, codes
+        self.alpha_kappa, self.endpoint_distance = alpha_kappa, endpoint_distance
+        self.skipped, self.radius, self.functional = int(skipped), float(radius), functional
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.ratio)
+
+    @property
+    def rows(self):
+        words = (str(Word(self.alphabet[c] for c in row))
+                 for codes in self.codes for row in codes.tolist())
+        return list(map(DistortionRow, words, self.alpha_kappa.tolist(),
+                        self.endpoint_distance.tolist(), self.ratio.tolist()))
 
     @property
     def min_ratio(self):
-        return min(r.ratio for r in self.rows)
+        return float(self.ratio.min())
 
     @property
     def max_ratio(self):
-        return max(r.ratio for r in self.rows)
+        return float(self.ratio.max())
 
     @property
     def spread(self):
         return self.max_ratio / self.min_ratio
 
     def __repr__(self):
-        if not self.rows:
+        if not len(self):
             return "DistortionReport(empty, skipped=%d)" % self.skipped
         return "DistortionReport(%d rows, spread=%.3g, skipped=%d)" % (
-            len(self.rows),
-            self.spread,
-            self.skipped,
-        )
+            len(self), self.spread, self.skipped)
 
 
 def _single_root_index(phi):
@@ -132,7 +144,7 @@ def distortion_scan(group, rep, phi, r, max_len):
     """
     thetas, planes = _limit_stack(rep, group, max_len, _single_root_index(phi))
     projectors = np.einsum("nik,njk->nij", planes, planes)
-    rows = []
+    codes, alpha, dists = [], [np.empty(0)], [np.empty(0)]
     skipped = 0
     for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
         centres, halves, full = _shadow_arcs(level.mats, r)
@@ -147,10 +159,11 @@ def distortion_scan(group, rep, phi, r, max_len):
             continue
         # the Cartan vectors of the kept rows only
         lam = _cartan_rows(rep, [m[kept] for m in level.products])
-        for i, a, d in zip(kept.tolist(), phi.values(lam, rep.lie_type).tolist(),
-                           dist[dist > 0.0].tolist()):
-            rows.append(DistortionRow(str(level.word(i)), a, d, d * math.exp(a)))
-    return DistortionReport(rows, skipped, r, phi.name())
+        codes.append(level.codes[kept])
+        alpha.append(phi.values(lam, rep.lie_type))
+        dists.append(dist[dist > 0.0])
+    return DistortionReport(group.alphabet, codes, np.concatenate(alpha),
+                            np.concatenate(dists), skipped, r, phi.name())
 
 
 class SeparationReport:
@@ -242,18 +255,20 @@ def _embed(points):
 def _net_size(tree, eps):
     """Number of centres of the greedy eps-net of the rows of tree.data
     in order: a row becomes a centre unless an earlier centre lies
-    within eps of it. The k-d tree proposes each new centre's ball with
-    a relative slack of 1e-9; a row is covered when the norm of its
-    difference from the centre, as in the row-by-row scan, is at most
-    eps, so ties at eps fall as in that scan, whatever the tree rounds."""
+    within eps of it, found by stepping to the next row not yet covered.
+    The k-d tree proposes each centre's ball with a relative slack of
+    1e-9; a row is covered when the norm of its difference from the
+    centre, formed as np.linalg.norm forms it, is at most eps, so ties
+    at eps fall as in the row-by-row scan, whatever the tree rounds."""
     cloud = tree.data
-    covered = np.zeros(len(cloud), dtype=bool)
-    count = 0
-    for i in range(len(cloud)):
-        if not covered[i]:
-            near = np.array(tree.query_ball_point(cloud[i], eps * (1.0 + 1e-9)))
-            covered[near[np.linalg.norm(cloud[near] - cloud[i], axis=1) <= eps]] = True
-            count += 1
+    covered = np.zeros(len(cloud) + 1, dtype=bool)  # its last entry ends the scan
+    count = i = 0
+    while i < len(cloud):
+        near = np.array(tree.query_ball_point(cloud[i], eps * (1.0 + 1e-9)))
+        diff = cloud[near] - cloud[i]
+        covered[near[np.sqrt(np.add.reduce(diff * diff, axis=1)) <= eps]] = True
+        count += 1
+        i += int(covered[i:].argmin())
     return count
 
 
@@ -277,10 +292,8 @@ def box_dimension(points, scales):
     counts = [_net_size(tree, eps) for eps in scales]
     xs = np.log(1.0 / np.array(scales))
     ys = np.log(np.array(counts, dtype=float))
-    fit = stats.linregress(xs, ys)
-    return DimensionEstimate(
-        max(0.0, fit.slope), scales, max(0.0, fit.stderr), counts
-    )
+    slope, stderr = _line_fit(xs, ys)
+    return DimensionEstimate(max(0.0, slope), scales, max(0.0, stderr), counts)
 
 
 def cantor_sample(depth):
@@ -297,7 +310,7 @@ def circle_sample(n):
     """n lines through the origin of the plane at uniform angles."""
     if n < 1:
         raise InvalidInput("need at least one point")
-    lines = [[[math.cos(t)], [math.sin(t)]]
-             for t in np.linspace(0.0, math.pi, n, endpoint=False)]
-    planes = _orthonormalize(lines, "plane")
+    angles = np.linspace(0.0, math.pi, n, endpoint=False).tolist()
+    lines = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))])
+    planes = _orthonormalize(lines.T[:, :, np.newaxis], "plane")
     return _views(GrassPoint, planes, planes)

@@ -602,9 +602,9 @@ def _limit_rows(group, depth, tables=()):
     """The wrapped angles of limit_sample_words' points, the (N, depth)
     letter codes of their words padded with -1, and per table walked the
     (N, d, d) products along them, from the cyclically reduced level rows
-    with |trace| > 2 + TRACE_TOL, one hypdisc._fixed_angles call per
-    level and one _limit_runs call. An orientation reversing row raises,
-    as classify does."""
+    with |trace| > 2 + TRACE_TOL, the attracting angles alone of one
+    hypdisc._fixed_angles call per level and one _limit_runs call. An
+    orientation reversing row raises, as classify does."""
     inverse = np.array([group.alphabet.index(group.inverse_letter[a])
                         for a in group.alphabet])
     theta, codes, products = [np.empty(0)], [], []
@@ -617,7 +617,7 @@ def _limit_rows(group, depth, tables=()):
             raise InvalidInput("orientation reversing values are not classified here")
         keep &= np.abs(level.mats[:, 0, 0] + level.mats[:, 1, 1]) > 2.0 + TRACE_TOL
         rows = np.flatnonzero(keep)
-        theta.append(_fixed_angles(level.mats[rows])[:, 0])
+        theta.append(next(_fixed_angles(level.mats[rows])))
         codes.append(np.pad(level.codes[rows], ((0, 0), (0, depth - length)),
                             constant_values=-1))
         products.append([m[rows] for m in level.products])

@@ -322,6 +322,29 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, name):
     assert "directory" in err
 
 
+def test_unwritable_report_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("the command ran before its report path was checked")
+
+    monkeypatch.setitem(cli.COMMANDS, "tp", (refuse,) + cli.COMMANDS["tp"][1:])
+    out = tmp_path / "run"
+    (out / "tp.jsonl").mkdir(parents=True)
+    assert cli.main(["tp", "--trials", "2000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 1 and "Traceback" not in err
+
+
+def test_report_check_truncates_no_report(tmp_path):
+    # a run that fails after the check leaves the last report as it was
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "critexp.jsonl").write_text("{}\n", encoding="utf-8")
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text('{"values": [0.1, 0.2], "complete_to": 0.2}', encoding="utf-8")
+    assert cli.main(["critexp", "--values", str(tiny), "--out", str(out)]) == 3
+    assert (out / "critexp.jsonl").read_text(encoding="utf-8") == "{}\n"
+
+
 def test_config_file_overrides_flags(tmp_path):
     grp = write_modular_group(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -11,12 +11,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import orbitlab.critexp as critexp
+import orbitlab.limitgeom as limitgeom
 from orbitlab.cartan import CartanVector, parse_functional, word_cartan
 from orbitlab.critexp import (
     ExponentEstimate,
     ValueSample,
+    _line_fit,
     counting_function,
     default_window,
     estimate_exponent,
@@ -35,8 +38,10 @@ from orbitlab.doubling import (
     separated_schottky,
 )
 from orbitlab.errors import IllConditioned, InsufficientData, InvalidInput
-from orbitlab.hypdisc import Mobius
-from orbitlab.reps import sym_power
+from orbitlab.flags import limit_curve
+from orbitlab.hypdisc import Mobius, _half_lengths
+from orbitlab.limitgeom import box_dimension, cantor_sample, circle_sample
+from orbitlab.reps import sp_product, sym_power
 from orbitlab.words import (
     MODULAR_S,
     MODULAR_T,
@@ -44,6 +49,7 @@ from orbitlab.words import (
     enumerate_elements,
     free_schottky,
     modular_group,
+    modular_norm_ball,
     standard_schottky,
 )
 
@@ -214,6 +220,97 @@ def test_norm_ball_sample_scales_with_functional_coefficient():
     b = sample_from_norm_ball(40, 3, two)
     assert b.complete_to == pytest.approx(2.0 * a.complete_to)
     assert np.allclose(b.values, 2.0 * a.values)
+
+
+def test_norm_ball_scans_each_bound_once(monkeypatch):
+    # a1, then a2, then a1 again: one scan, and values bit-identical to
+    # an uncached scan
+    scans = []
+
+    def counted(bound):
+        scans.append(bound)
+        return modular_norm_ball(bound)
+
+    monkeypatch.setattr(critexp, "modular_norm_ball", counted)
+    critexp._norm_ball_half_lengths.cache_clear()
+    half = _half_lengths(modular_norm_ball(80))
+    a2 = parse_functional("a2")
+    for phi in (A1, a2, A1):
+        vs = sample_from_norm_ball(80, 3, phi)
+        mult = 2.0 * phi.value(critexp.cartan_projection(critexp.sym_power_matrix(
+            np.diag([math.exp(0.5), math.exp(-0.5)]), 3)))
+        assert vs.values.tobytes() == np.sort(np.maximum(mult * half, 0.0)).tobytes()
+    assert scans == [80]
+    cached = critexp._norm_ball_half_lengths(80)
+    assert cached.tobytes() == half.tobytes()
+    assert not cached.flags.writeable
+    sample_from_norm_ball(60, 3, A1)
+    assert scans == [80, 60]
+
+
+def fit_inputs(monkeypatch, run):
+    """(x, y) of every line fit that run() makes."""
+    seen = []
+
+    def record(x, y):
+        seen.append((np.array(x), np.array(y)))
+        return _line_fit(x, y)
+
+    monkeypatch.setattr(critexp, "_line_fit", record)
+    monkeypatch.setattr(limitgeom, "_line_fit", record)
+    run()
+    return seen
+
+
+def assert_fit_is_linregress(x, y):
+    slope, stderr = _line_fit(x, y)
+    want = stats.linregress(x, y)
+    assert np.array([slope, stderr]).tobytes() == np.array([want.slope, want.stderr]).tobytes()
+
+
+def test_line_fit_is_linregress_on_the_criteria_windows(monkeypatch):
+    # criteria 05 and 06 (norm balls at 450 on the window (6, 12), the
+    # Schottky and sp-product balls at length 9) and 10 (the calibrations
+    # and the Schottky curve at depth 9)
+    group = standard_schottky(4.0)
+    slow = standard_schottky(3.0)
+    grass = [0.3 * 10.0 ** (-j / 2.0) for j in range(5)]
+
+    def criteria():
+        for sym_dim, names in ((2, ("a1",)), (3, ("a1", "a2"))):
+            rep = sym_power(sym_dim)(group.generator_matrices())
+            for name in names:
+                phi = parse_functional(name)
+                estimate_exponent(sample_from_norm_ball(450, sym_dim, phi), window=(6.0, 12.0))
+                estimate_exponent(sample_from_enumeration(group, rep, phi, 9))
+        prod = sp_product([sym_power(2)({c: g.image(c).mat for c in "abAB"})
+                           for g in (group, slow)])
+        estimate_exponent(sample_from_enumeration(group, prod, parse_functional("long"), 9))
+        box_dimension(cantor_sample(12), [3.0 ** -k for k in range(2, 8)])
+        box_dimension(circle_sample(2000), grass)
+        rep = sym_power(3)(group.generator_matrices())
+        box_dimension([p for _, p in limit_curve(rep, group, 9, 1)], grass)
+
+    seen = fit_inputs(monkeypatch, criteria)
+    assert len(seen) == 10
+    for x, y in seen:
+        assert_fit_is_linregress(x, y)
+
+
+def test_line_fit_is_linregress_on_random_fits():
+    rng = np.random.default_rng(83)
+    for _ in range(2000):
+        n = int(rng.integers(3, 60))
+        x = np.sort(rng.uniform(-5.0, 5.0, n))
+        y = rng.normal(rng.normal(), 1.0, n) + rng.normal() * x
+        assert_fit_is_linregress(x, y)
+    # exact lines, a flat line that rounds to a tiny variance, and flat
+    # counts, where the variance is 0 and r is nan
+    x = np.linspace(0.0, 1.0, 7)
+    for y in (2.0 * x + 1.0, -x, np.full(7, math.log(10.0)), np.zeros(7)):
+        assert_fit_is_linregress(x, y)
+    slope, stderr = _line_fit(x, np.zeros(7))
+    assert slope == 0.0 and math.isnan(stderr)
 
 
 def test_schottky_enumeration_sample_certificate():

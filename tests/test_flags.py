@@ -34,6 +34,7 @@ from orbitlab.flags import (
     _eliminate,
     _FlagSet,
     _loxodromic_frames,
+    _limit_stack,
     _lu,
     _orthonormalize,
     _projectors,
@@ -49,7 +50,14 @@ from orbitlab.flags import (
 )
 from orbitlab.reps import _word_product, custom_rep, sym_power, sym_power_matrix
 from orbitlab.tpos import Unitriangular, _cone_params, f_gamma, factorize, standard_word
-from orbitlab.words import free_schottky, limit_sample_words, modular_group, standard_schottky
+from orbitlab.words import (
+    _limit_rows,
+    _rep_tables,
+    free_schottky,
+    limit_sample_words,
+    modular_group,
+    standard_schottky,
+)
 
 
 def rot(theta):
@@ -890,6 +898,49 @@ def test_limit_curve_planes_are_flag_pieces(build):
             assert got.tobytes() == want.tobytes()
             # the planes view one stack, as the flags share one set
             assert all(plane._set is curve[0][1]._set for _, plane in curve)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_prefix_column_qr_is_the_full_qr_cut(d):
+    # the reflectors past k fix e_1 ... e_k, so the QR of the leading k
+    # columns is the leading k columns of the full QR, bit for bit
+    stack = np.random.default_rng(70 + d).normal(size=(500, d, d))
+    full = _orthonormalize(stack, "flag")
+    for k in range(1, d):
+        assert _orthonormalize(stack[:, :, :k], "flag").tobytes() == full[:, :, :k].tobytes()
+
+
+@pytest.mark.parametrize("build, depth", [
+    pytest.param(standard_schottky, 8, id="schottky-depth8"),
+    pytest.param(modular_group, 8, id="modular-depth8"),
+    pytest.param(lambda: separated_schottky(2.0), 6, id="separated-depth6"),
+])
+def test_limit_stack_columns_are_the_full_qr_cut(build, depth):
+    # reference: the full QR of the symmetric-power frames, then the slice
+    group = build()
+    for d in (3, 5):
+        rep = sym_power(d)(group.generator_matrices())
+        theta, _, (mats,) = _limit_rows(group, depth, _rep_tables(group, rep, depth))
+        full = _orthonormalize(sym_power_matrix(_loxodromic_frames(mats), d), "flag")
+        assert _limit_stack(rep, group, depth)[1].tobytes() == full.tobytes()
+        for k in range(1, d):
+            got_theta, got = _limit_stack(rep, group, depth, k)
+            assert got_theta.tobytes() == theta.tobytes()
+            assert got.shape == (len(theta), d, k)
+            assert got.tobytes() == full[:, :, :k].tobytes()
+            assert not got.flags.writeable
+
+
+def test_limit_stack_columns_on_the_eigenvector_route():
+    group = standard_schottky()
+    dense = custom_rep({c: sym_power_matrix(group.image(c).mat, 4)
+                        for c in group.alphabet}, 4)
+    _, full = _limit_stack(dense, group, 4)
+    for k in range(1, 4):
+        assert _limit_stack(dense, group, 4, k)[1].tobytes() == full[:, :, :k].tobytes()
+    for k in (0, 4):
+        with pytest.raises(InvalidInput):
+            _limit_stack(dense, group, 4, k)
 
 
 def test_projectors_gather_a_shared_stack():

@@ -397,3 +397,12 @@ def test_traced_names_resolve():
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert len(names) > 10
     assert run.stdout == ""
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats adds most of a second to every CLI start; the package's
+    # one line fit is numpy's (critexp._line_fit)
+    check = "import sys\nimport orbitlab.cli\nprint('scipy.stats' in sys.modules)\n"
+    run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert run.stdout == "False\n"

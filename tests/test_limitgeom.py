@@ -9,12 +9,25 @@ from kleintools import contains
 from scipy import spatial
 
 from orbitlab import limitgeom
-from orbitlab.cartan import parse_functional, word_cartan
+from orbitlab.cartan import _cartan_rows, parse_functional, word_cartan
 from orbitlab.errors import InsufficientScales, InvalidInput
-from orbitlab.flags import GrassPoint, _limit_stack, flag_distance, limit_curve
-from orbitlab.hypdisc import angular_distance, displacement, shadow_of_isometry, wrap_angle
+from orbitlab.flags import (
+    GrassPoint,
+    _chordal_distances,
+    _limit_stack,
+    flag_distance,
+    limit_curve,
+)
+from orbitlab.hypdisc import (
+    _shadow_arcs,
+    angular_distance,
+    displacement,
+    shadow_of_isometry,
+    wrap_angle,
+)
 from orbitlab.limitgeom import (
     DimensionEstimate,
+    DistortionReport,
     DistortionRow,
     _arc_extremes,
     _embed,
@@ -25,9 +38,11 @@ from orbitlab.limitgeom import (
     distortion_scan,
     shadow_separation_check,
 )
-from orbitlab.reps import sym_power
+from orbitlab.reps import custom_rep, sym_power
 from orbitlab.words import (
     OrbitRecord,
+    _rep_tables,
+    _walk_levels,
     enumerate_elements,
     modular_group,
     orbit_table,
@@ -156,6 +171,53 @@ def test_distortion_row_requires_positive_ratio():
         DistortionRow("a", 1.0, 0.5, 0.0)
     with pytest.raises(InvalidInput):
         DistortionRow("a", 1.0, 0.5, -0.1)
+    # a report forms its ratios from alpha_kappa and the distances
+    with pytest.raises(InvalidInput):
+        DistortionReport("aA", [np.zeros((1, 1), dtype=int)], np.ones(1), np.zeros(1), 0,
+                         RADIUS, "a1")
+
+
+def per_row_distortion(group, rep, phi, r, max_len):
+    """The scan's rows one object at a time, from the same level arrays:
+    the Word of each kept row and its str, alpha_kappa, the endpoint
+    distance, and the ratio by math.exp."""
+    thetas, planes = _limit_stack(rep, group, max_len, 1)
+    projectors = np.einsum("nik,njk->nij", planes, planes)
+    rows = []
+    for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
+        centres, halves, full = _shadow_arcs(level.mats, r)
+        far = np.flatnonzero(~full)
+        first, last, found = _arc_extremes(thetas, centres[far], halves[far])
+        dist = np.zeros(len(far))
+        if found.any():
+            dist[found] = _chordal_distances(*projectors[np.stack([first, last])[:, found]])
+        kept = far[dist > 0.0]
+        if len(kept):
+            lam = _cartan_rows(rep, [m[kept] for m in level.products])
+            for i, a, d in zip(kept.tolist(), phi.values(lam, rep.lie_type).tolist(),
+                               dist[dist > 0.0].tolist()):
+                rows.append((str(level.word(i)), a, d, d * math.exp(a)))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["sym3", "custom"])
+def test_distortion_report_arrays_match_the_per_row_scan(kind):
+    group = standard_schottky(4)
+    if kind == "custom":
+        rep = custom_rep(dict(sym_power(2)(group.generator_matrices()).images), 2)
+    else:
+        rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    report = distortion_scan(group, rep, A1, RADIUS, 6)
+    rows = per_row_distortion(group, rep, A1, RADIUS, 6)
+    assert len(report) == len(rows) > 1000
+    assert [(row.word, row.alpha_kappa, row.endpoint_distance, row.ratio)
+            for row in report.rows] == rows
+    _, alpha, dist, ratio = (np.array(column) for column in zip(*rows))
+    assert report.alpha_kappa.tobytes() == alpha.tobytes()
+    assert report.endpoint_distance.tobytes() == dist.tobytes()
+    assert report.ratio.tobytes() == ratio.tobytes()
+    low, high = min(ratio.tolist()), max(ratio.tolist())
+    assert (report.min_ratio, report.max_ratio, report.spread) == (low, high, high / low)
 
 
 def test_functional_must_be_single_root():

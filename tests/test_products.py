@@ -137,7 +137,7 @@ def test_custom_rep_kappas_agree(build, max_len, d):
 
 def oracle_frame(mat):
     """The 2x2 eigenframe one matrix at a time, as flags read it before
-    hypdisc._eigenframes took every frame of a level at once: the
+    hypdisc._eigenvectors took every frame of a level at once: the
     larger eigenvalue from trace and det, the other as det over it,
     and each kernel the normal of the longer row."""
     tr = mat[0, 0] + mat[1, 1]

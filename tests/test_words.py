@@ -716,7 +716,7 @@ class TestOrbitTable:
 def oracle_limit_candidates(group, depth):
     """(attracting point, word) of each cyclically reduced hyperbolic
     word up to depth, in stream order, one Mobius value at a time, with
-    the attracting point formula hypdisc read before _eigenframes."""
+    the attracting point formula hypdisc read before _eigenvectors."""
     out = []
     for word, mob in enumerate_elements(group, depth):
         if len(word) == 0:
