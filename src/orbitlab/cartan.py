@@ -132,7 +132,18 @@ def _factor_exponents(rep, products):
     plain 2x2 products along each element's word. A factor of block
     dimension d contributes the exponents (d - 1 - 2j) mu, j = 0..d-1,
     of its boost mu, so each row already sums to zero up to rounding.
+    With one factor, as for a symmetric power, mu >= 0 puts the row in
+    decreasing order already, and it is not sorted. A row with mu = 0,
+    whose zeros carry the signs of their coefficients, is reversed, as
+    the sort leaves it, so that the identity's Cartan row keeps its bits.
     """
+    if len(rep.factors) == 1:
+        ((d, _),) = rep.factors
+        mu = _half_lengths(products[0])
+        lam = mu[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
+        zero = mu == 0.0
+        lam[zero] = lam[zero, ::-1]
+        return lam
     lam = np.concatenate([
         _half_lengths(mats)[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
         for (d, _), mats in zip(rep.factors, products)

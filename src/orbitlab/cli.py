@@ -1,13 +1,18 @@
 """Batch front end over the library modules.
 
 Each command takes only the settings it reads: SETTINGS gives each
-setting's default, check and flag, COMMANDS each command's settings,
-and a flag or a config key that a command does not read is an error.
-Settings come from three layers: built-in defaults, command line
-flags, then an optional JSON config file, later layers winning. Every
-command's rows go to <command>.jsonl under a header of command,
-config (the merged settings, so a run can be replayed), version and
-wall_time_s; orbit.csv and plot.txt start with a "# config:" echo.
+setting's default, check and flag, COMMANDS each command's settings
+and the defaults in which it differs, and a flag or a config key that
+a command does not read is an error. A command's defaults are sizes
+at which it succeeds on its own: dimension samples the limit curve at
+depth 9, past box_dimension's MIN_POINTS, and double walks the doubled
+group to depth 7, enough distinct values for the fit window, while
+limitcurve keeps depth 5. Settings come from three layers: built-in
+defaults, command line flags, then an optional JSON config file, later
+layers winning. Every command's rows go to <command>.jsonl under a
+header of command, config (the merged settings, so a run can be
+replayed), version and wall_time_s; orbit.csv and plot.txt start with
+a "# config:" echo.
 orbit.csv is its own checkpoint: a rerun keeps its rows below the last
 length it holds and walks on from that length. Text outputs are UTF-8
 with LF newlines. Exit codes: 0 success, 2 configuration error (an
@@ -437,14 +442,14 @@ COMMANDS = {
     "limitcurve": (cmd_limitcurve, "limit curve sample and polygonal length",
                    ("group", "rep", "depth", "k"), {}),
     "dimension": (cmd_dimension, "box counting dimension of the limit curve",
-                  ("group", "rep", "depth", "k", "scales"), {}),
+                  ("group", "rep", "depth", "k", "scales"), {"depth": 9}),
     "shadows": (cmd_shadows, "same-annulus shadow separation report",
                 ("group", "rep", "functional", "max_len", "radius"), {}),
     "tp": (cmd_tp, "positive factorization round-trip errors",
            ("dim", "trials", "seed"), {"dim": 4, "trials": 200}),
     "double": (cmd_double, "base versus doubled growth exponents",
                ("group", "rep", "functional", "max_len", "window", "depth"),
-               {}),
+               {"depth": 7}),
     "conerank": (cmd_conerank, "definite cone rank witness and sampling",
                  ("dim", "trials", "seed"), {"dim": 2, "trials": 1000}),
     "plot": (cmd_plot, "text histogram of a CSV column",

@@ -28,8 +28,9 @@ letters, its Mobius matrix and orientation, the products of the
 letters' matrices and of their orientations, and, for each letter table
 a caller passes in, the plain product of the table's matrices along the
 word, which for a table equal to the images is the level's matrices
-themselves. A level is built from the one before with stacked products
-(np.matmul), which round exactly as one product at a time does. The
+themselves. A level is built from the one before with one 2-D product
+per letter over the whole level and one gather of the candidates
+(_extend), which round exactly as one product at a time does. The
 walker never appends the inverse of a word's last letter: that gives
 back the word's parent, already seen, whatever the relations of the
 group. Duplicates are dropped with keys computed a level at a time and
@@ -281,8 +282,13 @@ def _scaled_key(flat, tol):
     folds -0.0 into 0.0.
     """
     lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-    return np.column_stack([np.rint(flat / lead[:, None] / tol),
-                            np.rint(np.log(np.abs(lead)) / tol)]) + 0.0
+    key = np.empty((len(flat), 5))
+    np.divide(flat, lead[:, np.newaxis], out=key[:, :4])
+    np.log(np.abs(lead), out=key[:, 4])
+    key /= tol
+    np.rint(key, out=key)
+    key += 0.0
+    return key
 
 
 def _first_new(keys, seen):
@@ -367,24 +373,47 @@ class _Level:
             yield i, Mobius._normalized(self.mats[i], orientation)
 
 
+def _extend(prev, stack, picks):
+    """The products prev[r] @ stack[l] of the flat picks r * L + l, L =
+    len(stack), in the order of picks: one 2-D product per letter, the
+    (N, d, d) stack prev read as N d rows of length d times stack[l],
+    into one (L, N, d, d) buffer, then one np.take of the picks.
+
+    OpenBLAS forms each entry of its large-gemm kernel in the order of
+    its per-matrix one (for d = 2, fma(a1, b1, a0 b0)), so the rows equal
+    np.matmul(prev[rows], stack[letters]) bit for bit; the tests check
+    this on random stacks, since the route has no fallback.
+    """
+    n, d = prev.shape[0], prev.shape[-1]
+    buf = np.empty((len(stack), n, d, d))
+    flat = prev.reshape(n * d, d)
+    for letter, mat in enumerate(stack):
+        np.matmul(flat, mat, out=buf[letter].reshape(n * d, d))
+    rows, letters = np.divmod(picks, len(stack))
+    return np.take(buf.reshape(-1, d, d), letters * n + rows, axis=0)
+
+
 def _walk_levels(group, max_len, tables=()):
     """The word tree of enumerate_elements, one _Level per word length.
 
-    Each level is computed from the one before with stacked products,
-    of the matrices and of the orientations, with no determinant and no
-    rescaling: every row is extended by every letter except the inverse
-    of its last one (free reduction), so row by row and letter by letter
-    the candidates come in stream order. Duplicates are dropped by key
-    (_first_new: one hash sort per level), exactly for modular, whose
-    float rows are integers (InvalidInput is raised before an entry
-    could pass 2^53), and by _scaled_key for custom and doubled; the
-    first row with a key wins, and rows of earlier levels come first.
+    Every row is extended by every letter except the inverse of its
+    last one (free reduction): the candidates are the flat picks r * L
+    + l of the allowed (row, letter) pairs, L the alphabet's size, so
+    row by row and letter by letter they come in stream order. Their
+    matrices come from _extend, one 2-D product of the level's stack
+    per letter and one gather, which round exactly as one product at a
+    time does; orientations are products too, with no determinant and
+    no rescaling. Duplicates are dropped by key (_first_new: one hash
+    sort per level), exactly for modular, whose float rows are integers
+    (InvalidInput is raised before an entry could pass 2^53), and by
+    _scaled_key for custom and doubled; the first row with a key wins,
+    and rows of earlier levels come first.
     tables are letter-to-matrix dicts whose plain products along each
-    kept word the levels carry too. A table is compared with the images
-    once per walk (np.array_equal); an equal one, such as the sym3
-    factor of separated_schottky or of its doubled group, takes the
-    level's mats as its products, so each level forms one product of
-    2x2 stacks.
+    kept word the levels carry too, by _extend on the kept picks. A
+    table is compared with the images once per walk (np.array_equal);
+    an equal one, such as the sym3 factor of separated_schottky or of
+    its doubled group, takes the level's mats as its products, so each
+    level forms one product of 2x2 stacks.
     Walking stops early once a level is empty.
     """
     if max_len < 0:
@@ -416,30 +445,32 @@ def _walk_levels(group, max_len, tables=()):
         allowed = np.ones((len(level), len(alphabet)), dtype=bool)
         if length:
             allowed[np.arange(len(level)), inverse[level.codes[:, -1]]] = False
-        rows, letters = np.nonzero(allowed)
+        picks = np.flatnonzero(allowed)
         if (group.kind == "modular"
                 and 2.0 * np.abs(level.mats).max() * np.abs(images).max() >= 2.0 ** 53):
             raise InvalidInput(
                 "integer entries could pass 2^53 past word length %d" % length
             )
-        mats = np.matmul(level.mats[rows], images[letters])
-        orientation = level.orientation[rows] * signs[letters]
+        mats = _extend(level.mats, images, picks)
         if key_of:
             keys = key_of(mats.reshape(-1, 4))
             kept = _first_new(keys, seen)
-            seen = np.concatenate([seen, keys[kept]])
-            rows, letters, mats, orientation = (
-                rows[kept], letters[kept], mats[kept], orientation[kept])
+            # the last level's keys are never looked up
+            if length + 1 < max_len:
+                seen = np.concatenate([seen, keys[kept]])
+            picks, mats = picks[kept], mats[kept]
             del keys, kept
+        rows, letters = np.divmod(picks, len(alphabet))
         codes = np.empty((len(rows), length + 1), dtype=np.int8)
         codes[:, :length] = np.take(level.codes, rows, axis=0)
         codes[:, length] = letters
-        products = [mats if same else np.matmul(m[rows], st[letters])
+        products = [mats if same else _extend(m, st, picks)
                     for m, st, same in zip(level.products, stacks, shared)]
-        level = _Level(alphabet, rows, codes, mats, orientation, products)
+        level = _Level(alphabet, rows, codes, mats,
+                       level.orientation[rows] * signs[letters], products)
         # a consumer computes while the walk waits at the yield; the
         # candidate arrays must not add to its peak
-        del allowed, rows, letters, codes, mats, orientation, products
+        del allowed, picks, rows, letters, codes, mats, products
         if not len(level):
             return
         yield level

@@ -9,14 +9,16 @@ from orbitlab.cartan import (
     PAIRING_TOL,
     CartanVector,
     RootFunctional,
+    _factor_exponents,
     cartan_projection,
     parse_functional,
     root_value,
     sp_long_root_min_check,
     word_cartan,
 )
+from orbitlab.hypdisc import Mobius, _half_lengths
 from orbitlab.reps import ScaledMatrix, evaluate, standard_symplectic_form, sym_power
-from orbitlab.words import standard_schottky
+from orbitlab.words import _walk_levels, standard_schottky
 
 # frozen: 2 log((1+sqrt 5)/2), the top log singular value of [[2,1],[1,1]]
 TWO_LOG_PHI = 0.96242365011920694
@@ -316,3 +318,23 @@ class TestLongWords:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInput, match="finite"):
                 evaluate(rep, "ab" * 220)
+
+
+def test_one_factor_rows_are_the_sorted_rows():
+    # a symmetric power's row skips the sort that several factors need;
+    # the rows, signed zeros of the identity's included, stay the same
+    group = standard_schottky(4.0)
+    walked = np.concatenate([level.mats for level in _walk_levels(group, 3)])
+    boosts = [(Mobius.rotation(t) @ Mobius.boost(2.0 * mu)).mat
+              for t, mu in ((0.3, 1e-9), (1.1, 1.0), (2.0, 354.0), (0.0, 354.3))]
+    quarter_turn = [[0.0, -1.0], [1.0, 0.0]]
+    mats = np.concatenate([walked, [quarter_turn], boosts])
+    mu = _half_lengths(mats)
+    assert mu[0] == 0.0 and mu[len(walked)] == 0.0 and 354.0 < mu.max() < 354.4
+    for d in range(2, 8):
+        rep = sym_power(d)(group.generator_matrices())
+        lam = mu[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
+        lam.sort(axis=1)
+        got = _factor_exponents(rep, [mats])
+        assert got.tobytes() == lam[:, ::-1].tobytes(), d
+        assert np.signbit(got[0]).any()

@@ -13,6 +13,7 @@ from orbitlab.critexp import synthetic_log_sample
 from orbitlab.doubling import separated_schottky
 from orbitlab.errors import NotPositive
 from orbitlab.tpos import f_gamma, factorize, standard_word
+from orbitlab.words import standard_schottky
 
 
 def write_modular_group(tmp_path):
@@ -21,15 +22,18 @@ def write_modular_group(tmp_path):
     return str(path)
 
 
-def write_separated_group(tmp_path):
-    group = separated_schottky(2.0)
+def write_schottky_group(tmp_path, group, name):
     lines = ["kind=free_schottky"]
     for c in ("a", "b"):
         vals = " ".join("%.17g" % v for v in group.image(c).mat.ravel())
         lines.append("generator=%s" % vals)
-    path = tmp_path / "sep.grp"
+    path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def write_separated_group(tmp_path):
+    return write_schottky_group(tmp_path, separated_schottky(2.0), "sep.grp")
 
 
 def read_jsonl(path):
@@ -194,6 +198,19 @@ def test_every_command_reports_through_main(tmp_path):
         assert header["config"]["out"] == str(out)
         assert header["version"] and header["wall_time_s"] >= 0.0
         assert rows, command
+
+
+def test_every_command_succeeds_at_its_defaults(tmp_path):
+    # nothing but the group file a command needs: dimension's depth 9
+    # and double's depth 7 are its own defaults
+    grp = write_schottky_group(tmp_path, standard_schottky(4.0), "schottky.grp")
+    out = str(tmp_path / "run")
+    group_commands = ("orbit", "critexp", "limitcurve", "dimension", "shadows")
+    for command in group_commands + ("double", "tp", "conerank"):
+        extra = ["--group", grp] if command in group_commands else []
+        assert cli.main([command] + extra + ["--out", out]) == 0, command
+    assert read_jsonl(tmp_path / "run" / "dimension.jsonl")[0]["config"]["depth"] == 9
+    assert read_jsonl(tmp_path / "run" / "double.jsonl")[0]["config"]["depth"] == 7
 
 
 @pytest.mark.parametrize("config", ['{"window": 5}', '{"max_len": null}',

@@ -527,7 +527,9 @@ class TestSharedTables:
             for level in levels:
                 assert level.products[0] is level.mats, label
 
-    def test_other_tables_are_not_shared(self):
+    @staticmethod
+    def _other_walks():
+        # the sp-product's factor tables and a dense sym3 table
         group = standard_schottky()
         slow = standard_schottky(3.0)
         sym2 = sym_power(2)
@@ -536,19 +538,44 @@ class TestSharedTables:
             sym2({c: slow.image(c).mat for c in "abAB"}, label="f3"),
         ])
         dense = custom_rep(sym_power(3)(group.generator_matrices()).images, 3)
-        for tables in (rep.tables, dense.tables):
+        return [(group, rep.tables, "sp-product"), (group, dense.tables, "dense sym3")]
+
+    def test_other_tables_are_not_shared(self):
+        for group, tables, _ in self._other_walks():
             for level in _walk_levels(group, 4, tables):
                 assert level.products[-1] is not level.mats
                 assert level.products[-1].shape[1:] == (tables[-1]["a"].shape)
 
     def test_shared_rows_are_the_word_products(self):
+        # every table's rows, shared or not, and a modular walk's
+        modular = modular_group()
+        walks = self._walks() + self._other_walks() + [
+            (modular, sym_power(3)(modular.generator_matrices()).tables, "modular sym3")]
         rng = np.random.default_rng(17)
-        for group, tables, label in self._walks():
+        for group, tables, label in walks:
             for level in _walk_levels(group, 6, tables):
                 for i in rng.choice(len(level), size=min(len(level), 40), replace=False):
                     word = level.word(i)
-                    assert np.array_equal(level.products[0][i],
-                                          _word_product(tables[0], word, label)), str(word)
+                    for table, products in zip(tables, level.products):
+                        want = _word_product(table, word, label,
+                                             len(next(iter(table.values()))))
+                        assert products[i].tobytes() == want.tobytes(), (label, str(word))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_extend_is_the_stacked_product(self, d):
+        # the walk's products rest on the large-gemm kernel rounding as
+        # the per-matrix one does; a BLAS that rounds otherwise fails here
+        rng = np.random.default_rng(d)
+        for n in (1, 2, 5, 64, 777, 5000):
+            for letters in (1, 4, 6):
+                scale = np.exp(rng.uniform(-20.0, 20.0, size=(n + letters, 1, 1)))
+                prev = rng.normal(size=(n, d, d)) * scale[:n]
+                stack = rng.normal(size=(letters, d, d)) * scale[n:]
+                picks = np.sort(rng.choice(n * letters, size=max(1, n * letters * 2 // 3),
+                                           replace=False))
+                rows, cols = np.divmod(picks, letters)
+                want = np.matmul(prev[rows], stack[cols])
+                assert words._extend(prev, stack, picks).tobytes() == want.tobytes(), (n, letters)
 
     def test_level_arrays_are_read_only(self):
         for group, tables, _ in self._walks():
