@@ -43,15 +43,15 @@ PAIRING_TOL = 1e-6
 
 def _centered(lam, lie_type):
     """Rows of sorted log singular values centered to sum zero; C-type
-    rows are symmetrized over their reciprocal pairs. The one place the
-    pairs are averaged: callers check the pairing first, at their own
-    tolerance."""
+    rows are symmetrized over their reciprocal pairs, and zeros carry no
+    sign. The one place the pairs are averaged: callers check the pairing
+    first, at their own tolerance."""
     lam = lam - lam.mean(axis=-1, keepdims=True)
     if lie_type == "C":
         n = lam.shape[-1] // 2
         half = 0.5 * (lam[..., :n] - lam[..., ::-1][..., :n])
         lam = np.concatenate([half, -half[..., ::-1]], axis=-1)
-    return lam
+    return lam + 0.0
 
 
 class CartanVector:
@@ -133,17 +133,11 @@ def _factor_exponents(rep, products):
     dimension d contributes the exponents (d - 1 - 2j) mu, j = 0..d-1,
     of its boost mu, so each row already sums to zero up to rounding.
     With one factor, as for a symmetric power, mu >= 0 puts the row in
-    decreasing order already, and it is not sorted. A row with mu = 0,
-    whose zeros carry the signs of their coefficients, is reversed, as
-    the sort leaves it, so that the identity's Cartan row keeps its bits.
+    decreasing order already, and it is not sorted.
     """
     if len(rep.factors) == 1:
         ((d, _),) = rep.factors
-        mu = _half_lengths(products[0])
-        lam = mu[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
-        zero = mu == 0.0
-        lam[zero] = lam[zero, ::-1]
-        return lam
+        return _half_lengths(products[0])[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
     lam = np.concatenate([
         _half_lengths(mats)[:, np.newaxis] * (d - 1 - 2 * np.arange(d))
         for (d, _), mats in zip(rep.factors, products)

@@ -5,27 +5,28 @@ span the k-dimensional piece; QR with positive diagonal makes the
 representative unique. Single Grassmannian pieces carry the chordal
 projector metric.
 
-Positivity of a flag tuple is decided in a chart: a linear map sends the
-first and third flags to the standard ascending and descending
-coordinate flags, the remaining flags become unitriangular matrices via
-triangular elimination against the descending flag, and the tuple is
-positive when some sign-diagonal conjugation makes those matrices factor
-through the positive semigroup. The conjugation quotients out the
-diagonal ambiguity left by the chart normalization, and the first
-matrix's superdiagonal signs pick the only candidate.
+Positivity of a flag tuple is read from the signs of Fock-Goncharov's
+determinants (Publ. Math. IHES 103, 2006, section 9) of leading basis
+columns, D(a, b, c) = det[A_a | B_b | C_c], which need no chart:
+- A and C are transverse unless some |D(a, 0, d - a)|, 0 < a < d, is at
+  or below TRANSVERSE_TOL;
+- (A, B, C) is positive when no D(a, b, c), a + b + c = d, vanishes and
+  every triple ratio D(a+1, b, c-1) D(a, b-1, c+1) D(a-1, b+1, c) /
+  (D(a+1, b-1, c) D(a, b+1, c-1) D(a-1, b, c+1)), a, b, c >= 1, is
+  positive, in any order of the flags: a transposition inverts the ratios;
+- (A, B, C, D) is positive when (A, B, C) and (A, D, C) are and B's d - 1
+  edge signs sign(D(e, 1, d-e-1) D(e-1, 1, d-e)) on AC are opposite to
+  D's, which makes every edge coordinate positive.
 
-Each step is one no-pivot LU. The leading minors of a Gram matrix
-Q_j^T Q_i of orthonormal bases, rows reversed, are the pair's
-transversality minors; for (f1, f3) its upper factor inverts to the
-chart, and eliminating a middle flag is the same LU. Flags built
-together, as limit_flags builds its sample from one symmetric-power
-call and one QR, keep views of one read-only stack of bases and share a
-_FlagSet. When a tuple brings members not asked about before, one kernel
-decides the transversality of the asked pairs and, for every new triple
-(i, k, j) of distinct asked members, fills j's sign mask in the chart
-(f_i, f_k) and its inverse's. A tuple is then a few lookups; the tables
-go with the flags and grow with what is asked, not with N. Flags of no
-common set, such as Flag(basis), take the same kernel on a throwaway set.
+Flags built together, as limit_flags builds its sample from one
+symmetric-power call and one QR, keep views of one read-only stack of
+bases and share a _FlagSet. When a tuple brings members not asked about
+before, one kernel forms the pair minors of the pairs with a new member
+and the determinants of every new triple (i, k, j) of distinct asked
+members: whether (f_i, f_j, f_k) is positive and f_j's edge signs on
+(f_i, f_k). A tuple is then a few lookups; the tables go with the flags
+and grow with what is asked, not with N. Flags of no common set, such
+as Flag(basis), take the same kernel on a throwaway set.
 """
 
 import functools
@@ -36,13 +37,11 @@ import numpy as np
 from .errors import InvalidInput, NotTransverse, SpectrumNotLoxodromic
 from .hypdisc import _boundary_points, _eigenvectors
 from .reps import ScaledMatrix, sym_power_matrix
-from .tpos import _cone_params
 from .words import _limit_rows, _rep_tables
 
 TRANSVERSE_TOL = 1e-10
 LOG_GAP_MIN = 1e-6
 RANK_TOL = 1e-12
-_NO_UNIT = -2
 
 
 def _orthonormalize(bases, what):
@@ -179,107 +178,75 @@ class _FlagSet:
     """Flags built together: their read-only (N, d, d) stack of bases and
     positivity tables. asked gives each member asked about its position;
     by positions, bad holds each pair found not transverse, self-pairs
-    included, and masks[i, k, j] those of ask. It holds no flag."""
+    included, and triples[i, k, j] whether (f_i, f_j, f_k) is positive and
+    the bitmask of f_j's negative edge signs on (f_i, f_k). It holds no
+    flag."""
 
-    __slots__ = ("bases", "asked", "bad", "masks")
+    __slots__ = ("bases", "asked", "bad", "triples")
 
     def __init__(self, bases):
-        self.bases, self.asked, self.bad, self.masks = bases, {}, set(), {}
+        self.bases, self.asked, self.bad, self.triples = bases, {}, set(), {}
 
     def ask(self, new):
-        """Ask members new in one kernel. With J Q_k^T Q_i = L U for each
-        ordered pair, U's minors decide transversality; the unit columns of
-        Q_i U^-1, in f_i^c meet f_k^(d-c+1), are the chart, inverse N U Q_i^T
-        with N the column norms of U^-1 (U = I where no tuple reads it)."""
+        """Ask members new in one kernel: the pair minors of every pair
+        with a new member, then the determinants of every new triple."""
         old = len(self.asked)
         self.asked.update(zip(new, range(old, old + len(new))))
-        first, third, pair, middle, keys = (_positions(old, len(self.asked)) if old
-                                            else _first_positions(len(self.asked)))
-        q = self.bases[list(self.asked)]
-        qi = q[first]
-        eye, lower, _ = _triangles(q.shape[-1])
-        with np.errstate(all="ignore"):
-            lu = _lu(np.matmul(q[third].transpose(0, 2, 1), qi)[:, ::-1])
-            bad = (np.abs(lu.diagonal(0, 1, 2)[:, :-1].cumprod(1)) <= TRANSVERSE_TOL).any(1)
-            upper = np.where(bad[:, np.newaxis, np.newaxis], eye, lu * lower.T)
-            inv = np.linalg.inv(upper)
-            frames = upper * np.sqrt((inv * inv).sum(1))[:, :, np.newaxis] @ qi.transpose(0, 2, 1)
-            units, failed = _eliminate(frames[pair] @ q[middle])
-            masks = _sign_masks(np.concatenate([units, _unit_inverse(units)]))
-        self.bad.update(zip(first[bad].tolist(), third[bad].tolist()))
-        forward, inverse = np.where(failed, _NO_UNIT, masks.reshape(2, -1)).tolist()
-        self.masks.update(zip(keys, zip(forward, inverse)))
+        (p, q), (i, j, k), keys = (_positions(old, len(self.asked)) if old
+                                   else _first_positions(len(self.asked)))
+        bases = self.bases[list(self.asked)]
+        pairs, trios, ratios, edges = _columns(bases.shape[-1])
+        bad = (np.abs(_minors(bases, (p, q), pairs)) <= TRANSVERSE_TOL).any(1)
+        p, q = p[bad].tolist(), q[bad].tolist()
+        self.bad.update(zip(p + q, q + p))
+        signs = np.sign(_minors(bases, (i, j, k), trios))
+        positive = (signs != 0.0).all(1) & (signs[:, ratios].prod(2) > 0.0).all(1)
+        negative = (signs[:, edges].prod(2) < 0.0) @ (1 << np.arange(len(edges)))
+        self.triples.update(zip(keys, zip(positive.tolist(), negative.tolist())))
 
 
 def _positions(old, size):
-    """All ordered pairs (first, third) of positions below size; triples of
-    distinct ones, one at or above old, as pair index, middle and key."""
+    """Pairs p <= q of positions below size with q at or above old, and
+    ordered triples (i, j, k) of distinct ones, one at or above old, with
+    their keys (i, k, j)."""
+    p, q = np.triu_indices(size)
     ne = np.arange(size)[:, np.newaxis] != np.arange(size)
     new = ne[:, :, np.newaxis] & ne[:, np.newaxis, :] & ne
     new[:old, :old, :old] = False
-    pair, middle = np.nonzero(new.reshape(size * size, size))
-    first, third = np.divmod(np.arange(size * size), size)
-    keys = zip(first[pair].tolist(), third[pair].tolist(), middle.tolist())
-    return first, third, pair, middle, tuple(keys)
+    i, k, j = np.nonzero(new)
+    keys = zip(i.tolist(), k.tolist(), j.tolist())
+    return (p[q >= old], q[q >= old]), (i, j, k), tuple(keys)
 
 
 # a set's first kernel, a throwaway set's only one, asks at most a tuple's members
 _first_positions = functools.lru_cache(maxsize=None)(functools.partial(_positions, 0))
 
 
-def _lu(a):
-    """No-pivot LU of an (N, d, d) stack, on a copy: the unit lower factor
-    below the diagonal, the upper on and above it. Pivot k is leading minor
-    k + 1 over minor k; past a zero pivot the entries are inf or nan."""
-    a = np.array(a, dtype=float)
-    for k in range(a.shape[-1] - 1):
-        a[:, k + 1:, k] /= a[:, k, k, np.newaxis]
-        a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, np.newaxis] * a[:, k, np.newaxis, k + 1:]
-    return a
+def _minors(bases, members, columns):
+    """(T, K) determinants of the (d, d) blocks that the K rows of columns
+    pick from the bases at members, T positions per member, laid side by
+    side."""
+    side = np.concatenate([bases[m] for m in members], axis=2)
+    return np.linalg.det(side[:, :, columns].transpose(0, 2, 1, 3))
 
 
 @functools.lru_cache(maxsize=None)
-def _triangles(d):
-    """The identity and lower-triangle masks, with and without the diagonal."""
-    return np.eye(d), np.tri(d, dtype=bool), np.tri(d, k=-1)
-
-
-def _eliminate(xs):
-    """(units, failed) of an (N, d, d) stack: the unitriangular u whose
-    last k columns span the leading k of x for every k, as _lu factors
-    x's rows reversed as (J u J) T; failed where a pivot T_kk is at or
-    below TRANSVERSE_TOL times max(1, |T_kk| times the largest entry of
-    column k of J u J)."""
-    a = _lu(xs[:, ::-1])
-    eye, lower, strict = _triangles(a.shape[-1])
-    pivots = np.abs(a.diagonal(0, 1, 2))
-    column = pivots * (np.abs(a) * strict).max(1, initial=1.0)
-    failed = (pivots <= TRANSVERSE_TOL * np.fmax(1.0, column)).any(1)
-    return np.where(lower, eye, a[:, ::-1, ::-1]), failed
-
-
-def _unit_inverse(units):
-    """Inverses of an (N, d, d) stack of unitriangular matrices: the
-    finite series I + M + ... + M^(d-1), M = I - u, by Horner's rule."""
-    eye = _triangles(units.shape[-1])[0]
-    m, inv = eye - units, eye
-    for _ in range(units.shape[-1] - 1):
-        inv = eye + m @ inv
-    return inv
-
-
-def _sign_masks(units):
-    """The sign mask under which each unit of an (N, d, d) stack factors
-    positively, or -1; bit k flips basis vector k. _cone_params fails any
-    superdiagonal entry at or below zero: it tests the last column's, and
-    each peel lowers the others by a passed parameter. So only s_0 = 1,
-    s_(k+1) = s_k sign(u_(k,k+1)) can pass, and none passes a zero or nan."""
-    sup = units.diagonal(1, 1, 2)
-    signs = np.ones(units.shape[:2])
-    signs[:, 1:] = np.where(sup < 0.0, -1.0, 1.0).cumprod(1)
-    _, stage, _ = _cone_params(units * (signs[:, :, np.newaxis] * signs[:, np.newaxis, :]))
-    ok = (stage == 0) & (np.abs(sup) > 0.0).all(1)
-    return np.where(ok, (signs < 0.0) @ (2 ** np.arange(units.shape[-1])), -1)
+def _columns(d):
+    """Columns of [A | C] for the pair minors D(a, 0, d - a), 0 < a < d;
+    of [A | B | C] for D(a, b, c), a + b + c = d, no part d; and, as rows
+    into the latter, the six minors of each triple ratio and the two of
+    each edge sign."""
+    parts = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)
+             if d not in (a, b, d - a - b)]
+    at = {abc: n for n, abc in enumerate(parts)}
+    ratios = [[at[a + 1, b, c - 1], at[a, b - 1, c + 1], at[a - 1, b + 1, c],
+               at[a + 1, b - 1, c], at[a, b + 1, c - 1], at[a - 1, b, c + 1]]
+              for a, b, c in parts if min(a, b, c) >= 1]
+    return (np.array([[*range(a), *range(d, 2 * d - a)] for a in range(1, d)]),
+            np.array([[*range(a), *range(d, d + b), *range(2 * d, 2 * d + c)]
+                      for a, b, c in parts]),
+            np.array(ratios, dtype=int).reshape(-1, 6),
+            np.array([[at[e, 1, d - e - 1], at[e - 1, 1, d - e]] for e in range(1, d)]))
 
 
 def _require_transverse(flags):
@@ -304,36 +271,28 @@ def _require_transverse(flags):
     return fs, pos
 
 
-def _tuple_positive(flags):
-    """Whether the second flag's unit, and the fourth's inverse, factor
-    positively under one sign mask: by _sign_masks, their own."""
-    fs, pos = _require_transverse(flags)
-    first = fs.masks[pos[0], pos[2], pos[1]][0]
-    last = fs.masks[pos[0], pos[2], pos[3]][1] if len(pos) == 4 else first
-    if _NO_UNIT in (first, last):
-        raise NotTransverse("flag is not transverse to the chart's third flag")
-    return first >= 0 and last == first
-
-
 def triple_positive(f1, f2, f3):
     """Is the flag triple in the positive configuration?
 
-    In the chart sending (f1, f3) to the standard ascending/descending
-    pair, f2 becomes a unitriangular matrix; the triple is positive when
-    some sign conjugate of it carries positive cone coordinates.
+    True when no determinant D(a, b, c), a + b + c = d, of the leading
+    columns of the three bases vanishes and every triple ratio is
+    positive; the answer does not depend on the order of the flags.
     """
-    return _tuple_positive([f1, f2, f3])
+    fs, pos = _require_transverse([f1, f2, f3])
+    return fs.triples[pos[0], pos[2], pos[1]][0]
 
 
 def quadruple_positive(f1, f2, f3, f4):
     """Positivity of a cyclically ordered flag quadruple.
 
-    Both middle flags are eliminated in the single chart of (f1, f3);
-    the second flag must factor positively and the fourth must be the
-    inverse of a positive element, matching the configuration
-    (ascending, u . descending, descending, v^{-1} . descending).
+    The triples (f1, f2, f3) and (f1, f4, f3) must be positive and every
+    edge coordinate on (f1, f3) positive: each of the d - 1 edge signs of
+    f2 is opposite to f4's.
     """
-    return _tuple_positive([f1, f2, f3, f4])
+    fs, pos = _require_transverse([f1, f2, f3, f4])
+    positive2, edges2 = fs.triples[pos[0], pos[2], pos[1]]
+    positive4, edges4 = fs.triples[pos[0], pos[2], pos[3]]
+    return positive2 and positive4 and edges2 ^ edges4 == (1 << fs.bases.shape[-1] - 1) - 1
 
 
 def _loxodromic_frames(mats):

@@ -9,11 +9,11 @@ group into blocks of descending indices. Each block multiplies out to a
 unit upper bidiagonal matrix, and a product of bidiagonal blocks can be
 peeled from the right by reading one corrected superdiagonal entry per
 column. The sweep runs on a stack of matrices at once, one numpy
-operation per letter: flag positivity sweeps every member of a chart in
-one call, and factorize is the one-row call. A parameter at or below
-zero means the input sits outside the open semigroup; the sweep reports
-which letter failed first and its value, so NotPositive can say whether
-the value was merely marginal.
+operation per letter: the tp command sweeps all its trials in one call,
+and factorize is the one-row call. A parameter at or below zero means
+the input sits outside the open semigroup; the sweep reports which
+letter failed first and its value, so NotPositive can say whether the
+value was merely marginal.
 
 pi_beta sums the parameters attached to one letter. It equals the
 corresponding superdiagonal entry of the product, which makes it

@@ -173,6 +173,18 @@ def test_orbit_deterministic_and_resumable(tmp_path):
     assert read_jsonl(out / "orbit.jsonl")[1]["from_len"] == 0
 
 
+@pytest.mark.parametrize("rep", ["sym3", "sym5"])
+def test_orbit_rows_of_zero_displacement_have_unsigned_zeros(tmp_path, rep):
+    # the identity and the order-two S fix the origin: their Cartan rows
+    # are zero, written without a sign
+    out = tmp_path / "run"
+    assert cli.main(["orbit", "--group", write_modular_group(tmp_path), "--rep", rep,
+                     "--max-len", "1", "--out", str(out)]) == 0
+    rows = (out / "orbit.csv").read_text(encoding="utf-8").splitlines()[2:4]
+    zeros = ",".join(["0"] * int(rep[3:]))
+    assert rows == ["e,0,0," + zeros, "S,1,0," + zeros]
+
+
 def test_every_command_reports_through_main(tmp_path):
     grp = write_separated_group(tmp_path)
     out = tmp_path / "run"

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from flagtools import attracting_flag, dual, transverse, veronese_flag
+from positivitytools import ChartOracle, _eliminate, _lu, _sign_masks
 from scipy.linalg import solve_triangular
 
 from orbitlab import flags as flags_module
@@ -31,14 +32,11 @@ from orbitlab.flags import (
     TRANSVERSE_TOL,
     Flag,
     GrassPoint,
-    _eliminate,
     _FlagSet,
     _loxodromic_frames,
     _limit_stack,
-    _lu,
     _orthonormalize,
     _projectors,
-    _sign_masks,
     _views,
     flag_distance,
     limit_curve,
@@ -233,7 +231,8 @@ def test_triple_requires_transversality():
 
 def test_triple_positive_matches_direct_minor_signs():
     # in dimension 3 the positive unitriangulars are cut out by four
-    # inequalities; compare the chart test against that description
+    # inequalities; compare triple_positive against that description of
+    # the middle flag's unit in the chart of the outer two
     rng = np.random.default_rng(13)
 
     def d3_minors_positive(u):
@@ -402,8 +401,9 @@ def test_one_sign_candidate_in_dimension_nine():
 
 
 def test_only_the_own_sign_mask_can_pass():
-    # quadruple positivity compares the two units' own masks, which is
-    # exact because _cone_params fails every other conjugation
+    # the chart kernel's quadruple positivity compares the two units' own
+    # masks, which is exact because _cone_params fails every other
+    # conjugation
     rng = np.random.default_rng(53)
     seen = set()
     for d in (2, 3, 4, 5):
@@ -618,6 +618,36 @@ def test_stacked_positivity_matches_the_oracle_on_gaussian_flags(d):
     assert len(raised) >= 4 and all("are not transverse" in text for text in raised)
 
 
+def test_a_vanishing_triple_determinant_is_not_positive():
+    # the pairs are transverse, but D(1, 1, 1) = det[e1 | e1 + e3 | e3]
+    # vanishes: no triple or quadruple through it is positive, and none
+    # is refused
+    a, c = Flag(np.eye(3)), Flag(np.eye(3)[:, ::-1])
+    b = Flag([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    d = Flag([[1.0, -1.0, 0.0], [0.3, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    assert all(transverse(f, g) for f, g in itertools.combinations((a, b, c, d), 2))
+    assert np.linalg.det(np.stack([a.basis[:, 0], b.basis[:, 0], c.basis[:, 0]], 1)) == 0.0
+    for trio in ((a, b, c), (c, b, a), (b, a, c)):
+        assert triple_positive(*trio) is False
+    assert quadruple_positive(a, b, c, d) is False
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_triple_positivity_does_not_depend_on_the_order(d):
+    # a quadruple (A, B, C, D) reads its triple (A, C, D) as (A, D, C),
+    # so a triple has one answer in all six orders; in the plane every
+    # triple of distinct lines is positive
+    rng = np.random.default_rng(71 + d)
+    seen = set()
+    for quad in gaussian_quadruples(rng, d, 60):
+        for trio in itertools.combinations(quad, 3):
+            got = {decision(triple_positive, order) for order in itertools.permutations(trio)}
+            got = {x if isinstance(x, bool) else "raised" for x in got}
+            assert len(got) == 1
+            seen |= got
+    assert True in seen and (False in seen) is (d > 2)
+
+
 def test_stacked_elimination_raises_on_a_zero_pivot():
     # the reversal eliminates to the identity; the identity's rows
     # reversed have a zero leading pivot, which fails the elimination,
@@ -695,21 +725,22 @@ def test_warm_memo_cold_memo_and_oracle_decide_alike(monkeypatch):
         transverse(fresh[0], fresh[3])
 
 
-def test_memo_bounds_the_eliminations(monkeypatch):
-    kernels, eliminated = [], []
-    ask, eliminate = flags_module._FlagSet.ask, flags_module._eliminate
+def test_memo_bounds_the_determinant_kernels(monkeypatch):
+    kernels, formed = [], []
+    ask, minors = flags_module._FlagSet.ask, flags_module._minors
 
     def counted_ask(fs, new):
         old = len(fs.asked)
         ask(fs, new)
         kernels.append((old, len(fs.asked)))
 
-    def counted_eliminate(xs):
-        eliminated.append(len(xs))
-        return eliminate(xs)
+    def counted_minors(bases, members, columns):
+        if len(members) == 3:
+            formed.append(len(members[0]))
+        return minors(bases, members, columns)
 
     monkeypatch.setattr(flags_module._FlagSet, "ask", counted_ask)
-    monkeypatch.setattr(flags_module, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(flags_module, "_minors", counted_minors)
     flags = next(criterion_11_flags())
     assert len(flags) == 12
     growths = 0
@@ -719,9 +750,9 @@ def test_memo_bounds_the_eliminations(monkeypatch):
     # one kernel per tuple that brings members not asked about before
     olds, sizes = zip(*kernels)
     assert len(kernels) == growths <= 12 and olds == (0,) + sizes[:-1] and sizes[-1] == 12
-    # each triple computed once: the kernels eliminate as many triples
-    # as the table holds, all distinct keys
-    assert sum(eliminated) == len(flags[0]._set.masks) == 12 * 11 * 10
+    # each triple formed once: the kernels form as many triples as the
+    # table holds, all distinct keys
+    assert sum(formed) == len(flags[0]._set.triples) == 12 * 11 * 10
 
 
 def test_memo_goes_with_the_flags():
@@ -734,7 +765,7 @@ def test_memo_goes_with_the_flags():
         for tup in criterion_11_calls(flags, np.random.default_rng(111)):
             stacked_positive(*tup)
         tables = tracemalloc.get_traced_memory()[0] - built
-        assert len(flags[0]._set.masks) == 12 * 11 * 10
+        assert len(flags[0]._set.triples) == 12 * 11 * 10
         del flags, tup
         # no reference cycle: the drop alone freed the set and its tables
         assert gc.collect() == 0
@@ -798,14 +829,15 @@ def benchmark_group(name, seed):
 def test_positivity_decisions_match_the_oracle_on_limit_streams(name, depth):
     # the first 14 limit flags of a group, one set's tables filled as the
     # stream asks: every ordered triple, then random quadruples, one in
-    # five drawn with repeats, and tuples that repeat a flag
+    # five drawn with repeats, and tuples that repeat a flag; the chart
+    # kernel's tables decide the same calls
     oracles = {}
     for seed in range(3):
         group = benchmark_group(name, seed)
         rep = sym_power(3)(group.generator_matrices(), label="sym3")
         flags = [f for _, f in limit_flags(rep, group, depth)][:14]
         key = tuple(f.basis.tobytes() for f in flags)
-        oracle = oracles.setdefault(key, IndexedOracle(flags))
+        oracle = oracles.setdefault(key, ChartOracle(flags))
         n = len(flags)
         rng = np.random.default_rng([seed, depth, 59])
         calls = list(itertools.permutations(range(n), 3))
