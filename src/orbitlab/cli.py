@@ -46,7 +46,7 @@ from .doubling import (
     separated_schottky,
 )
 from .errors import InvalidInput, OrbitLabError
-from .flags import limit_curve, polygonal_length, write_curve_csv
+from .flags import _check_piece, limit_curve, polygonal_length, write_curve_csv
 from .limitgeom import box_dimension, shadow_separation_check
 from .reps import sym_power
 from .tpos import Unitriangular, _cone_params, f_gamma, factorize, standard_word
@@ -282,6 +282,7 @@ def cmd_limitcurve(cfg):
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
+        _check_piece(cfg.k, rep.dim)
     curve = limit_curve(rep, group, cfg.depth, cfg.k)
     length = polygonal_length([p for _, p in curve])
     write_curve_csv(os.path.join(cfg.out, "limitcurve.csv"), curve)
@@ -294,6 +295,7 @@ def cmd_dimension(cfg):
     with _config_phase():
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
+        _check_piece(cfg.k, rep.dim)
     points = [p for _, p in limit_curve(rep, group, cfg.depth, cfg.k)]
     est = box_dimension(points, cfg.scales)
     payload = [{"depth": cfg.depth, "k": cfg.k, "points": len(points),

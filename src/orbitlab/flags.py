@@ -19,23 +19,25 @@ columns, D(a, b, c) = det[A_a | B_b | C_c], which need no chart:
   D's, which makes every edge coordinate positive.
 
 Flags built together, as limit_flags builds its sample from one
-symmetric-power call and one QR, keep views of one read-only stack of
-bases and share a _FlagSet. When a tuple brings members not asked about
-before, one kernel forms the pair minors of the pairs with a new member
-and the determinants of every new triple (i, k, j) of distinct asked
-members: whether (f_i, f_j, f_k) is positive and f_j's edge signs on
-(f_i, f_k). A tuple is then a few lookups; the tables go with the flags
-and grow with what is asked, not with N. Flags of no common set, such
-as Flag(basis), take the same kernel on a throwaway set.
+symmetric-power call and one QR, view one read-only stack of bases and
+share a _FlagSet. When a tuple brings members not asked about before,
+one kernel forms the pair minors of the pairs with a new member and the
+determinants of every new triple (i, k, j) of distinct asked members:
+whether (f_i, f_j, f_k) is positive and f_j's edge signs on (f_i, f_k).
+A tuple of asked members, no two a bad pair, is then a few lookups; the
+tables go with the flags and grow with what is asked, not with N. Any
+other tuple takes _require_transverse, flags of no common set, such as
+Flag(basis), with a throwaway set.
 """
 
+import collections.abc
 import functools
 import itertools
 
 import numpy as np
 
 from .errors import InvalidInput, NotTransverse, SpectrumNotLoxodromic
-from .hypdisc import _boundary_points, _eigenvectors
+from .hypdisc import TWO_PI, BoundaryPoint, _eigenvectors
 from .reps import ScaledMatrix, sym_power_matrix
 from .words import _limit_rows, _rep_tables
 
@@ -78,12 +80,16 @@ class Flag:
         return self.basis.shape[0]
 
     def piece(self, k):
-        if not 1 <= k <= self.d - 1:
-            raise InvalidInput("piece index must lie in 1..d-1")
+        _check_piece(k, self.d)
         return _views(GrassPoint, self.basis[np.newaxis, :, :k], None)[0]
 
     def __repr__(self):
         return "Flag(d=%d)" % self.d
+
+
+def _check_piece(k, d):
+    if not 1 <= k <= d - 1:
+        raise InvalidInput("piece index must lie in 1..d-1")
 
 
 class GrassPoint:
@@ -278,8 +284,14 @@ def triple_positive(f1, f2, f3):
     columns of the three bases vanishes and every triple ratio is
     positive; the answer does not depend on the order of the flags.
     """
-    fs, pos = _require_transverse([f1, f2, f3])
-    return fs.triples[pos[0], pos[2], pos[1]][0]
+    fs = f1._set
+    if type(fs) is _FlagSet and fs is f2._set is f3._set:
+        get = fs.asked.get
+        i, j, k = pos = get(f1._index), get(f2._index), get(f3._index)
+        if None not in pos and fs.bad.isdisjoint(((i, j), (i, k), (j, k))):
+            return fs.triples[i, k, j][0]
+    fs, (i, j, k) = _require_transverse([f1, f2, f3])
+    return fs.triples[i, k, j][0]
 
 
 def quadruple_positive(f1, f2, f3, f4):
@@ -289,9 +301,16 @@ def quadruple_positive(f1, f2, f3, f4):
     edge coordinate on (f1, f3) positive: each of the d - 1 edge signs of
     f2 is opposite to f4's.
     """
-    fs, pos = _require_transverse([f1, f2, f3, f4])
-    positive2, edges2 = fs.triples[pos[0], pos[2], pos[1]]
-    positive4, edges4 = fs.triples[pos[0], pos[2], pos[3]]
+    fs, warm = f1._set, False
+    if type(fs) is _FlagSet and fs is f2._set is f3._set is f4._set:
+        get = fs.asked.get
+        i, j, k, m = pos = get(f1._index), get(f2._index), get(f3._index), get(f4._index)
+        warm = None not in pos and fs.bad.isdisjoint(
+            ((i, j), (i, k), (i, m), (j, k), (j, m), (k, m)))
+    if not warm:
+        fs, (i, j, k, m) = _require_transverse([f1, f2, f3, f4])
+    positive2, edges2 = fs.triples[i, k, j]
+    positive4, edges4 = fs.triples[i, k, m]
     return positive2 and positive4 and edges2 ^ edges4 == (1 << fs.bases.shape[-1] - 1) - 1
 
 
@@ -308,7 +327,7 @@ def _loxodromic_frames(mats):
 def _limit_stack(rep, group, depth, k=None):
     """Angles of the sampled limit set, sorted, and the read-only stack
     of their attracting flags' canonical bases, (N, d, d), or only its
-    first k columns.
+    first k columns; a k outside 1..d-1 is refused before the walk.
 
     A symmetric power's attracting flag is the symmetric power of the
     2x2 eigenframe, which stays accurate at word lengths where
@@ -320,6 +339,8 @@ def _limit_stack(rep, group, depth, k=None):
     full QR's leading k columns bit for bit: the reflectors past k fix
     e_1 ... e_k.
     """
+    if k is not None:
+        _check_piece(k, rep.dim)
     tables = _rep_tables(group, rep, depth)
     if rep.factors is None or len(rep.factors) != 1:
         theta, _, (mats,) = _limit_rows(group, depth, [rep.images])
@@ -327,22 +348,53 @@ def _limit_stack(rep, group, depth, k=None):
     else:
         theta, _, (mats,) = _limit_rows(group, depth, tables)
         bases = sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0])
-    if k is not None and not 1 <= k <= bases.shape[-1] - 1:
-        raise InvalidInput("piece index must lie in 1..d-1")
     return theta, _orthonormalize(bases[:, :, :k], "flag")
 
 
+class LimitSample(collections.abc.Sequence):
+    """Read-only (boundary point, view) pairs along a sampled limit set,
+    sorted by angle. The n-th is built when read, from theta[n] and a cls
+    viewing stack[n] with index n and _set owner, and is not kept."""
+
+    __slots__ = ("theta", "stack", "_cls", "_owner")
+
+    def __init__(self, theta, stack, cls, owner):
+        # _limit_rows's angles lie in [0, 2 pi]; fmod wraps them as wrap_angle does
+        self.theta, self.stack, self._cls, self._owner = np.fmod(theta, TWO_PI), stack, cls, owner
+
+    def __len__(self):
+        return len(self.theta)
+
+    def __getitem__(self, n):
+        picks = range(len(self.theta))[n]
+        return list(map(self._pair, picks)) if isinstance(n, slice) else self._pair(picks)
+
+    def __iter__(self):
+        return map(self._pair, range(len(self.theta)))
+
+    def _pair(self, n):
+        point, view = object.__new__(BoundaryPoint), object.__new__(self._cls)
+        point.theta = self.theta.item(n)
+        view.basis, view._set, view._index = self.stack[n], self._owner, n
+        return point, view
+
+
 def limit_flags(rep, group, depth):
-    """(boundary point, full attracting flag) along the sampled limit
-    set, sorted by angle; the flags share one _FlagSet."""
+    """(boundary point, full attracting flag) along the sampled limit set,
+    sorted by angle, as a read-only LimitSample: each pair is built when
+    it is read, and a caller that needs a mutable list calls list() on
+    it. The flags share one _FlagSet."""
     theta, bases = _limit_stack(rep, group, depth)
-    return list(zip(_boundary_points(theta), _views(Flag, bases, _FlagSet(bases))))
+    return LimitSample(theta, bases, Flag, _FlagSet(bases))
 
 
 def limit_curve(rep, group, depth, k):
-    """(boundary point, k-plane) pairs of the sampled sub-limit map."""
+    """(boundary point, k-plane) pairs of the sampled sub-limit map, as a
+    read-only LimitSample: each pair is built when it is read, and a
+    caller that needs a mutable list calls list() on it. The planes view
+    one stack."""
     theta, planes = _limit_stack(rep, group, depth, k)
-    return list(zip(_boundary_points(theta), _views(GrassPoint, planes, planes)))
+    return LimitSample(theta, planes, GrassPoint, planes)
 
 
 def polygonal_length(points):
@@ -356,8 +408,7 @@ def polygonal_length(points):
 def write_curve_csv(path, curve):
     """Rows of theta, k, then the plane basis in row-major order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        first_k = curve[0][1].k if curve else 0
-        width = curve[0][1].d * first_k if curve else 0
+        width = curve[0][1].basis.size if curve else 0
         header = ["theta", "k"] + ["b%d" % i for i in range(width)]
         fh.write(",".join(header) + "\n")
         for bp, plane in curve:

@@ -84,15 +84,6 @@ class BoundaryPoint:
         return self.theta < other.theta
 
 
-def _boundary_points(thetas):
-    """BoundaryPoints of an array of angles, wrapped in numpy as wrap_angle wraps."""
-    t = np.fmod(thetas, TWO_PI)
-    points = [object.__new__(BoundaryPoint) for _ in range(len(t))]
-    for point, theta in zip(points, np.where(t < 0.0, t + TWO_PI, t).tolist()):
-        point.theta = theta
-    return points
-
-
 class Mobius:
     """A projective real 2x2 matrix together with its orientation.
 

@@ -19,8 +19,9 @@ empirical separation constant.
 box_dimension fits log N against log(1/eps) (critexp._line_fit) over a
 geometric grid of scales, N the size of a greedy eps-net. Grassmannian
 points embed isometrically through their projectors, so one covering
-code serves real samples and flag curves. The net steps from centre to
-centre and asks one k-d tree over the sample for each centre's ball.
+code serves real samples and flag curves, read from flags.limit_curve's
+lazy sample. The net steps from centre to centre and asks one k-d tree
+over the sample for each centre's ball.
 """
 
 import math

@@ -1,15 +1,25 @@
 """Flag builders and checks that only the tests use.
 
 attracting_flag gives the eigenbasis flag of one matrix, veronese_flag
-flags of known positivity, dual the flag of orthogonal complements, and
-transverse the one-pair call of the package's pair check.
+flags of known positivity, dual the flag of orthogonal complements,
+transverse the one-pair call of the package's pair check, and
+listed_sample the list of (BoundaryPoint, view) pairs that limit_flags
+and limit_curve once returned, the reference of their lazy sequence.
 """
 
 import numpy as np
 
 from orbitlab.errors import NotTransverse
-from orbitlab.flags import Flag, _eigenbasis, _require_transverse
-from orbitlab.hypdisc import Mobius
+from orbitlab.flags import (
+    Flag,
+    GrassPoint,
+    _eigenbasis,
+    _FlagSet,
+    _limit_stack,
+    _require_transverse,
+    _views,
+)
+from orbitlab.hypdisc import TWO_PI, BoundaryPoint, Mobius
 from orbitlab.reps import ScaledMatrix, sym_power_matrix
 
 
@@ -39,3 +49,21 @@ def transverse(f, g):
     except NotTransverse:
         return False
     return True
+
+
+def _boundary_points(thetas):
+    """BoundaryPoints of an array of angles, wrapped in numpy as wrap_angle wraps."""
+    t = np.fmod(thetas, TWO_PI)
+    points = [object.__new__(BoundaryPoint) for _ in range(len(t))]
+    for point, theta in zip(points, np.where(t < 0.0, t + TWO_PI, t).tolist()):
+        point.theta = theta
+    return points
+
+
+def listed_sample(rep, group, depth, k=None):
+    """limit_flags(rep, group, depth), or limit_curve with k, built as a
+    list of every pair at once: one BoundaryPoint and one view per point,
+    the flags sharing one _FlagSet, the planes viewing their stack."""
+    theta, stack = _limit_stack(rep, group, depth, k)
+    cls, owner = (Flag, _FlagSet(stack)) if k is None else (GrassPoint, stack)
+    return list(zip(_boundary_points(theta), _views(cls, stack, owner)))

@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from orbitlab import cli
+from orbitlab import cli, flags
 from orbitlab.critexp import synthetic_log_sample
 from orbitlab.doubling import separated_schottky
 from orbitlab.errors import NotPositive
@@ -513,6 +513,25 @@ def test_dimension_report(tmp_path):
     row = read_jsonl(out / "dimension.jsonl")[1]
     assert 0.0 < row["value"] < 1.5
     assert len(row["scales"]) == len(row["counts"])
+
+
+@pytest.mark.parametrize("command, rep, k", [
+    ("limitcurve", "sym3", 0), ("limitcurve", "sym3", 3), ("limitcurve", "sym4", 4),
+    ("dimension", "sym3", 0), ("dimension", "sym3", 3),
+])
+def test_plane_index_out_of_range_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                    command, rep, k):
+    # refused against the representation's dimension before any walk
+    def no_walk(*args):
+        raise AssertionError("the limit set was walked")
+
+    monkeypatch.setattr(flags, "_limit_rows", no_walk)
+    grp = write_modular_group(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main([command, "--group", grp, "--rep", rep, "--k", str(k),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: piece index must lie in 1..d-1\n"
+    assert not (out / "limitcurve.csv").exists()
 
 
 def test_shadows_report(tmp_path):

@@ -6,6 +6,7 @@ convention: all transverse triples on the curve are positive, and a
 quadruple is positive exactly when its parameters are in cyclic order.
 """
 
+import collections.abc
 import csv
 import functools
 import gc
@@ -15,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from flagtools import attracting_flag, dual, transverse, veronese_flag
+from flagtools import attracting_flag, dual, listed_sample, transverse, veronese_flag
 from positivitytools import ChartOracle, _eliminate, _lu, _sign_masks
 from scipy.linalg import solve_triangular
 
@@ -775,24 +776,35 @@ def test_memo_goes_with_the_flags():
     assert tables > 50_000 and left < 0.05 * tables
 
 
-def test_mixed_set_tuples_decide_as_the_oracle():
-    # limit flags beside moved copies, as in the doubling pool, and
-    # repeated flags: a tuple of one set reads its tables, any other
-    # takes a throwaway set, and both decide as the oracle does
+def mixed_set_tuples():
+    """The limit flags of one set and the 400 tuples drawn from them,
+    their moved copies, as in the doubling pool, and fresh copies of
+    eight of them: every fourth tuple from the set alone, every fifth
+    with a repeat."""
     group = separated_schottky(2.0)
     rep = sym_power(3)(group.generator_matrices(), label="sym3")
     base = [f for _, f in limit_flags(rep, group, 3)]
     big = sym_power_matrix(group.image("a").mat, 3)
     pool = base + [Flag(big @ f.basis) for f in base] + [Flag(f.basis) for f in base[:8]]
     rng = np.random.default_rng(61)
-    seen = []
+    tuples = []
     for trial in range(400):
-        # every fourth tuple from the set alone, every fifth with a repeat
         picks = rng.choice(len(base) if trial % 4 == 0 else len(pool), size=3 + trial % 2,
                            replace=False)
         tup = [pool[i] for i in (picks if trial % 3 else np.sort(picks))]
         if trial % 5 == 0:
             tup[-1] = tup[rng.integers(len(tup) - 1)]
+        tuples.append(tup)
+    return base, tuples
+
+
+def test_mixed_set_tuples_decide_as_the_oracle():
+    # limit flags beside moved copies, as in the doubling pool, and
+    # repeated flags: a tuple of one set reads its tables, any other
+    # takes a throwaway set, and both decide as the oracle does
+    base, tuples = mixed_set_tuples()
+    seen = []
+    for tup in tuples:
         got = decision(stacked_positive, tup)
         assert got == decision(oracle_positive, tup)
         seen.append((got, all(f._set is base[0]._set for f in tup)))
@@ -800,6 +812,90 @@ def test_mixed_set_tuples_decide_as_the_oracle():
     for shared in (True, False):
         got = {x if isinstance(x, bool) else "raised" for x, s in seen if s is shared}
         assert got == {True, False, "raised"}
+
+
+def count_pair_checks(monkeypatch):
+    """The list to which each _require_transverse call from now on
+    appends its tuple's length."""
+    calls, real = [], flags_module._require_transverse
+
+    def counted(flags):
+        calls.append(len(flags))
+        return real(flags)
+
+    monkeypatch.setattr(flags_module, "_require_transverse", counted)
+    return calls
+
+
+def take_the_pair_check(monkeypatch):
+    """Send every tuple down _require_transverse's route: the lookup
+    route reads only sets whose type is _FlagSet itself, and from now on
+    the existing sets are of another type than flags._FlagSet."""
+    monkeypatch.setattr(flags_module, "_FlagSet", type("Sub", (_FlagSet,), {"__slots__": ()}))
+
+
+def test_lookup_route_decides_as_the_pair_check(monkeypatch):
+    calls = count_pair_checks(monkeypatch)
+    rng = np.random.default_rng(111)
+    tuples = [tup for flags in criterion_11_flags() for tup in criterion_11_calls(flags, rng)]
+    tuples += mixed_set_tuples()[1]
+    # the first pass fills the tables, the second reads them, the third
+    # takes _require_transverse for every tuple
+    cold = [decision(stacked_positive, tup) for tup in tuples]
+    del calls[:]
+    warm = [decision(stacked_positive, tup) for tup in tuples]
+    checked_warm = len(calls)
+    take_the_pair_check(monkeypatch)
+    del calls[:]
+    checked = [decision(stacked_positive, tup) for tup in tuples]
+    assert len(calls) == len(tuples)
+    assert cold == warm == checked
+    # criterion 11's tuples, of one set and no two flags alike, are
+    # looked up; the mixed pool's repeats and mixed sets are checked
+    assert 0 < checked_warm <= len(tuples) - 2 * 3195
+    assert True in warm and False in warm and any(isinstance(x, str) for x in warm)
+
+
+def test_warm_tuples_make_no_kernel_or_pair_check_call(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a warm tuple left the lookup route")
+
+    rng = np.random.default_rng(113)
+    for flags in criterion_11_flags():
+        tuples = criterion_11_calls(flags, rng)
+        want = [decision(stacked_positive, tup) for tup in tuples]
+        with monkeypatch.context() as patch:
+            patch.setattr(flags_module._FlagSet, "ask", forbidden)
+            patch.setattr(flags_module, "_require_transverse", forbidden)
+            assert [decision(stacked_positive, tup) for tup in tuples] == want
+        assert True in want and False in want
+
+
+def test_repeats_and_bad_pairs_in_every_place_take_the_pair_check(monkeypatch):
+    # a set of Veronese flags, pairwise transverse, and a flag whose line
+    # lies in the first one's hyperplane; each pair of places of a triple
+    # and of a quadruple holds that bad pair, in both orders, or a repeat
+    calls = count_pair_checks(monkeypatch)
+    rng = np.random.default_rng(71)
+    for d in (3, 4):
+        veronese = [veronese_flag(t, d).basis for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        stray = rng.normal(size=(d, d))
+        stray[:, 0] = veronese[0][:, :d - 1] @ rng.normal(size=d - 1)
+        stack = _orthonormalize(np.array(veronese + [stray]), "flag")
+        flags = _views(Flag, stack, _FlagSet(stack))
+        oracle = IndexedOracle(flags)
+        for size in (3, 4):
+            for p, q in itertools.combinations(range(size), 2):
+                for a, b in ((0, 5), (5, 0), (1, 1)):
+                    rest = iter(n for n in range(1, 5) if n not in (a, b))
+                    idx = [a if n == p else b if n == q else next(rest) for n in range(size)]
+                    want = "NotTransverse: flags %d and %d are not transverse" % (p + 1, q + 1)
+                    assert decision(oracle, idx) == want
+                    # the first call may ask new members, the second finds them asked
+                    tup = [flags[i] for i in idx]
+                    del calls[:]
+                    assert [decision(stacked_positive, tup) for _ in range(2)] == [want, want]
+                    assert calls == [size, size]
 
 
 def benchmark_group(name, seed):
@@ -932,6 +1028,71 @@ def test_limit_curve_planes_are_flag_pieces(build):
             assert all(plane._set is curve[0][1]._set for _, plane in curve)
 
 
+def same_pairs(got, want):
+    """Whether two lists of (BoundaryPoint, view) pairs hold the same
+    angles, view types, indices and basis bytes."""
+    def key(pairs):
+        return [(bp.theta, type(v), v._index, v.basis.tobytes()) for bp, v in pairs]
+    return key(got) == key(want)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(standard_schottky, id="schottky"),
+    pytest.param(modular_group, id="modular"),
+])
+def test_limit_samples_read_as_the_listed_samples(build):
+    group = build()
+    for d in (3, 4):
+        rep = sym_power(d)(group.generator_matrices())
+        for k in (None, *range(1, d)):
+            got = limit_flags(rep, group, 5) if k is None else limit_curve(rep, group, 5, k)
+            want = listed_sample(rep, group, 5, k)
+            n = len(got)
+            assert n == len(want) > 20
+            assert isinstance(got, collections.abc.Sequence)
+            assert same_pairs(list(got), want) and same_pairs(list(got), want)
+            assert same_pairs([got[i] for i in range(n)], want)
+            assert same_pairs([got[i] for i in range(-n, 0)], want)
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    got[i]
+            for cut in (slice(3, 11), slice(None, None, -3), slice(-5, None), slice(9, 2),
+                        slice(n - 2, n + 5)):
+                assert same_pairs(got[cut], want[cut])
+            assert same_pairs(sorted(got, key=lambda pair: pair[0].theta), want)
+            assert got.theta.tobytes() == np.array([bp.theta for bp, _ in want]).tobytes()
+            # each read builds new objects on the one set or stack
+            assert got[0][1] is not got[0][1]
+            owner = got[0][1]._set
+            assert (owner.bases if k is None else owner) is got.stack
+            assert all(v._set is owner for _, v in got)
+            with pytest.raises(TypeError):
+                got[0] = want[0]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda rep, group: limit_curve(rep, group, 8, 1), id="curve"),
+    pytest.param(lambda rep, group: limit_flags(rep, group, 8), id="flags"),
+])
+def test_limit_samples_hold_no_object_per_point(build):
+    # a sample of 7,588 points held as lists of pairs tracked three
+    # objects per point, enough to set off full collections
+    group = standard_schottky(4.0)
+    rep = sym_power(3)(group.generator_matrices(), label="sym3")
+    build(rep, group)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        sample = build(rep, group)
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(sample) == 7588 and held < 100
+    del sample
+    assert gc.collect() == 0
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_prefix_column_qr_is_the_full_qr_cut(d):
     # the reflectors past k fix e_1 ... e_k, so the QR of the leading k
@@ -973,6 +1134,24 @@ def test_limit_stack_columns_on_the_eigenvector_route():
     for k in (0, 4):
         with pytest.raises(InvalidInput):
             _limit_stack(dense, group, 4, k)
+
+
+def test_limit_stack_refuses_a_plane_index_before_the_walk(monkeypatch):
+    group = standard_schottky()
+    sym3 = sym_power(3)(group.generator_matrices())
+    dense = custom_rep({c: sym_power_matrix(group.image(c).mat, 4)
+                        for c in group.alphabet}, 4)
+
+    def no_walk(*args):
+        raise AssertionError("the limit set was walked")
+
+    monkeypatch.setattr(flags_module, "_limit_rows", no_walk)
+    for rep in (sym3, dense):
+        for k in (0, rep.dim):
+            with pytest.raises(InvalidInput, match="piece index must lie in 1..d-1"):
+                limit_curve(rep, group, 4, k)
+        with pytest.raises(AssertionError, match="walked"):
+            limit_curve(rep, group, 4, rep.dim - 1)
 
 
 def test_projectors_gather_a_shared_stack():
