@@ -284,7 +284,7 @@ def cmd_limitcurve(cfg):
         rep = _rep_for(cfg, group)
         _check_piece(cfg.k, rep.dim)
     curve = limit_curve(rep, group, cfg.depth, cfg.k)
-    length = polygonal_length([p for _, p in curve])
+    length = polygonal_length(curve)
     write_curve_csv(os.path.join(cfg.out, "limitcurve.csv"), curve)
     payload = [{"depth": cfg.depth, "k": cfg.k, "points": len(curve),
                 "polygonal_length": length, "csv": "limitcurve.csv"}]
@@ -296,7 +296,7 @@ def cmd_dimension(cfg):
         group = _group_for(cfg)
         rep = _rep_for(cfg, group)
         _check_piece(cfg.k, rep.dim)
-    points = [p for _, p in limit_curve(rep, group, cfg.depth, cfg.k)]
+    points = limit_curve(rep, group, cfg.depth, cfg.k)
     est = box_dimension(points, cfg.scales)
     payload = [{"depth": cfg.depth, "k": cfg.k, "points": len(points),
                 "value": est.value, "stderr": est.stderr,

@@ -20,14 +20,17 @@ columns, D(a, b, c) = det[A_a | B_b | C_c], which need no chart:
 
 Flags built together, as limit_flags builds its sample from one
 symmetric-power call and one QR, view one read-only stack of bases and
-share a _FlagSet. When a tuple brings members not asked about before,
-one kernel forms the pair minors of the pairs with a new member and the
-determinants of every new triple (i, k, j) of distinct asked members:
-whether (f_i, f_j, f_k) is positive and f_j's edge signs on (f_i, f_k).
-A tuple of asked members, no two a bad pair, is then a few lookups; the
-tables go with the flags and grow with what is asked, not with N. Any
-other tuple takes _require_transverse, flags of no common set, such as
-Flag(basis), with a throwaway set.
+share a _FlagSet, its tables keyed by stack index. When a tuple brings
+members not asked about before, one kernel forms the pair minors of the
+pairs with a new member and the D(a, b, c) of each new unordered triple
+x < y < z of transverse pairs, in that order alone: swapping adjacent
+column blocks of widths p and q multiplies a determinant by (-1)^(pq),
+which gives each order (f_i, f_j, f_k) its entry (i, k, j), whether the
+triple is positive and f_j's edge signs on (f_i, f_k). A warm triple is
+then one dict get, a warm quadruple two and one set lookup; the tables
+go with the flags and grow with what is asked, not with N. Any other
+tuple, a repeat too, takes _require_transverse, flags of no common set,
+such as Flag(basis), with a throwaway set.
 """
 
 import collections.abc
@@ -117,14 +120,8 @@ class GrassPoint:
 
 
 def _views(cls, stack, owner):
-    """Flags or GrassPoints viewing a read-only stack of canonical bases,
-    each with its index and, as _set, owner: a _FlagSet, a stack or None."""
-    out = []
-    for n, basis in enumerate(stack):
-        view = object.__new__(cls)
-        view.basis, view._set, view._index = basis, owner, n
-        out.append(view)
-    return out
+    """Flags or GrassPoints, cls, viewing a stack: a LimitSample of no angles."""
+    return LimitSample(None, stack, cls, owner)
 
 
 def flag_distance(p, q):
@@ -144,7 +141,10 @@ def _chordal_distances(p, q):
 
 def _projectors(points):
     """(N, d, d) projectors of points on one Grassmannian, from one
-    einsum over their bases, one fancy index when they view one stack."""
+    einsum over their bases: a LimitSample's stack as it is, a fancy
+    index of one stack that the points view."""
+    if isinstance(points, LimitSample) and points._cls is GrassPoint:
+        return np.einsum("nik,njk->nij", points.stack, points.stack)
     if not all(isinstance(p, GrassPoint) for p in points):
         raise InvalidInput("projectors need points of one Grassmannian")
     if not points:
@@ -182,46 +182,46 @@ def _eigenbasis(mat):
 
 class _FlagSet:
     """Flags built together: their read-only (N, d, d) stack of bases and
-    positivity tables. asked gives each member asked about its position;
-    by positions, bad holds each pair found not transverse, self-pairs
-    included, and triples[i, k, j] whether (f_i, f_j, f_k) is positive and
-    the bitmask of f_j's negative edge signs on (f_i, f_k). It holds no
-    flag."""
+    positivity tables, by stack index. asked gives each member asked about
+    its position; bad holds each pair found not transverse, self-pairs
+    included; triples[i, k, j], for members no two a bad pair, whether
+    (f_i, f_j, f_k) is positive and the bitmask of f_j's negative edge
+    signs on (f_i, f_k), and edges that of all d - 1. It holds no flag."""
 
-    __slots__ = ("bases", "asked", "bad", "triples")
+    __slots__ = ("bases", "asked", "bad", "triples", "edges")
 
     def __init__(self, bases):
         self.bases, self.asked, self.bad, self.triples = bases, {}, set(), {}
+        self.edges = (1 << bases.shape[-1] - 1) - 1
 
     def ask(self, new):
         """Ask members new in one kernel: the pair minors of every pair
-        with a new member, then the determinants of every new triple."""
-        old = len(self.asked)
-        self.asked.update(zip(new, range(old, old + len(new))))
-        (p, q), (i, j, k), keys = (_positions(old, len(self.asked)) if old
-                                   else _first_positions(len(self.asked)))
-        bases = self.bases[list(self.asked)]
-        pairs, trios, ratios, edges = _columns(bases.shape[-1])
-        bad = (np.abs(_minors(bases, (p, q), pairs)) <= TRANSVERSE_TOL).any(1)
-        p, q = p[bad].tolist(), q[bad].tolist()
+        with a new member, then those of every new triple in one order."""
+        old, at = len(self.asked), self.asked
+        at.update(zip(new, range(old, old + len(new))))
+        idx = np.array(list(at))
+        (p, q), (x, y, z) = _positions(old, len(at)) if old else _first_positions(len(at))
+        pairs, trios, ratios, (index, flip), order_keys = _columns(self.bases.shape[-1])
+        bad = (np.abs(_minors(self.bases, (idx[p], idx[q]), pairs)) <= TRANSVERSE_TOL).any(1)
+        p, q = idx[p[bad]].tolist(), idx[q[bad]].tolist()
         self.bad.update(zip(p + q, q + p))
-        signs = np.sign(_minors(bases, (i, j, k), trios))
+        cut = np.zeros((len(at), len(at)), dtype=bool)
+        cut[tuple(zip(*[(at[i], at[j]) for i, j in self.bad]))] = True
+        trio = idx[np.stack([x, y, z], 1)[~(cut[x, y] | cut[x, z] | cut[y, z])]]
+        signs = np.sign(_minors(self.bases, tuple(trio.T), trios))
         positive = (signs != 0.0).all(1) & (signs[:, ratios].prod(2) > 0.0).all(1)
-        negative = (signs[:, edges].prod(2) < 0.0) @ (1 << np.arange(len(edges)))
-        self.triples.update(zip(keys, zip(positive.tolist(), negative.tolist())))
+        edges = ((signs[:, index] * flip).prod(3) < 0.0) @ (1 << np.arange(index.shape[1]))
+        keys = zip(*trio[:, order_keys].reshape(-1, 3).T.tolist())
+        self.triples.update(zip(keys, zip(positive.repeat(6).tolist(), edges.ravel().tolist())))
 
 
 def _positions(old, size):
     """Pairs p <= q of positions below size with q at or above old, and
-    ordered triples (i, j, k) of distinct ones, one at or above old, with
-    their keys (i, k, j)."""
+    triples x < y < z of them with z at or above old."""
     p, q = np.triu_indices(size)
-    ne = np.arange(size)[:, np.newaxis] != np.arange(size)
-    new = ne[:, :, np.newaxis] & ne[:, np.newaxis, :] & ne
-    new[:old, :old, :old] = False
-    i, k, j = np.nonzero(new)
-    keys = zip(i.tolist(), k.tolist(), j.tolist())
-    return (p[q >= old], q[q >= old]), (i, j, k), tuple(keys)
+    lt = np.arange(size)[:, np.newaxis] < np.arange(size)
+    x, y, z = np.nonzero((lt[:, :, np.newaxis] & lt)[:, :, old:])
+    return (p[q >= old], q[q >= old]), (x, y, z + old)
 
 
 # a set's first kernel, a throwaway set's only one, asks at most a tuple's members
@@ -230,8 +230,8 @@ _first_positions = functools.lru_cache(maxsize=None)(functools.partial(_position
 
 def _minors(bases, members, columns):
     """(T, K) determinants of the (d, d) blocks that the K rows of columns
-    pick from the bases at members, T positions per member, laid side by
-    side."""
+    pick from the bases at members, T stack indices per member, laid side
+    by side."""
     side = np.concatenate([bases[m] for m in members], axis=2)
     return np.linalg.det(side[:, :, columns].transpose(0, 2, 1, 3))
 
@@ -239,42 +239,48 @@ def _minors(bases, members, columns):
 @functools.lru_cache(maxsize=None)
 def _columns(d):
     """Columns of [A | C] for the pair minors D(a, 0, d - a), 0 < a < d;
-    of [A | B | C] for D(a, b, c), a + b + c = d, no part d; and, as rows
-    into the latter, the six minors of each triple ratio and the two of
-    each edge sign."""
+    of [A | B | C] for D(a, b, c), a + b + c = d, no part d; as rows into
+    the latter, the six minors of each triple ratio; per order (f_i, f_j,
+    f_k) of (x, y, z), rows and signs in order (x, y, z) of the two
+    minors of each edge sign; and the orders' keys (i, k, j)."""
     parts = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)
              if d not in (a, b, d - a - b)]
     at = {abc: n for n, abc in enumerate(parts)}
     ratios = [[at[a + 1, b, c - 1], at[a, b - 1, c + 1], at[a - 1, b + 1, c],
                at[a + 1, b - 1, c], at[a, b + 1, c - 1], at[a - 1, b, c + 1]]
               for a, b, c in parts if min(a, b, c) >= 1]
+    orders = list(itertools.permutations(range(3)))
+    # blocks of widths w in order o sort back to (x, y, z) at (-1)^(pq) a swap
+    moved = [(at[tuple(w[o.index(s)] for s in range(3))],
+              (-1) ** sum(w[u] * w[v] for u, v in itertools.combinations(range(3), 2)
+                          if o[u] > o[v]))
+             for o in orders for e in range(1, d) for w in ((e, 1, d - e - 1), (e - 1, 1, d - e))]
     return (np.array([[*range(a), *range(d, 2 * d - a)] for a in range(1, d)]),
             np.array([[*range(a), *range(d, d + b), *range(2 * d, 2 * d + c)]
                       for a, b, c in parts]),
             np.array(ratios, dtype=int).reshape(-1, 6),
-            np.array([[at[e, 1, d - e - 1], at[e - 1, 1, d - e]] for e in range(1, d)]))
+            np.array(moved, dtype=int).reshape(6, d - 1, 2, 2).transpose(3, 0, 1, 2),
+            [[i, k, j] for i, j, k in orders])
 
 
 def _require_transverse(flags):
     """The flags' shared _FlagSet, or else a throwaway set of their own,
-    with all of them asked, and their positions in it; NotTransverse
+    with all of them asked, and their stack indices in it; NotTransverse
     names the tuple's first pair in (p, q) order found not transverse."""
     fs = flags[0]._set
     if fs is None or [f._set for f in flags].count(fs) < len(flags):
         if len({f.basis.shape for f in flags}) != 1:
             raise InvalidInput("flags live in different dimensions")
-        fs, idx = _FlagSet(np.array([f.basis for f in flags])), range(len(flags))
+        fs, idx = _FlagSet(np.array([f.basis for f in flags])), list(range(len(flags)))
     else:
         idx = [f._index for f in flags]
-    pos = [fs.asked.get(i) for i in idx]
-    if None in pos:
+    if not fs.asked.keys() >= set(idx):
         fs.ask([i for i in dict.fromkeys(idx) if i not in fs.asked])
-        pos = [fs.asked[i] for i in idx]
-    if fs.bad and not fs.bad.isdisjoint(itertools.combinations(pos, 2)):
-        p, q = next((p, q) for p, q in itertools.combinations(range(len(pos)), 2)
-                    if (pos[p], pos[q]) in fs.bad)
+    if not fs.bad.isdisjoint(itertools.combinations(idx, 2)):
+        p, q = next((p, q) for p, q in itertools.combinations(range(len(idx)), 2)
+                    if (idx[p], idx[q]) in fs.bad)
         raise NotTransverse("flags %d and %d are not transverse" % (p + 1, q + 1))
-    return fs, pos
+    return fs, idx
 
 
 def triple_positive(f1, f2, f3):
@@ -286,10 +292,9 @@ def triple_positive(f1, f2, f3):
     """
     fs = f1._set
     if type(fs) is _FlagSet and fs is f2._set is f3._set:
-        get = fs.asked.get
-        i, j, k = pos = get(f1._index), get(f2._index), get(f3._index)
-        if None not in pos and fs.bad.isdisjoint(((i, j), (i, k), (j, k))):
-            return fs.triples[i, k, j][0]
+        hit = fs.triples.get((f1._index, f3._index, f2._index))
+        if hit:
+            return hit[0]
     fs, (i, j, k) = _require_transverse([f1, f2, f3])
     return fs.triples[i, k, j][0]
 
@@ -301,81 +306,86 @@ def quadruple_positive(f1, f2, f3, f4):
     edge coordinate on (f1, f3) positive: each of the d - 1 edge signs of
     f2 is opposite to f4's.
     """
-    fs, warm = f1._set, False
+    fs = f1._set
     if type(fs) is _FlagSet and fs is f2._set is f3._set is f4._set:
-        get = fs.asked.get
-        i, j, k, m = pos = get(f1._index), get(f2._index), get(f3._index), get(f4._index)
-        warm = None not in pos and fs.bad.isdisjoint(
-            ((i, j), (i, k), (i, m), (j, k), (j, m), (k, m)))
-    if not warm:
-        fs, (i, j, k, m) = _require_transverse([f1, f2, f3, f4])
-    positive2, edges2 = fs.triples[i, k, j]
-    positive4, edges4 = fs.triples[i, k, m]
-    return positive2 and positive4 and edges2 ^ edges4 == (1 << fs.bases.shape[-1] - 1) - 1
+        i, j, k, m = f1._index, f2._index, f3._index, f4._index
+        two, four = fs.triples.get((i, k, j)), fs.triples.get((i, k, m))
+        if two and four and (j, m) not in fs.bad:
+            return two[0] and four[0] and two[1] ^ four[1] == fs.edges
+    fs, (i, j, k, m) = _require_transverse([f1, f2, f3, f4])
+    two, four = fs.triples[i, k, j], fs.triples[i, k, m]
+    return two[0] and four[0] and two[1] ^ four[1] == fs.edges
 
 
-def _loxodromic_frames(mats):
+def _loxodromic_frames(mats, k=None):
     """Eigenframes [larger | smaller eigenvalue modulus], the columns of
-    hypdisc._eigenvectors, of stacked real 2x2 matrices, each checked to
-    have distinct real eigenvalue moduli."""
+    hypdisc._eigenvectors, or for k = 1 the first, of stacked real 2x2
+    matrices, each checked to have distinct real eigenvalue moduli."""
     tr = np.trace(mats, axis1=1, axis2=2)
     if np.any(tr * tr - 4.0 * np.linalg.det(mats) <= 1e-9 * np.maximum(1.0, tr * tr)):
         raise SpectrumNotLoxodromic("two-by-two factor is not loxodromic")
-    return np.stack(list(_eigenvectors(mats)), axis=2)
+    return np.stack(list(itertools.islice(_eigenvectors(mats), 1 if k == 1 else 2)), axis=2)
 
 
-def _limit_stack(rep, group, depth, k=None):
+def _limit_stack(rep, group, depth, k=None, levels=None):
     """Angles of the sampled limit set, sorted, and the read-only stack
     of their attracting flags' canonical bases, (N, d, d), or only its
-    first k columns; a k outside 1..d-1 is refused before the walk.
+    first k columns; a k outside 1..d-1 is refused before the walk, or
+    before reading levels, the walk's list, whose last table it reads.
 
     A symmetric power's attracting flag is the symmetric power of the
     2x2 eigenframe, which stays accurate at word lengths where
     eigensolvers on the graded image lose the leading eigenvector: one
     _loxodromic_frames call on the 2x2 products the limit-set walk
-    carries, one sym_power_matrix call. Any other representation takes
-    the direct eigenvector route on the dense image the walk carries.
-    One QR of the k columns returned, rank check included, gives the
-    full QR's leading k columns bit for bit: the reflectors past k fix
-    e_1 ... e_k.
+    carries, one sym_power_matrix call for the k columns read. Any other
+    representation takes the direct eigenvector route on the dense image
+    the walk carries. One QR of the k columns returned, rank check
+    included, gives the full QR's leading k columns bit for bit: the
+    reflectors past k fix e_1 ... e_k.
     """
     if k is not None:
         _check_piece(k, rep.dim)
     tables = _rep_tables(group, rep, depth)
-    if rep.factors is None or len(rep.factors) != 1:
-        theta, _, (mats,) = _limit_rows(group, depth, [rep.images])
-        bases = np.array([_eigenbasis(ScaledMatrix(m).mat) for m in mats])
+    dense = rep.factors is None or len(rep.factors) != 1
+    theta, _, products = _limit_rows(group, depth, [rep.images if dense else tables[0]], levels)
+    if dense:
+        bases = np.array([_eigenbasis(ScaledMatrix(m).mat) for m in products[-1]])
     else:
-        theta, _, (mats,) = _limit_rows(group, depth, tables)
-        bases = sym_power_matrix(_loxodromic_frames(mats), rep.factors[0][0])
+        bases = sym_power_matrix(_loxodromic_frames(products[-1], k), rep.factors[0][0], k)
     return theta, _orthonormalize(bases[:, :, :k], "flag")
 
 
 class LimitSample(collections.abc.Sequence):
-    """Read-only (boundary point, view) pairs along a sampled limit set,
-    sorted by angle. The n-th is built when read, from theta[n] and a cls
-    viewing stack[n] with index n and _set owner, and is not kept."""
+    """Read-only views of cls, Flags or GrassPoints, over one stack of
+    canonical bases, the n-th viewing stack[n] with index n and _set
+    owner, a _FlagSet, the stack or None: (boundary point, view) pairs
+    along a sampled limit set, sorted by angle, or with theta None the
+    views alone. Each is built when read and is not kept."""
 
     __slots__ = ("theta", "stack", "_cls", "_owner")
 
     def __init__(self, theta, stack, cls, owner):
         # _limit_rows's angles lie in [0, 2 pi]; fmod wraps them as wrap_angle does
-        self.theta, self.stack, self._cls, self._owner = np.fmod(theta, TWO_PI), stack, cls, owner
+        self.theta = None if theta is None else np.fmod(theta, TWO_PI)
+        self.stack, self._cls, self._owner = stack, cls, owner
 
     def __len__(self):
-        return len(self.theta)
+        return len(self.stack)
 
     def __getitem__(self, n):
-        picks = range(len(self.theta))[n]
-        return list(map(self._pair, picks)) if isinstance(n, slice) else self._pair(picks)
+        picks = range(len(self.stack))[n]
+        return list(map(self._entry, picks)) if isinstance(n, slice) else self._entry(picks)
 
     def __iter__(self):
-        return map(self._pair, range(len(self.theta)))
+        return map(self._entry, range(len(self.stack)))
 
-    def _pair(self, n):
-        point, view = object.__new__(BoundaryPoint), object.__new__(self._cls)
-        point.theta = self.theta.item(n)
+    def _entry(self, n):
+        view = object.__new__(self._cls)
         view.basis, view._set, view._index = self.stack[n], self._owner, n
+        if self.theta is None:
+            return view
+        point = object.__new__(BoundaryPoint)
+        point.theta = self.theta.item(n)
         return point, view
 
 

@@ -34,6 +34,7 @@ from .critexp import _line_fit
 from .errors import InsufficientScales, InvalidInput
 from .flags import (
     GrassPoint,
+    LimitSample,
     _chordal_distances,
     _limit_stack,
     _orthonormalize,
@@ -139,15 +140,19 @@ def distortion_scan(group, rep, phi, r, max_len):
     Rows cover the orbit points with displacement beyond r whose shadows
     capture at least two sampled limit points with distinct flag images;
     the rest are counted as skipped. The limit sample, sorted by angle,
-    has the same depth as the scan. A level takes one _shadow_arcs call,
-    whose whole-circle rows lie within r, and one _arc_extremes call;
-    rows keep enumeration order. No point object is built.
+    comes from the scan's own walk, whose last table it reads. A level
+    takes one _shadow_arcs call, whose whole-circle rows lie within r,
+    and one _arc_extremes call; rows keep enumeration order. No point
+    object is built.
     """
-    thetas, planes = _limit_stack(rep, group, max_len, _single_root_index(phi))
+    k = _single_root_index(phi)
+    tables = _rep_tables(group, rep, max_len)
+    walk = list(_walk_levels(group, max_len, tables + [rep.images] if tables[1:] else tables))
+    thetas, planes = _limit_stack(rep, group, max_len, k, walk)
     projectors = np.einsum("nik,njk->nij", planes, planes)
     codes, alpha, dists = [], [np.empty(0)], [np.empty(0)]
     skipped = 0
-    for level in _walk_levels(group, max_len, _rep_tables(group, rep, max_len)):
+    for level in walk:
         centres, halves, full = _shadow_arcs(level.mats, r)
         far = np.flatnonzero(~full)
         first, last, found = _arc_extremes(thetas, centres[far], halves[far])
@@ -159,7 +164,7 @@ def distortion_scan(group, rep, phi, r, max_len):
         if not len(kept):
             continue
         # the Cartan vectors of the kept rows only
-        lam = _cartan_rows(rep, [m[kept] for m in level.products])
+        lam = _cartan_rows(rep, [m[kept] for m in level.products[:len(tables)]])
         codes.append(level.codes[kept])
         alpha.append(phi.values(lam, rep.lie_type))
         dists.append(dist[dist > 0.0])
@@ -244,8 +249,7 @@ class DimensionEstimate:
 
 
 def _embed(points):
-    first = points[0]
-    if isinstance(first, GrassPoint):
+    if isinstance(points, LimitSample) or isinstance(points[0], GrassPoint):
         return _projectors(points).reshape(len(points), -1) / math.sqrt(2.0)
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
@@ -274,7 +278,8 @@ def _net_size(tree, eps):
 
 
 def box_dimension(points, scales):
-    """Slope of greedy covering counts on a geometric scale grid.
+    """Slope of greedy covering counts on a geometric scale grid, over
+    reals, GrassPoints or a sample of planes, whose stack is read as is.
 
     Each count is the size of the row-by-row greedy eps-net of the
     embedded sample, by _net_size on one k-d tree for all scales. The
@@ -308,7 +313,8 @@ def cantor_sample(depth):
 
 
 def circle_sample(n):
-    """n lines through the origin of the plane at uniform angles."""
+    """n lines through the origin of the plane at uniform angles, as
+    GrassPoint views of one stack, built when read."""
     if n < 1:
         raise InvalidInput("need at least one point")
     angles = np.linspace(0.0, math.pi, n, endpoint=False).tolist()

@@ -36,32 +36,35 @@ def standard_symplectic_form(n):
     return j
 
 
-def sym_power_matrix(mat, d):
+def sym_power_matrix(mat, d, columns=None):
     """Image of a 2x2 matrix, or of each matrix of an (N, 2, 2) stack,
-    under the degree-(d-1) symmetric power."""
+    under the degree-(d-1) symmetric power, or its first columns only;
+    the first alone reads only the first column of the input."""
     if d < 2:
         raise InvalidInput("symmetric power needs dimension >= 2")
     m = np.asarray(mat, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
+    width = d if columns is None else columns
+    if m.ndim not in (2, 3) or m.shape[-2] != 2 or m.shape[-1] not in (2, min(2, width)):
         raise InvalidInput("symmetric power acts on 2x2 matrices")
     if d == 2:
-        return m.copy()
+        return m[..., :width].copy()
     # column l of the degree-k table holds the monomial coefficients of
     # u^(k-l) v^l, u = a x + c y and v = b x + d y: the degree-1 table is
     # the matrix itself, and each degree multiplies every column by u and
-    # appends the last one times v
+    # appends the last one times v, while fewer than width are kept
     a, b, c, dd = m[..., :1, :1], m[..., :1, 1:], m[..., 1:, :1], m[..., 1:, 1:]
-    cols = m.copy()
+    cols = m[..., :width]
     for k in range(2, d):
-        last = cols[..., -1:]
-        grown = np.zeros(m.shape[:-2] + (k + 1, k + 1))
-        grown[..., :-1, :-1] = a * cols
-        grown[..., 1:, :-1] += c * cols
-        grown[..., :-1, -1:] = b * last
-        grown[..., 1:, -1:] += dd * last
+        last, n = cols[..., -1:], cols.shape[-1]
+        grown = np.zeros(m.shape[:-2] + (k + 1, min(k + 1, width)))
+        grown[..., :-1, :n] = a * cols
+        grown[..., 1:, :n] += c * cols
+        if n < width:
+            grown[..., :-1, -1:] = b * last
+            grown[..., 1:, -1:] += dd * last
         cols = grown
     scale = np.sqrt([math.comb(d - 1, k) for k in range(d)])
-    return cols * scale / scale[:, np.newaxis]
+    return cols * scale[:width] / scale[:, np.newaxis]
 
 
 class Representation:

@@ -39,9 +39,9 @@ enumerate_elements streams the levels as (Word, Mobius) pairs. Walks
 for a representation carry rep.tables (_rep_tables), whose products
 cartan._cartan_rows turns into Cartan vectors for orbit tables, the
 orbit CSV, growth samples and distortion scans; the limit-set sample
-(_limit_rows) keeps angles, letter codes and products as arrays over
-its rows and hands them on to flags._limit_stack, and only
-limit_sample_words turns the kept codes into Words. No Mobius value is
+(_limit_rows) keeps angles and products as arrays over its rows for
+flags._limit_stack, and letter codes, padded, only for
+limit_sample_words, which turns them into Words. No Mobius value is
 formed for a row whose numbers hypdisc's kernels read a level at once.
 
 The modular norm ball is not walked. modular_norm_ball finds every
@@ -629,17 +629,17 @@ def _limit_runs(theta):
     return kept
 
 
-def _limit_rows(group, depth, tables=()):
-    """The wrapped angles of limit_sample_words' points, the (N, depth)
-    letter codes of their words padded with -1, and per table walked the
-    (N, d, d) products along them, from the cyclically reduced level rows
-    with |trace| > 2 + TRACE_TOL, the attracting angles alone of one
-    hypdisc._fixed_angles call per level and one _limit_runs call. An
-    orientation reversing row raises, as classify does."""
+def _limit_rows(group, depth, tables=(), levels=None, spell=False):
+    """The wrapped angles of limit_sample_words' points, if spell the
+    (N, depth) letter codes of their words padded with -1, and per table
+    walked the (N, d, d) products along them, from the cyclically reduced
+    rows with |trace| > 2 + TRACE_TOL of the walk, or of levels, its list,
+    the attracting angles alone of one hypdisc._fixed_angles call per
+    level and one _limit_runs call. Orientation reversing rows raise."""
     inverse = np.array([group.alphabet.index(group.inverse_letter[a])
                         for a in group.alphabet])
     theta, codes, products = [np.empty(0)], [], []
-    for level in _walk_levels(group, depth, tables):
+    for level in _walk_levels(group, depth, tables) if levels is None else levels:
         length = level.codes.shape[1]
         if not length:
             continue
@@ -649,8 +649,9 @@ def _limit_rows(group, depth, tables=()):
         keep &= np.abs(level.mats[:, 0, 0] + level.mats[:, 1, 1]) > 2.0 + TRACE_TOL
         rows = np.flatnonzero(keep)
         theta.append(next(_fixed_angles(level.mats[rows])))
-        codes.append(np.pad(level.codes[rows], ((0, 0), (0, depth - length)),
-                            constant_values=-1))
+        if spell:
+            codes.append(np.pad(level.codes[rows], ((0, 0), (0, depth - length)),
+                                constant_values=-1))
         products.append([m[rows] for m in level.products])
     theta = np.concatenate(theta)
     kept = _limit_runs(theta)
@@ -660,7 +661,7 @@ def _limit_rows(group, depth, tables=()):
             "shows at least 3 (raise depth if the group should qualify)"
             % (len(kept), depth)
         )
-    return (np.mod(theta[kept], TWO_PI), np.concatenate(codes)[kept],
+    return (np.mod(theta[kept], TWO_PI), np.concatenate(codes)[kept] if spell else None,
             [np.concatenate(ms)[kept] for ms in zip(*products)])
 
 
@@ -675,7 +676,7 @@ def limit_sample_words(group, depth):
     was seen; the group is reported elementary (raise the depth first if
     the group is merely thin at this depth).
     """
-    theta, codes, _ = _limit_rows(group, depth)
+    theta, codes, _ = _limit_rows(group, depth, spell=True)
     return [(BoundaryPoint(t), Word([group.alphabet[c] for c in row if c >= 0]))
             for t, row in zip(theta.tolist(), codes.tolist())]
 

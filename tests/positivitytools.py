@@ -1,5 +1,12 @@
-"""The chart kernel that decided flag positivity before the determinant
-table of orbitlab.flags, kept as its differential oracle.
+"""The kernels that decided flag positivity before orbitlab.flags's
+tables of unordered triples, kept as their differential oracles.
+
+ordered_triples is the determinant kernel that formed each ordered
+triple's Fock-Goncharov determinants in its own order, six times per
+unordered triple, where orbitlab.flags forms them once and reads the
+other orders' signs by the block-swap rule.
+
+The chart kernel decided positivity before any determinant table.
 
 A linear map sends the first and third flags of a tuple to the standard
 ascending and descending coordinate flags; the middle flags become
@@ -83,6 +90,32 @@ class ChartOracle:
         if _NO_UNIT in (first, last):
             raise NotTransverse("flag is not transverse to the chart's third flag")
         return first >= 0 and last == first
+
+
+def ordered_triples(bases, members):
+    """The determinant kernel's table over members, stack indices into
+    bases: for each ordered triple (i, j, k) of distinct members, formed
+    in that order, key (i, k, j), whether (f_i, f_j, f_k) is positive,
+    no D(a, b, c) zero and every triple ratio positive, and the bitmask
+    of f_j's negative edge signs sign(D(e, 1, d-e-1) D(e-1, 1, d-e)) on
+    (f_i, f_k), bit e - 1."""
+    d = bases.shape[-1]
+    parts = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)
+             if d not in (a, b, d - a - b)]
+    at = {abc: n for n, abc in enumerate(parts)}
+    columns = np.array([[*range(a), *range(d, d + b), *range(2 * d, 2 * d + c)]
+                        for a, b, c in parts])
+    ratios = np.array([[at[a + 1, b, c - 1], at[a, b - 1, c + 1], at[a - 1, b + 1, c],
+                        at[a + 1, b - 1, c], at[a, b + 1, c - 1], at[a - 1, b, c + 1]]
+                       for a, b, c in parts if min(a, b, c) >= 1], dtype=int).reshape(-1, 6)
+    edges = np.array([[at[e, 1, d - e - 1], at[e - 1, 1, d - e]] for e in range(1, d)])
+    i, j, k = np.array(list(itertools.permutations(members, 3)), dtype=int).reshape(-1, 3).T
+    side = np.concatenate([bases[i], bases[j], bases[k]], axis=2)
+    signs = np.sign(np.linalg.det(side[:, :, columns].transpose(0, 2, 1, 3)))
+    positive = (signs != 0.0).all(1) & (signs[:, ratios].prod(2) > 0.0).all(1)
+    negative = (signs[:, edges].prod(2) < 0.0) @ (1 << np.arange(len(edges)))
+    return dict(zip(zip(i.tolist(), k.tolist(), j.tolist()),
+                    zip(positive.tolist(), negative.tolist())))
 
 
 def _positions(old, size):

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from flagtools import attracting_flag, dual, listed_sample, transverse, veronese_flag
-from positivitytools import ChartOracle, _eliminate, _lu, _sign_masks
+from positivitytools import ChartOracle, _eliminate, _lu, _sign_masks, ordered_triples
 from scipy.linalg import solve_triangular
 
 from orbitlab import flags as flags_module
@@ -751,9 +751,9 @@ def test_memo_bounds_the_determinant_kernels(monkeypatch):
     # one kernel per tuple that brings members not asked about before
     olds, sizes = zip(*kernels)
     assert len(kernels) == growths <= 12 and olds == (0,) + sizes[:-1] and sizes[-1] == 12
-    # each triple formed once: the kernels form as many triples as the
-    # table holds, all distinct keys
-    assert sum(formed) == len(flags[0]._set.triples) == 12 * 11 * 10
+    # each unordered triple formed once, in one order: the table holds
+    # its six orders, all distinct keys
+    assert sum(formed) == len(flags[0]._set.triples) / 6 == 12 * 11 * 10 / 6 == 220
 
 
 def test_memo_goes_with_the_flags():
@@ -774,6 +774,53 @@ def test_memo_goes_with_the_flags():
     finally:
         tracemalloc.stop()
     assert tables > 50_000 and left < 0.05 * tables
+
+
+def table_stacks():
+    """(name, stack) of canonical bases for the table tests: Gaussian
+    flags in dimensions 2 to 6 with a repeat and a flag whose line lies
+    in another's hyperplane, criterion 11's limit flags, and the four
+    flags of a vanishing D(1, 1, 1)."""
+    rng = np.random.default_rng(83)
+    for d in range(2, 7):
+        bases = [rng.normal(size=(d, d)) for _ in range(8)]
+        stray = rng.normal(size=(d, d))
+        stray[:, 0] = Flag(bases[0]).basis[:, :d - 1] @ rng.normal(size=d - 1)
+        yield "gaussian%d" % d, _orthonormalize(np.array(bases + [bases[2], stray]), "flag")
+    for n, flags in enumerate(criterion_11_flags()):
+        yield "limit%d" % n, flags[0]._set.bases
+    yield "vanishing", _orthonormalize(np.array([
+        np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], np.eye(3)[:, ::-1],
+        [[1.0, -1.0, 0.0], [0.3, 1.0, 0.0], [-1.0, 0.0, 1.0]]]), "flag")
+
+
+@pytest.mark.parametrize("name, stack", list(table_stacks()),
+                         ids=[name for name, _ in table_stacks()])
+def test_unordered_triples_match_the_ordered_kernel(name, stack):
+    # members asked in two kernels, in a shuffled order: each ordered
+    # triple's entry, read from its unordered triple's determinants,
+    # equals the one the ordered kernel forms in that order, positivity
+    # and edge mask; a triple through a pair that is not transverse has
+    # none
+    members = np.random.default_rng(len(stack)).permutation(len(stack)).tolist()
+    fs = _FlagSet(stack)
+    fs.ask(members[:4])
+    fs.ask(members[4:])
+    flags = [Flag(basis) for basis in stack]
+    far = {(i, j) for i, j in itertools.permutations(members, 2)
+           if oracle_transverse(flags[i], flags[j])}
+    want = {key: entry for key, entry in ordered_triples(stack, members).items()
+            if far.issuperset(itertools.combinations(key, 2))}
+    assert fs.triples == want
+    assert fs.bad == set(itertools.product(members, repeat=2)) - far
+    assert len(want) % 6 == 0 and {True, False} >= {p for p, _ in want.values()}
+    if name.startswith("gaussian"):
+        assert (2, 8) in fs.bad and (0, 9) in fs.bad and len(want) < 6 * math.comb(10, 3)
+    if name == "vanishing":
+        assert len(want) == 24 and {p for p, _ in want.values()} == {False}
+    if name.startswith("limit"):
+        assert len(want) == 6 * math.comb(len(stack), 3)
+        assert {p for p, _ in want.values()} == {True}
 
 
 def mixed_set_tuples():
@@ -1122,6 +1169,37 @@ def test_limit_stack_columns_are_the_full_qr_cut(build, depth):
             assert got.shape == (len(theta), d, k)
             assert got.tobytes() == full[:, :, :k].tobytes()
             assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(standard_schottky, id="schottky"),
+    pytest.param(lambda: separated_schottky(2.0), id="separated"),
+])
+def test_k_column_stacks_are_the_full_stack_cut(build):
+    # only the k columns read are formed, for k = 1 from the attracting
+    # eigenvectors alone: the same numbers as the full stack's columns,
+    # on the points of limit_sample_words, whose codes alone are padded
+    group = build()
+    for depth in range(2, 9):
+        theta, codes, _ = _limit_rows(group, depth, spell=True)
+        assert codes.shape == (len(limit_sample_words(group, depth)), depth)
+        for d in range(3, 7):
+            rep = sym_power(d)(group.generator_matrices())
+            got_theta, full = _limit_stack(rep, group, depth)
+            assert np.array_equal(got_theta, theta) and full.shape == (len(theta), d, d)
+            for k in range(1, d):
+                assert np.array_equal(_limit_stack(rep, group, depth, k)[1], full[:, :, :k])
+
+
+def test_sym_power_columns_are_the_full_image_cut():
+    mats = np.random.default_rng(5).normal(size=(50, 2, 2))
+    for d in range(2, 8):
+        full = sym_power_matrix(mats, d)
+        for k in range(1, d + 1):
+            assert sym_power_matrix(mats, d, k).tobytes() == full[:, :, :k].tobytes()
+        assert sym_power_matrix(mats[:, :, :1], d, 1).tobytes() == full[:, :, :1].tobytes()
+        with pytest.raises(InvalidInput):
+            sym_power_matrix(mats[:, :, :1], d, 2)
 
 
 def test_limit_stack_columns_on_the_eigenvector_route():

@@ -1,5 +1,6 @@
 """Distortion scans, shadow separation, and box-counting dimension."""
 
+import gc
 import itertools
 import math
 
@@ -9,14 +10,18 @@ from kleintools import contains
 from scipy import spatial
 
 from orbitlab import limitgeom
+from orbitlab import words as words_module
 from orbitlab.cartan import _cartan_rows, parse_functional, word_cartan
 from orbitlab.errors import InsufficientScales, InvalidInput
 from orbitlab.flags import (
     GrassPoint,
+    LimitSample,
     _chordal_distances,
     _limit_stack,
     flag_distance,
     limit_curve,
+    limit_flags,
+    polygonal_length,
 )
 from orbitlab.hypdisc import (
     _shadow_arcs,
@@ -245,10 +250,27 @@ def test_sym3_band_and_depth_stability():
     assert deeper.spread < 1.25 * shallow.spread
 
 
+def test_distortion_scan_walks_the_word_tree_once(monkeypatch):
+    # the limit sample and the scan read one walk's levels
+    walks = []
+
+    def counted(group, max_len, tables=()):
+        walks.append(max_len)
+        return _walk_levels(group, max_len, tables)
+
+    group, rep = schottky_pair(3)
+    want = distortion_scan(group, rep, A1, RADIUS, 6)
+    for module in (limitgeom, words_module):
+        monkeypatch.setattr(module, "_walk_levels", counted)
+    got = distortion_scan(group, rep, A1, RADIUS, 6)
+    assert walks == [6]
+    assert got.ratio.tobytes() == want.ratio.tobytes() and got.skipped == want.skipped
+
+
 def deeper_sample(monkeypatch, depth):
     """Make distortion_scan read a limit sample of the given depth."""
     monkeypatch.setattr(limitgeom, "_limit_stack",
-                        lambda rep, group, _, k: _limit_stack(rep, group, depth, k))
+                        lambda rep, group, _, k, levels: _limit_stack(rep, group, depth, k))
 
 
 def test_power_word_ratios_converge(monkeypatch):
@@ -423,3 +445,35 @@ def test_dimension_below_exponent():
     vs = sample_from_enumeration(group, rep, A1, max_len=8)
     exponent = estimate_exponent(vs)
     assert est.value <= exponent.value + 0.15
+
+
+def test_samples_are_read_by_their_stack():
+    # box_dimension, polygonal_length and _embed read a sample of planes
+    # by its stack, with the numbers of the listed points; a sample of
+    # flags is no set of Grassmannian points
+    group = standard_schottky(4.0)
+    rep = sym_power(3)(group.generator_matrices())
+    curve = limit_curve(rep, group, 8, 1)
+    points = [q for _, q in curve]
+    assert _embed(curve).tobytes() == _embed(points).tobytes()
+    got, want = box_dimension(curve, GRASS_SCALES), box_dimension(points, GRASS_SCALES)
+    assert (got.value, got.stderr, got.counts) == (want.value, want.stderr, want.counts)
+    assert polygonal_length(curve) == polygonal_length(points)
+    circle = circle_sample(2000)
+    assert _embed(circle).tobytes() == _embed(list(circle)).tobytes()
+    with pytest.raises(InvalidInput):
+        box_dimension(limit_flags(rep, group, 8), GRASS_SCALES)
+
+
+def test_circle_sample_holds_no_object_per_point():
+    circle_sample(2000)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        sample = circle_sample(2000)
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert type(sample) is LimitSample and len(sample) == 2000 and held < 100
+    assert sample[0].basis.tolist() == [[1.0], [0.0]] and isinstance(sample[-1], GrassPoint)
