@@ -377,7 +377,18 @@ class LimitSample(collections.abc.Sequence):
         return list(map(self._entry, picks)) if isinstance(n, slice) else self._entry(picks)
 
     def __iter__(self):
-        return map(self._entry, range(len(self.stack)))
+        # one pass, each entry built as _entry builds it
+        cls, owner = self._cls, self._owner
+        thetas = None if self.theta is None else self.theta.tolist()
+        for n, basis in enumerate(self.stack):
+            view = object.__new__(cls)
+            view.basis, view._set, view._index = basis, owner, n
+            if thetas is None:
+                yield view
+                continue
+            point = object.__new__(BoundaryPoint)
+            point.theta = thetas[n]
+            yield point, view
 
     def _entry(self, n):
         view = object.__new__(self._cls)

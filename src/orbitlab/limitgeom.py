@@ -20,14 +20,14 @@ box_dimension fits log N against log(1/eps) (critexp._line_fit) over a
 geometric grid of scales, N the size of a greedy eps-net. Grassmannian
 points embed isometrically through their projectors, so one covering
 code serves real samples and flag curves, read from flags.limit_curve's
-lazy sample. The net steps from centre to centre and asks one k-d tree
-over the sample for each centre's ball.
+lazy sample. The net steps from centre to centre and finds each ball
+in a window of one sorted projection of the sample.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
-from scipy import spatial
 
 from .cartan import _cartan_rows
 from .critexp import _line_fit
@@ -72,8 +72,7 @@ class DistortionReport:
 
     def __init__(self, alphabet, codes, alpha_kappa, endpoint_distance, skipped, radius,
                  functional):
-        self.ratio = np.array([d * math.exp(a) for a, d in zip(
-            alpha_kappa.tolist(), endpoint_distance.tolist())], dtype=float)
+        self.ratio = endpoint_distance * np.array(list(map(math.exp, alpha_kappa.tolist())))
         if np.any(self.ratio <= 0.0):
             raise InvalidInput("distortion ratios must be positive")
         self.alphabet, self.codes = alphabet, codes
@@ -251,29 +250,41 @@ class DimensionEstimate:
 def _embed(points):
     if isinstance(points, LimitSample) or isinstance(points[0], GrassPoint):
         return _projectors(points).reshape(len(points), -1) / math.sqrt(2.0)
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
+    return np.asarray(points, dtype=float).reshape(len(points), -1)
 
 
-def _net_size(tree, eps):
-    """Number of centres of the greedy eps-net of the rows of tree.data
-    in order: a row becomes a centre unless an earlier centre lies
-    within eps of it, found by stepping to the next row not yet covered.
-    The k-d tree proposes each centre's ball with a relative slack of
-    1e-9; a row is covered when the norm of its difference from the
-    centre, formed as np.linalg.norm forms it, is at most eps, so ties
-    at eps fall as in the row-by-row scan, whatever the tree rounds."""
-    cloud = tree.data
-    covered = np.zeros(len(cloud) + 1, dtype=bool)  # its last entry ends the scan
+def _sweep(cloud):
+    """cloud prepared for _net_size: its rows; their projections on the
+    leading right singular vector of the centred rows, in row order, and
+    sorted once (stably) with the rows and row indices in that order; and
+    a bound on the rounding of two projections and of a window's ends."""
+    direction = np.linalg.svd(cloud - cloud.mean(axis=0), full_matrices=False)[2][0]
+    proj = cloud @ direction
+    order = np.argsort(proj, kind="stable")
+    slack = 2.0 * cloud.shape[1] ** 2 * np.finfo(float).eps * np.abs(cloud).max()
+    return cloud, proj.tolist(), proj[order].tolist(), cloud[order], order, slack
+
+
+def _net_size(sweep, eps):
+    """Number of centres of the greedy eps-net of a _sweep's rows in
+    order: a row becomes a centre unless an earlier centre lies within
+    eps of it, found by stepping to the next row not yet covered. A unit
+    projection is 1-Lipschitz, so the rows whose projections lie within
+    eps (1 + 1e-9), plus the slack, of the centre's hold its whole ball.
+    A row is covered when the norm of its difference from the centre,
+    formed as np.linalg.norm forms it, is at most eps, so ties at eps
+    fall as in the row-by-row scan."""
+    cloud, at, keys, rows, order, slack = sweep
+    reach = eps * (1.0 + 1e-9) + slack
+    covered = bytearray(len(cloud))
+    marks = np.frombuffer(covered, dtype=np.uint8)
     count = i = 0
-    while i < len(cloud):
-        near = np.array(tree.query_ball_point(cloud[i], eps * (1.0 + 1e-9)))
-        diff = cloud[near] - cloud[i]
-        covered[near[np.sqrt(np.add.reduce(diff * diff, axis=1)) <= eps]] = True
+    while i >= 0:
+        lo, hi = bisect_left(keys, at[i] - reach), bisect_right(keys, at[i] + reach)
+        diff = rows[lo:hi] - cloud[i]
+        marks[order[lo:hi][np.sqrt(np.add.reduce(diff * diff, axis=1)) <= eps]] = 1
         count += 1
-        i += int(covered[i:].argmin())
+        i = covered.find(0, i + 1)
     return count
 
 
@@ -282,7 +293,7 @@ def box_dimension(points, scales):
     reals, GrassPoints or a sample of planes, whose stack is read as is.
 
     Each count is the size of the row-by-row greedy eps-net of the
-    embedded sample, by _net_size on one k-d tree for all scales. The
+    embedded sample, by _net_size on one _sweep for all scales. The
     estimate's stderr is the fit's regression standard error, not an
     error bar (see DimensionEstimate)."""
     if len(points) < MIN_POINTS:
@@ -294,8 +305,8 @@ def box_dimension(points, scales):
         raise InsufficientScales("need %d positive scales" % MIN_SCALES)
     if scales[-1] / scales[0] < MIN_SCALE_SPAN:
         raise InsufficientScales("scales must span two decades")
-    tree = spatial.cKDTree(_embed(points))
-    counts = [_net_size(tree, eps) for eps in scales]
+    sweep = _sweep(_embed(points))
+    counts = [_net_size(sweep, eps) for eps in scales]
     xs = np.log(1.0 / np.array(scales))
     ys = np.log(np.array(counts, dtype=float))
     slope, stderr = _line_fit(xs, ys)

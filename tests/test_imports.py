@@ -406,3 +406,12 @@ def test_cli_import_leaves_scipy_stats_out():
     run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert run.stdout == "False\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: no module of the package imports it
+    check = ("import sys\nimport orbitlab.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert run.stdout == "[]\n"

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 from kleintools import contains
-from scipy import spatial
 
 from orbitlab import limitgeom
 from orbitlab import words as words_module
@@ -127,11 +126,18 @@ GRASS_SCALES = [0.3 * 10 ** (-k / 2.0) for k in range(5)]
     pytest.param(lambda: np.random.default_rng(67).permutation(
         np.repeat(_embed(circle_sample(500)), 3, axis=0)), GRASS_SCALES,
         id="duplicate-rows"),
+    # a turned lattice in steps of 1e-9 near the unit circle: the rounding
+    # of the projections, about 1e-16, is what a ball's window must allow
+    # beyond eps (1 + 1e-9)
+    pytest.param(lambda: np.random.default_rng(71).permutation(np.array([0.0, -1.0]) + 1e-9 * (
+        np.array(list(itertools.product(range(40), range(30))), dtype=float)
+        @ np.array([[0.6, 0.8], [-0.8, 0.6]]))), [1e-9, 2e-9, 3e-9, 4e-9],
+        id="tiny-scale-lattice"),
 ])
 def test_tree_net_matches_the_greedy_scan(cloud, scales):
     cloud = cloud()
     assert len(cloud) > 1000
-    tree = spatial.cKDTree(cloud)
+    tree = limitgeom._sweep(cloud)
     for eps in scales:
         assert _net_size(tree, eps) == greedy_net_size(cloud, eps)
 
