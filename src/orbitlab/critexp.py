@@ -281,15 +281,6 @@ def _norm_ball_half_lengths(bound):
     return half
 
 
-def synthetic_log_sample(n, c=2.0):
-    """The family {c log k : k = 1..n}; its counting function is
-    floor(e^(T/c)) and its exponent is exactly 1/c."""
-    if n < 1:
-        raise InvalidInput("need n >= 1")
-    vals = c * np.log(np.arange(1, n + 1, dtype=float))
-    return ValueSample(vals, float(vals[-1]), label="synthetic c=%g n=%d" % (c, n))
-
-
 def write_report_jsonl(path, rows):
     """One JSON object per line; rows come from ExponentEstimate.report."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

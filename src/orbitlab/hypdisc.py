@@ -77,9 +77,6 @@ class BoundaryPoint:
             angular_distance(self.theta, other.theta) <= 1e-12
         )
 
-    def __hash__(self):
-        return hash(round(self.theta, 10))
-
     def __lt__(self, other):
         return self.theta < other.theta
 
@@ -113,10 +110,6 @@ class Mobius:
         self.orientation = 1 if det > 0 else -1
 
     @classmethod
-    def identity(cls):
-        return cls(np.eye(2))
-
-    @classmethod
     def _normalized(cls, mat, orientation):
         """A value taken as it is: mat is a product of |det| = 1 matrices
         and orientation the product of their orientations."""
@@ -131,13 +124,6 @@ class Mobius:
         half = 0.5 * angle
         c, s = math.cos(half), math.sin(half)
         return cls(np.array([[c, -s], [s, c]]))
-
-    @classmethod
-    def boost(cls, length):
-        """Translation along the horizontal axis moving the origin a
-        hyperbolic distance |length| toward angle 0 (length > 0) or pi."""
-        s = 0.5 * length
-        return cls(np.diag([math.exp(s), math.exp(-s)]))
 
     def __matmul__(self, other):
         return Mobius._normalized(self.mat @ other.mat,

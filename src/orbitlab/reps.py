@@ -227,10 +227,6 @@ class ScaledMatrix:
         self.mat = m
         self.log_scale = float(log_scale) + k * math.log(2.0)
 
-    @classmethod
-    def identity(cls, d):
-        return cls(np.eye(d))
-
     @property
     def dim(self):
         return self.mat.shape[0]
@@ -241,12 +237,6 @@ class ScaledMatrix:
 
     def __matmul__(self, other):
         return ScaledMatrix(self.mat @ other.mat, self.log_scale + other.log_scale)
-
-    def log_singular_values(self):
-        svals = np.linalg.svd(self.mat, compute_uv=False)
-        if svals[-1] <= 0.0:
-            raise InvalidInput("numerically rank-deficient product")
-        return np.log(svals) + self.log_scale
 
     def __repr__(self):
         return "ScaledMatrix(dim=%d, log_scale=%.6g)" % (self.dim, self.log_scale)

@@ -1,10 +1,13 @@
 """The kernels that decided flag positivity before orbitlab.flags's
-tables of unordered triples, kept as their differential oracles.
+tables of unordered triples, each kept as one reference.
 
-ordered_triples is the determinant kernel that formed each ordered
-triple's Fock-Goncharov determinants in its own order, six times per
-unordered triple, where orbitlab.flags forms them once and reads the
-other orders' signs by the block-swap rule.
+ChartOracle is the one differential oracle of triple_positive and
+quadruple_positive: every test that checks a decision against an oracle
+reads it. ordered_triples checks the tables themselves: it forms each
+ordered triple's Fock-Goncharov determinants in its own order, six times
+per unordered triple, where orbitlab.flags forms them once and reads the
+other orders' signs by the block-swap rule, and it is the only check of
+each entry's edge bits.
 
 The chart kernel decided positivity before any determinant table.
 

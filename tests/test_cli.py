@@ -7,9 +7,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from buildtools import synthetic_log_sample
 
 from orbitlab import cli, flags
-from orbitlab.critexp import synthetic_log_sample
 from orbitlab.doubling import separated_schottky
 from orbitlab.errors import NotPositive
 from orbitlab.tpos import f_gamma, factorize, standard_word

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from buildtools import boost, synthetic_log_sample, two_speed_product
 from scipy import stats
 
 import orbitlab.critexp as critexp
@@ -26,7 +27,6 @@ from orbitlab.critexp import (
     poincare_series,
     sample_from_enumeration,
     sample_from_norm_ball,
-    synthetic_log_sample,
     write_report_jsonl,
 )
 from orbitlab.doubling import (
@@ -41,7 +41,7 @@ from orbitlab.errors import IllConditioned, InsufficientData, InvalidInput
 from orbitlab.flags import limit_curve
 from orbitlab.hypdisc import Mobius, _half_lengths
 from orbitlab.limitgeom import box_dimension, cantor_sample, circle_sample
-from orbitlab.reps import sp_product, sym_power
+from orbitlab.reps import sym_power
 from orbitlab.words import (
     MODULAR_S,
     MODULAR_T,
@@ -273,7 +273,6 @@ def test_line_fit_is_linregress_on_the_criteria_windows(monkeypatch):
     # Schottky and sp-product balls at length 9) and 10 (the calibrations
     # and the Schottky curve at depth 9)
     group = standard_schottky(4.0)
-    slow = standard_schottky(3.0)
     grass = [0.3 * 10.0 ** (-j / 2.0) for j in range(5)]
 
     def criteria():
@@ -283,8 +282,7 @@ def test_line_fit_is_linregress_on_the_criteria_windows(monkeypatch):
                 phi = parse_functional(name)
                 estimate_exponent(sample_from_norm_ball(450, sym_dim, phi), window=(6.0, 12.0))
                 estimate_exponent(sample_from_enumeration(group, rep, phi, 9))
-        prod = sp_product([sym_power(2)({c: g.image(c).mat for c in "abAB"})
-                           for g in (group, slow)])
+        prod = two_speed_product(group)
         estimate_exponent(sample_from_enumeration(group, prod, parse_functional("long"), 9))
         box_dimension(cantor_sample(12), [3.0 ** -k for k in range(2, 8)])
         box_dimension(circle_sample(2000), grass)
@@ -440,7 +438,7 @@ def test_custom_certificate_holds_three_letters_deeper(generators, max_len):
 def test_fifth_generator_letter_keeps_the_identity():
     # the fifth letter is "e", the name the identity word prints as
     gens = [
-        Mobius.rotation(0.2 * math.pi * k) @ Mobius.boost(6.0)
+        Mobius.rotation(0.2 * math.pi * k) @ boost(6.0)
         @ Mobius.rotation(-0.2 * math.pi * k)
         for k in range(5)
     ]

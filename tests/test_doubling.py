@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from buildtools import boost, dense_sym_power, two_speed_product
 
 from orbitlab.cartan import parse_functional
 from orbitlab.critexp import counting_function
@@ -34,7 +35,7 @@ from orbitlab.hypdisc import (
     fixed_points,
     wrap_angle,
 )
-from orbitlab.reps import custom_rep, evaluate, sp_product, sym_power, sym_power_matrix
+from orbitlab.reps import custom_rep, evaluate, sym_power, sym_power_matrix
 from orbitlab.tpos import Unitriangular, f_gamma, factorize, standard_word
 from orbitlab.words import (
     Word,
@@ -77,7 +78,7 @@ def test_hyperbolic_with_axis():
 
 def test_reflection_across_horizontal_axis():
     # axis endpoints 0 and pi; the reflection negates boundary angles
-    r = reflection_across_axis(Mobius.boost(2.0))
+    r = reflection_across_axis(boost(2.0))
     assert r.mob.orientation == -1
     assert (r.mob @ r.mob).is_identity(1e-12)
     angles = sorted(wrap_angle(p.theta) % (2.0 * math.pi) for p in r.endpoints)
@@ -110,7 +111,7 @@ def test_reflection_input_validation():
 def test_reflection_class_validation():
     ends = (BoundaryPoint(0.0), BoundaryPoint(math.pi))
     with pytest.raises(InvalidInput):
-        Reflection(Mobius.boost(1.0), ends)  # orientation +1
+        Reflection(boost(1.0), ends)  # orientation +1
     with pytest.raises(InvalidInput):
         # glide reflection: reverses orientation but square is a boost
         Reflection(Mobius(np.diag([2.0, -0.5])), ends)
@@ -191,7 +192,7 @@ def test_double_rep_dim2_matches_geometry():
     group, rep = pants_rep(2)
     dbl = double_rep(rep, PANTS_BOUNDARY)
     for word, c in zip(dbl.boundary, dbl.letters):
-        chain = Mobius.identity()
+        chain = Mobius(np.eye(2))
         for letter in word:
             chain = chain @ group.image(letter)
         geo = reflection_across_axis(chain).mob.mat
@@ -250,15 +251,7 @@ def test_reflection_image_ignores_column_scaling():
 def test_double_rep_refuses_other_representations():
     # doubling reads one two-by-two factor of the rep's own dimension
     group, _ = pants_rep(3)
-    dense = custom_rep(
-        {c: sym_power_matrix(group.image(c).mat, 3) for c in "abAB"},
-        3,
-        label="dense sym3",
-    )
-    sym2 = sym_power(2)
-    pair = sp_product([sym2(group.generator_matrices(), label="f1"),
-                       sym2(standard_schottky(3.0).generator_matrices(), label="f2")])
-    for rep in (dense, pair):
+    for rep in (dense_sym_power(group, 3), two_speed_product(group)):
         with pytest.raises(InvalidInput):
             double_rep(rep, PANTS_BOUNDARY)
 

@@ -1,9 +1,13 @@
 """Flags, the chordal metric, limit curves, and tuple positivity.
 
 The rational normal curve gives a fully explicit positive limit map, so
-its osculating flags serve as the oracle for every positivity
+its osculating flags are the exact ground truth of every positivity
 convention: all transverse triples on the curve are positive, and a
 quadruple is positive exactly when its parameters are in cyclic order.
+Every other positivity decision is checked against one differential
+oracle, positivitytools.ChartOracle, the chart kernel the package used
+before its determinant tables; positivitytools.ordered_triples checks
+the tables' entries themselves.
 """
 
 import collections.abc
@@ -16,16 +20,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from flagtools import attracting_flag, dual, listed_sample, transverse, veronese_flag
-from positivitytools import ChartOracle, _eliminate, _lu, _sign_masks, ordered_triples
-from scipy.linalg import solve_triangular
+from buildtools import dense_sym_power
+from flagtools import attracting_flag, dual, transverse, veronese_flag
+from positivitytools import ChartOracle, ordered_triples
 
 from orbitlab import flags as flags_module
 from orbitlab import words as words_module
 from orbitlab.doubling import hyperbolic_with_axis, separated_schottky
 from orbitlab.errors import (
     InvalidInput,
-    NotPositive,
     NotTransverse,
     SpectrumNotLoxodromic,
 )
@@ -47,8 +50,9 @@ from orbitlab.flags import (
     triple_positive,
     write_curve_csv,
 )
-from orbitlab.reps import _word_product, custom_rep, sym_power, sym_power_matrix
-from orbitlab.tpos import Unitriangular, _cone_params, f_gamma, factorize, standard_word
+from orbitlab.hypdisc import TWO_PI
+from orbitlab.reps import _word_product, sym_power, sym_power_matrix
+from orbitlab.tpos import Unitriangular
 from orbitlab.words import (
     _limit_rows,
     _rep_tables,
@@ -322,113 +326,7 @@ def test_positivity_dimension_four_veronese():
     assert not quadruple_positive(f[-2.0], f[1.0], f[-1.0], f[2.0])
 
 
-def scan_positive(units):
-    """The scan the single candidate replaced: factorize the units,
-    nested rows, under every conjugation by diag(1, +-1, ..., +-1)."""
-    d = len(units[0])
-    for bits in range(2 ** (d - 1)):
-        signs = np.array([1.0] + [-1.0 if bits >> (i - 1) & 1 else 1.0
-                                  for i in range(1, d)])
-        try:
-            for u in units:
-                factorize(Unitriangular(np.array(u) * np.outer(signs, signs)))
-        except NotPositive:
-            continue
-        return True
-    return False
-
-
-def own_mask(u):
-    """_sign_masks of one unit, nested rows."""
-    return int(_sign_masks(np.array(u, dtype=float)[np.newaxis])[0])
-
-
-def positive_under(mask, u):
-    """Whether u, nested rows, passes _cone_params conjugated by diag(s),
-    s_k = -1 where bit k of mask is set."""
-    signs = np.array([-1.0 if mask >> k & 1 else 1.0 for k in range(len(u))])
-    return _cone_params((np.array(u) * np.outer(signs, signs))[np.newaxis])[1][0] == 0
-
-
-def one_candidate(units):
-    """The single candidate's decision on units, nested rows: the first
-    unit's sign mask, then every unit conjugated by its signs."""
-    mask = own_mask(units[0])
-    return mask >= 0 and all(positive_under(mask, u) for u in units)
-
-
-def test_one_sign_candidate_matches_the_scan():
-    rng = np.random.default_rng(29)
-    cases = []
-    for d in (3, 4, 5):
-        for group, depth in ((standard_schottky(), 2), (modular_group(), 5),
-                             (separated_schottky(2.0), 2)):
-            rep = sym_power(d)(group.generator_matrices())
-            flags = [f for _, f in limit_flags(rep, group, depth)]
-            for size in (3, 4):
-                for _ in range(40):
-                    idx = rng.choice(len(flags), size=size, replace=False)
-                    cases.append([flags[i] for i in sorted(idx)])
-        for _ in range(100):
-            cases.append([Flag(rng.normal(size=(d, d))) for _ in range(4)])
-    hits = 0
-    for flags in cases:
-        try:
-            units = oracle_units(*flags)
-        except NotTransverse:
-            continue
-        got = one_candidate(units)
-        assert got == scan_positive(units)
-        hits += got
-    # both answers occur, so agreement is not vacuous
-    assert 0 < hits < len(cases)
-
-
-def test_one_sign_candidate_in_dimension_nine():
-    rng = np.random.default_rng(31)
-    word = standard_word(9)
-    for trial in range(3):
-        signs = np.concatenate([[1.0], rng.choice([-1.0, 1.0], size=8)])
-        flip = np.outer(signs, signs)
-        params = rng.uniform(0.2, 2.0, size=len(word))
-        u = f_gamma(word, params).mat * flip
-        other = rng.uniform(0.2, 2.0, size=len(word))
-        v = f_gamma(word, other).mat * flip
-        units = [u.tolist(), v.tolist()]
-        assert one_candidate(units) and scan_positive(units)
-        params[rng.integers(len(word))] = -0.5
-        w = [(f_gamma(word, params).mat * flip).tolist()]
-        assert one_candidate(w) == scan_positive(w)
-
-
-def test_only_the_own_sign_mask_can_pass():
-    # the chart kernel's quadruple positivity compares the two units' own
-    # masks, which is exact because _cone_params fails every other
-    # conjugation
-    rng = np.random.default_rng(53)
-    seen = set()
-    for d in (2, 3, 4, 5):
-        word = standard_word(d)
-        for trial in range(90):
-            params = rng.uniform(0.01, 3.0, size=len(word))
-            if trial % 3 == 1:
-                params[rng.integers(len(word))] = rng.choice([2e-10, 1e-10, 1e-30, -1e-30])
-            u = f_gamma(word, params).mat
-            if trial % 3 == 2:
-                u = np.triu(rng.normal(size=(d, d)), 1) + np.eye(d)
-            if trial % 2:
-                u = np.triu(solve_triangular(u, np.eye(d), unit_diagonal=True))
-                np.fill_diagonal(u, 1.0)
-            signs = np.concatenate([[1.0], rng.choice([-1.0, 1.0], size=d - 1)])
-            rows = (u * np.outer(signs, signs)).tolist()
-            own = own_mask(rows)
-            passing = [m for m in range(0, 2 ** d, 2) if positive_under(m, rows)]
-            assert passing == ([own] if own >= 0 else [])
-            seen.add(own >= 0)
-    assert seen == {True, False}
-
-
-# --------------------- the per-pair, per-k, per-column route as the oracle
+# ------------- per-pair and per-column references of the d = 3 and table tests
 
 
 def oracle_transverse(f, g):
@@ -473,52 +371,12 @@ def oracle_eliminate(basis):
     return Unitriangular(u)
 
 
-def oracle_unit(g, f, position):
-    """The unit of f in the chart whose inverse is g, nested rows, by one
-    elimination; at position 4, its inverse by scipy's triangular inverse."""
-    w = oracle_eliminate(g @ f.basis)
-    if position == 4:
-        inv = np.triu(solve_triangular(w.mat, np.eye(w.dim), unit_diagonal=True))
-        np.fill_diagonal(inv, 1.0)
-        return inv.tolist()
-    return w.mat.tolist()
-
-
-def oracle_units(*flags):
-    """The second flag's unit and the inverse of the fourth's, nested
-    rows, in the per-column chart of the first and third."""
-    g = np.linalg.inv(oracle_chart(flags[0], flags[2]))
-    return [oracle_unit(g, flags[k], k + 1) for k in range(1, len(flags), 2)]
-
-
-class IndexedOracle:
-    """triple_positive or quadruple_positive by the per-pair minors, the
-    per-column chart and oracle_unit, on indices into one list of flags.
-    Each pair's minors, each chart, each (f1, f3, middle flag, position)
-    unit and its sign decisions are computed once per oracle."""
-
-    def __init__(self, flags):
-        cache = functools.lru_cache(maxsize=None)
-        self.transverse = cache(lambda i, j: oracle_transverse(flags[i], flags[j]))
-        self.chart = cache(lambda i, k: np.linalg.inv(oracle_chart(flags[i], flags[k])))
-        self.unit = cache(lambda i, k, m, position: oracle_unit(self.chart(i, k), flags[m], position))
-        self.mask = cache(lambda *key: own_mask(self.unit(*key)))
-        self.under = cache(lambda mask, *key: positive_under(mask, self.unit(*key)))
-
-    def __call__(self, *idx):
-        for p, q in itertools.combinations(range(len(idx)), 2):
-            if not self.transverse(idx[p], idx[q]):
-                raise NotTransverse("flags %d and %d are not transverse" % (p + 1, q + 1))
-        keys = [(idx[0], idx[2], idx[k], k + 1) for k in range(1, len(idx), 2)]
-        for key in keys:
-            self.unit(*key)
-        mask = self.mask(*keys[0])
-        return mask >= 0 and all(self.under(mask, *key) for key in keys)
+# ------------------------------------------- the chart kernel as the oracle
 
 
 def oracle_positive(*flags):
-    """The oracle on one tuple of flags."""
-    return IndexedOracle(flags)(*range(len(flags)))
+    """The chart oracle on one tuple of flags."""
+    return ChartOracle(flags)(*range(len(flags)))
 
 
 def stacked_positive(*flags):
@@ -557,20 +415,16 @@ def criterion_11_flags():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion_11_oracles():
-    """One IndexedOracle per group, on flags of its own."""
-    return [IndexedOracle(flags) for flags in criterion_11_flags()]
-
-
-@functools.lru_cache(maxsize=None)
 def criterion_11_decisions(seed):
     """Per group, the criterion-11 calls of stream seed as index tuples,
     one stream for both groups as the criterion draws them, with the
-    oracle's decisions; computed once for the tests that read them."""
+    chart oracle's decisions, on flags of its own; computed once for the
+    tests that read them."""
     rng = np.random.default_rng(seed)
     out = []
-    for flags, oracle in zip(criterion_11_flags(), criterion_11_oracles()):
+    for flags in criterion_11_flags():
         calls = criterion_11_calls(range(len(flags)), rng)
+        oracle = ChartOracle(flags)
         out.append((calls, [decision(oracle, idx) for idx in calls]))
     return out
 
@@ -647,54 +501,6 @@ def test_triple_positivity_does_not_depend_on_the_order(d):
             assert len(got) == 1
             seen |= got
     assert True in seen and (False in seen) is (d > 2)
-
-
-def test_stacked_elimination_raises_on_a_zero_pivot():
-    # the reversal eliminates to the identity; the identity's rows
-    # reversed have a zero leading pivot, which fails the elimination,
-    # and a flag's Gram matrix with itself is the identity, which fails
-    # the pair check
-    with np.errstate(all="ignore"):
-        units, failed = _eliminate(np.array([np.eye(3)[::-1], np.eye(3)]))
-    assert units[0].tolist() == np.eye(3).tolist() and failed.tolist() == [False, True]
-    fs = _FlagSet(np.array([np.eye(3), np.eye(3)[:, ::-1]]))
-    fs.ask([0, 1])
-    assert fs.bad == {(0, 0), (1, 1)}
-    rng = np.random.default_rng(41)
-    for d in (2, 3, 6):
-        x = rng.normal(size=(d, d))
-        want = oracle_eliminate(x).mat
-        units, failed = _eliminate(x[np.newaxis])
-        assert not failed[0]
-        assert np.abs(units[0] - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def lu_minors_against_dets(flags):
-    """Largest gap between the LU transversality minors of each pair of
-    flags and oracle_transverse's determinants, in absolute value; the
-    minors up to the first at or below TRANSVERSE_TOL, the ones a
-    decision reads."""
-    d = flags[0].d
-    worst = 0.0
-    for f, g in itertools.combinations(flags, 2):
-        with np.errstate(all="ignore"):
-            lu = _lu((g.basis.T @ f.basis)[np.newaxis, ::-1])[0]
-        for k, minor in enumerate(np.cumprod(np.diagonal(lu)[:-1]), 1):
-            det = np.linalg.det(np.hstack([f.basis[:, :k], g.basis[:, : d - k]]))
-            worst = max(worst, abs(abs(minor) - abs(det)))
-            if abs(minor) <= TRANSVERSE_TOL:
-                break
-    return worst
-
-
-def test_lu_minors_match_the_oracle_determinants():
-    for group in (standard_schottky(), separated_schottky(2.0)):
-        rep = sym_power(3)(group.generator_matrices(), label="sym3")
-        assert lu_minors_against_dets([f for _, f in limit_flags(rep, group, 2)]) <= 1e-12
-    for d in (2, 3, 4, 5, 6):
-        rng = np.random.default_rng(43 + d)
-        for quad in gaussian_quadruples(rng, d, 40):
-            assert lu_minors_against_dets(quad) <= 1e-12
 
 
 def test_warm_memo_cold_memo_and_oracle_decide_alike(monkeypatch):
@@ -930,7 +736,7 @@ def test_repeats_and_bad_pairs_in_every_place_take_the_pair_check(monkeypatch):
         stray[:, 0] = veronese[0][:, :d - 1] @ rng.normal(size=d - 1)
         stack = _orthonormalize(np.array(veronese + [stray]), "flag")
         flags = _views(Flag, stack, _FlagSet(stack))
-        oracle = IndexedOracle(flags)
+        oracle = ChartOracle(flags)
         for size in (3, 4):
             for p, q in itertools.combinations(range(size), 2):
                 for a, b in ((0, 5), (5, 0), (1, 1)):
@@ -1043,8 +849,7 @@ def test_limit_flags_and_curve_build_no_word(monkeypatch):
     # of the limit-set walk's callers only limit_sample_words reads words
     group = standard_schottky()
     sym3 = sym_power(3)(group.generator_matrices(), label="sym3")
-    dense = custom_rep({c: sym_power_matrix(group.image(c).mat, 3)
-                        for c in group.alphabet}, 3)
+    dense = dense_sym_power(group, 3)
 
     def no_word(*args):
         raise AssertionError("a Word was built")
@@ -1075,12 +880,9 @@ def test_limit_curve_planes_are_flag_pieces(build):
             assert all(plane._set is curve[0][1]._set for _, plane in curve)
 
 
-def same_pairs(got, want):
-    """Whether two lists of (BoundaryPoint, view) pairs hold the same
-    angles, view types, indices and basis bytes."""
-    def key(pairs):
-        return [(bp.theta, type(v), v._index, v.basis.tobytes()) for bp, v in pairs]
-    return key(got) == key(want)
+def entries(pairs):
+    """Angle, view type, index and basis bytes of (BoundaryPoint, view) pairs."""
+    return [(bp.theta, type(v), v._index, v.basis.tobytes()) for bp, v in pairs]
 
 
 @pytest.mark.parametrize("build", [
@@ -1088,33 +890,38 @@ def same_pairs(got, want):
     pytest.param(modular_group, id="modular"),
 ])
 def test_limit_samples_read_as_the_listed_samples(build):
+    # every read of the lazy sample gives entry n as the listed stack
+    # gives it: angle n wrapped by fmod, stack row n, index n
     group = build()
     for d in (3, 4):
         rep = sym_power(d)(group.generator_matrices())
         for k in (None, *range(1, d)):
             got = limit_flags(rep, group, 5) if k is None else limit_curve(rep, group, 5, k)
-            want = listed_sample(rep, group, 5, k)
+            theta, stack = _limit_stack(rep, group, 5, k)
+            cls = Flag if k is None else GrassPoint
+            want = [(t, cls, n, stack[n].tobytes())
+                    for n, t in enumerate(np.fmod(theta, TWO_PI).tolist())]
             n = len(got)
             assert n == len(want) > 20
             assert isinstance(got, collections.abc.Sequence)
-            assert same_pairs(list(got), want) and same_pairs(list(got), want)
-            assert same_pairs([got[i] for i in range(n)], want)
-            assert same_pairs([got[i] for i in range(-n, 0)], want)
+            assert entries(list(got)) == want and entries(list(got)) == want
+            assert entries([got[i] for i in range(n)]) == want
+            assert entries([got[i] for i in range(-n, 0)]) == want
             for i in (n, -n - 1):
                 with pytest.raises(IndexError):
                     got[i]
             for cut in (slice(3, 11), slice(None, None, -3), slice(-5, None), slice(9, 2),
                         slice(n - 2, n + 5)):
-                assert same_pairs(got[cut], want[cut])
-            assert same_pairs(sorted(got, key=lambda pair: pair[0].theta), want)
-            assert got.theta.tobytes() == np.array([bp.theta for bp, _ in want]).tobytes()
+                assert entries(got[cut]) == want[cut]
+            assert entries(sorted(got, key=lambda pair: pair[0].theta)) == want
+            assert got.theta.tobytes() == np.fmod(theta, TWO_PI).tobytes()
             # each read builds new objects on the one set or stack
             assert got[0][1] is not got[0][1]
             owner = got[0][1]._set
             assert (owner.bases if k is None else owner) is got.stack
             assert all(v._set is owner for _, v in got)
             with pytest.raises(TypeError):
-                got[0] = want[0]
+                got[0] = got[1]
 
 
 @pytest.mark.parametrize("build", [
@@ -1204,8 +1011,7 @@ def test_sym_power_columns_are_the_full_image_cut():
 
 def test_limit_stack_columns_on_the_eigenvector_route():
     group = standard_schottky()
-    dense = custom_rep({c: sym_power_matrix(group.image(c).mat, 4)
-                        for c in group.alphabet}, 4)
+    dense = dense_sym_power(group, 4)
     _, full = _limit_stack(dense, group, 4)
     for k in range(1, 4):
         assert _limit_stack(dense, group, 4, k)[1].tobytes() == full[:, :, :k].tobytes()
@@ -1217,8 +1023,7 @@ def test_limit_stack_columns_on_the_eigenvector_route():
 def test_limit_stack_refuses_a_plane_index_before_the_walk(monkeypatch):
     group = standard_schottky()
     sym3 = sym_power(3)(group.generator_matrices())
-    dense = custom_rep({c: sym_power_matrix(group.image(c).mat, 4)
-                        for c in group.alphabet}, 4)
+    dense = dense_sym_power(group, 4)
 
     def no_walk(*args):
         raise AssertionError("the limit set was walked")

@@ -12,7 +12,9 @@ Each public module-level function or class must be reached from the
 package's own top-level code, the benchmark or the acceptance
 criteria, save a short list of test oracles and paper quantities.
 The half-length formula, the inverse hyperbolic functions, is read in
-hypdisc alone.
+hypdisc alone. In tests/, each module-level function or class that is
+not a test, a Test class or a fixture must be read by some test module,
+so that a retired test leaves no helper behind.
 """
 
 import ast
@@ -116,6 +118,39 @@ def test_detector_flags_an_unread_private_helper():
     }
     assert unread_names(sources, private_definitions) == [
         ("a.py", 5, "_dead"), ("b.py", 5, "_spare")]
+
+
+TESTS = sorted((REPO / "tests").glob("*.py"))
+
+
+def helper_definitions(source):
+    """(line, name) of the module-level functions and classes of a test
+    module that pytest neither collects nor injects: no test, Test class
+    or fixture."""
+    def fixture(node):
+        return any("fixture" in names_read_by(d) for d in node.decorator_list)
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith(("test", "Test")) and not fixture(node)]
+
+
+def test_no_unread_test_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in TESTS}
+    assert len(sources) > 10
+    assert unread_names(sources, helper_definitions) == []
+
+
+def test_detector_flags_an_unread_test_helper():
+    sources = {
+        "tools.py": "def used():\n    pass\n\n\ndef orphan():\n    pass\n",
+        "test_a.py": ("import pytest\nfrom tools import used\n\n\n"
+                      "@pytest.fixture\ndef rows():\n    return []\n\n\n"
+                      "class TestBox:\n    def test_b(self, rows):\n        used()\n\n\n"
+                      "def spare():\n    return 0\n\n\n"
+                      "def test_c():\n    pass\n"),
+    }
+    assert unread_names(sources, helper_definitions) == [
+        ("test_a.py", 15, "spare"), ("tools.py", 5, "orphan")]
 
 
 def duplicate_private_names(sources):
@@ -258,13 +293,8 @@ def test_detector_flags_a_planted_half_length():
 
 # public names and methods no caller reaches, each kept for a reason
 UNCALLED = {
-    "Mobius.boost": "builder of test isometries",
-    "Mobius.identity": "builder of test isometries",
-    "ScaledMatrix.identity": "oracle of the product and rep tests",
-    "ScaledMatrix.log_singular_values": "oracle of the product and rep tests",
     "custom_rep": "oracle: a structureless rep checks the factor route",
     "poincare_series": "paper quantity: the series that defines the exponent",
-    "synthetic_log_sample": "oracle: a family with a known exponent",
 }
 
 

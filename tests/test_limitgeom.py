@@ -117,8 +117,8 @@ GRASS_SCALES = [0.3 * 10 ** (-k / 2.0) for k in range(5)]
     pytest.param(lambda: np.random.default_rng(59).permutation(
         np.array(list(itertools.product(range(40), repeat=2)), dtype=float)),
         [1.0, math.sqrt(2.0), 2.0, 5.0, 13.0], id="integer-grid"),
-    # in three dimensions the tree's rounding of sqrt 2 and sqrt 3 may
-    # differ from the norm's
+    # in three dimensions the projections' rounding at sqrt 2 and sqrt 3
+    # may differ from the norm's
     pytest.param(lambda: np.random.default_rng(61).permutation(
         np.array(list(itertools.product(range(11), repeat=3)), dtype=float)),
         [1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0], id="integer-lattice-3d"),
@@ -134,12 +134,12 @@ GRASS_SCALES = [0.3 * 10 ** (-k / 2.0) for k in range(5)]
         @ np.array([[0.6, 0.8], [-0.8, 0.6]]))), [1e-9, 2e-9, 3e-9, 4e-9],
         id="tiny-scale-lattice"),
 ])
-def test_tree_net_matches_the_greedy_scan(cloud, scales):
+def test_sweep_net_matches_the_greedy_scan(cloud, scales):
     cloud = cloud()
     assert len(cloud) > 1000
-    tree = limitgeom._sweep(cloud)
+    sweep = limitgeom._sweep(cloud)
     for eps in scales:
-        assert _net_size(tree, eps) == greedy_net_size(cloud, eps)
+        assert _net_size(sweep, eps) == greedy_net_size(cloud, eps)
 
 
 def test_finite_set_dimension_zero():

@@ -5,10 +5,10 @@ reflections read their 2x2 products from the level-array walker or from
 the single-word product of reps. The oracles below are the per-word
 routes those consumers used before: every product rebuilt from the
 identity, one letter at a time. Every product along a word is now a
-plain matrix product; the last section keeps the rule the walker and
-word_cartan used before as an oracle, one ScaledMatrix.times per letter
-and the Frobenius norm read through exp(2 log_scale), and checks that
-values, certificates, flags and doubled images come out the same.
+plain matrix product; the rule the walker and word_cartan used before,
+one ScaledMatrix.times per letter and the Frobenius norm read through
+exp(2 log_scale), is kept once, as the one reference of the frontier
+certificate: its values and complete_to come out the same to the ulp.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from buildtools import dense_sym_power, doubled_sym3, two_speed_product
 from flagtools import attracting_flag
 
 from orbitlab import cli, limitgeom
@@ -29,9 +30,7 @@ from orbitlab.cartan import (
 from orbitlab.critexp import _frontier_sample, sample_from_enumeration
 from orbitlab.doubling import (
     PANTS_BOUNDARY,
-    _doubled_group,
     double_rep,
-    enumerate_doubled,
     separated_schottky,
 )
 from orbitlab.errors import IllConditioned, InvalidInput
@@ -65,7 +64,7 @@ def oracle_word_cartan(rep, word):
     with one ScaledMatrix.times per letter for a structureless rep, and
     one plain 2x2 product per letter and factor otherwise."""
     if rep.factors is None:
-        sm = ScaledMatrix.identity(rep.dim)
+        sm = ScaledMatrix(np.eye(rep.dim))
         for letter in word:
             sm = sm.times(rep.images[letter])
         return cartan_projection(sm, lie_type=rep.lie_type)
@@ -125,8 +124,7 @@ def test_orbit_table_kappas_are_bit_identical(build, max_len, kind):
 ])
 def test_custom_rep_kappas_agree(build, max_len, d):
     group = build()
-    rep = custom_rep({c: sym_power_matrix(group.image(c).mat, d)
-                      for c in group.alphabet}, d)
+    rep = dense_sym_power(group, d)
     records = orbit_table(group, rep, max_len)
     assert len(records) > 200
     for rec in records:
@@ -222,8 +220,7 @@ def test_distortion_scan_forms_kappa_for_kept_rows_only(monkeypatch):
     # a dense sym3 rep passes the conditioning limit in this ball, yet
     # with no limit sample every row is skipped and none needs kappa
     group = standard_schottky()
-    rep = custom_rep({c: sym_power_matrix(group.image(c).mat, 3)
-                      for c in group.alphabet}, 3)
+    rep = dense_sym_power(group, 3)
     with pytest.raises(IllConditioned):
         orbit_table(group, rep, 6)
     monkeypatch.setattr(limitgeom, "_limit_stack",
@@ -289,7 +286,7 @@ def test_single_word_product_is_shared():
     rep = build_rep(group, "sym3")
     word = "abABBaab"
     sm = evaluate(rep, word)
-    want = ScaledMatrix.identity(3)
+    want = ScaledMatrix(np.eye(3))
     for letter in word:
         want = want.times(rep.images[letter])
     assert np.array_equal(sm.mat, want.mat) and sm.log_scale == want.log_scale
@@ -316,18 +313,6 @@ def test_alphabet_check_spares_the_identity_ball():
         sample_from_enumeration(group, rep, parse_functional("a1"), 0)
 
 
-def scaled_products(tables, word):
-    """The ScaledMatrix product along word in each letter table, one
-    ScaledMatrix.times per letter."""
-    products = []
-    for images in tables:
-        sm = ScaledMatrix.identity(len(next(iter(images.values()))))
-        for letter in word:
-            sm = sm.times(images[letter])
-        products.append(sm)
-    return products
-
-
 def scaled_cartan(rep, products):
     """Cartan vector from the factor products in ScaledMatrix form, each
     boost read from the Frobenius norm exp(2 log_scale) * sum(mat^2)."""
@@ -344,7 +329,7 @@ def scaled_frontier_sample(group, rep, phi, max_len):
     frontier certificate, each product extended from its parent word's
     by ScaledMatrix.times and read by scaled_cartan."""
     tables = [images for _, images in rep.factors]
-    products = {(): [ScaledMatrix.identity(2) for _ in tables]}
+    products = {(): [ScaledMatrix(np.eye(2)) for _ in tables]}
     value, kept = {}, []
     frontier_min, worst = math.inf, -math.inf
     for word, mob in enumerate_elements(group, max_len):
@@ -367,33 +352,20 @@ def schottky(kind):
     return group, build_rep(group, kind)
 
 
-def schottky_f4_f3():
-    """sp_product of the sym2 tables of standard_schottky(4) and (3)."""
-    group, slow = standard_schottky(4.0), standard_schottky(3.0)
-    sym2 = sym_power(2)
-    return group, sp_product([sym2(group.generator_matrices(), label="f4"),
-                              sym2(slow.generator_matrices(), label="f3")])
-
-
-def pants_doubled(ell):
-    group = separated_schottky(ell)
-    dbl = double_rep(build_rep(group, "sym3"), PANTS_BOUNDARY)
-    return _doubled_group(group, dbl), dbl.rep
-
-
 # complete_to agrees to the bit, except on the tilted sp-product, where
 # exp(2 log_scale) of the scaled rule rounds the frontier minimum one
 # ulp below the plain product's
 SCALED_CASES = [
     *(pytest.param(lambda: schottky("sym3"), text, 7, 0, id="schottky-sym3-%s-L7" % text)
       for text in ("a1", "a2", "w1", "2*a1+1*a2")),
-    pytest.param(schottky_f4_f3, "long", 7, 0, id="schottky-f4-f3-long-L7"),
+    pytest.param(lambda: (standard_schottky(4.0), two_speed_product(standard_schottky(4.0))),
+                 "long", 7, 0, id="schottky-f4-f3-long-L7"),
     pytest.param(lambda: schottky("sp-product"), "long", 7, 1,
                  id="schottky-tilted-long-L7"),
     pytest.param(lambda: (modular_group(), build_rep(modular_group(), "sym3")),
                  "a1", 10, 0, id="modular-sym3-a1-L10"),
-    pytest.param(lambda: pants_doubled(2.0), "a1", 6, 0, id="doubled-2.0-depth6"),
-    pytest.param(lambda: pants_doubled(1.85), "a1", 6, 0, id="doubled-1.85-depth6"),
+    pytest.param(lambda: doubled_sym3(2.0), "a1", 6, 0, id="doubled-2.0-depth6"),
+    pytest.param(lambda: doubled_sym3(1.85), "a1", 6, 0, id="doubled-1.85-depth6"),
 ]
 
 
@@ -408,67 +380,15 @@ def test_frontier_sample_matches_the_scaled_rule(setup, text, max_len, ulps):
     assert abs(vs.complete_to - complete_to) <= ulps * np.spacing(complete_to)
 
 
-def test_distortion_ratios_match_the_scaled_rule():
-    group = standard_schottky()
-    rep = build_rep(group, "sym3")
-    phi = parse_functional("a1")
-    report = distortion_scan(group, rep, phi, 9.0, 6)
-    assert len(report.rows) > 100
-    for row in report.rows:
-        a = phi.value(scaled_cartan(rep, scaled_products([rep.factors[0][1]], row.word)))
-        assert abs(row.alpha_kappa - a) <= 1e-12 * a
-        want = row.endpoint_distance * math.exp(a)
-        assert abs(row.ratio - want) <= 1e-12 * want
-
-
-@pytest.mark.parametrize("build, depth", [
-    pytest.param(standard_schottky, 7, id="schottky-depth7"),
-    pytest.param(modular_group, 9, id="modular-depth9"),
-])
-def test_limit_flag_bases_match_the_scaled_rule(build, depth):
-    # the frame ignores the power of two between the two products
-    group = build()
-    rep = build_rep(group, "sym3")
-    got = limit_flags(rep, group, depth)
-    pairs = limit_sample_words(group, depth)
-    assert len(got) == len(pairs) > 200
-    for (_, flag), (_, word) in zip(got, pairs):
-        (sm,) = scaled_products([rep.factors[0][1]], word)
-        want = Flag(sym_power_matrix(oracle_frame(sm.mat), 3))
-        assert np.array_equal(flag.basis, want.basis), str(word)
-
-
-def test_doubled_images_match_the_scaled_rule():
-    group = separated_schottky(2.0)
-    dbl = double_rep(build_rep(group, "sym3"), PANTS_BOUNDARY)
-    rows = list(enumerate_doubled(group, dbl, 4))
-    assert len(rows) > 300
-    for word, _, sm in rows:
-        (want,) = scaled_products([dbl.rep.images], word)
-        assert np.array_equal(sm.mat, want.mat), str(word)
-        assert abs(sm.log_scale - want.log_scale) <= 1e-12 * max(1.0, want.log_scale)
-
-
 # The structureless route: limit flags and Cartan vectors of a rep with
 # no 2x2 factors (or more than one) come from the dense product that the
 # walk or reps._word_product forms, against the per-word evaluate route.
 
-def custom_sym3(group):
-    return custom_rep({c: sym_power_matrix(group.image(c).mat, 3)
-                       for c in group.alphabet}, 3)
-
-
-def two_speed_product(group):
-    # a second factor with other translation lengths keeps the moduli apart
-    slow = standard_schottky(3.0)
-    sym2 = sym_power(2)
-    return sp_product([sym2(group.generator_matrices(), label="f4"),
-                       sym2(slow.generator_matrices(), label="f3")])
-
-
 @pytest.mark.parametrize("build, rep_of, depth", [
-    pytest.param(standard_schottky, custom_sym3, 5, id="custom-sym3-schottky-depth5"),
-    pytest.param(modular_group, custom_sym3, 7, id="custom-sym3-modular-depth7"),
+    pytest.param(standard_schottky, lambda group: dense_sym_power(group, 3), 5,
+                 id="custom-sym3-schottky-depth5"),
+    pytest.param(modular_group, lambda group: dense_sym_power(group, 3), 7,
+                 id="custom-sym3-modular-depth7"),
     pytest.param(standard_schottky, two_speed_product, 4, id="sp-product-depth4"),
 ])
 def test_structureless_limit_flags_match_evaluate(build, rep_of, depth):
@@ -490,8 +410,7 @@ def test_structureless_limit_flags_match_evaluate(build, rep_of, depth):
 ])
 def test_dense_word_cartan_matches_the_projection(build, d):
     group = build()
-    rep = custom_rep({c: sym_power_matrix(group.image(c).mat, d)
-                      for c in group.alphabet}, d)
+    rep = dense_sym_power(group, d)
     for length in range(7):
         for word in itertools.product(group.alphabet, repeat=length):
             got = word_cartan(rep, word).lambdas

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from buildtools import boost, dense_sym_power, doubled_sym3, two_speed_product
 from kleintools import DiscPoint, apply_isometry, dist_h
 
 import orbitlab.words as words
@@ -26,7 +27,7 @@ from orbitlab.hypdisc import (
     displacement,
     fixed_points,
 )
-from orbitlab.reps import _word_product, custom_rep, sp_product, sym_power
+from orbitlab.reps import _word_product, sym_power
 from orbitlab.words import (
     LIMIT_DEDUP_TOL,
     MODULAR_S,
@@ -98,7 +99,7 @@ class TestGroupConstruction:
 
     def test_elliptic_generator_rejected(self):
         with pytest.raises(InvalidInput):
-            free_schottky([Mobius.rotation(1.0), Mobius.boost(2.0)])
+            free_schottky([Mobius.rotation(1.0), boost(2.0)])
 
     def test_parabolic_generator_rejected(self):
         with pytest.raises(InvalidInput):
@@ -106,7 +107,7 @@ class TestGroupConstruction:
 
     def test_same_axis_boosts_rejected(self):
         with pytest.raises(InvalidInput) as err:
-            free_schottky([Mobius.boost(2.0), Mobius.boost(4.0)])
+            free_schottky([boost(2.0), boost(4.0)])
         assert "overlap" in str(err.value)
 
     def test_weak_translation_rejected(self):
@@ -169,10 +170,7 @@ class TestEnumerate:
             seen.add(key)
 
     def test_words_are_reduced(self):
-        pants = separated_schottky(2.0)
-        doubled = _doubled_group(
-            pants, double_rep(sym_power(3)(pants.generator_matrices()), PANTS_BOUNDARY)
-        )
+        doubled, _ = doubled_sym3(2.0)
         rotation = custom_group([Mobius.rotation(2.0 * math.pi / 5.0)])
         for g, depth in ((modular_group(), 7), (rotation, 12), (doubled, 4)):
             for word, _ in enumerate_elements(g, depth):
@@ -196,7 +194,7 @@ class TestEnumerate:
     def test_word_matrices_multiply_out(self):
         g = standard_schottky(4.0)
         for word, mob in enumerate_elements(g, 3):
-            prod = Mobius.identity()
+            prod = Mobius(np.eye(2))
             for letter in word:
                 prod = prod @ g.image(letter)
             assert prod.orientation == mob.orientation
@@ -229,7 +227,7 @@ def oracle_elements(group, max_len):
         key_of = lambda mob, intm: _oracle_scaled(mob.mat, group.dedup_tol)
     else:
         key_of = None
-    first = (Word(), Mobius.identity(), ((1, 0), (0, 1)) if ints else None)
+    first = (Word(), Mobius(np.eye(2)), ((1, 0), (0, 1)) if ints else None)
     seen = {key_of(first[1], first[2])} if key_of else None
     out = [first[:2]]
     frontier = [first]
@@ -254,19 +252,13 @@ def oracle_elements(group, max_len):
     return out
 
 
-def _doubled_spec():
-    pants = separated_schottky(2.0)
-    rep = sym_power(3)(pants.generator_matrices(), label="sym3")
-    return _doubled_group(pants, double_rep(rep, PANTS_BOUNDARY))
-
-
 class TestLevelWalker:
     @pytest.mark.parametrize("build, max_len, count", [
         pytest.param(modular_group, 10, 748, id="modular-L10"),
         pytest.param(lambda: custom_group([Mobius.rotation(2.0 * math.pi / 5.0)]),
                      12, 5, id="rotation-L12"),
         pytest.param(standard_schottky, 6, 1457, id="schottky-L6"),
-        pytest.param(_doubled_spec, 5, 6898, id="doubled-depth5"),
+        pytest.param(lambda: doubled_sym3(2.0)[0], 5, 6898, id="doubled-depth5"),
     ])
     def test_matches_the_per_word_walk(self, build, max_len, count):
         group = build()
@@ -286,20 +278,10 @@ class TestLevelWalker:
 
     def test_sp_product_long_values_match_word_cartan(self):
         group = standard_schottky()
-        slow = standard_schottky(3.0)
-        sym2 = sym_power(2)
-        rep = sp_product([
-            sym2({c: group.image(c).mat for c in "abAB"}, label="f4"),
-            sym2({c: slow.image(c).mat for c in "abAB"}, label="f3"),
-        ])
-        self._check_values(group, rep, parse_functional("long"), 5)
+        self._check_values(group, two_speed_product(group), parse_functional("long"), 5)
 
     def test_doubled_values_match_word_cartan(self):
-        pants = separated_schottky(2.0)
-        dbl = double_rep(sym_power(3)(pants.generator_matrices(), label="sym3"),
-                         PANTS_BOUNDARY)
-        self._check_values(_doubled_group(pants, dbl), dbl.rep,
-                           parse_functional("a1"), 4)
+        self._check_values(*doubled_sym3(2.0), parse_functional("a1"), 4)
 
     @staticmethod
     def _check_values(group, rep, phi, max_len):
@@ -328,7 +310,7 @@ class TestLevelWalker:
     def test_rounding_keys_keep_the_magnitude(self, kind):
         # a^10 and a^11 of a length-2 boost scale to one row; the key
         # keeps them apart by log |lead|
-        alphabet, images, inverse_letter = words._free_tables([Mobius.boost(2.0)])
+        alphabet, images, inverse_letter = words._free_tables([boost(2.0)])
         group = GroupSpec(kind, alphabet, images, inverse_letter, dedup_tol=1e-8)
         got = [str(w) for w, _ in enumerate_elements(group, 14)]
         assert len(got) == 29
@@ -391,16 +373,10 @@ def byte_sort_first_new(keys, seen):
     return np.sort(kept[kept >= len(seen)]) - len(seen)
 
 
-def _doubled_sym3_spec(length):
-    pants = separated_schottky(length)
-    rep = sym_power(3)(pants.generator_matrices(), label="sym3")
-    return _doubled_group(pants, double_rep(rep, PANTS_BOUNDARY))
-
-
 def _order_four_custom():
     # a b is the quarter turn, so (ab)^2 = (BA)^2 and the walk meets
     # duplicates from length 4 on, past the discreteness probe's reach
-    a = Mobius.boost(3.0)
+    a = boost(3.0)
     return custom_group([a, a.inverse() @ Mobius.rotation(0.5 * math.pi)])
 
 
@@ -440,8 +416,8 @@ class TestHashDedup:
     """words._first_new against the byte sort it replaced."""
 
     @pytest.mark.parametrize("build, max_len", [
-        pytest.param(lambda: _doubled_sym3_spec(1.85), 6, id="doubled-1.85-depth6"),
-        pytest.param(lambda: _doubled_sym3_spec(2.0), 6, id="doubled-2.0-depth6"),
+        pytest.param(lambda: doubled_sym3(1.85)[0], 6, id="doubled-1.85-depth6"),
+        pytest.param(lambda: doubled_sym3(2.0)[0], 6, id="doubled-2.0-depth6"),
         pytest.param(modular_group, 9, id="modular-depth9"),
         pytest.param(_order_four_custom, 9, id="custom-depth9"),
     ])
@@ -531,13 +507,7 @@ class TestSharedTables:
     def _other_walks():
         # the sp-product's factor tables and a dense sym3 table
         group = standard_schottky()
-        slow = standard_schottky(3.0)
-        sym2 = sym_power(2)
-        rep = sp_product([
-            sym2({c: group.image(c).mat for c in "abAB"}, label="f4"),
-            sym2({c: slow.image(c).mat for c in "abAB"}, label="f3"),
-        ])
-        dense = custom_rep(sym_power(3)(group.generator_matrices()).images, 3)
+        rep, dense = two_speed_product(group), dense_sym_power(group, 3)
         return [(group, rep.tables, "sp-product"), (group, dense.tables, "dense sym3")]
 
     def test_other_tables_are_not_shared(self):
@@ -900,7 +870,7 @@ class TestLimitSample:
         assert "TTTS" in kept and "TTStSTTS" not in kept
 
     def test_single_generator_elementary(self):
-        g = free_schottky([Mobius.boost(3.0)])
+        g = free_schottky([boost(3.0)])
         with pytest.raises(NonElementary):
             limit_sample_words(g, 4)
 
@@ -950,15 +920,15 @@ class TestGroupFile:
 
 class TestDisplacementFunction:
     def test_matches_point_distance_when_small(self):
-        m = Mobius.boost(1.0)
+        m = boost(1.0)
         assert displacement(m) == pytest.approx(1.0, abs=1e-12)
         m = Mobius(np.array([[1.3, 0.4], [-0.2, 0.9]]))
         want = dist_h(ORIGIN, apply_isometry(m, ORIGIN))
         assert displacement(m) == pytest.approx(want, abs=1e-10)
 
     def test_large_translations_finite(self):
-        m = Mobius.boost(200.0)
+        m = boost(200.0)
         assert displacement(m) == pytest.approx(200.0, rel=1e-12)
 
     def test_identity_is_zero(self):
-        assert displacement(Mobius.identity()) == 0.0
+        assert displacement(Mobius(np.eye(2))) == 0.0
